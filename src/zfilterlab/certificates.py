@@ -63,6 +63,12 @@ class Certificate:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise CertificateError(f"unknown certificate kind {self.kind!r}")
+        if not (
+            isinstance(self.params, dict)
+            and isinstance(self.payload, dict)
+            and isinstance(self.steps, list)
+        ):
+            raise CertificateError("params and payload must be objects, steps a list")
 
     def digest(self) -> str:
         return body_digest(self.kind, self.params, self.payload, self.steps)

@@ -29,6 +29,7 @@ from .space import (
     XiPoint,
     class_point_count,
     class_points,
+    containment_counterexample,
     eval_on_support,
     eval_setexpr,
     inter_atoms,
@@ -122,79 +123,88 @@ def _registry_from_params(params: dict) -> Registry:
     return Registry(entries)
 
 
-def _contained_on(
-    lhs: SetExpr, rhs: SetExpr, trunc: Truncation, ambient: Ambient
-) -> XiPoint | None:
-    for support in support_classes(trunc):
-        lv = eval_on_support(support, lhs)
-        rv = eval_on_support(support, rhs)
-        if lv is False or rv is True:
-            continue
-        if lv is True and rv is False:
-            for p in class_points(support, trunc, ambient):
-                return p
-            continue
-        for p in class_points(support, trunc, ambient):
-            if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs):
-                return p
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Kind-specific checks
 # ---------------------------------------------------------------------------
 
+_CHAIN_DIRECTIONS = {
+    "strictly-increasing-chain": "increasing",
+    "strictly-decreasing-chain": "decreasing",
+}
+
+
 def _check_separator_witness(ctx: _Context) -> None:
+    claim = ctx.cert.payload.get("claim")
+    if claim == "no-single-zero-set-in-filter":
+        _check_group_separators(ctx)
+    elif claim == "non-absorption-holds":
+        _check_absorption_witnesses(ctx)
+    elif claim in _CHAIN_DIRECTIONS:
+        _check_chain_pairs(ctx, _CHAIN_DIRECTIONS[claim])
+    else:
+        ctx.report.fail(f"unknown separator-witness claim {claim!r}")
+
+
+def _check_group_separators(ctx: _Context) -> None:
+    for e in ctx.cert.payload["entries"]:
+        point = ctx.point(e["point"])
+        group = ctx.branches(e["group"])
+        alpha = ctx.branch(e["alpha"])
+        if not validate_point(point):
+            ctx.report.fail(f"witness point {e['point']} is not a valid point")
+        elif not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
+            ctx.report.fail(
+                f"point {e['point']} fails to separate {e['alpha']} from {e['group']}"
+            )
+
+
+def _check_absorption_witnesses(ctx: _Context) -> None:
+    for w in ctx.cert.payload["witnesses"]:
+        point = ctx.point(w["point"])
+        f_set = ctx.branches(w["constraining"])
+        beta = ctx.branch(w["beta"])
+        if not (
+            eval_setexpr(point, inter_atoms(f_set))
+            and not eval_setexpr(point, Atom(beta))
+        ):
+            ctx.report.fail(
+                f"witness {w['point']} fails for ({w['constraining']}, {w['beta']})"
+            )
+
+
+def _check_chain_pairs(ctx: _Context, direction: str) -> None:
     payload = ctx.cert.payload
-    if "entries" in payload:
-        for e in payload["entries"]:
-            point = ctx.point(e["point"])
-            group = ctx.branches(e["group"])
-            alpha = ctx.branch(e["alpha"])
-            if not validate_point(point):
-                ctx.report.fail(f"witness point {e['point']} is not a valid point")
-            elif not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
-                ctx.report.fail(
-                    f"point {e['point']} fails to separate {e['alpha']} from {e['group']}"
-                )
-    if "witnesses" in payload:
-        for w in payload["witnesses"]:
-            point = ctx.point(w["point"])
-            f_set = ctx.branches(w["constraining"])
-            beta = ctx.branch(w["beta"])
-            if not (
-                eval_setexpr(point, inter_atoms(f_set))
-                and not eval_setexpr(point, Atom(beta))
-            ):
-                ctx.report.fail(
-                    f"witness {w['point']} fails for ({w['constraining']}, {w['beta']})"
-                )
-    if "pairs" in payload:
-        _check_chain_pairs(ctx, payload)
-
-
-def _check_chain_pairs(ctx: _Context, payload: dict) -> None:
-    direction = payload.get("direction")
-    bases = payload.get("bases", [])
-    steps = len(bases)
+    if payload.get("direction") != direction:
+        ctx.report.fail(f"chain direction {payload.get('direction')!r} contradicts the claim")
+    steps = ctx.cert.params["steps"]
+    labels = [e.label for e in ctx.registry]
+    if not 1 <= steps <= len(labels):
+        ctx.report.fail(f"{steps} chain steps do not fit a registry of {len(labels)}")
+        return
+    bases = payload["bases"]
+    expected_bases = [
+        labels[:k] if direction == "increasing" else labels[k:] for k in range(steps)
+    ]
+    if bases != expected_bases:
+        ctx.report.fail("chain bases are not the registry prefixes or tails")
+        return
+    listed = [(pair["alpha"], pair["base_index"]) for pair in payload["pairs"]]
+    expected_pairs = {(j, k) for j in labels[:steps] for k in range(steps)}
+    if len(listed) != len(expected_pairs) or set(listed) != expected_pairs:
+        ctx.report.fail(f"pairs must cover exactly the {steps}x{steps} (entry, step) grid")
+        return
+    # with the bases fixed, a member flag matching the chain shape puts the
+    # entry in its base; non-members need a strictness point
     for pair in payload["pairs"]:
         j_label, k = pair["alpha"], pair["base_index"]
-        alpha = ctx.branch(j_label)
-        position = next(
-            i for i, e in enumerate(ctx.registry) if e.label == j_label
-        )
+        position = labels.index(j_label)
         expected = position < k if direction == "increasing" else position >= k
         if pair["member"] != expected:
             ctx.report.fail(
                 f"membership flag for ({j_label}, step {k}) contradicts the chain shape"
             )
-            continue
-        if pair["member"]:
-            if direction == "increasing" and j_label not in bases[k]:
-                ctx.report.fail(f"{j_label} missing from its generating base {k}")
-            if direction == "decreasing" and j_label not in bases[k]:
-                ctx.report.fail(f"{j_label} missing from its generating tail {k}")
-        else:
+        elif not pair["member"]:
+            alpha = ctx.branch(j_label)
             point = ctx.point(pair["point"])
             group = ctx.branches(pair["group"])
             if set(pair["group"]) != set(bases[k]) - {j_label}:
@@ -237,7 +247,7 @@ def _check_exception_list(ctx: _Context) -> None:
     zset = ctx.expr(payload["zset"])
     alpha = ctx.branch(payload["alpha"])
     hypothesis = ctx.branches(payload["hypothesis_group"])
-    bad = _contained_on(
+    bad = containment_counterexample(
         inter_atoms(hypothesis), Union((zset, Atom(alpha))), trunc, ctx.ambient
     )
     if bad is not None:
@@ -261,7 +271,7 @@ def _check_exception_list(ctx: _Context) -> None:
         through = ctx.branches(m["via_pairs"])
         lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
         rhs = Union((zset, Atom(beta)))
-        bad = _contained_on(lhs, rhs, trunc, ctx.ambient)
+        bad = containment_counterexample(lhs, rhs, trunc, ctx.ambient)
         if bad is not None:
             ctx.report.fail(
                 f"pair inclusion for {m['beta']} fails at {bad.literal()}"
@@ -313,17 +323,11 @@ def _check_closure_classes(ctx: _Context, *, require_cover: bool) -> None:
                 f"class listing wrong at support {sorted(support)}"
             )
 
+    target = Diff(inter_atoms(kept), union_atoms(subtracted))
     for c in payload["classes"]:
         support = frozenset(c["support"])
         escapes = tuple(c["escapes"])
-        term_support = support | set(escapes)
-        inside = all(
-            not any(branch_member(b, p) for p in term_support) for b in kept
-        )
-        escaped = all(
-            any(branch_member(a, p) for p in term_support) for a in subtracted
-        )
-        if not (inside and escaped):
+        if eval_on_support(support | set(escapes), target) is not True:
             ctx.report.fail(f"escape schema fails for support {sorted(support)}")
         if c["count"] != class_point_count(support, trunc, ctx.ambient):
             ctx.report.fail(f"point count wrong for support {sorted(support)}")
@@ -332,7 +336,6 @@ def _check_closure_classes(ctx: _Context, *, require_cover: bool) -> None:
                 f"self-membership flag inconsistent at {sorted(support)}"
             )
         # spot-check one concrete point per class with full evaluation
-        target = Diff(inter_atoms(kept), union_atoms(subtracted))
         for p in class_points(support, trunc, ctx.ambient):
             if c["self_member"]:
                 if not eval_setexpr(p, target):
@@ -354,7 +357,7 @@ def _check_absorption_failure(ctx: _Context) -> None:
     _check_rank_shape(ctx, constraining, absorbing)
     lhs = Inter((zset, inter_atoms(constraining)))
     rhs = union_atoms(absorbing)
-    bad = _contained_on(lhs, rhs, trunc, ctx.ambient)
+    bad = containment_counterexample(lhs, rhs, trunc, ctx.ambient)
     if bad is not None:
         ctx.report.fail(f"claimed absorption inclusion fails at {bad.literal()}")
 
@@ -389,7 +392,7 @@ def _check_contradiction(ctx: _Context) -> None:
     # the same inclusion must hold exhaustively within the truncation: the
     # certificate's force is exactly the clash between the two facts
     lhs = Inter((zset, inter_atoms(constraining)))
-    bad = _contained_on(lhs, union_atoms(absorbing), trunc, ctx.ambient)
+    bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
     if bad is not None:
         ctx.report.fail(
             f"claimed inclusion already fails on the truncation at {bad.literal()}"
@@ -409,7 +412,7 @@ def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> None:
         if gamma is not None and absorbing and gamma <= max(b.rank for b in absorbing):
             ctx.report.fail("rank floor does not clear the absorbing ranks")
         lhs = Inter((zset, inter_atoms(constraining)))
-        bad = _contained_on(lhs, union_atoms(absorbing), trunc, ctx.ambient)
+        bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
         if bad is not None:
             ctx.report.fail(
                 f"input absorption failure breaks at {bad.literal()} on the truncation"

@@ -17,6 +17,7 @@ timestamps, so identical configurations reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -50,10 +51,8 @@ from .space import (
     SpaceError,
     Truncation,
     XI,
-    class_points,
-    eval_on_support,
-    eval_setexpr,
-    support_classes,
+    containment_violations,
+    empty_expr,
 )
 from .branches import (
     branch_elements,
@@ -310,8 +309,7 @@ def _cmd_family_decode(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.check:
-        with open(args.check, "rb") as fh:
-            report = check_certificate_text(fh.read())
+        report = check_certificate_text(_read_file(args.check, "certificate"))
         for problem in report.problems:
             print(f"problem: {problem}", file=sys.stderr)
         print("verified" if report.ok else "rejected")
@@ -367,12 +365,36 @@ def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
     raise UsageError(f"unknown lemma {lemma!r}")
 
 
+def _read_file(path: str, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    try:
+        doc = json.loads(_read_file(path, what))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+def _expr_field(doc, key: str, what: str, reg: Registry, ambient: str):
+    text = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(text, str):
+        raise UsageError(f"{what} needs a set expression string under {key!r}")
+    return parse_setexpr(text, reg, ambient)
+
+
 def _load_afailures(path: str, reg: Registry, ambient: str) -> list[AFailure]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(path, "cover file")
     failures = []
     for item in doc.get("afailures", []):
-        zset = parse_setexpr(item["zset"], reg, ambient)
+        zset = _expr_field(item, "zset", "an afailure", reg, ambient)
         constraining = tuple(reg.by_label(x) for x in item.get("constraining", []))
         absorbing = tuple(reg.by_label(x) for x in item.get("absorbing", []))
         failures.append(AFailure(zset, constraining, absorbing))
@@ -386,26 +408,27 @@ def _load_afailures(path: str, reg: Registry, ambient: str) -> list[AFailure]:
 def _cmd_oracle(args) -> int:
     reg = _registry(args)
     trunc = _truncation(args)
-    with open(args.claim) as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(args.claim, "claim file")
     kind = doc.get("claim", "containment")
     ambient = doc.get("ambient", args.ambient)
-    lhs = parse_setexpr(doc["lhs"], reg, ambient)
-    rhs = parse_setexpr(doc["rhs"], reg, ambient) if "rhs" in doc else None
+    lhs = _expr_field(doc, "lhs", "a claim", reg, ambient)
+    rhs = _expr_field(doc, "rhs", "a claim", reg, ambient) if "rhs" in doc else None
+    # a refuted claim always shows at least one counterexample per direction
+    limit = max(args.max_counterexamples, 1)
+
+    def violations(left, right):
+        return list(itertools.islice(containment_violations(left, right, trunc, ambient), limit))
 
     if kind == "containment":
         if rhs is None:
             raise UsageError("containment claims need lhs and rhs")
-        bad = _violations(lhs, rhs, trunc, ambient, args.max_counterexamples)
+        bad = violations(lhs, rhs)
     elif kind == "equality":
         if rhs is None:
             raise UsageError("equality claims need lhs and rhs")
-        bad = _violations(lhs, rhs, trunc, ambient, args.max_counterexamples)
-        bad += _violations(rhs, lhs, trunc, ambient, args.max_counterexamples)
+        bad = violations(lhs, rhs) + violations(rhs, lhs)
     elif kind == "emptiness":
-        from .space import Union as _Union
-
-        bad = _violations(lhs, _Union(()), trunc, ambient, args.max_counterexamples)
+        bad = violations(lhs, empty_expr())
     else:
         raise UsageError(f"unknown claim kind {kind!r}")
 
@@ -415,21 +438,6 @@ def _cmd_oracle(args) -> int:
     for p in bad:
         print(f"counterexample: {p.literal()}")
     return EXIT_FAIL
-
-
-def _violations(lhs, rhs, trunc, ambient, limit):
-    out = []
-    for support in support_classes(trunc):
-        lv = eval_on_support(support, lhs)
-        rv = eval_on_support(support, rhs)
-        if lv is False or rv is True:
-            continue
-        for p in class_points(support, trunc, ambient):
-            if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs):
-                out.append(p)
-                if len(out) >= limit:
-                    return out
-    return out
 
 
 if __name__ == "__main__":

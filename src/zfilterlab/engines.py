@@ -30,6 +30,7 @@ from .formats import setexpr_text
 from .space import (
     Ambient,
     Atom,
+    Diff,
     Inter,
     PI,
     SetExpr,
@@ -41,6 +42,7 @@ from .space import (
     class_point_count,
     class_points,
     containment_counterexample,
+    eval_on_support,
     eval_setexpr,
     inter_atoms,
     multi_escape_sequence,
@@ -135,8 +137,6 @@ def check_extendibility_a(
 
 
 def _group_minus(group: Sequence[BranchIndex], alpha: BranchIndex) -> SetExpr:
-    from .space import Diff
-
     return Diff(inter_atoms(group), Atom(alpha))
 
 
@@ -242,6 +242,14 @@ class ClassWitness:
     self_member: bool
     count: int
 
+    def to_payload(self) -> dict:
+        return {
+            "support": sorted(self.support),
+            "escapes": list(self.escapes),
+            "self_member": self.self_member,
+            "count": self.count,
+        }
+
 
 @dataclass
 class ContainmentReport:
@@ -258,8 +266,6 @@ class ContainmentReport:
     terms_per_witness: int = 3
 
     def target(self) -> SetExpr:
-        from .space import Diff
-
         return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
 
     def point_verdicts(self):
@@ -275,12 +281,42 @@ class ContainmentReport:
                 else:
                     yield p, multi_escape_sequence(p, cw.escapes, self.terms_per_witness)
 
-    def closure_verdicts(self):
-        """Same stream wrapped as proven closure verdicts."""
-        from .space import ClosureVerdict
 
-        for p, witness in self.point_verdicts():
-            yield p, ClosureVerdict("proven", witness=witness)
+def _class_witnesses(
+    kept: Sequence[BranchIndex],
+    subtracted: Sequence[BranchIndex],
+    separators: dict[str, int],
+    cover: Sequence[BranchIndex],
+    trunc: Truncation,
+    ambient: Ambient,
+) -> list[ClassWitness]:
+    """One escape schema per support class avoiding the kept and cover branches.
+
+    The schema escapes every subtracted branch the support misses through its
+    separator, and the escaped support must land in the target on supports
+    alone.  Classes without truncated points are dropped in ``xi`` and kept
+    in ``pi``.
+    """
+    shrunken = list(kept) + list(cover)
+    target = Diff(inter_atoms(kept), union_atoms(subtracted))
+    classes: list[ClassWitness] = []
+    for support in support_classes(trunc):
+        if any(branch_member(b, p) for b in shrunken for p in support):
+            continue
+        count = class_point_count(support, trunc, ambient)
+        if ambient == XI and count == 0:
+            continue
+        missing = [
+            a for a in subtracted
+            if not any(branch_member(a, p) for p in support)
+        ]
+        escapes = tuple(sorted({separators[a.label] for a in missing}))
+        if eval_on_support(support | set(escapes), target) is not True:
+            raise CertificationError(
+                f"escape schema for support {sorted(support)} missed the target"
+            )
+        classes.append(ClassWitness(support, escapes, not missing, count))
+    return classes
 
 
 def containment_decreasing(
@@ -289,8 +325,6 @@ def containment_decreasing(
     gamma: int,
     registry: Registry,
     trunc: Truncation,
-    *,
-    terms_per_witness: int = 3,
 ) -> ContainmentReport:
     """Shrink the kept intersection, at ranks past the floor, into the closure.
 
@@ -317,31 +351,7 @@ def containment_decreasing(
         depth = max(separators.values())
         cover = find_cover(depth, gamma, registry, base=kept)
 
-    shrunken = list(kept) + cover
-    target_atoms_sub = subtracted
-    classes: list[ClassWitness] = []
-    for support in support_classes(trunc):
-        if any(branch_member(b, p) for b in shrunken for p in support):
-            continue
-        count = class_point_count(support, trunc, XI)
-        if count == 0:
-            continue
-        missing = [
-            a for a in target_atoms_sub
-            if not any(branch_member(a, p) for p in support)
-        ]
-        escapes = tuple(sorted({separators[a.label] for a in missing}))
-        if escapes:
-            term_support = frozenset(support) | set(escapes)
-            ok = _support_in_target(term_support, kept, subtracted)
-        else:
-            ok = _support_in_target(frozenset(support), kept, subtracted)
-        if not ok:
-            raise CertificationError(
-                f"escape schema for support {sorted(support)} missed the target"
-            )
-        classes.append(ClassWitness(support, escapes, not missing, count))
-
+    classes = _class_witnesses(kept, subtracted, separators, cover, trunc, XI)
     cert = Certificate(
         "InclusionChain",
         params=_params(registry, trunc, XI, gamma=gamma),
@@ -352,35 +362,12 @@ def containment_decreasing(
             "separators": separators,
             "depth": depth,
             "cover": _branches_payload(cover),
-            "classes": [
-                {
-                    "support": sorted(cw.support),
-                    "escapes": list(cw.escapes),
-                    "self_member": cw.self_member,
-                    "count": cw.count,
-                }
-                for cw in classes
-            ],
+            "classes": [cw.to_payload() for cw in classes],
         },
     )
     return ContainmentReport(
-        subtracted, kept, gamma, separators, cover, depth, classes, trunc, XI, cert,
-        terms_per_witness,
+        subtracted, kept, gamma, separators, cover, depth, classes, trunc, XI, cert
     )
-
-
-def _support_in_target(
-    support: frozenset[int],
-    kept: Sequence[BranchIndex],
-    subtracted: Sequence[BranchIndex],
-) -> bool:
-    inside = all(
-        not any(branch_member(b, p) for p in support) for b in kept
-    )
-    escaped = all(
-        any(branch_member(a, p) for p in support) for a in subtracted
-    )
-    return inside and escaped
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +378,6 @@ def containment_full_product(
     kept: Sequence[BranchIndex],
     subtracted: Sequence[BranchIndex],
     trunc: Truncation,
-    *,
-    terms_per_witness: int = 3,
 ) -> ContainmentReport:
     """Density of the punctured intersection inside the full-product intersection.
 
@@ -406,23 +391,7 @@ def containment_full_product(
         raise EngineError("the kept and subtracted branch sets must be disjoint")
 
     separators = {b.label: find_separator(b, kept) for b in subtracted}
-    classes: list[ClassWitness] = []
-    for support in support_classes(trunc):
-        if any(branch_member(b, p) for b in kept for p in support):
-            continue
-        count = class_point_count(support, trunc, PI)
-        missing = [
-            b for b in subtracted
-            if not any(branch_member(b, p) for p in support)
-        ]
-        escapes = tuple(sorted({separators[b.label] for b in missing}))
-        term_support = frozenset(support) | set(escapes)
-        if not _support_in_target(term_support, kept, subtracted):
-            raise CertificationError(
-                f"escape schema for support {sorted(support)} missed the target"
-            )
-        classes.append(ClassWitness(support, escapes, not missing, count))
-
+    classes = _class_witnesses(kept, subtracted, separators, [], trunc, PI)
     registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
     cert = Certificate(
         "InclusionChain",
@@ -432,20 +401,11 @@ def containment_full_product(
             "kept": _branches_payload(kept),
             "subtracted": _branches_payload(subtracted),
             "separators": separators,
-            "classes": [
-                {
-                    "support": sorted(cw.support),
-                    "escapes": list(cw.escapes),
-                    "self_member": cw.self_member,
-                    "count": cw.count,
-                }
-                for cw in classes
-            ],
+            "classes": [cw.to_payload() for cw in classes],
         },
     )
     return ContainmentReport(
-        subtracted, kept, 0, separators, [], 0, classes, trunc, PI, cert,
-        terms_per_witness,
+        subtracted, kept, 0, separators, [], 0, classes, trunc, PI, cert
     )
 
 
@@ -569,19 +529,7 @@ def _property_a_witness(
     constraint = inter_atoms(f_set)
     if eval_setexpr(candidate, zset) and eval_setexpr(candidate, constraint):
         return candidate
-
-    def good(p: XiPoint) -> bool:
-        return (
-            eval_setexpr(p, zset)
-            and eval_setexpr(p, constraint)
-            and not eval_setexpr(p, Atom(beta))
-        )
-
-    for support in support_classes(trunc):
-        for p in class_points(support, trunc, XI):
-            if good(p):
-                return p
-    return None
+    return containment_counterexample(Inter((zset, constraint)), Atom(beta), trunc, XI)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from .space import (
     a_form_contained,
     a_form_witness,
     containment_counterexample,
-    eval_setexpr,
-    first_point_where,
+    empty_expr,
     inter_of,
 )
 
@@ -65,10 +64,7 @@ class FilterBase:
     def is_proper(self, trunc: Truncation) -> bool:
         """Empirical properness: the core is nonempty on the truncation."""
         core = self.core()
-        return (
-            first_point_where(trunc, self.ambient, lambda p: eval_setexpr(p, core))
-            is not None
-        )
+        return containment_counterexample(core, empty_expr(), trunc, self.ambient) is not None
 
 
 def pairwise_union_base(branches: Sequence[BranchIndex], ambient: str = "xi") -> FilterBase:
@@ -231,14 +227,10 @@ def combine_nonredundancy_witnesses(
             continue
         per_base[i] = filter_member(base, combined, trunc)
 
-    target_core = family[target].core()
-
-    def refutes(p: XiPoint) -> bool:
-        return eval_setexpr(p, target_core) and not any(
-            eval_setexpr(p, w) for w in ordered
-        )
-
-    point = first_point_where(trunc, family[target].ambient, refutes)
+    target_base = family[target]
+    point = containment_counterexample(
+        target_base.core(), Union(tuple(ordered)), trunc, target_base.ambient
+    )
     if point is None:
         target_verdict = MemberVerdict("unknown", truncation=trunc)
     else:

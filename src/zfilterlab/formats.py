@@ -100,10 +100,6 @@ def parse_point_literal(text: str, ambient: Ambient = XI) -> XiPoint:
         raise FormatError(str(exc)) from exc
 
 
-def point_literal(point: XiPoint) -> str:
-    return point.literal()
-
-
 # ---------------------------------------------------------------------------
 # Set-expression s-expressions
 # ---------------------------------------------------------------------------

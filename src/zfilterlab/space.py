@@ -17,6 +17,12 @@ Each branch ``alpha`` determines the zero set of points whose coordinates at
 the branch's element positions are all infinite.  `SetExpr` is a small symbolic
 algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
+
+Every finite containment claim (the oracle, the checker, filter membership,
+the engines) runs through one truncated-containment loop,
+`containment_violations`, which settles whole support classes with
+`eval_on_support` and evaluates single points only where values matter.
+`eval_setexpr` is the reference evaluator the loop is tested against.
 """
 
 from __future__ import annotations
@@ -346,23 +352,10 @@ def enumerate_truncated(trunc: Truncation, ambient: Ambient = XI) -> list[XiPoin
     return out
 
 
-def first_point_where(
-    trunc: Truncation,
-    ambient: Ambient,
-    predicate,
-) -> XiPoint | None:
-    """First truncated point (in enumeration order) satisfying the predicate."""
-    for support in support_classes(trunc):
-        for p in class_points(support, trunc, ambient):
-            if predicate(p):
-                return p
-    return None
-
-
-def containment_counterexample(
+def containment_violations(
     lhs: SetExpr, rhs: SetExpr, trunc: Truncation, ambient: Ambient
-) -> XiPoint | None:
-    """First truncated point in ``lhs`` outside ``rhs``; None when contained.
+) -> Iterator[XiPoint]:
+    """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
     Whole support classes are settled at once when both sides are
     support-determined there; value-sensitive classes fall back to points.
@@ -373,13 +366,18 @@ def containment_counterexample(
         if lv is False or rv is True:
             continue
         if lv is True and rv is False:
-            for p in class_points(support, trunc, ambient):
-                return p
+            yield from class_points(support, trunc, ambient)
             continue
         for p in class_points(support, trunc, ambient):
             if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs):
-                return p
-    return None
+                yield p
+
+
+def containment_counterexample(
+    lhs: SetExpr, rhs: SetExpr, trunc: Truncation, ambient: Ambient
+) -> XiPoint | None:
+    """First truncated point in ``lhs`` outside ``rhs``; None when contained."""
+    return next(containment_violations(lhs, rhs, trunc, ambient), None)
 
 
 # ---------------------------------------------------------------------------

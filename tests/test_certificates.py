@@ -6,7 +6,7 @@ import random
 import pytest
 
 from zfilterlab.branches import make_registry
-from zfilterlab.certificates import Certificate, CertificateError
+from zfilterlab.certificates import Certificate, CertificateError, body_digest
 from zfilterlab.checking import check_certificate, check_certificate_text
 from zfilterlab.engines import (
     AFailure,
@@ -127,6 +127,45 @@ class TestTampering:
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         report = check_certificate(fresh)
         assert not report.ok
+
+
+class TestStructure:
+    def test_bad_field_types_rejected_on_construction(self):
+        with pytest.raises(CertificateError):
+            Certificate("SeparatorWitness", [], {})
+        with pytest.raises(CertificateError):
+            Certificate("SeparatorWitness", {}, {}, steps={})
+
+    def test_digest_valid_body_with_list_params_is_a_failed_report(self):
+        doc = {"schema": 1, "kind": "SeparatorWitness", "params": [], "payload": {},
+               "steps": []}
+        doc["digest"] = body_digest("SeparatorWitness", [], {}, [])
+        report = check_certificate_text(json.dumps(doc))
+        assert not report.ok and report.problems
+
+
+class TestSeparatorWitnessClaims:
+    def test_empty_payload_rejected(self):
+        assert not check_certificate(Certificate("SeparatorWitness", {}, {})).ok
+
+    def test_unknown_claim_rejected(self):
+        cert = increasing_chain_engine(reg(), 3, TR).certificate
+        cert.payload["claim"] = "strictly-sideways-chain"
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        assert not check_certificate(fresh).ok
+
+    @pytest.mark.parametrize("engine", [increasing_chain_engine, decreasing_chain_engine])
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda pairs: [], lambda pairs: pairs[:-1], lambda pairs: pairs + pairs[:1]],
+        ids=["no-pairs", "one-missing", "one-repeated"],
+    )
+    def test_chain_pairs_must_fill_the_grid(self, engine, cut):
+        cert = engine(reg(), 3, TR).certificate
+        assert check_certificate(cert).ok
+        cert.payload["pairs"] = cut(cert.payload["pairs"])
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        assert not check_certificate(fresh).ok
 
 
 class TestCheckerIndependence:

@@ -199,6 +199,56 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", str(claim), "--T", "20")
         assert code == EXIT_RESOURCE
 
+    def test_equality_lists_counterexamples_in_order(self, capsys, tmp_path):
+        claim = tmp_path / "claim.json"
+        claim.write_text(
+            json.dumps({"claim": "equality", "lhs": "(diff N:b (pt {1:3}))", "rhs": "N:a"})
+        )
+        code, out, _ = run(
+            capsys, "oracle", str(claim), *_reg_flags(), "--T", "4", "--V", "6",
+            "--max-counterexamples", "3",
+        )
+        assert code == EXIT_FAIL
+        # three per direction: lhs minus rhs, then rhs minus lhs
+        points = ["{1:1}", "{1:2}", "{1:4}", "{2:2}", "{2:3}", "{2:4}"]
+        assert out.splitlines() == [f"counterexample: {p}" for p in points]
+
+
+class TestInputErrors:
+    """Unreadable or incomplete input is a usage error, never a refutation."""
+
+    def test_check_missing_certificate(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--check", str(tmp_path / "absent.json"))
+        assert code == EXIT_USAGE and err.startswith("error:")
+
+    def test_oracle_malformed_json(self, capsys, tmp_path):
+        claim = tmp_path / "claim.json"
+        claim.write_text('{"claim": "emptiness", "lhs": ')
+        code, _, err = run(capsys, "oracle", str(claim), *_reg_flags())
+        assert code == EXIT_USAGE and err.startswith("error:")
+
+    def test_oracle_claim_without_lhs(self, capsys, tmp_path):
+        claim = tmp_path / "claim.json"
+        claim.write_text(json.dumps({"claim": "containment", "rhs": "W"}))
+        code, _, err = run(capsys, "oracle", str(claim), *_reg_flags())
+        assert code == EXIT_USAGE and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"afailures": [', json.dumps({"afailures": [{"absorbing": ["a"]}]})],
+        ids=["missing-file", "malformed-json", "afailure-without-zset"],
+    )
+    def test_property_b_bad_cover_file(self, capsys, tmp_path, content):
+        cover_file = tmp_path / "cover.json"
+        if content is not None:
+            cover_file.write_text(content)
+        code, _, err = run(
+            capsys,
+            "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+            *_reg_flags(), "--T", "4", "--V", "6", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == EXIT_USAGE and err.startswith("error:")
+
 
 def _reg_flags():
     flags = []

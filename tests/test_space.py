@@ -1,7 +1,7 @@
 """Point validity, zero-set membership, enumeration, sequences, closure checks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfilterlab.branches import BranchIndex, branch_member, find_separator
@@ -24,6 +24,7 @@ from zfilterlab.space import (
     approx_sequence,
     class_point_count,
     closure_member,
+    containment_violations,
     enumerate_truncated,
     eval_on_support,
     eval_setexpr,
@@ -285,3 +286,60 @@ def test_validity_criterion_is_value_floor(mapping):
     p = XiPoint.of(mapping, XI)
     expected = all(v >= max(mapping) for v in mapping.values()) if mapping else True
     assert validate_point(p) == expected
+
+
+_BRANCHES = [ALL1, ALL2, ONE_THEN_2, BranchIndex("12", "1", 3, "t")]
+
+
+def _setexprs(ambient):
+    # singleton values of at least 4 keep most singletons valid and inside
+    # the truncation, so value-sensitive support classes come up often
+    points = st.dictionaries(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=4, max_value=6),
+        max_size=2,
+    ).map(lambda m: XiPoint.of(m, ambient))
+    leaves = st.one_of(
+        st.sampled_from(_BRANCHES).map(Atom),
+        points.map(Singleton),
+        st.just(Whole()),
+    )
+
+    def nodes(kids):
+        parts = st.lists(kids, max_size=3).map(tuple)
+        return st.one_of(
+            parts.map(Union),
+            parts.map(Inter),
+            st.builds(Diff, kids, kids),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=6)
+
+
+# the full product at (5,6) has 7**5 points, too many to enumerate per example
+_CLAIMS = st.sampled_from([XI, PI]).flatmap(
+    lambda ambient: st.tuples(
+        st.just(ambient),
+        _setexprs(ambient),
+        _setexprs(ambient),
+        st.builds(
+            Truncation,
+            st.integers(min_value=0, max_value=5 if ambient == XI else 4),
+            st.integers(min_value=0, max_value=6),
+        ),
+    )
+)
+
+
+@given(_CLAIMS)
+@example((XI, Singleton(XiPoint.of({1: 4})), Atom(ALL1), Truncation(2, 5)))
+@example((XI, Diff(Whole(), Singleton(XiPoint.of({1: 4}))), Atom(ALL1), Truncation(2, 5)))
+@settings(max_examples=150, deadline=None)
+def test_containment_violations_match_reference_evaluator(claim):
+    ambient, lhs, rhs, trunc = claim
+    expected = [
+        p
+        for p in enumerate_truncated(trunc, ambient)
+        if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs)
+    ]
+    assert list(containment_violations(lhs, rhs, trunc, ambient)) == expected
