@@ -29,21 +29,24 @@ class BranchError(ValueError):
 # Word codec
 # ---------------------------------------------------------------------------
 
+_SYMBOLS = frozenset(ALPHABET)
+_TO_BITS = str.maketrans("12", "01")
+_TO_WORD = str.maketrans("01", "12")
+
+
 def encode_string(word: str) -> int:
     """Code of a nonempty word over {1,2}.
 
     A word of length ``n`` lands in ``[2**n - 1, 2**(n+1) - 2]``; the codec is
     a bijection onto the positive integers and strictly increases with word
-    length.
+    length.  The word read as binary (1 -> 0, 2 -> 1) is the offset.
     """
     if not word:
         raise BranchError("cannot encode the empty word")
-    offset = 0
-    for ch in word:
-        if ch not in ALPHABET:
-            raise BranchError(f"bad symbol {ch!r}; alphabet is {{1,2}}")
-        offset = (offset << 1) | (ord(ch) - ord("1"))
-    return (1 << len(word)) - 1 + offset
+    if not _SYMBOLS.issuperset(word):
+        ch = next(ch for ch in word if ch not in _SYMBOLS)
+        raise BranchError(f"bad symbol {ch!r}; alphabet is {{1,2}}")
+    return (1 << len(word)) - 1 + int(word.translate(_TO_BITS), 2)
 
 
 def decode_code(code: int) -> str:
@@ -51,8 +54,7 @@ def decode_code(code: int) -> str:
     if code < 1:
         raise BranchError(f"codes start at 1, got {code}")
     length = (code + 1).bit_length() - 1
-    offset = code - ((1 << length) - 1)
-    return "".join(ALPHABET[(offset >> (length - 1 - i)) & 1] for i in range(length))
+    return format(code + 1 - (1 << length), f"0{length}b").translate(_TO_WORD)
 
 
 # ---------------------------------------------------------------------------

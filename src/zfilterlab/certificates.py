@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KINDS = (
     "SeparatorWitness",

@@ -127,94 +127,81 @@ def _registry_from_params(params: dict) -> Registry:
 # Kind-specific checks
 # ---------------------------------------------------------------------------
 
-_CHAIN_DIRECTIONS = {
-    "strictly-increasing-chain": "increasing",
-    "strictly-decreasing-chain": "decreasing",
-}
-
-
 def _check_separator_witness(ctx: _Context) -> None:
+    """Separator claims: the params fix one (entry, maximal group) obligation
+    per listed entry, and each point must lie in the group's intersection
+    but outside the entry's zero set.  A point in the maximal group's
+    intersection lies in every subgroup's, which covers the smaller groups
+    and chain bases the claim quantifies over."""
     claim = ctx.cert.payload.get("claim")
-    if claim == "no-single-zero-set-in-filter":
-        _check_group_separators(ctx)
-    elif claim == "non-absorption-holds":
+    if claim == "non-absorption-holds":
         _check_absorption_witnesses(ctx)
-    elif claim in _CHAIN_DIRECTIONS:
-        _check_chain_pairs(ctx, _CHAIN_DIRECTIONS[claim])
+        return
+    entries = list(ctx.registry)
+    if claim == "no-single-zero-set-in-filter":
+        if len(entries) < 2:
+            ctx.report.fail("extendibility needs at least two registry entries")
+            return
+        obligations = [(a, [b for b in entries if b != a]) for a in entries]
+    elif claim in ("strictly-increasing-chain", "strictly-decreasing-chain"):
+        steps = ctx.cert.params["steps"]
+        if not 1 <= steps <= len(entries):
+            ctx.report.fail(f"{steps} chain steps do not fit a registry of {len(entries)}")
+            return
+        if claim == "strictly-increasing-chain":
+            # entry j is outside every prefix base of at most j entries
+            obligations = [(a, entries[:j]) for j, a in enumerate(entries[:steps])]
+        else:
+            # entry j is outside every tail base starting after it
+            obligations = [(a, entries[j + 1:]) for j, a in enumerate(entries[:steps - 1])]
     else:
         ctx.report.fail(f"unknown separator-witness claim {claim!r}")
-
-
-def _check_group_separators(ctx: _Context) -> None:
-    for e in ctx.cert.payload["entries"]:
+        return
+    listed = ctx.cert.payload["entries"]
+    expected = [alpha.label for alpha, _ in obligations]
+    if [e["alpha"] for e in listed] != expected:
+        ctx.report.fail(f"entries must list exactly {expected}, in order")
+        return
+    for e, (alpha, group) in zip(listed, obligations):
         point = ctx.point(e["point"])
-        group = ctx.branches(e["group"])
-        alpha = ctx.branch(e["alpha"])
         if not validate_point(point):
             ctx.report.fail(f"witness point {e['point']} is not a valid point")
         elif not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
             ctx.report.fail(
-                f"point {e['point']} fails to separate {e['alpha']} from {e['group']}"
+                f"point {e['point']} fails to separate {alpha.label} "
+                f"from {[b.label for b in group]}"
             )
 
 
 def _check_absorption_witnesses(ctx: _Context) -> None:
-    for w in ctx.cert.payload["witnesses"]:
+    """Every constraint set F of the registry and every entry ranked above
+    max(F) needs its own witness in zset ∩ ⋂F outside the entry's zero set,
+    listed in the engine's order (by size of F, then combination order)."""
+    payload = ctx.cert.payload
+    zset = ctx.expr(payload["zset"])
+    entries = list(ctx.registry)
+    expected = [
+        (f_set, beta)
+        for size in range(len(entries) + 1)
+        for f_set in itertools.combinations(entries, size)
+        for beta in entries
+        if beta.rank > max((b.rank for b in f_set), default=-1)
+    ]
+    witnesses = payload["witnesses"]
+    listed = [(w["constraining"], w["beta"]) for w in witnesses]
+    if listed != [([b.label for b in f_set], beta.label) for f_set, beta in expected]:
+        ctx.report.fail(
+            "witnesses must cover exactly every (F, beta) pair with beta ranked "
+            "above F, in order"
+        )
+        return
+    for w, (f_set, beta) in zip(witnesses, expected):
         point = ctx.point(w["point"])
-        f_set = ctx.branches(w["constraining"])
-        beta = ctx.branch(w["beta"])
-        if not (
-            eval_setexpr(point, inter_atoms(f_set))
-            and not eval_setexpr(point, Atom(beta))
-        ):
+        target = Diff(Inter((zset, inter_atoms(f_set))), Atom(beta))
+        if not validate_point(point) or not eval_setexpr(point, target):
             ctx.report.fail(
                 f"witness {w['point']} fails for ({w['constraining']}, {w['beta']})"
             )
-
-
-def _check_chain_pairs(ctx: _Context, direction: str) -> None:
-    payload = ctx.cert.payload
-    if payload.get("direction") != direction:
-        ctx.report.fail(f"chain direction {payload.get('direction')!r} contradicts the claim")
-    steps = ctx.cert.params["steps"]
-    labels = [e.label for e in ctx.registry]
-    if not 1 <= steps <= len(labels):
-        ctx.report.fail(f"{steps} chain steps do not fit a registry of {len(labels)}")
-        return
-    bases = payload["bases"]
-    expected_bases = [
-        labels[:k] if direction == "increasing" else labels[k:] for k in range(steps)
-    ]
-    if bases != expected_bases:
-        ctx.report.fail("chain bases are not the registry prefixes or tails")
-        return
-    listed = [(pair["alpha"], pair["base_index"]) for pair in payload["pairs"]]
-    expected_pairs = {(j, k) for j in labels[:steps] for k in range(steps)}
-    if len(listed) != len(expected_pairs) or set(listed) != expected_pairs:
-        ctx.report.fail(f"pairs must cover exactly the {steps}x{steps} (entry, step) grid")
-        return
-    # with the bases fixed, a member flag matching the chain shape puts the
-    # entry in its base; non-members need a strictness point
-    for pair in payload["pairs"]:
-        j_label, k = pair["alpha"], pair["base_index"]
-        position = labels.index(j_label)
-        expected = position < k if direction == "increasing" else position >= k
-        if pair["member"] != expected:
-            ctx.report.fail(
-                f"membership flag for ({j_label}, step {k}) contradicts the chain shape"
-            )
-        elif not pair["member"]:
-            alpha = ctx.branch(j_label)
-            point = ctx.point(pair["point"])
-            group = ctx.branches(pair["group"])
-            if set(pair["group"]) != set(bases[k]) - {j_label}:
-                ctx.report.fail(
-                    f"separator group for ({j_label}, {k}) is not the stated base"
-                )
-            if not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
-                ctx.report.fail(
-                    f"strictness point {pair['point']} fails for ({j_label}, step {k})"
-                )
 
 
 def _check_cover_set(ctx: _Context) -> None:
@@ -298,6 +285,9 @@ def _check_closure_classes(ctx: _Context, *, require_cover: bool) -> None:
     subtracted = ctx.branch_entries(payload["subtracted"])
     cover = ctx.branch_entries(payload.get("cover", []))
     separators = payload["separators"]
+    if not isinstance(separators, dict):
+        ctx.report.fail("separators must map entry labels to positions")
+        return
 
     for label, l in separators.items():
         beta = ctx.branch(label)

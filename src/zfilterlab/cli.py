@@ -27,7 +27,6 @@ from .certificates import Certificate, CertificateError
 from .checking import check_certificate, check_certificate_text
 from .engines import (
     AFailure,
-    AFailureVerificationError,
     EngineError,
     UnknownHypothesisError,
     check_extendibility_a,
@@ -177,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--gamma", type=int, default=0, help="rank floor")
     verify.add_argument("--steps", type=int, default=2, help="chain length")
     verify.add_argument("--cover", help="putative cover file (property-b)")
-    verify.add_argument("--max-group", type=int, default=None)
     verify.add_argument("--seed", type=int, default=0, help="recorded in the certificate")
     verify.set_defaults(func=_cmd_verify)
 
@@ -334,7 +332,7 @@ def _cmd_verify(args) -> int:
 def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
     lemma = args.lemma
     if lemma == "extendibility-a":
-        return check_extendibility_a(reg, trunc, max_group_size=args.max_group)
+        return check_extendibility_a(reg, trunc)
     if lemma == "extendibility-b":
         if not args.zset or not args.alpha:
             raise UsageError("extendibility-b needs --zset and --alpha")

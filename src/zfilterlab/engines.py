@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .branches import (
-    BranchError,
     BranchIndex,
     Registry,
     branch_member,
@@ -92,52 +91,47 @@ def _params(registry: Registry, trunc: Truncation | None, ambient: Ambient, **ex
 # ---------------------------------------------------------------------------
 
 def check_extendibility_a(
-    registry: Registry,
-    trunc: Truncation | None = None,
-    *,
-    max_group_size: int | None = None,
+    registry: Registry, trunc: Truncation | None = None
 ) -> Certificate:
     """Witness points showing no single zero set sits in the pairwise-union filter.
 
-    For every entry and every group of other entries, the point carrying the
-    separator element at the separator position lies in the group's
-    intersection but escapes the entry's zero set.  Since any finite
-    intersection of pairwise-union generators contains such a group
-    intersection, the points rule out membership relative to the registry.
+    For every entry, the point carrying the separator element at the
+    separator position lies in the intersection of all other entries but
+    escapes the entry's zero set.  That point lies in every smaller group
+    intersection too, and any finite intersection of pairwise-union
+    generators contains such a group intersection, so one point per entry
+    rules out membership relative to the registry.
     """
     if len(registry) < 2:
         raise EngineError("extendibility needs at least two registry entries")
-    entries = []
-    cap = max_group_size if max_group_size is not None else len(registry) - 1
-    for alpha in registry:
-        others = [b for b in registry if b != alpha]
-        for size in range(0, cap + 1):
-            for group in itertools.combinations(others, size):
-                l = find_separator(alpha, group)
-                point = XiPoint.of({l: l})
-                expr = _group_minus(group, alpha)
-                if not eval_setexpr(point, expr):
-                    raise CertificationError(
-                        f"separator point {point.literal()} failed its own check"
-                    )
-                entries.append(
-                    {
-                        "alpha": alpha.label,
-                        "group": [b.label for b in group],
-                        "separator": l,
-                        "point": point.literal(),
-                    }
-                )
+    entries = list(registry)
     return Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI, filter="pairwise-unions",
-                       max_group_size=cap),
-        payload={"claim": "no-single-zero-set-in-filter", "entries": entries},
+        params=_params(registry, trunc, XI, filter="pairwise-unions"),
+        payload={
+            "claim": "no-single-zero-set-in-filter",
+            "entries": _separator_entries(
+                (alpha, [b for b in entries if b != alpha]) for alpha in entries
+            ),
+        },
     )
 
 
-def _group_minus(group: Sequence[BranchIndex], alpha: BranchIndex) -> SetExpr:
-    return Diff(inter_atoms(group), Atom(alpha))
+def _separator_entries(
+    obligations: Iterable[tuple[BranchIndex, Sequence[BranchIndex]]]
+) -> list[dict]:
+    """One eval-checked point per (entry, group): inside the group's
+    intersection, outside the entry's zero set."""
+    entries = []
+    for alpha, group in obligations:
+        l = find_separator(alpha, group)
+        point = XiPoint.of({l: l})
+        if not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
+            raise CertificationError(
+                f"separator point {point.literal()} failed its own check"
+            )
+        entries.append({"alpha": alpha.label, "point": point.literal()})
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +453,15 @@ class PropertyAReport:
 
 
 def property_a_check(
-    zset: SetExpr,
-    registry: Registry,
-    trunc: Truncation,
-    *,
-    max_f_size: int | None = None,
+    zset: SetExpr, registry: Registry, trunc: Truncation
 ) -> PropertyAReport:
     """Non-absorption relative to the registry: for every low-ranked constraint
     set and every higher-ranked entry, exhibit a point of the constrained set
     escaping that entry, or report the first violating pair with its
     exhaustively verified inclusion."""
     entries = list(registry)
-    cap = max_f_size if max_f_size is not None else len(entries)
     witnesses: list[dict] = []
-    for size in range(0, cap + 1):
+    for size in range(0, len(entries) + 1):
         for f_set in itertools.combinations(entries, size):
             max_rank = max((b.rank for b in f_set), default=-1)
             for beta in entries:
@@ -507,8 +496,12 @@ def property_a_check(
                 )
     cert = Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI, max_f_size=cap),
-        payload={"claim": "non-absorption-holds", "witnesses": witnesses},
+        params=_params(registry, trunc, XI),
+        payload={
+            "claim": "non-absorption-holds",
+            "zset": setexpr_text(zset),
+            "witnesses": witnesses,
+        },
     )
     return PropertyAReport(True, witnesses, None, cert)
 
@@ -775,23 +768,25 @@ def increasing_chain_engine(
     """Strictly increasing filter-base chain: step k is generated by the
     zero sets of the first k entries (plus the whole space).
 
-    Strictness and the membership biconditional (an entry's zero set belongs
-    to the filter at step k exactly when its position is below k) are
-    certified pairwise by separator points.
+    Entry j belongs to the filter at step k exactly when j < k.  Its largest
+    non-member base is the prefix of the first j entries, and the separator
+    point against that prefix lies in every smaller one, so one point per
+    entry certifies strictness.
     """
     entries = _chain_entries(registry, steps)
     bases = [
         FilterBase.of([Whole()] + [Atom(e) for e in entries[:k]])
         for k in range(steps)
     ]
-    pairs = _chain_pairs(entries, steps, member_when=lambda j, k: j < k,
-                         group_for=lambda j, k: entries[:k])
     cert = Certificate(
         "SeparatorWitness",
         params=_params(registry, trunc, XI, steps=steps),
-        payload={"claim": "strictly-increasing-chain", "direction": "increasing",
-                 "bases": [[e.label for e in entries[:k]] for k in range(steps)],
-                 "pairs": pairs},
+        payload={
+            "claim": "strictly-increasing-chain",
+            "entries": _separator_entries(
+                (alpha, entries[:j]) for j, alpha in enumerate(entries)
+            ),
+        },
     )
     return ChainReport("increasing", bases, cert)
 
@@ -800,21 +795,27 @@ def decreasing_chain_engine(
     registry: Registry, steps: int, trunc: Truncation
 ) -> ChainReport:
     """Strictly decreasing filter-base chain: step k is generated by the
-    zero sets of the entries from position k on (the rank tail)."""
+    zero sets of the entries from position k on (the rank tail).
+
+    Entry j belongs to the filter at step k exactly when j >= k.  Its largest
+    non-member base is the tail after it, so the last step's entry needs no
+    point and every earlier one needs one.
+    """
     entries = _chain_entries(registry, steps)
     all_entries = list(registry)
     bases = [
         FilterBase.of([Atom(e) for e in all_entries[k:]])
         for k in range(steps)
     ]
-    pairs = _chain_pairs(entries, steps, member_when=lambda j, k: j >= k,
-                         group_for=lambda j, k: all_entries[k:])
     cert = Certificate(
         "SeparatorWitness",
         params=_params(registry, trunc, XI, steps=steps),
-        payload={"claim": "strictly-decreasing-chain", "direction": "decreasing",
-                 "bases": [[e.label for e in all_entries[k:]] for k in range(steps)],
-                 "pairs": pairs},
+        payload={
+            "claim": "strictly-decreasing-chain",
+            "entries": _separator_entries(
+                (alpha, all_entries[j + 1:]) for j, alpha in enumerate(entries[:-1])
+            ),
+        },
     )
     return ChainReport("decreasing", bases, cert)
 
@@ -827,25 +828,6 @@ def _chain_entries(registry: Registry, steps: int) -> list[BranchIndex]:
             f"registry provides {len(registry)} entries, chain needs {steps}"
         )
     return list(registry)[:steps]
-
-
-def _chain_pairs(entries, steps, *, member_when, group_for) -> list[dict]:
-    """Membership matrix with separator witnesses for every non-member pair."""
-    pairs: list[dict] = []
-    for j, alpha in enumerate(entries):
-        for k in range(steps):
-            member = member_when(j, k)
-            entry: dict = {"alpha": alpha.label, "base_index": k, "member": member}
-            if not member:
-                group = [g for g in group_for(j, k) if g != alpha]
-                l = find_separator(alpha, group)
-                point = XiPoint.of({l: l})
-                if not eval_setexpr(point, _group_minus(group, alpha)):
-                    raise CertificationError("chain separator point failed its check")
-                entry["point"] = point.literal()
-                entry["group"] = [g.label for g in group]
-            pairs.append(entry)
-    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,18 @@ class FormatError(ValueError):
     """Raised when a literal or expression fails to parse."""
 
 
+def _require_text(text, what: str) -> None:
+    if not isinstance(text, str):
+        raise FormatError(f"{what} must be a string, got {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # Branch literals and registry specs
 # ---------------------------------------------------------------------------
 
 def parse_branch_literal(text: str, rank: int = 0, label: str = "") -> BranchIndex:
     """Parse ``pre:period`` into a branch."""
+    _require_text(text, "branch literal")
     if ":" not in text:
         raise FormatError(f"branch literal needs a colon: {text!r}")
     pre, _, period = text.partition(":")
@@ -79,6 +85,7 @@ def parse_registry(entries: list[str]) -> Registry:
 # ---------------------------------------------------------------------------
 
 def parse_point_literal(text: str, ambient: Ambient = XI) -> XiPoint:
+    _require_text(text, "point literal")
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise FormatError(f"point literal must be braced: {text!r}")
@@ -131,6 +138,7 @@ def _resolve_atom(ref: str, registry: Registry | None) -> BranchIndex:
 
 
 def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient = XI) -> SetExpr:
+    _require_text(text, "set expression")
     tokens = _tokenize(text.strip())
     pos = 0
 

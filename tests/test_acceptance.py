@@ -158,17 +158,23 @@ def test_criterion_prototype_witnesses():
     failures = 0
     pairs = 0
     for reg in registries:
-        cert = check_extendibility_a(reg, TRUNC, max_group_size=4)
-        for entry in cert.payload["entries"]:
-            pairs += 1
-            point = parse_point_literal(entry["point"])
-            group = [reg.by_label(x) for x in entry["group"]]
-            alpha = reg.by_label(entry["alpha"])
-            ok = eval_setexpr(point, inter_atoms(group)) and not eval_setexpr(
-                point, Atom(alpha)
-            )
-            if not ok:
-                failures += 1
+        cert = check_extendibility_a(reg, TRUNC)
+        points = {e["alpha"]: parse_point_literal(e["point"]) for e in cert.payload["entries"]}
+        if len(cert.payload["entries"]) != len(reg):
+            failures += 1
+        # alpha's single point must separate it from every group of at most
+        # four other entries
+        for alpha in reg:
+            point = points[alpha.label]
+            others = [b for b in reg if b != alpha]
+            for size in range(0, min(4, len(others)) + 1):
+                for group in itertools.combinations(others, size):
+                    pairs += 1
+                    ok = eval_setexpr(point, inter_atoms(group)) and not eval_setexpr(
+                        point, Atom(alpha)
+                    )
+                    if not ok:
+                        failures += 1
         if not check_certificate(cert).ok:
             failures += 1
     elapsed = time.perf_counter() - start
@@ -408,11 +414,23 @@ def test_criterion_chain_strictness():
             v_dec = filter_member(dec.bases[k], Atom(entry))
             if v_inc.proven != (j < k) or v_dec.proven != (j >= k):
                 bad += 1
-    # consecutive strictness: each step k has a witness against step k+1's new set
-    for rep, expect in ((inc, lambda k: k), (dec, lambda k: k)):
-        for pair in rep.certificate.payload["pairs"]:
-            if not pair["member"] and "point" not in pair:
-                bad += 1
+    # strictness: at every step k where entry j is not a member, entry j's
+    # single point lies in the intersection of base k but outside Z(e_j)
+    for rep, base_of, member in (
+        (inc, lambda k: entries[:k], lambda j, k: j < k),
+        (dec, lambda k: entries[k:], lambda j, k: j >= k),
+    ):
+        points = {e["alpha"]: parse_point_literal(e["point"])
+                  for e in rep.certificate.payload["entries"]}
+        for k in range(8):
+            for j, entry in enumerate(entries[:8]):
+                if member(j, k):
+                    continue
+                point = points.get(entry.label)
+                if point is None or not eval_setexpr(
+                    point, Diff(inter_atoms(base_of(k)), Atom(entry))
+                ):
+                    bad += 1
     elapsed = time.perf_counter() - start
     report("chain strictness (8-step increasing and decreasing)",
            bad == 0, f"{elapsed:.2f}s")
@@ -508,12 +526,12 @@ def test_criterion_certificate_integrity():
         reg = make_registry(
             [("", "1", offset), ("", "2", offset + 1 + i % 3), ("1", "2", offset + 5)]
         )
-        cert = check_extendibility_a(reg, max_group_size=1)
+        cert = check_extendibility_a(reg)
         text = cert.to_json()
         again = Certificate.from_json(text)
         if not check_certificate(again).ok:
             bad += 1
-    blob = check_extendibility_a(pool_registry(), TRUNC, max_group_size=2).to_json().encode()
+    blob = check_extendibility_a(pool_registry(), TRUNC).to_json().encode()
     rng = random.Random(99)
     rejected = 0
     trials = 0

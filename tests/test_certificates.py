@@ -1,12 +1,20 @@
 """Certificate serialization, digesting, tampering, and checker behavior."""
 
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from zfilterlab.branches import make_registry
-from zfilterlab.certificates import Certificate, CertificateError, body_digest
+from zfilterlab.certificates import (
+    SCHEMA_VERSION,
+    Certificate,
+    CertificateError,
+    body_digest,
+    canonical_json,
+)
 from zfilterlab.checking import check_certificate, check_certificate_text
 from zfilterlab.engines import (
     AFailure,
@@ -30,7 +38,7 @@ def reg():
 
 def sample_certificates():
     r = reg()
-    certs = [check_extendibility_a(r, TR, max_group_size=2)]
+    certs = [check_extendibility_a(r, TR)]
     r = reg()
     certs.append(check_extendibility_b(Whole(), r.entries[0], r, TR))
     r = reg()
@@ -42,7 +50,7 @@ def sample_certificates():
         containment_full_product([r.entries[0]], [r.entries[1]], TR).certificate
     )
     r = reg()
-    certs.append(property_a_check(Whole(), r, TR, max_f_size=1).certificate)
+    certs.append(property_a_check(Whole(), r, TR).certificate)
     r = reg()
     certs.append(increasing_chain_engine(r, 3, TR).certificate)
     r = reg()
@@ -88,7 +96,7 @@ class TestTampering:
     def test_payload_mutation_detected(self):
         cert = sample_certificates()[0]
         doc = json.loads(cert.to_json())
-        doc["payload"]["entries"][0]["separator"] += 1
+        doc["payload"]["entries"][0]["point"] = "{1:2}"
         with pytest.raises(CertificateError):
             Certificate.from_json(json.dumps(doc))
 
@@ -122,7 +130,7 @@ class TestTampering:
     def test_semantic_lie_rejected_by_checker(self):
         # a well-digested certificate whose witness point is wrong
         r = reg()
-        cert = check_extendibility_a(r, TR, max_group_size=1)
+        cert = check_extendibility_a(r, TR)
         cert.payload["entries"][0]["point"] = "{1:1,2:2}"
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         report = check_certificate(fresh)
@@ -137,11 +145,20 @@ class TestStructure:
             Certificate("SeparatorWitness", {}, {}, steps={})
 
     def test_digest_valid_body_with_list_params_is_a_failed_report(self):
-        doc = {"schema": 1, "kind": "SeparatorWitness", "params": [], "payload": {},
-               "steps": []}
+        doc = {"schema": SCHEMA_VERSION, "kind": "SeparatorWitness", "params": [],
+               "payload": {}, "steps": []}
         doc["digest"] = body_digest("SeparatorWitness", [], {}, [])
         report = check_certificate_text(json.dumps(doc))
         assert not report.ok and report.problems
+
+    def test_version_one_document_rejected(self):
+        cert = sample_certificates()[0]
+        doc = {"schema": 1, "kind": cert.kind, "params": cert.params,
+               "payload": cert.payload, "steps": cert.steps}
+        doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        report = check_certificate_text(json.dumps(doc))
+        assert not report.ok
+        assert "unsupported schema version" in report.problems[0]
 
 
 class TestSeparatorWitnessClaims:
@@ -154,18 +171,84 @@ class TestSeparatorWitnessClaims:
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         assert not check_certificate(fresh).ok
 
-    @pytest.mark.parametrize("engine", [increasing_chain_engine, decreasing_chain_engine])
     @pytest.mark.parametrize(
         "cut",
-        [lambda pairs: [], lambda pairs: pairs[:-1], lambda pairs: pairs + pairs[:1]],
-        ids=["no-pairs", "one-missing", "one-repeated"],
+        [
+            lambda xs: [],
+            lambda xs: xs[:-1],
+            lambda xs: xs[1:],
+            lambda xs: xs[:1],
+            lambda xs: xs + xs[:1],
+            lambda xs: [xs[1], xs[0]] + xs[2:],
+        ],
+        ids=["none", "last-missing", "first-missing", "cut-to-one", "one-repeated",
+             "two-swapped"],
     )
-    def test_chain_pairs_must_fill_the_grid(self, engine, cut):
-        cert = engine(reg(), 3, TR).certificate
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: check_extendibility_a(reg(), TR), "entries"),
+            (lambda: increasing_chain_engine(reg(), 3, TR).certificate, "entries"),
+            (lambda: decreasing_chain_engine(reg(), 3, TR).certificate, "entries"),
+            (lambda: property_a_check(Whole(), reg(), TR).certificate, "witnesses"),
+        ],
+        ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
+    )
+    def test_entries_must_match(self, make, field, cut):
+        # the checker derives the obligation list; any cut of it must fail
+        cert = make()
         assert check_certificate(cert).ok
-        cert.payload["pairs"] = cut(cert.payload["pairs"])
+        cert.payload[field] = cut(cert.payload[field])
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         assert not check_certificate(fresh).ok
+
+    def test_entry_counts(self):
+        r = reg()
+        assert len(check_extendibility_a(r, TR).payload["entries"]) == len(r)
+        for steps in (1, 3, 5):
+            inc = increasing_chain_engine(reg(), steps, TR).certificate
+            dec = decreasing_chain_engine(reg(), steps, TR).certificate
+            assert len(inc.payload["entries"]) == steps
+            assert len(dec.payload["entries"]) == steps - 1
+
+    def test_point_outside_the_maximal_group_rejected(self):
+        # b0's point for the group {b1} alone would not do: it must lie in
+        # the intersection of every other entry
+        r = reg()
+        cert = check_extendibility_a(r, TR)
+        cert.payload["entries"][0]["point"] = "{1:1}"
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        assert not check_certificate(fresh).ok
+
+    def test_single_entry_registry_rejected(self):
+        cert = check_extendibility_a(reg(), TR)
+        cert.params["registry"] = cert.params["registry"][:1]
+        cert.payload["entries"] = cert.payload["entries"][:1]
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        assert not check_certificate(fresh).ok
+
+    def test_property_a_witnesses_must_lie_in_the_recorded_set(self):
+        cert = property_a_check(Whole(), reg(), TR).certificate
+        assert cert.payload["zset"] == "W"
+        cert.payload["zset"] = "(union)"
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        assert not check_certificate(fresh).ok
+
+
+class TestWrongTypedFields:
+    VALUES = [[], {}, "x", 5, None, True, [1], {"a": 1}]
+
+    def test_every_field_replacement_yields_a_report(self):
+        # each top-level params and payload field of every sample certificate,
+        # replaced by each wrong-typed value, must give a report, not raise
+        for cert in sample_certificates():
+            for section, value in itertools.product(("params", "payload"), self.VALUES):
+                for key in getattr(cert, section):
+                    params, payload = dict(cert.params), dict(cert.payload)
+                    {"params": params, "payload": payload}[section][key] = value
+                    fresh = Certificate(cert.kind, params, payload, cert.steps)
+                    report = check_certificate(fresh)
+                    assert isinstance(report.ok, bool), (cert.kind, section, key, value)
 
 
 class TestCheckerIndependence:

@@ -90,7 +90,7 @@ class TestVerify:
             *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
         )
         blob = out_file.read_bytes()
-        mutated = blob.replace(b'"member":true', b'"member":false', 1)
+        mutated = blob.replace(b'"point":"{', b'"point":"{1:1,', 1)
         assert mutated != blob
         out_file.write_bytes(mutated)
         code, out, _ = run(capsys, "verify", "--check", str(out_file))

@@ -52,19 +52,16 @@ class TestExtendibilityA:
     def test_two_branches_yields_diagonal_point(self):
         reg = make_registry([("", "1"), ("", "2")])
         cert = check_extendibility_a(reg)
-        entry = next(
-            e for e in cert.payload["entries"]
-            if e["alpha"] == "b0" and e["group"] == ["b1"]
-        )
-        assert entry["point"] == "{1:1}"
+        assert cert.payload["entries"][0] == {"alpha": "b0", "point": "{1:1}"}
 
     def test_three_branches_all_points_check_out(self):
         reg = reg3()
         cert = check_extendibility_a(reg)
+        assert [e["alpha"] for e in cert.payload["entries"]] == ["b0", "b1", "b2"]
         for e in cert.payload["entries"]:
             point = parse_point_literal(e["point"])
-            group = [reg.by_label(x) for x in e["group"]]
             alpha = reg.by_label(e["alpha"])
+            group = [b for b in reg if b != alpha]
             assert eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha)))
 
     def test_singleton_registry_rejected(self):
@@ -297,7 +294,9 @@ class TestChains:
         reg = reg3()
         report = increasing_chain_engine(reg, 1, TR)
         assert len(report.bases) == 1
-        assert report.certificate.payload["bases"] == [[]]
+        assert report.certificate.payload["entries"] == [
+            {"alpha": "b0", "point": "{1:1}"}
+        ]
 
     def test_increasing_membership_biconditional(self):
         reg = reg5()
@@ -320,20 +319,21 @@ class TestChains:
     def test_pair_witness_points_verify(self):
         reg = reg5()
         report = decreasing_chain_engine(reg, 3, TR)
-        for pair in report.certificate.payload["pairs"]:
-            if pair["member"]:
-                continue
-            point = parse_point_literal(pair["point"])
-            group = [reg.by_label(x) for x in pair["group"]]
-            alpha = reg.by_label(pair["alpha"])
-            assert eval_setexpr(point, inter_atoms(group))
-            assert not eval_setexpr(point, Atom(alpha))
+        points = {
+            e["alpha"]: parse_point_literal(e["point"])
+            for e in report.certificate.payload["entries"]
+        }
+        for k in range(3):
+            for alpha in reg.entries[:k]:
+                point = points[alpha.label]
+                assert eval_setexpr(point, inter_atoms(reg.entries[k:]))
+                assert not eval_setexpr(point, Atom(alpha))
 
     def test_decreasing_single_step_makes_no_strictness_claim(self):
         reg = reg3()
         report = decreasing_chain_engine(reg, 1, TR)
         assert len(report.bases) == 1
-        assert all(p["member"] for p in report.certificate.payload["pairs"])
+        assert report.certificate.payload["entries"] == []
 
     def test_insufficient_registry(self):
         with pytest.raises(EngineError):
