@@ -24,7 +24,7 @@ import sys
 
 from .branches import BranchError, BranchIndex, Registry
 from .certificates import Certificate, CertificateError
-from .checking import check_certificate, check_certificate_text
+from .checking import CheckReport, check_certificate, check_certificate_text
 from .engines import (
     AFailure,
     EngineError,
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCap as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+        print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except UnknownHypothesisError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
@@ -217,14 +217,18 @@ def _registry(args) -> Registry:
 
 
 def _truncation(args) -> Truncation:
+    _require_within_caps(args, args.T, args.V, "truncation")
+    return Truncation(args.T, args.V)
+
+
+def _require_within_caps(args, T: int, V: int, what: str) -> None:
     cap_t = getattr(args, "cap_T", CAP_T)
     cap_v = getattr(args, "cap_V", CAP_V)
-    if args.T > cap_t or args.V > cap_v:
+    if T > cap_t or V > cap_v:
         raise ResourceCap(
-            f"truncation ({args.T},{args.V}) exceeds caps ({cap_t},{cap_v}); "
+            f"{what} ({T},{V}) exceeds caps ({cap_t},{cap_v}); "
             "raise --cap-T/--cap-V explicitly if you mean it"
         )
-    return Truncation(args.T, args.V)
 
 
 def _output_path(args, default_name: str) -> str:
@@ -307,7 +311,7 @@ def _cmd_family_decode(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.check:
-        report = check_certificate_text(_read_file(args.check, "certificate"))
+        report = _check_file(args)
         for problem in report.problems:
             print(f"problem: {problem}", file=sys.stderr)
         print("verified" if report.ok else "rejected")
@@ -327,6 +331,21 @@ def _cmd_verify(args) -> int:
         print(f"problem: {problem}", file=sys.stderr)
     print(f"{cert.kind}: {'verified' if report.ok else 'rejected'} -> {path}")
     return EXIT_OK if report.ok else EXIT_FAIL
+
+
+def _check_file(args) -> CheckReport:
+    """Replay a certificate file, refusing truncations past the caps first:
+    the replay enumerates every support class up to the certificate's T."""
+    text = _read_file(args.check, "certificate")
+    try:
+        cert = Certificate.from_json(text)
+    except CertificateError:
+        # the checker reports why the document does not parse
+        return check_certificate_text(text)
+    trunc = cert.params.get("truncation")
+    if isinstance(trunc, dict) and all(isinstance(trunc.get(k), int) for k in ("T", "V")):
+        _require_within_caps(args, trunc["T"], trunc["V"], "certificate truncation")
+    return check_certificate(cert)
 
 
 def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:

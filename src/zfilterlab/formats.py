@@ -113,6 +113,11 @@ def parse_point_literal(text: str, ambient: Ambient = XI) -> XiPoint:
 
 _TOKEN_RE = re.compile(r"\(|\)|\{[^{}]*\}|[^\s()]+")
 
+# Deepest accepted nesting of parentheses.  Parsing and every evaluator walk
+# the tree recursively, so deeper input is refused here instead of exhausting
+# the interpreter's recursion limit downstream.
+MAX_SETEXPR_DEPTH = 200
+
 
 def _tokenize(text: str) -> list[str]:
     tokens = _TOKEN_RE.findall(text)
@@ -142,13 +147,17 @@ def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient 
     tokens = _tokenize(text.strip())
     pos = 0
 
-    def parse_one() -> SetExpr:
+    def parse_one(depth: int) -> SetExpr:
         nonlocal pos
         if pos >= len(tokens):
             raise FormatError("unexpected end of expression")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth >= MAX_SETEXPR_DEPTH:
+                raise FormatError(
+                    f"set expression nests deeper than {MAX_SETEXPR_DEPTH} levels"
+                )
             if pos >= len(tokens):
                 raise FormatError("dangling '('")
             head = tokens[pos]
@@ -162,7 +171,7 @@ def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient 
                 return Singleton(point)
             parts: list[SetExpr] = []
             while pos < len(tokens) and tokens[pos] != ")":
-                parts.append(parse_one())
+                parts.append(parse_one(depth + 1))
             _expect_close()
             if head == "union":
                 return Union(tuple(parts))
@@ -187,7 +196,7 @@ def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient 
             raise FormatError("missing ')'")
         pos += 1
 
-    expr = parse_one()
+    expr = parse_one(0)
     if pos != len(tokens):
         raise FormatError(f"trailing tokens in {text!r}")
     return expr

@@ -20,16 +20,27 @@ truncated sub-universes as the ground-truth oracle.
 
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,
-`containment_violations`, which settles whole support classes with
-`eval_on_support` and evaluates single points only where values matter.
-`eval_setexpr` is the reference evaluator the loop is tested against.
+`containment_violations`.  It compiles both sides once into support-mask
+evaluators (`support_mask_evaluator`): a support is a bitmask, an atom is the
+mask of its branch's elements up to ``T`` and holds exactly when the two
+masks are disjoint.  A support class on which both sides are decided by the
+support alone is settled at once.  In any other class only singletons read
+values, and a singleton holds at exactly one point, so every point of the
+class that is none of the sides' singletons gets the same verdict.  The loop
+therefore evaluates only the k singletons lying in the class (their values
+within the class's value range) and the first other point in value order,
+the generic point, whose verdict stands for the rest: at most k + 1 points
+instead of every point of the class.  `eval_setexpr` is the reference
+evaluator the loop is tested against; `eval_on_support` is the same
+tri-valued support rule written on frozensets, used by the engines and the
+checker.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .branches import BranchIndex, branch_member, find_separator
 
@@ -352,25 +363,137 @@ def enumerate_truncated(trunc: Truncation, ambient: Ambient = XI) -> list[XiPoin
     return out
 
 
+def support_mask(positions: Iterable[int]) -> int:
+    """Bitmask of a set of support positions: bit ``p`` stands for position ``p``."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
+
+
+def support_mask_evaluator(expr: SetExpr, T: int) -> Callable[[int], bool | None]:
+    """Compile ``expr`` into a tri-valued function of a support mask.
+
+    On every support with positions <= ``T`` it agrees with `eval_on_support`.
+    An atom becomes the mask of its branch's elements up to ``T`` and holds
+    exactly when the support mask misses it, so no branch membership is
+    decoded per support.
+    """
+    if isinstance(expr, Whole):
+        return lambda mask: True
+    if isinstance(expr, Atom):
+        elements = support_mask(expr.branch.elements_upto(T))
+        return lambda mask: (mask & elements) == 0
+    if isinstance(expr, Singleton):
+        target = support_mask(expr.point.positions())
+        if not target:
+            return lambda mask: mask == 0
+        return lambda mask: None if mask == target else False
+    if isinstance(expr, (Union, Inter)):
+        parts = [support_mask_evaluator(p, T) for p in expr.parts]
+        # one part with this verdict settles the node: True for a union,
+        # False for an intersection
+        settles = isinstance(expr, Union)
+
+        def combined(mask: int) -> bool | None:
+            unsure = False
+            for part in parts:
+                verdict = part(mask)
+                if verdict is settles:
+                    return settles
+                unsure = unsure or verdict is None
+            return None if unsure else not settles
+
+        return combined
+    if isinstance(expr, Diff):
+        left = support_mask_evaluator(expr.left, T)
+        right = support_mask_evaluator(expr.right, T)
+
+        def difference(mask: int) -> bool | None:
+            lv = left(mask)
+            if lv is False:
+                return False
+            rv = right(mask)
+            if rv is True:
+                return False
+            return True if lv is True and rv is False else None
+
+        return difference
+    raise SpaceError(f"unknown expression node {expr!r}")
+
+
 def containment_violations(
     lhs: SetExpr, rhs: SetExpr, trunc: Truncation, ambient: Ambient
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    Whole support classes are settled at once when both sides are
-    support-determined there; value-sensitive classes fall back to points.
+    Both sides are compiled once into support-mask evaluators.  A support
+    class is settled at once when both sides are support-determined there;
+    in the other classes only the sides' singleton points and one generic
+    point are evaluated (see the module docstring).
     """
+    in_lhs = support_mask_evaluator(lhs, trunc.T)
+    in_rhs = support_mask_evaluator(rhs, trunc.T)
+    singletons: dict[int, set[tuple[int, ...]]] = {}
+    for q in lhs.singleton_points() + rhs.singleton_points():
+        singletons.setdefault(support_mask(q.positions()), set()).add(q.values())
     for support in support_classes(trunc):
-        lv = eval_on_support(support, lhs)
-        rv = eval_on_support(support, rhs)
-        if lv is False or rv is True:
+        mask = support_mask(support)
+        lv = in_lhs(mask)
+        if lv is False:
+            continue
+        rv = in_rhs(mask)
+        if rv is True:
             continue
         if lv is True and rv is False:
             yield from class_points(support, trunc, ambient)
             continue
+        yield from _value_sensitive_violations(
+            support, singletons.get(mask, ()), lhs, rhs, lv, rv, trunc, ambient
+        )
+
+
+def _value_sensitive_violations(
+    support: frozenset[int],
+    singleton_values: Iterable[tuple[int, ...]],
+    lhs: SetExpr,
+    rhs: SetExpr,
+    lv: bool | None,
+    rv: bool | None,
+    trunc: Truncation,
+    ambient: Ambient,
+) -> Iterator[XiPoint]:
+    """The violations in one support class the support alone does not settle.
+
+    ``singleton_values`` are the value tuples of the sides' singletons on this
+    support; a side with a support verdict (``lv`` True, ``rv`` False) is not
+    evaluated again.
+    """
+    pos = sorted(support)
+    values = _value_range(ambient, pos[-1], trunc.V)
+
+    def violates(p: XiPoint) -> bool:
+        return (lv is True or eval_setexpr(p, lhs)) and (
+            rv is False or not eval_setexpr(p, rhs)
+        )
+
+    # the singletons that are points of this class, in value order
+    inside = [
+        XiPoint(tuple(zip(pos, vals)), ambient)
+        for vals in sorted(singleton_values)
+        if all(v in values for v in vals)
+    ]
+    verdicts = {p.values(): violates(p) for p in inside}
+    generic = next(
+        (vals for vals in itertools.product(values, repeat=len(pos)) if vals not in verdicts),
+        None,
+    )
+    if generic is not None and violates(XiPoint(tuple(zip(pos, generic)), ambient)):
         for p in class_points(support, trunc, ambient):
-            if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs):
+            if verdicts.get(p.values(), True):
                 yield p
+    else:
+        yield from (p for p in inside if verdicts[p.values()])
 
 
 def containment_counterexample(

@@ -27,6 +27,7 @@ from zfilterlab.engines import (
     property_a_check,
     property_b_refute,
 )
+from zfilterlab.formats import MAX_SETEXPR_DEPTH, FormatError, parse_setexpr
 from zfilterlab.space import Atom, Truncation, Union, Whole
 
 TR = Truncation(4, 6)
@@ -249,6 +250,26 @@ class TestWrongTypedFields:
                     fresh = Certificate(cert.kind, params, payload, cert.steps)
                     report = check_certificate(fresh)
                     assert isinstance(report.ok, bool), (cert.kind, section, key, value)
+
+
+class TestNestingLimit:
+    DEEP = "(union " * 3000 + "W" + ")" * 3000
+
+    def test_parse_setexpr_refuses_nesting_past_the_limit(self):
+        at_limit = "(union " * MAX_SETEXPR_DEPTH + "W" + ")" * MAX_SETEXPR_DEPTH
+        assert isinstance(parse_setexpr(at_limit), Union)
+        past = "(inter " + at_limit + ")"
+        for text in (past, self.DEEP):
+            with pytest.raises(FormatError, match="deeper than"):
+                parse_setexpr(text)
+
+    def test_deep_zset_in_a_certificate_is_a_failed_report(self):
+        cert = sample_certificates()[1]
+        assert cert.payload["zset"] == "W"
+        payload = dict(cert.payload, zset=self.DEEP)
+        text = Certificate(cert.kind, cert.params, payload, cert.steps).to_json()
+        report = check_certificate_text(text)
+        assert not report.ok and "deeper than" in report.problems[0]
 
 
 class TestCheckerIndependence:

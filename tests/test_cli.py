@@ -96,6 +96,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_FAIL and "rejected" in out
 
+    @pytest.mark.parametrize("T, V", [(40, 6), (4, 17)], ids=["past-cap-T", "past-cap-V"])
+    def test_check_refuses_truncation_past_caps(self, capsys, tmp_path, T, V):
+        # a digest-valid certificate rebuilt at T = 40 would keep the replay
+        # busy with 2**40 support classes; the caps stop it before the replay
+        out_file = tmp_path / "dec.json"
+        code, _, _ = run(
+            capsys,
+            "verify", "containment-dec", "--F", "a", "--G", "b", "--gamma", "5",
+            *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        cert = Certificate.read(str(out_file))
+        params = dict(cert.params, truncation={"T": T, "V": V})
+        out_file.write_text(Certificate(cert.kind, params, cert.payload, cert.steps).to_json())
+        code, out, err = run(capsys, "verify", "--check", str(out_file))
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("error:") and f"({T},{V}) exceeds caps (12,16)" in err
+        if V > 16:
+            # raising the cap lets the replay run; the point counts recorded
+            # for V = 6 are then wrong
+            code, out, _ = run(capsys, "verify", "--check", str(out_file), "--cap-V", str(V))
+            assert code == EXIT_FAIL and "rejected" in out
+
     def test_property_b_counterexample(self, capsys, tmp_path):
         cover_file = tmp_path / "cover.json"
         cover_file.write_text(
@@ -198,6 +221,14 @@ class TestOracle:
         claim.write_text(json.dumps({"claim": "emptiness", "lhs": "(union)"}))
         code, _, err = run(capsys, "oracle", str(claim), "--T", "20")
         assert code == EXIT_RESOURCE
+
+    def test_nesting_past_the_depth_limit_is_a_usage_error(self, capsys, tmp_path):
+        claim = tmp_path / "claim.json"
+        claim.write_text(
+            json.dumps({"claim": "emptiness", "lhs": "(union " * 3000 + "W" + ")" * 3000})
+        )
+        code, _, err = run(capsys, "oracle", str(claim))
+        assert code == EXIT_USAGE and err.startswith("error:") and "deeper" in err
 
     def test_equality_lists_counterexamples_in_order(self, capsys, tmp_path):
         claim = tmp_path / "claim.json"

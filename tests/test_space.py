@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zfilterlab import space
 from zfilterlab.branches import BranchIndex, branch_member, find_separator
 from zfilterlab.space import (
     PI,
@@ -25,6 +26,7 @@ from zfilterlab.space import (
     class_point_count,
     closure_member,
     containment_violations,
+    empty_expr,
     enumerate_truncated,
     eval_on_support,
     eval_setexpr,
@@ -32,6 +34,8 @@ from zfilterlab.space import (
     inter_atoms,
     multi_escape_sequence,
     support_classes,
+    support_mask,
+    support_mask_evaluator,
     union_atoms,
     validate_point,
 )
@@ -331,9 +335,27 @@ _CLAIMS = st.sampled_from([XI, PI]).flatmap(
 )
 
 
+_P14 = XiPoint.of({1: 4})
+
+
 @given(_CLAIMS)
 @example((XI, Singleton(XiPoint.of({1: 4})), Atom(ALL1), Truncation(2, 5)))
 @example((XI, Diff(Whole(), Singleton(XiPoint.of({1: 4}))), Atom(ALL1), Truncation(2, 5)))
+# a singleton that is no point of xi: its value lies below its position
+@example((XI, Union((Singleton(XiPoint.of({2: 1})), Atom(ALL2))), empty_expr(), Truncation(2, 5)))
+# a singleton whose value lies above V, in either ambient
+@example((PI, Union((Singleton(XiPoint.of({1: 7}, PI)), Atom(ALL1))), empty_expr(), Truncation(2, 5)))
+@example((XI, Singleton(XiPoint.of({1: 6})), empty_expr(), Truncation(2, 5)))
+# V equal to the largest position: the class {2} is the singleton alone
+@example((XI, Union((Singleton(XiPoint.of({2: 2})), Atom(ALL2))), Atom(ALL2), Truncation(2, 2)))
+# the same singleton on both sides
+@example((XI, Union((Singleton(_P14), Atom(ALL1))), Diff(Atom(ALL2), Singleton(_P14)),
+          Truncation(2, 5)))
+# a generic violation with a non-violating singleton in the middle of the class
+@example((PI, Diff(Whole(), Singleton(XiPoint.of({1: 3}, PI))), Atom(ALL1), Truncation(1, 5)))
+# two violating singletons in one class whose generic point does not violate
+@example((XI, Union((Singleton(XiPoint.of({1: 6})), Singleton(_P14))), Atom(ALL1),
+          Truncation(2, 6)))
 @settings(max_examples=150, deadline=None)
 def test_containment_violations_match_reference_evaluator(claim):
     ambient, lhs, rhs, trunc = claim
@@ -343,3 +365,28 @@ def test_containment_violations_match_reference_evaluator(claim):
         if eval_setexpr(p, lhs) and not eval_setexpr(p, rhs)
     ]
     assert list(containment_violations(lhs, rhs, trunc, ambient)) == expected
+
+
+@given(st.sampled_from([XI, PI]).flatmap(_setexprs), st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_support_mask_evaluator_matches_eval_on_support(expr, T):
+    evaluate = support_mask_evaluator(expr, T)
+    for support in support_classes(Truncation(T, 0)):
+        assert evaluate(support_mask(support)) == eval_on_support(support, expr)
+
+
+def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkeypatch):
+    # the 9-position class at (12, 16) has 8**9 points; both sides agree on
+    # all of them, and only the k = 1 singleton and the generic point need
+    # evaluating, at most twice each (lhs and rhs)
+    p = XiPoint.of({1: 10, 2: 11, 3: 12, 4: 13, 5: 14, 6: 15, 7: 16, 8: 9, 9: 9})
+    lhs = Union((Inter((Atom(ALL1), Atom(ALL2))), Singleton(p)))
+    rhs = Union((Singleton(p), Inter((Atom(ALL2), Atom(ALL1)))))
+    calls = []
+    evaluate = space.eval_setexpr
+    monkeypatch.setattr(space, "eval_setexpr", lambda q, e: calls.append(q) or evaluate(q, e))
+    k = 1
+    for left, right in ((lhs, rhs), (rhs, lhs)):
+        calls.clear()
+        assert list(containment_violations(left, right, Truncation(12, 16), XI)) == []
+        assert p in calls and len(calls) <= 2 * (k + 1)
