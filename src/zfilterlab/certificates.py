@@ -82,7 +82,8 @@ class Certificate:
     def from_json(cls, text: str | bytes) -> "Certificate":
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers
+        except (ValueError, RecursionError) as exc:
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CertificateError("certificate document must be a JSON object")
@@ -92,7 +93,11 @@ class Certificate:
         if doc["schema"] != SCHEMA_VERSION:
             raise CertificateError(f"unsupported schema version {doc['schema']!r}")
         cert = cls(doc["kind"], doc["params"], doc["payload"], doc["steps"])
-        if cert.digest() != doc["digest"]:
+        try:
+            digest = cert.digest()
+        except RecursionError as exc:
+            raise CertificateError("certificate nests too deeply to digest") from exc
+        if digest != doc["digest"]:
             raise CertificateError("digest mismatch: certificate was altered")
         return cert
 

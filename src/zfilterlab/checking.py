@@ -30,11 +30,11 @@ from .space import (
     class_point_count,
     class_points,
     containment_counterexample,
-    eval_on_support,
     eval_setexpr,
     inter_atoms,
     multi_escape_sequence,
     support_classes,
+    support_evaluator,
     union_atoms,
     validate_point,
 )
@@ -180,22 +180,28 @@ def _check_absorption_witnesses(ctx: _Context) -> None:
     payload = ctx.cert.payload
     zset = ctx.expr(payload["zset"])
     entries = list(ctx.registry)
-    expected = [
+    # 2**n pairs: derived lazily, so the replay stops at the first entry
+    # missing from (or extra to) the listing instead of building them all
+    expected = (
         (f_set, beta)
         for size in range(len(entries) + 1)
         for f_set in itertools.combinations(entries, size)
         for beta in entries
         if beta.rank > max((b.rank for b in f_set), default=-1)
-    ]
-    witnesses = payload["witnesses"]
-    listed = [(w["constraining"], w["beta"]) for w in witnesses]
-    if listed != [([b.label for b in f_set], beta.label) for f_set, beta in expected]:
-        ctx.report.fail(
-            "witnesses must cover exactly every (F, beta) pair with beta ranked "
-            "above F, in order"
-        )
-        return
-    for w, (f_set, beta) in zip(witnesses, expected):
+    )
+    end = object()
+    pairs = []
+    for w, pair in itertools.zip_longest(payload["witnesses"], expected, fillvalue=end):
+        if w is end or pair is end or (w["constraining"], w["beta"]) != (
+            [b.label for b in pair[0]], pair[1].label
+        ):
+            ctx.report.fail(
+                "witnesses must cover exactly every (F, beta) pair with beta ranked "
+                "above F, in order"
+            )
+            return
+        pairs.append((w, pair))
+    for w, (f_set, beta) in pairs:
         point = ctx.point(w["point"])
         target = Diff(Inter((zset, inter_atoms(f_set))), Atom(beta))
         if not validate_point(point) or not eval_setexpr(point, target):
@@ -223,9 +229,19 @@ def _verify_cover(
     for c in cover:
         if c.rank < gamma:
             ctx.report.fail(f"cover branch {c.label} has rank {c.rank} below {gamma}")
-    for n in range(1, depth + 1):
-        if not any(branch_member(b, n) for b in itertools.chain(base, cover)):
-            ctx.report.fail(f"position {n} is not covered")
+    if not isinstance(depth, int):
+        raise CertificateError(f"cover depth {depth!r} is not an integer")
+    branches = [*base, *cover]
+    # a branch has at most depth.bit_length() elements up to depth
+    if len(branches) * depth.bit_length() < depth:
+        ctx.report.fail(f"{len(branches)} branches cannot cover positions 1..{depth}")
+        return
+    covered = set().union(*(b.elements_upto(depth) for b in branches))
+    uncovered = [n for n in range(1, depth + 1) if n not in covered]
+    if uncovered:
+        ctx.report.fail(
+            f"position {uncovered[0]} is not covered ({len(uncovered)} of 1..{depth} are not)"
+        )
 
 
 def _check_exception_list(ctx: _Context) -> None:
@@ -300,12 +316,10 @@ def _check_closure_classes(ctx: _Context, *, require_cover: bool) -> None:
         gamma = ctx.cert.params["gamma"]
         _verify_cover(ctx, cover, kept, payload["depth"], gamma)
 
-    shrunken = kept + cover
+    in_shrunken = support_evaluator(inter_atoms(kept + cover), trunc.T)
     listed = {frozenset(c["support"]) for c in payload["classes"]}
     for support in support_classes(trunc):
-        in_lhs = not any(
-            branch_member(b, p) for b in shrunken for p in support
-        )
+        in_lhs = in_shrunken(support)
         if ctx.ambient == XI and class_point_count(support, trunc, XI) == 0:
             in_lhs = False
         if in_lhs != (support in listed):
@@ -314,10 +328,14 @@ def _check_closure_classes(ctx: _Context, *, require_cover: bool) -> None:
             )
 
     target = Diff(inter_atoms(kept), union_atoms(subtracted))
+    # every position the listing names, so the escape check stays exact on
+    # supports and escapes past T (or outside the truncation altogether)
+    named = {p for c in payload["classes"] for p in (*c["support"], *c["escapes"])}
+    in_target = support_evaluator(target, trunc.T, named)
     for c in payload["classes"]:
         support = frozenset(c["support"])
         escapes = tuple(c["escapes"])
-        if eval_on_support(support | set(escapes), target) is not True:
+        if in_target(support | set(escapes)) is not True:
             ctx.report.fail(f"escape schema fails for support {sorted(support)}")
         if c["count"] != class_point_count(support, trunc, ctx.ambient):
             ctx.report.fail(f"point count wrong for support {sorted(support)}")

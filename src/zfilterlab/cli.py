@@ -393,7 +393,7 @@ def _read_file(path: str, what: str) -> bytes:
 def _load_json_object(path: str, what: str) -> dict:
     try:
         doc = json.loads(_read_file(path, what))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{what} {path} must hold a JSON object")

@@ -41,11 +41,11 @@ from .space import (
     class_point_count,
     class_points,
     containment_counterexample,
-    eval_on_support,
     eval_setexpr,
     inter_atoms,
     multi_escape_sequence,
     support_classes,
+    support_evaluator,
     union_atoms,
 )
 
@@ -291,21 +291,22 @@ def _class_witnesses(
     alone.  Classes without truncated points are dropped in ``xi`` and kept
     in ``pi``.
     """
-    shrunken = list(kept) + list(cover)
-    target = Diff(inter_atoms(kept), union_atoms(subtracted))
+    in_shrunken = support_evaluator(inter_atoms([*kept, *cover]), trunc.T)
+    misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in subtracted]
+    # escaped supports hold separator positions, which may lie past T
+    in_target = support_evaluator(
+        Diff(inter_atoms(kept), union_atoms(subtracted)), trunc.T, separators.values()
+    )
     classes: list[ClassWitness] = []
     for support in support_classes(trunc):
-        if any(branch_member(b, p) for b in shrunken for p in support):
+        if not in_shrunken(support):
             continue
         count = class_point_count(support, trunc, ambient)
         if ambient == XI and count == 0:
             continue
-        missing = [
-            a for a in subtracted
-            if not any(branch_member(a, p) for p in support)
-        ]
+        missing = [a for a, avoided in misses if avoided(support)]
         escapes = tuple(sorted({separators[a.label] for a in missing}))
-        if eval_on_support(support | set(escapes), target) is not True:
+        if in_target(support | set(escapes)) is not True:
             raise CertificationError(
                 f"escape schema for support {sorted(support)} missed the target"
             )

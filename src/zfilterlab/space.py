@@ -18,22 +18,27 @@ the branch's element positions are all infinite.  `SetExpr` is a small symbolic
 algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
 
+Whether a point lies in a zero set depends only on which positions carry
+finite values, and every caller that reasons from supports alone (the
+containment loop, the closure engines and the checker) compiles its
+expression once with `support_evaluator`.  A support is a frozenset of
+positions; an atom compiles to the set of its branch's elements up to ``T``
+and holds exactly when the support misses that set.  Supports may also hold
+positions past ``T``, listed up front as ``extra`` (the escape positions of a
+closure schema, which can lie far past the truncation); each atom adds the
+extra positions its branch owns, so no set is sized by a position's value.
+
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,
-`containment_violations`.  It compiles both sides once into support-mask
-evaluators (`support_mask_evaluator`): a support is a bitmask, an atom is the
-mask of its branch's elements up to ``T`` and holds exactly when the two
-masks are disjoint.  A support class on which both sides are decided by the
-support alone is settled at once.  In any other class only singletons read
-values, and a singleton holds at exactly one point, so every point of the
-class that is none of the sides' singletons gets the same verdict.  The loop
-therefore evaluates only the k singletons lying in the class (their values
-within the class's value range) and the first other point in value order,
-the generic point, whose verdict stands for the rest: at most k + 1 points
-instead of every point of the class.  `eval_setexpr` is the reference
-evaluator the loop is tested against; `eval_on_support` is the same
-tri-valued support rule written on frozensets, used by the engines and the
-checker.
+`containment_violations`.  A support class on which both sides are decided
+by the support alone is settled at once.  In any other class only
+singletons read values, and a singleton holds at exactly one point, so
+every point of the class that is none of the sides' singletons gets the
+same verdict.  The loop therefore evaluates only the k singletons lying in
+the class (their values within the class's value range) and the first other
+point in value order, the generic point, whose verdict stands for the rest:
+at most k + 1 points instead of every point of the class.  `eval_setexpr` is
+the reference evaluator the loop is tested against.
 """
 
 from __future__ import annotations
@@ -262,40 +267,8 @@ def _eval(point: XiPoint, expr: SetExpr) -> bool:
 
 
 def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
-    """Tri-valued evaluation from the support alone.
-
-    Atom membership depends only on which positions carry finite values, so
-    whole support classes can be decided at once; ``None`` means the verdict
-    depends on the values (a nonempty singleton comparison).
-    """
-    if isinstance(expr, Whole):
-        return True
-    if isinstance(expr, Atom):
-        return not any(branch_member(expr.branch, p) for p in support)
-    if isinstance(expr, Singleton):
-        target = frozenset(expr.point.positions())
-        if support != target:
-            return False
-        return True if not support else None
-    if isinstance(expr, Union):
-        verdicts = [eval_on_support(support, p) for p in expr.parts]
-        if any(v is True for v in verdicts):
-            return True
-        return False if all(v is False for v in verdicts) else None
-    if isinstance(expr, Inter):
-        verdicts = [eval_on_support(support, p) for p in expr.parts]
-        if any(v is False for v in verdicts):
-            return False
-        return True if all(v is True for v in verdicts) else None
-    if isinstance(expr, Diff):
-        left = eval_on_support(support, expr.left)
-        right = eval_on_support(support, expr.right)
-        if left is False or right is True:
-            return False
-        if left is True and right is False:
-            return True
-        return None
-    raise SpaceError(f"unknown expression node {expr!r}")
+    """One-shot `support_evaluator` on a single support of any positions."""
+    return support_evaluator(expr, 0, support)(support)
 
 
 # ---------------------------------------------------------------------------
@@ -363,42 +336,40 @@ def enumerate_truncated(trunc: Truncation, ambient: Ambient = XI) -> list[XiPoin
     return out
 
 
-def support_mask(positions: Iterable[int]) -> int:
-    """Bitmask of a set of support positions: bit ``p`` stands for position ``p``."""
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
-    return mask
+def support_evaluator(
+    expr: SetExpr, T: int, extra: Iterable[int] = ()
+) -> Callable[[frozenset[int]], bool | None]:
+    """Compile ``expr`` into a tri-valued function of a support.
 
-
-def support_mask_evaluator(expr: SetExpr, T: int) -> Callable[[int], bool | None]:
-    """Compile ``expr`` into a tri-valued function of a support mask.
-
-    On every support with positions <= ``T`` it agrees with `eval_on_support`.
-    An atom becomes the mask of its branch's elements up to ``T`` and holds
-    exactly when the support mask misses it, so no branch membership is
-    decoded per support.
+    The verdict is exact on every support whose positions are at most ``T``
+    or among ``extra``; ``None`` means it depends on the values (a nonempty
+    singleton on exactly that support).  An atom becomes the set of its
+    branch's elements up to ``T`` plus the extra positions in the branch,
+    and holds exactly when the support misses that set.
     """
+    extra = frozenset(extra)
     if isinstance(expr, Whole):
-        return lambda mask: True
+        return lambda support: True
     if isinstance(expr, Atom):
-        elements = support_mask(expr.branch.elements_upto(T))
-        return lambda mask: (mask & elements) == 0
+        elements = frozenset(expr.branch.elements_upto(T)).union(
+            p for p in extra if branch_member(expr.branch, p)
+        )
+        return elements.isdisjoint
     if isinstance(expr, Singleton):
-        target = support_mask(expr.point.positions())
+        target = frozenset(expr.point.positions())
         if not target:
-            return lambda mask: mask == 0
-        return lambda mask: None if mask == target else False
+            return lambda support: not support
+        return lambda support: None if support == target else False
     if isinstance(expr, (Union, Inter)):
-        parts = [support_mask_evaluator(p, T) for p in expr.parts]
+        parts = [support_evaluator(p, T, extra) for p in expr.parts]
         # one part with this verdict settles the node: True for a union,
         # False for an intersection
         settles = isinstance(expr, Union)
 
-        def combined(mask: int) -> bool | None:
+        def combined(support: frozenset[int]) -> bool | None:
             unsure = False
             for part in parts:
-                verdict = part(mask)
+                verdict = part(support)
                 if verdict is settles:
                     return settles
                 unsure = unsure or verdict is None
@@ -406,14 +377,14 @@ def support_mask_evaluator(expr: SetExpr, T: int) -> Callable[[int], bool | None
 
         return combined
     if isinstance(expr, Diff):
-        left = support_mask_evaluator(expr.left, T)
-        right = support_mask_evaluator(expr.right, T)
+        left = support_evaluator(expr.left, T, extra)
+        right = support_evaluator(expr.right, T, extra)
 
-        def difference(mask: int) -> bool | None:
-            lv = left(mask)
+        def difference(support: frozenset[int]) -> bool | None:
+            lv = left(support)
             if lv is False:
                 return False
-            rv = right(mask)
+            rv = right(support)
             if rv is True:
                 return False
             return True if lv is True and rv is False else None
@@ -427,29 +398,28 @@ def containment_violations(
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    Both sides are compiled once into support-mask evaluators.  A support
+    Both sides are compiled once with `support_evaluator`.  A support
     class is settled at once when both sides are support-determined there;
     in the other classes only the sides' singleton points and one generic
     point are evaluated (see the module docstring).
     """
-    in_lhs = support_mask_evaluator(lhs, trunc.T)
-    in_rhs = support_mask_evaluator(rhs, trunc.T)
-    singletons: dict[int, set[tuple[int, ...]]] = {}
+    in_lhs = support_evaluator(lhs, trunc.T)
+    in_rhs = support_evaluator(rhs, trunc.T)
+    singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
     for q in lhs.singleton_points() + rhs.singleton_points():
-        singletons.setdefault(support_mask(q.positions()), set()).add(q.values())
+        singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
     for support in support_classes(trunc):
-        mask = support_mask(support)
-        lv = in_lhs(mask)
+        lv = in_lhs(support)
         if lv is False:
             continue
-        rv = in_rhs(mask)
+        rv = in_rhs(support)
         if rv is True:
             continue
         if lv is True and rv is False:
             yield from class_points(support, trunc, ambient)
             continue
         yield from _value_sensitive_violations(
-            support, singletons.get(mask, ()), lhs, rhs, lv, rv, trunc, ambient
+            support, singletons.get(support, ()), lhs, rhs, lv, rv, trunc, ambient
         )
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from zfilterlab.engines import (
     check_extendibility_b,
     containment_decreasing,
     containment_full_product,
+    cover_certificate,
     decreasing_chain_engine,
     increasing_chain_engine,
     property_a_check,
@@ -270,6 +272,68 @@ class TestNestingLimit:
         text = Certificate(cert.kind, cert.params, payload, cert.steps).to_json()
         report = check_certificate_text(text)
         assert not report.ok and "deeper than" in report.problems[0]
+
+
+class TestBoundedReplay:
+    """Replay cost follows the certificate's size, not the numbers in it."""
+
+    def test_far_separator_fails_at_once(self):
+        # the listed branches own at most 22 positions up to 3,000,000 each
+        cert = sample_certificates()[1]
+        payload = dict(cert.payload, separator=3_000_000)
+        start = time.perf_counter()
+        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+        assert time.perf_counter() - start < 1.0
+        assert not report.ok
+        assert len([p for p in report.problems if "cover" in p]) == 1
+
+    def test_uncovered_positions_are_one_problem(self):
+        r = reg()
+        cover, cert = cover_certificate(12, 5, r, [r.entries[0]])
+        assert check_certificate(cert).ok and cover
+        payload = dict(cert.payload, cover=cert.payload["cover"][1:])
+        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+        assert not report.ok and len(report.problems) == 1
+        assert "not covered" in report.problems[0]
+
+    def test_property_a_listing_stops_at_the_first_missing_pair(self):
+        # 24 entries have millions of (F, beta) pairs; none of them is listed
+        words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(24)]
+        r = make_registry([(w, "2") for w in words])
+        cert = property_a_check(Whole(), reg(), TR).certificate
+        params = dict(cert.params, registry=r.to_payload())
+        payload = dict(cert.payload, witnesses=[])
+        start = time.perf_counter()
+        report = check_certificate(Certificate(cert.kind, params, payload, cert.steps))
+        assert time.perf_counter() - start < 2.0
+        assert not report.ok
+
+    def test_escape_position_far_past_the_truncation(self):
+        # supports stay sets of positions: no structure is sized by 10**5000
+        cert = sample_certificates()[3]
+        classes = [dict(c) for c in cert.payload["classes"]]
+        classes[0]["escapes"] = classes[0]["escapes"] + [10**5000]
+        payload = dict(cert.payload, classes=classes)
+        start = time.perf_counter()
+        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(report.ok, bool)
+
+
+class TestDeepJson:
+    def test_deep_nesting_is_unparseable(self):
+        # past the recursion limit the parser fails; just under it, the
+        # digest can fail instead; both must give a report
+        texts = ["[" * 100000 + "]" * 100000]
+        for depth in range(1, 1500):
+            nested = "[" * depth + "]" * depth
+            texts.append(
+                '{"schema":%d,"kind":"CoverSet","params":{},"payload":{"x":%s},'
+                '"steps":[],"digest":"0"}' % (SCHEMA_VERSION, nested)
+            )
+        for text in texts:
+            report = check_certificate_text(text)
+            assert report.kind == "unparseable" and not report.ok
 
 
 class TestCheckerIndependence:

@@ -119,6 +119,22 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--check", str(out_file), "--cap-V", str(V))
             assert code == EXIT_FAIL and "rejected" in out
 
+    def test_separator_far_past_the_truncation(self, capsys, tmp_path):
+        # a and b share a 20-letter prefix, so b's separator avoiding a is the
+        # code of 1**21, far past T = 8; both the engine's and the checker's
+        # escape checks must see that position in b's zero set
+        out_file = tmp_path / "full.json"
+        registry = ["--registry", "a=" + "1" * 20 + ":2@0", "--registry", "b=:1@1"]
+        code, out, _ = run(
+            capsys,
+            "verify", "containment-full", "--F", "a", "--G", "b",
+            *registry, "--T", "8", "--out", str(out_file),
+        )
+        assert code == EXIT_OK and "verified" in out
+        assert Certificate.read(str(out_file)).payload["separators"] == {"b": 2**21 - 1}
+        code, out, _ = run(capsys, "verify", "--check", str(out_file))
+        assert code == EXIT_OK and "verified" in out
+
     def test_property_b_counterexample(self, capsys, tmp_path):
         cover_file = tmp_path / "cover.json"
         cover_file.write_text(
@@ -263,6 +279,14 @@ class TestInputErrors:
         claim.write_text(json.dumps({"claim": "containment", "rhs": "W"}))
         code, _, err = run(capsys, "oracle", str(claim), *_reg_flags())
         assert code == EXIT_USAGE and err.startswith("error:")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "oracle", str(deep), *_reg_flags())
+        assert code == EXIT_USAGE and err.startswith("error:")
+        code, out, _ = run(capsys, "verify", "--check", str(deep))
+        assert code == EXIT_FAIL and "rejected" in out
 
     @pytest.mark.parametrize(
         "content",
