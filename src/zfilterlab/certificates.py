@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 KINDS = (
     "SeparatorWitness",

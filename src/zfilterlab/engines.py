@@ -3,17 +3,22 @@
 Each engine realizes one construction at desk scale, relative to an explicit
 finite registry and truncation, and emits a `Certificate` that an independent
 checker can replay from the payload alone.  The quantifier finitizations are
-stamped into every certificate's params.
+stamped into the params of every certificate that relies on them.
 
 The engines never trust themselves: exhaustive truncated checks and exact
 branch-word reasoning back every claim, and any residual transfinite step is
-replaced by a concrete eval-verified witness point.
+replaced by a concrete eval-verified witness point.  The two closure
+containments are exact: their certificates carry the separators (and, with a
+rank floor, the cover and its depth) from which the paper's
+coordinate-pushing step gives every point of the shrunken intersection an
+escape sequence, so they record no truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .branches import (
@@ -224,7 +229,7 @@ def _pair_inclusion_entry(
 
 
 # ---------------------------------------------------------------------------
-# Closure containment with rank floor (compact prototype space)
+# Closure containment (coordinate pushing)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -236,31 +241,53 @@ class ClassWitness:
     self_member: bool
     count: int
 
-    def to_payload(self) -> dict:
-        return {
-            "support": sorted(self.support),
-            "escapes": list(self.escapes),
-            "self_member": self.self_member,
-            "count": self.count,
-        }
-
 
 @dataclass
 class ContainmentReport:
+    """A closure containment decided exactly by coordinate pushing.
+
+    A point whose support avoids the kept and cover branches is the limit of
+    the terms that vary the separators of the subtracted branches its support
+    misses: a separator lies in its own subtracted branch and in no kept one,
+    and (in ``xi``) the kept and cover branches own every position up to
+    ``depth``, at least every separator, so the terms stay valid.  The
+    certificate carries only these facts; ``classes`` and `point_verdicts`
+    spell the rule out on the truncation, on demand.
+    """
+
     subtracted: tuple[BranchIndex, ...]
     kept: tuple[BranchIndex, ...]
     gamma: int
     separators: dict[str, int]
     cover: list[BranchIndex]
     depth: int
-    classes: list[ClassWitness]
     truncation: Truncation
     ambient: Ambient
     certificate: Certificate = field(repr=False)
-    terms_per_witness: int = 3
 
     def target(self) -> SetExpr:
         return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
+
+    @cached_property
+    def classes(self) -> list[ClassWitness]:
+        """One escape schema per truncated support class avoiding the kept and
+        cover branches: the separators of the subtracted branches it misses.
+        Classes without truncated points are dropped in ``xi`` and kept in
+        ``pi``."""
+        trunc = self.truncation
+        in_shrunken = support_evaluator(inter_atoms([*self.kept, *self.cover]), trunc.T)
+        misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in self.subtracted]
+        classes: list[ClassWitness] = []
+        for support in support_classes(trunc):
+            if not in_shrunken(support):
+                continue
+            count = class_point_count(support, trunc, self.ambient)
+            if self.ambient == XI and count == 0:
+                continue
+            missing = [a for a, avoided in misses if avoided(support)]
+            escapes = tuple(sorted({self.separators[a.label] for a in missing}))
+            classes.append(ClassWitness(support, escapes, not missing, count))
+        return classes
 
     def point_verdicts(self):
         """Yield (point, witness) for every truncated point of the shrunken intersection.
@@ -273,45 +300,7 @@ class ContainmentReport:
                 if cw.self_member:
                     yield p, p
                 else:
-                    yield p, multi_escape_sequence(p, cw.escapes, self.terms_per_witness)
-
-
-def _class_witnesses(
-    kept: Sequence[BranchIndex],
-    subtracted: Sequence[BranchIndex],
-    separators: dict[str, int],
-    cover: Sequence[BranchIndex],
-    trunc: Truncation,
-    ambient: Ambient,
-) -> list[ClassWitness]:
-    """One escape schema per support class avoiding the kept and cover branches.
-
-    The schema escapes every subtracted branch the support misses through its
-    separator, and the escaped support must land in the target on supports
-    alone.  Classes without truncated points are dropped in ``xi`` and kept
-    in ``pi``.
-    """
-    in_shrunken = support_evaluator(inter_atoms([*kept, *cover]), trunc.T)
-    misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in subtracted]
-    # escaped supports hold separator positions, which may lie past T
-    in_target = support_evaluator(
-        Diff(inter_atoms(kept), union_atoms(subtracted)), trunc.T, separators.values()
-    )
-    classes: list[ClassWitness] = []
-    for support in support_classes(trunc):
-        if not in_shrunken(support):
-            continue
-        count = class_point_count(support, trunc, ambient)
-        if ambient == XI and count == 0:
-            continue
-        missing = [a for a, avoided in misses if avoided(support)]
-        escapes = tuple(sorted({separators[a.label] for a in missing}))
-        if in_target(support | set(escapes)) is not True:
-            raise CertificationError(
-                f"escape schema for support {sorted(support)} missed the target"
-            )
-        classes.append(ClassWitness(support, escapes, not missing, count))
-    return classes
+                    yield p, multi_escape_sequence(p, cw.escapes, 3)
 
 
 def containment_decreasing(
@@ -326,8 +315,8 @@ def containment_decreasing(
     One separator element per subtracted branch escapes its zero set while
     staying inside the kept intersection; covering every position up to the
     deepest separator pushes all remaining support beyond it, which makes the
-    escape terms valid and convergent.  Every truncated point of the shrunken
-    intersection receives a per-class escape schema verified on supports.
+    escape terms valid and convergent for every point of the shrunken
+    intersection, within the truncation or not.
     """
     subtracted = tuple(subtracted)
     kept = tuple(kept)
@@ -346,10 +335,9 @@ def containment_decreasing(
         depth = max(separators.values())
         cover = find_cover(depth, gamma, registry, base=kept)
 
-    classes = _class_witnesses(kept, subtracted, separators, cover, trunc, XI)
     cert = Certificate(
         "InclusionChain",
-        params=_params(registry, trunc, XI, gamma=gamma),
+        params=_params(registry, None, XI, gamma=gamma),
         payload={
             "claim": "closure-containment-with-rank-floor",
             "subtracted": _branches_payload(subtracted),
@@ -357,12 +345,9 @@ def containment_decreasing(
             "separators": separators,
             "depth": depth,
             "cover": _branches_payload(cover),
-            "classes": [cw.to_payload() for cw in classes],
         },
     )
-    return ContainmentReport(
-        subtracted, kept, gamma, separators, cover, depth, classes, trunc, XI, cert
-    )
+    return ContainmentReport(subtracted, kept, gamma, separators, cover, depth, trunc, XI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +361,8 @@ def containment_full_product(
 ) -> ContainmentReport:
     """Density of the punctured intersection inside the full-product intersection.
 
-    In the full product no level constraint binds, so every truncated point of
-    the kept intersection admits escape coordinates, one separator element per
+    In the full product no level constraint binds, so every point of the kept
+    intersection admits escape coordinates, one separator element per
     subtracted branch, without any covering step.
     """
     kept = tuple(kept)
@@ -386,22 +371,18 @@ def containment_full_product(
         raise EngineError("the kept and subtracted branch sets must be disjoint")
 
     separators = {b.label: find_separator(b, kept) for b in subtracted}
-    classes = _class_witnesses(kept, subtracted, separators, [], trunc, PI)
     registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
     cert = Certificate(
         "InclusionChain",
-        params=_params(registry_view, trunc, PI),
+        params=_params(registry_view, None, PI),
         payload={
             "claim": "punctured-intersection-dense",
             "kept": _branches_payload(kept),
             "subtracted": _branches_payload(subtracted),
             "separators": separators,
-            "classes": [cw.to_payload() for cw in classes],
         },
     )
-    return ContainmentReport(
-        subtracted, kept, 0, separators, [], 0, classes, trunc, PI, cert
-    )
+    return ContainmentReport(subtracted, kept, 0, separators, [], 0, trunc, PI, cert)
 
 
 # ---------------------------------------------------------------------------

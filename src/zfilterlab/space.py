@@ -20,13 +20,15 @@ truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
 finite values, and every caller that reasons from supports alone (the
-containment loop, the closure engines and the checker) compiles its
+containment loop and the closure engines' class view) compiles its
 expression once with `support_evaluator`.  A support is a frozenset of
 positions; an atom compiles to the set of its branch's elements up to ``T``
 and holds exactly when the support misses that set.  Supports may also hold
-positions past ``T``, listed up front as ``extra`` (the escape positions of a
-closure schema, which can lie far past the truncation); each atom adds the
-extra positions its branch owns, so no set is sized by a position's value.
+positions past ``T``, listed up front as ``extra`` (`eval_on_support` lists
+a whole support that way); each atom adds the extra positions its branch
+owns, so no set is sized by a position's value.  The closure containments
+themselves need no support walk: the coordinate-pushing step decides them
+exactly from separators and a cover (see `engines.ContainmentReport`).
 
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,
@@ -100,11 +102,6 @@ class XiPoint:
             if p == position:
                 return v
         return None
-
-    def with_coordinate(self, position: int, value: int) -> "XiPoint":
-        if self.coordinate(position) is not None:
-            raise SpaceError(f"position {position} already in the support")
-        return XiPoint(self.support + ((position, value),), self.ambient)
 
     def literal(self) -> str:
         inner = ",".join(f"{p}:{v}" for p, v in self.support)
@@ -219,10 +216,6 @@ class Diff(SetExpr):
 
     def is_difference_free(self) -> bool:
         return False
-
-
-def union_of(exprs: Iterable[SetExpr]) -> Union:
-    return Union(tuple(exprs))
 
 
 def inter_of(exprs: Iterable[SetExpr]) -> Inter:

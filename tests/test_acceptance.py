@@ -281,7 +281,7 @@ def _class_verdicts(rep, cw):
         if cw.self_member:
             yield p, p
         else:
-            yield p, multi_escape_sequence(p, cw.escapes, rep.terms_per_witness)
+            yield p, multi_escape_sequence(p, cw.escapes, 3)
 
 
 def _refuter_fixtures():

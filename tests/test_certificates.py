@@ -16,7 +16,7 @@ from zfilterlab.certificates import (
     body_digest,
     canonical_json,
 )
-from zfilterlab.checking import check_certificate, check_certificate_text
+from zfilterlab.checking import CheckReport, check_certificate, check_certificate_text
 from zfilterlab.engines import (
     AFailure,
     check_extendibility_a,
@@ -155,13 +155,15 @@ class TestStructure:
         assert not report.ok and report.problems
 
     def test_version_one_document_rejected(self):
+        # schema 2 certificates still list the closure classes
         cert = sample_certificates()[0]
-        doc = {"schema": 1, "kind": cert.kind, "params": cert.params,
-               "payload": cert.payload, "steps": cert.steps}
-        doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
-        report = check_certificate_text(json.dumps(doc))
-        assert not report.ok
-        assert "unsupported schema version" in report.problems[0]
+        for schema in (1, 2):
+            doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
+                   "payload": cert.payload, "steps": cert.steps}
+            doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+            report = check_certificate_text(json.dumps(doc))
+            assert not report.ok
+            assert "unsupported schema version" in report.problems[0]
 
 
 class TestSeparatorWitnessClaims:
@@ -253,6 +255,15 @@ class TestWrongTypedFields:
                     report = check_certificate(fresh)
                     assert isinstance(report.ok, bool), (cert.kind, section, key, value)
 
+    def test_every_separator_replacement_is_rejected(self):
+        # no wrong-typed, nonpositive or fractional position is a separator here
+        for cert in closure_certificates():
+            separators = cert.payload["separators"]
+            for label, value in itertools.product(separators, self.VALUES + [0, -1, 2.5]):
+                payload = dict(cert.payload, separators=dict(separators, **{label: value}))
+                report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+                assert report.ok is False, (cert.payload["claim"], label, value)
+
 
 class TestNestingLimit:
     DEEP = "(union " * 3000 + "W" + ")" * 3000
@@ -308,16 +319,91 @@ class TestBoundedReplay:
         assert time.perf_counter() - start < 2.0
         assert not report.ok
 
-    def test_escape_position_far_past_the_truncation(self):
-        # supports stay sets of positions: no structure is sized by 10**5000
-        cert = sample_certificates()[3]
-        classes = [dict(c) for c in cert.payload["classes"]]
-        classes[0]["escapes"] = classes[0]["escapes"] + [10**5000]
-        payload = dict(cert.payload, classes=classes)
-        start = time.perf_counter()
-        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
-        assert time.perf_counter() - start < 1.0
-        assert isinstance(report.ok, bool)
+    def test_separator_far_past_every_branch_prefix(self):
+        # a separator of 10**5000 is decoded once per branch, never enumerated
+        for cert in closure_certificates():
+            label = next(iter(cert.payload["separators"]))
+            separators = dict(cert.payload["separators"], **{label: 10**5000})
+            payload = dict(cert.payload, separators=separators)
+            start = time.perf_counter()
+            report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+            assert time.perf_counter() - start < 1.0
+            assert isinstance(report, CheckReport) and not report.ok
+
+
+def closure_certificates():
+    """A rank-floor and a full-product closure certificate.
+
+    Rank floor: subtracted b0 = :1 and b3 = 2:1 with separators 3 and 2,
+    kept b1 = 1:2, depth 3 and cover b5 = 22:1, b6 = 11:2 (positions 1, 2, 3
+    are the codes of 1, 2, 11).  Full product: kept b1, subtracted b0 and
+    b2 = :2 with separators 3 and 2.
+    """
+    r = make_registry([("", "1"), ("1", "2"), ("", "2"), ("2", "1")])
+    dec = containment_decreasing([r.entries[0], r.entries[3]], [r.entries[1]], 5, r, TR)
+    full = containment_full_product([r.entries[1]], [r.entries[0], r.entries[2]], TR)
+    return [dec.certificate, full.certificate]
+
+
+def _with(section, **changes):
+    return lambda cert: Certificate(
+        cert.kind,
+        dict(cert.params, **changes) if section == "params" else cert.params,
+        dict(cert.payload, **changes) if section == "payload" else cert.payload,
+        cert.steps,
+    )
+
+
+def _separators(**changes):
+    return lambda cert: _with("payload", separators={
+        k: v for k, v in {**cert.payload["separators"], **changes}.items() if v is not None
+    })(cert)
+
+
+class TestClosureObligations:
+    """One digest-valid tamper per checker obligation; each breaks only that one."""
+
+    def test_engine_certificates_hold_and_carry_no_truncation(self):
+        dec, full = closure_certificates()
+        assert dec.payload["separators"] == {"b0": 3, "b3": 2} and dec.payload["depth"] == 3
+        assert [c["label"] for c in dec.payload["cover"]] == ["b5", "b6"]
+        assert full.payload["separators"] == {"b0": 3, "b2": 2}
+        for cert in (dec, full):
+            assert "classes" not in cert.payload and "truncation" not in cert.params
+            assert check_certificate_text(cert.to_json()).ok
+
+    @pytest.mark.parametrize(
+        "which, tamper, problem",
+        [
+            (0, _with("params", ambient="pi"), "is made in xi"),
+            (1, _with("params", ambient="xi"), "is made in pi"),
+            (0, _separators(b3=None), "exactly the subtracted labels"),
+            (1, _separators(b9=2), "exactly the subtracted labels"),
+            # 2 is the code of the word 2: not in :1, nor in the kept 1:2
+            (0, _separators(b0=2), "is not an element"),
+            (1, _separators(b0=2), "is not an element"),
+            # the entry's own branch decides, not the registry's b0 = :1
+            (0, lambda c: _with("payload", subtracted=[
+                dict(c.payload["subtracted"][0], branch="2:2"), c.payload["subtracted"][1]
+            ])(c), "is not an element"),
+            # 1 is the code of the word 1, a prefix of :1 and of the kept 1:2
+            (0, _separators(b0=1), "collides with the kept set"),
+            (1, _separators(b0=1), "collides with the kept set"),
+            # the kept and cover branches still cover 1..2
+            (0, _with("payload", depth=2), "lies below a separator"),
+            (0, lambda c: _with("payload", cover=c.payload["cover"][1:])(c), "not covered"),
+            (0, lambda c: _with("payload", cover=c.payload["cover"][:1])(c), "not covered"),
+        ],
+        ids=["dec-in-pi", "full-in-xi", "separator-missing", "separator-extra",
+             "dec-outside-branch", "full-outside-branch", "entry-branch-decides",
+             "dec-hits-kept", "full-hits-kept", "depth-below-separator",
+             "cover-first-dropped", "cover-last-dropped"],
+    )
+    def test_tamper_rejected(self, which, tamper, problem):
+        cert = tamper(closure_certificates()[which])
+        report = check_certificate_text(cert.to_json())
+        assert not report.ok
+        assert [problem in p for p in report.problems] == [True], report.problems
 
 
 class TestDeepJson:

@@ -100,29 +100,32 @@ class TestVerify:
     def test_check_refuses_truncation_past_caps(self, capsys, tmp_path, T, V):
         # a digest-valid certificate rebuilt at T = 40 would keep the replay
         # busy with 2**40 support classes; the caps stop it before the replay
-        out_file = tmp_path / "dec.json"
+        out_file = tmp_path / "exceptions.json"
         code, _, _ = run(
             capsys,
-            "verify", "containment-dec", "--F", "a", "--G", "b", "--gamma", "5",
+            "verify", "extendibility-b", "--zset", "W", "--alpha", "a",
             *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
         )
         assert code == EXIT_OK
         cert = Certificate.read(str(out_file))
+        assert cert.kind == "ExceptionList" and cert.payload["members"]
+        # one membership entry short, whatever the truncation
         params = dict(cert.params, truncation={"T": T, "V": V})
-        out_file.write_text(Certificate(cert.kind, params, cert.payload, cert.steps).to_json())
+        payload = dict(cert.payload, members=cert.payload["members"][:-1])
+        out_file.write_text(Certificate(cert.kind, params, payload, cert.steps).to_json())
         code, out, err = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("error:") and f"({T},{V}) exceeds caps (12,16)" in err
         if V > 16:
-            # raising the cap lets the replay run; the point counts recorded
-            # for V = 6 are then wrong
-            code, out, _ = run(capsys, "verify", "--check", str(out_file), "--cap-V", str(V))
+            # raising the cap lets the replay run, and it rejects the cut
+            code, out, err = run(capsys, "verify", "--check", str(out_file), "--cap-V", str(V))
             assert code == EXIT_FAIL and "rejected" in out
+            assert "membership entries" in err
 
     def test_separator_far_past_the_truncation(self, capsys, tmp_path):
         # a and b share a 20-letter prefix, so b's separator avoiding a is the
-        # code of 1**21, far past T = 8; both the engine's and the checker's
-        # escape checks must see that position in b's zero set
+        # code of 1**21, far past T = 8; the checker decodes that position
+        # against both words instead of enumerating up to it
         out_file = tmp_path / "full.json"
         registry = ["--registry", "a=" + "1" * 20 + ":2@0", "--registry", "b=:1@1"]
         code, out, _ = run(

@@ -1,6 +1,8 @@
 """Engine tests: extendibility, closure containments, properties, chains."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfilterlab.branches import BranchIndex, Registry, branch_member, make_registry
 from zfilterlab.engines import (
@@ -19,6 +21,7 @@ from zfilterlab.engines import (
     property_a_check,
     property_b_refute,
 )
+from zfilterlab.checking import check_certificate
 from zfilterlab.filters import filter_member
 from zfilterlab.formats import parse_point_literal, parse_setexpr
 from zfilterlab.space import (
@@ -34,6 +37,7 @@ from zfilterlab.space import (
     enumerate_truncated,
     eval_setexpr,
     inter_atoms,
+    multi_escape_sequence,
     union_atoms,
 )
 
@@ -182,6 +186,67 @@ class TestContainmentFullProduct:
         reg = reg3()
         with pytest.raises(EngineError):
             containment_full_product([reg.entries[0]], [reg.entries[0]], TR)
+
+
+@st.composite
+def closure_setups(draw):
+    """A registry split into disjoint kept and subtracted sets, a rank floor,
+    and raw support positions up to 40 (ten times the truncation's T)."""
+    branches: list[BranchIndex] = []
+    for pre, period in draw(st.lists(
+        st.tuples(st.text(alphabet="12", max_size=3), st.text(alphabet="12", min_size=1, max_size=2)),
+        min_size=1, max_size=5,
+    )):
+        b = BranchIndex(pre, period, len(branches))
+        if b not in branches:
+            branches.append(b)
+    roles = draw(st.lists(st.sampled_from("ksn"), min_size=len(branches), max_size=len(branches)))
+    kept = [b for b, r in zip(branches, roles) if r == "k"]
+    subtracted = [b for b, r in zip(branches, roles) if r == "s"]
+    positions = draw(st.sets(st.integers(1, 40), max_size=6))
+    values = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    return Registry(branches), kept, subtracted, draw(st.integers(0, 12)), positions, values
+
+
+class TestExactClosureRule:
+    """The coordinate-pushing rule the checker accepts holds on every finite
+    support avoiding the kept (and cover) branches, not only within T."""
+
+    @staticmethod
+    def assert_rule(report, point):
+        assert check_certificate(report.certificate).ok
+        missed = [
+            a for a in report.subtracted
+            if not any(branch_member(a, n) for n in point.positions())
+        ]
+        escapes = sorted({report.separators[a.label] for a in missed})
+        terms = multi_escape_sequence(point, escapes, 3).terms() if escapes else [point]
+        assert all(eval_setexpr(t, report.target()) for t in terms)
+        support = frozenset(point.positions())
+        if support and max(support) <= TR.T:
+            # the truncated view names the same escapes for this support
+            cw = next(cw for cw in report.classes if cw.support == support)
+            assert cw.escapes == tuple(escapes) and cw.self_member == (not missed)
+
+    @given(closure_setups())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_floor(self, setup):
+        reg, kept, subtracted, gamma, positions, values = setup
+        report = containment_decreasing(subtracted, kept, gamma, reg, TR)
+        owned = [*kept, *report.cover]
+        support = sorted(p for p in positions if not any(branch_member(b, p) for b in owned))
+        if support:
+            assert support[0] > report.depth
+        top = max(support, default=0)
+        self.assert_rule(report, XiPoint.of({p: top + v for p, v in zip(support, values)}))
+
+    @given(closure_setups())
+    @settings(max_examples=150, deadline=None)
+    def test_full_product(self, setup):
+        _, kept, subtracted, _, positions, values = setup
+        report = containment_full_product(kept, subtracted, TR)
+        support = sorted(p for p in positions if not any(branch_member(b, p) for b in kept))
+        self.assert_rule(report, XiPoint.of({p: 1 + v for p, v in zip(support, values)}, PI))
 
 
 class TestPropertyA:
