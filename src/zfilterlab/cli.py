@@ -17,6 +17,7 @@ timestamps, so identical configurations reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -96,9 +97,16 @@ class ResourceCap(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code; never raises SystemExit.
+
+    ``main`` may be called any number of times in one process.  The argument
+    parser is built on the first call and reused by every later one: each
+    parse makes a fresh namespace, and argparse looks ``sys.stdout`` and
+    ``sys.stderr`` up when it prints, so redirected streams still capture
+    its help and usage errors.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -117,7 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once on first use (not at import, which would
+    charge every ``import zfilterlab.cli`` for it)."""
     parser = argparse.ArgumentParser(
         prog="zfilterlab",
         description="almost-disjoint branch families and zero-set filter certificates",

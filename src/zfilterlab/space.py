@@ -276,6 +276,9 @@ class Truncation:
     V: int
 
     def __post_init__(self) -> None:
+        for bound in (self.T, self.V):
+            if not isinstance(bound, int) or isinstance(bound, bool):
+                raise SpaceError(f"truncation bounds must be integers, not {bound!r}")
         if self.T < 0 or self.V < 0:
             raise SpaceError("truncation bounds must be nonnegative")
 

@@ -264,6 +264,18 @@ class TestWrongTypedFields:
                 report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
                 assert report.ok is False, (cert.payload["claim"], label, value)
 
+    def test_every_non_integer_truncation_is_rejected(self):
+        # a fractional or boolean bound is no truncation; it used to reach
+        # BranchIndex.elements_upto and raise AttributeError, or pass
+        certs = [c for c in sample_certificates() if "truncation" in c.params]
+        assert {c.kind for c in certs} >= {"ExceptionList", "Contradiction", "CounterexamplePoint"}
+        for cert in certs:
+            for key, value in itertools.product(("T", "V"), (2.5, 1.0, True)):
+                truncation = dict(cert.params["truncation"], **{key: value})
+                params = dict(cert.params, truncation=truncation)
+                report = check_certificate(Certificate(cert.kind, params, cert.payload, cert.steps))
+                assert report.ok is False, (cert.kind, key, value)
+
 
 class TestNestingLimit:
     DEEP = "(union " * 3000 + "W" + ")" * 3000

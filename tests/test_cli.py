@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zfilterlab import cli
 from zfilterlab.certificates import Certificate
 from zfilterlab.cli import (
     EXIT_FAIL,
@@ -122,6 +123,22 @@ class TestVerify:
             assert code == EXIT_FAIL and "rejected" in out
             assert "membership entries" in err
 
+    @pytest.mark.parametrize("T, V", [(2.5, 6), (4, 6.5), (True, 6)], ids=["T-2.5", "V-6.5", "T-true"])
+    def test_check_rejects_non_integer_truncation(self, capsys, tmp_path, T, V):
+        out_file = tmp_path / "exceptions.json"
+        code, _, _ = run(
+            capsys,
+            "verify", "extendibility-b", "--zset", "W", "--alpha", "a",
+            *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        cert = Certificate.read(str(out_file))
+        params = dict(cert.params, truncation={"T": T, "V": V})
+        out_file.write_text(Certificate(cert.kind, params, cert.payload, cert.steps).to_json())
+        code, out, err = run(capsys, "verify", "--check", str(out_file))
+        assert code == EXIT_FAIL and out.strip() == "rejected"
+        assert "must be integers" in err and "Traceback" not in err
+
     def test_separator_far_past_the_truncation(self, capsys, tmp_path):
         # a and b share a 20-letter prefix, so b's separator avoiding a is the
         # code of 1**21, far past T = 8; the checker decodes that position
@@ -213,6 +230,41 @@ class TestVerify:
         run(capsys, *base, "--out", str(f1))
         run(capsys, *base, "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+        # main() reuses one parser, so flags, usage errors and help given to
+        # one call must leave no trace in the calls after it
+        assert cli._build_parser() is cli._build_parser()
+        plain_file = tmp_path / "plain.json"
+        plain = [
+            ["family", "cover", "--l", "3", "--gamma", "5", "--out", str(plain_file)],
+            ["verify", "containment-dec", "--gamma", "5", "--T", "4", "--V", "6",
+             "--out", str(plain_file)],
+        ]
+
+        def run_plain():
+            return [(run(capsys, *argv), plain_file.read_bytes()) for argv in plain]
+
+        first = run_plain()
+        assert all(code == EXIT_OK for (code, _, _), _ in first)
+        flagged = tmp_path / "flagged.json"
+        interleaved = [
+            (["family", "cover", "--l", "3", "--gamma", "5", "--base", ":1",
+              "-r", "a=:1@0", "--out", str(flagged)], EXIT_OK, "certificate:", ""),
+            (["verify", "containment-dec", "--F", "a", "--G", "b", "--gamma", "5",
+              *_reg_flags(), "--base", "--T", "4", "--V", "6", "--out", str(flagged)],
+             EXIT_USAGE, "", "error:"),
+            (["verify", "containment-dec", "--F", "a", "--G", "b", "--gamma", "5",
+              *_reg_flags(), "--T", "4", "--V", "6", "--out", str(flagged)],
+             EXIT_OK, "verified", ""),
+            (["family", "cover", "--l", "3", "--no-such-flag"], EXIT_USAGE, "", "error:"),
+            (["-h"], EXIT_OK, "usage: zfilterlab", ""),
+            (["verify", "-h"], EXIT_OK, "--check CERT", ""),
+        ]
+        for argv, want_code, want_out, want_err in interleaved:
+            code, out, err = run(capsys, *argv)
+            assert code == want_code, argv
+            assert want_out in out and want_err in err, argv
+            assert run_plain() == first, argv
 
 
 class TestOracle:
