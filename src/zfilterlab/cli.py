@@ -346,7 +346,8 @@ def _cmd_verify(args) -> int:
 
 def _check_file(args) -> CheckReport:
     """Replay a certificate file, refusing truncations past the caps first:
-    the replay enumerates every support class up to the certificate's T."""
+    in the worst case the replay enumerates every support class up to the
+    certificate's T."""
     text = _read_file(args.check, "certificate")
     try:
         cert = Certificate.from_json(text)

@@ -18,6 +18,8 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 from .branches import BranchIndex
 from .space import (
+    PI,
+    XI,
     Atom,
     Diff,
     Inter,
@@ -48,6 +50,8 @@ class FilterBase:
     def __post_init__(self) -> None:
         if not self.generators:
             raise FilterError("a filter base needs at least one generator (Whole is fine)")
+        if self.ambient not in (XI, PI):
+            raise FilterError(f"unknown ambient {self.ambient!r}")
 
     @classmethod
     def of(cls, generators: Iterable[SetExpr], ambient: str = "xi") -> "FilterBase":
@@ -133,7 +137,7 @@ def filter_member(
     if z_atoms is not None and all(a is not None for a in gen_atoms):
         all_atoms = [a for sub in gen_atoms for a in sub]  # type: ignore[union-attr]
         if not a_form_contained(all_atoms, z_atoms):
-            witness = a_form_witness(all_atoms, z_atoms)
+            witness = a_form_witness(all_atoms, z_atoms, base.ambient)
             return MemberVerdict("refuted", witness=witness, exact=True)
         for size in range(0, len(gens) + 1):
             for combo in itertools.combinations(range(len(gens)), size):

@@ -32,15 +32,26 @@ exactly from separators and a cover (see `engines.ContainmentReport`).
 
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,
-`containment_violations`.  A support class on which both sides are decided
-by the support alone is settled at once.  In any other class only
-singletons read values, and a singleton holds at exactly one point, so
-every point of the class that is none of the sides' singletons gets the
-same verdict.  The loop therefore evaluates only the k singletons lying in
-the class (their values within the class's value range) and the first other
-point in value order, the generic point, whose verdict stands for the rest:
-at most k + 1 points instead of every point of the class.  `eval_setexpr` is
-the reference evaluator the loop is tested against.
+`containment_violations`.  On a nonempty support that is no singleton's
+support every singleton is false, so each side's verdict there depends only
+on which atoms the support hits, its hit pattern.  A branch owns at most
+``T.bit_length()`` positions up to ``T``, so few patterns are reachable.
+Before it walks, the loop probes each pattern once, on one representative
+support plus the sentinel position 0: position 0 lies in no branch and in
+no singleton's support, so it reads every singleton false and leaves the
+pattern as it is.  When no probe has lhs true and rhs false, no other
+support can violate, and only the empty support and the singletons'
+supports within ``T`` are visited; otherwise every support class is.
+Either way the classes come in the same order.  A support class on which
+both sides are decided by the support alone is settled at once.  In any
+other class only singletons read values, and a singleton holds at exactly
+one point, so every point of the class that is none of the sides'
+singletons gets the same verdict.  The loop therefore evaluates only the k
+singletons lying in the class (their values within the class's value
+range) and the first other point in value order, the generic point, whose
+verdict stands for the rest: at most k + 1 points instead of every point of
+the class.  `eval_setexpr` is the reference evaluator the loop is tested
+against.
 """
 
 from __future__ import annotations
@@ -394,17 +405,34 @@ def containment_violations(
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    Both sides are compiled once with `support_evaluator`.  A support
-    class is settled at once when both sides are support-determined there;
-    in the other classes only the sides' singleton points and one generic
-    point are evaluated (see the module docstring).
+    Both sides are compiled once with `support_evaluator`.  Off the empty
+    support and the singletons' own supports every singleton is false, so a
+    support's verdict there follows from its hit pattern (`_hit_patterns`).
+    When no pattern violates, only the empty support and the singletons'
+    supports within ``T`` are visited, in `support_classes` order; otherwise
+    every support class is.  A class is settled at once when both sides are
+    support-determined there; in the other classes only the sides' singleton
+    points and one generic point are evaluated (see the module docstring).
+    Raises `SpaceError` for an unknown ambient before visiting any class.
     """
+    if ambient not in (XI, PI):
+        raise SpaceError(f"unknown ambient {ambient!r}")
     in_lhs = support_evaluator(lhs, trunc.T)
     in_rhs = support_evaluator(rhs, trunc.T)
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
     for q in lhs.singleton_points() + rhs.singleton_points():
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
-    for support in support_classes(trunc):
+    # position 0 lies in no branch and in no singleton's support, so every
+    # singleton reads False on a representative plus 0
+    probes = (rep | {0} for rep in _hit_patterns(lhs.atoms() + rhs.atoms(), trunc.T))
+    if any(in_lhs(s) is True and in_rhs(s) is False for s in probes):
+        supports: Iterable[frozenset[int]] = support_classes(trunc)
+    else:
+        supports = sorted(
+            {frozenset(), *(s for s in singletons if max(s, default=0) <= trunc.T)},
+            key=lambda s: (len(s), sorted(s)),
+        )
+    for support in supports:
         lv = in_lhs(support)
         if lv is False:
             continue
@@ -417,6 +445,28 @@ def containment_violations(
         yield from _value_sensitive_violations(
             support, singletons.get(support, ()), lhs, rhs, lv, rv, trunc, ambient
         )
+
+
+def _hit_patterns(atoms: Iterable[BranchIndex], T: int) -> list[frozenset[int]]:
+    """One representative support for each set of atoms a nonempty support
+    of positions ``1..T`` can hit.
+
+    A position's pattern is the set of atoms whose branch owns it, and a
+    support hits the union of its positions' patterns; positions in no atom
+    count too, as they make the empty pattern reachable.
+    """
+    owners: dict[int, int] = {}
+    for i, atom in enumerate(dict.fromkeys(atoms)):
+        for p in atom.elements_upto(T):
+            owners[p] = owners.get(p, 0) | 1 << i
+    first: dict[int, int] = {}
+    for p in range(1, T + 1):
+        first.setdefault(owners.get(p, 0), p)
+    reps: dict[int, frozenset[int]] = {}
+    for mask, p in first.items():
+        for m, rep in [(0, frozenset()), *reps.items()]:
+            reps.setdefault(m | mask, rep | {p})
+    return list(reps.values())
 
 
 def _value_sensitive_violations(
@@ -640,7 +690,9 @@ def a_form_contained(
 
 
 def a_form_witness(
-    u_generators: Iterable[BranchIndex], v_generators: Iterable[BranchIndex]
+    u_generators: Iterable[BranchIndex],
+    v_generators: Iterable[BranchIndex],
+    ambient: Ambient = XI,
 ) -> XiPoint | None:
     """A point inside the U-intersection but outside the V-intersection, if any."""
     u = list(u_generators)
@@ -649,4 +701,4 @@ def a_form_witness(
         return None
     beta = min(missing, key=lambda b: b.rank)
     l = find_separator(beta, u)
-    return XiPoint.of({l: l})
+    return XiPoint.of({l: l}, ambient)

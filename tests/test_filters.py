@@ -52,13 +52,17 @@ class TestFilterMember:
         assert filter_member(base, Atom(A), TR).refuted
 
     def test_exact_route_on_pure_intersections(self):
-        base = FilterBase.of([Atom(A), Atom(B)])
-        good = filter_member(base, inter_atoms([A]))
-        assert good.proven and good.exact and good.subset == (0,)
-        bad = filter_member(base, inter_atoms([C]))
-        assert bad.refuted and bad.exact
-        assert eval_setexpr(bad.witness, inter_atoms([A, B]))
-        assert not eval_setexpr(bad.witness, inter_atoms([C]))
+        for ambient in ("xi", "pi"):
+            base = FilterBase.of([Atom(A), Atom(B)], ambient)
+            good = filter_member(base, inter_atoms([A]))
+            assert good.proven and good.exact and good.subset == (0,)
+            bad = filter_member(base, inter_atoms([C]))
+            assert bad.refuted and bad.exact
+            # the witness is a point of the base's ambient
+            l = find_separator(C, [A, B])
+            assert bad.witness == XiPoint.of({l: l}, ambient)
+            assert eval_setexpr(bad.witness, inter_atoms([A, B]))
+            assert not eval_setexpr(bad.witness, inter_atoms([C]))
 
     def test_unknown_without_truncation(self):
         base = pairwise_union_base([A, B])
@@ -204,3 +208,5 @@ class TestProperness:
     def test_needs_a_generator(self):
         with pytest.raises(FilterError):
             FilterBase.of([])
+        with pytest.raises(FilterError, match="unknown ambient"):
+            FilterBase.of([Whole()], "zz")

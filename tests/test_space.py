@@ -69,6 +69,10 @@ class TestValidity:
             XiPoint(((1, 2), (1, 3)))
         with pytest.raises(SpaceError):
             XiPoint.of({0: 1})
+        # refused before any point is built, whether or not a point violates
+        for lhs in (Atom(ALL1), Whole()):
+            with pytest.raises(SpaceError, match="unknown ambient"):
+                list(containment_violations(lhs, Atom(ALL1), Truncation(2, 3), "zz"))
 
 
 class TestZeroSets:
@@ -356,6 +360,12 @@ _P14 = XiPoint.of({1: 4})
 # two violating singletons in one class whose generic point does not violate
 @example((XI, Union((Singleton(XiPoint.of({1: 6})), Singleton(_P14))), Atom(ALL1),
           Truncation(2, 6)))
+# a singleton whose support lies past T
+@example((XI, Singleton(XiPoint.of({3: 4})), empty_expr(), Truncation(2, 5)))
+# the empty-support singleton
+@example((PI, Singleton(XiPoint.of({}, PI)), empty_expr(), Truncation(2, 3)))
+# violations only on supports of positions that lie in no atom
+@example((XI, Diff(Whole(), Singleton(P_INF)), Diff(Whole(), Atom(ALL2)), Truncation(2, 5)))
 @settings(max_examples=150, deadline=None)
 def test_containment_violations_match_reference_evaluator(claim):
     ambient, lhs, rhs, trunc = claim
@@ -405,8 +415,23 @@ def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkey
     calls = []
     evaluate = space.eval_setexpr
     monkeypatch.setattr(space, "eval_setexpr", lambda q, e: calls.append(q) or evaluate(q, e))
+    # no hit pattern violates, so the 2**12 support classes are never listed
+    walks = []
+    classes = space.support_classes
+    monkeypatch.setattr(space, "support_classes", lambda t: walks.append(t) or classes(t))
     k = 1
     for left, right in ((lhs, rhs), (rhs, lhs)):
         calls.clear()
         assert list(containment_violations(left, right, Truncation(12, 16), XI)) == []
         assert p in calls and len(calls) <= 2 * (k + 1)
+    assert walks == []
+    # a support-decided claim that fails walks every class, as before
+    trunc = Truncation(3, 4)
+    expected = [
+        q
+        for q in enumerate_truncated(trunc, XI)
+        if eval_setexpr(q, Atom(ALL1)) and not eval_setexpr(q, Atom(ALL2))
+    ]
+    walks.clear()
+    assert list(containment_violations(Atom(ALL1), Atom(ALL2), trunc, XI)) == expected
+    assert expected and walks == [trunc]
