@@ -31,7 +31,7 @@ trunc = Truncation(6, 8)
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 report = property_a_check(Whole(), reg, trunc)
 print("whole space has the non-absorption property:", report.holds,
-      f"({len(report.witnesses)} witness points)")
+      f"({len(report.entries)} witness points, one per entry)")
 
 report = property_a_check(Atom(reg.entries[-1]), reg, trunc)
 print("the top-ranked zero set fails it:", not report.holds,

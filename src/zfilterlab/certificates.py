@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 KINDS = (
     "SeparatorWitness",

@@ -11,7 +11,6 @@ producing engines, so a certificate stands or falls on its own evidence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .branches import BranchIndex, Registry, branch_member
@@ -26,6 +25,7 @@ from .space import (
     SetExpr,
     Truncation,
     Union,
+    Whole,
     XI,
     XiPoint,
     containment_counterexample,
@@ -125,16 +125,19 @@ def _registry_from_params(params: dict) -> Registry:
 
 def _check_separator_witness(ctx: _Context) -> None:
     """Separator claims: the params fix one (entry, maximal group) obligation
-    per listed entry, and each point must lie in the group's intersection
-    but outside the entry's zero set.  A point in the maximal group's
-    intersection lies in every subgroup's, which covers the smaller groups
-    and chain bases the claim quantifies over."""
+    per listed entry, and each point must lie in the group's intersection,
+    and in the recorded ``zset`` for property (A), but outside the entry's
+    zero set.  A point in the maximal group's intersection lies in every
+    subgroup's, which covers the smaller groups, chain bases and constraint
+    sets the claim quantifies over."""
     claim = ctx.cert.payload.get("claim")
-    if claim == "non-absorption-holds":
-        _check_absorption_witnesses(ctx)
-        return
     entries = list(ctx.registry)
-    if claim == "no-single-zero-set-in-filter":
+    zset: SetExpr = Whole()
+    if claim == "non-absorption-holds":
+        zset = ctx.expr(ctx.cert.payload["zset"])
+        # the constraint sets below entry j are the subsets of entries[:j]
+        obligations = [(a, entries[:j]) for j, a in enumerate(entries)]
+    elif claim == "no-single-zero-set-in-filter":
         if len(entries) < 2:
             ctx.report.fail("extendibility needs at least two registry entries")
             return
@@ -162,47 +165,10 @@ def _check_separator_witness(ctx: _Context) -> None:
         point = ctx.point(e["point"])
         if not validate_point(point):
             ctx.report.fail(f"witness point {e['point']} is not a valid point")
-        elif not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
+        elif not eval_setexpr(point, Diff(Inter((zset, inter_atoms(group))), Atom(alpha))):
             ctx.report.fail(
                 f"point {e['point']} fails to separate {alpha.label} "
                 f"from {[b.label for b in group]}"
-            )
-
-
-def _check_absorption_witnesses(ctx: _Context) -> None:
-    """Every constraint set F of the registry and every entry ranked above
-    max(F) needs its own witness in zset ∩ ⋂F outside the entry's zero set,
-    listed in the engine's order (by size of F, then combination order)."""
-    payload = ctx.cert.payload
-    zset = ctx.expr(payload["zset"])
-    entries = list(ctx.registry)
-    # 2**n pairs: derived lazily, so the replay stops at the first entry
-    # missing from (or extra to) the listing instead of building them all
-    expected = (
-        (f_set, beta)
-        for size in range(len(entries) + 1)
-        for f_set in itertools.combinations(entries, size)
-        for beta in entries
-        if beta.rank > max((b.rank for b in f_set), default=-1)
-    )
-    end = object()
-    pairs = []
-    for w, pair in itertools.zip_longest(payload["witnesses"], expected, fillvalue=end):
-        if w is end or pair is end or (w["constraining"], w["beta"]) != (
-            [b.label for b in pair[0]], pair[1].label
-        ):
-            ctx.report.fail(
-                "witnesses must cover exactly every (F, beta) pair with beta ranked "
-                "above F, in order"
-            )
-            return
-        pairs.append((w, pair))
-    for w, (f_set, beta) in pairs:
-        point = ctx.point(w["point"])
-        target = Diff(Inter((zset, inter_atoms(f_set))), Atom(beta))
-        if not validate_point(point) or not eval_setexpr(point, target):
-            ctx.report.fail(
-                f"witness {w['point']} fails for ({w['constraining']}, {w['beta']})"
             )
 
 

@@ -86,6 +86,8 @@ LEMMAS = (
     "chain-inc",
     "chain-dec",
 )
+# engines that always decide, and record, the ambient xi
+XI_LEMMAS = ("extendibility-b", "property-a", "property-b")
 
 
 class UsageError(Exception):
@@ -362,6 +364,8 @@ def _check_file(args) -> CheckReport:
 
 def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
     lemma = args.lemma
+    if lemma in XI_LEMMAS and args.ambient != XI:
+        raise UsageError(f"{lemma} decides in {XI} only, not in {args.ambient}")
     if lemma == "extendibility-a":
         return check_extendibility_a(reg, trunc)
     if lemma == "extendibility-b":

@@ -429,7 +429,7 @@ class AFailure:
 @dataclass
 class PropertyAReport:
     holds: bool
-    witnesses: list[dict]
+    entries: list[dict]
     failure: AFailure | None
     certificate: Certificate
 
@@ -437,55 +437,54 @@ class PropertyAReport:
 def property_a_check(
     zset: SetExpr, registry: Registry, trunc: Truncation
 ) -> PropertyAReport:
-    """Non-absorption relative to the registry: for every low-ranked constraint
-    set and every higher-ranked entry, exhibit a point of the constrained set
-    escaping that entry, or report the first violating pair with its
-    exhaustively verified inclusion."""
+    """Non-absorption relative to the registry: every constraint set F and
+    every entry beta ranked above F need a point of ``zset ∩ ⋂F`` escaping
+    beta.  Ranks strictly increase, so the constraint sets below entry j are
+    the subsets of the entries before it, and one point of the largest,
+    ``zset ∩ ⋂entries[:j]``, outside Z(e_j) serves them all: the certificate
+    lists one ``{alpha, point}`` per entry.  The first entry without such a
+    point is reported with a constraint set shrunk, in rank order, to the
+    members it cannot do without, and its inclusion is verified exhaustively
+    on the truncation."""
     entries = list(registry)
-    witnesses: list[dict] = []
-    for size in range(0, len(entries) + 1):
-        for f_set in itertools.combinations(entries, size):
-            max_rank = max((b.rank for b in f_set), default=-1)
-            for beta in entries:
-                if beta.rank <= max_rank:
-                    continue
-                point = _property_a_witness(zset, f_set, beta, trunc)
-                if point is None:
-                    failure = AFailure(zset, f_set, (beta,))
-                    cert = Certificate(
-                        "InclusionChain",
-                        params=_params(registry, trunc, XI),
-                        payload={
-                            "claim": "absorption-failure",
-                            "afailure": failure.to_payload(),
-                        },
-                        steps=[
-                            {
-                                "check": "containment",
-                                "lhs": setexpr_text(failure.lhs()),
-                                "rhs": setexpr_text(failure.rhs()),
-                                "exhaustive": True,
-                            }
-                        ],
-                    )
-                    return PropertyAReport(False, witnesses, failure, cert)
-                witnesses.append(
+    listed: list[dict] = []
+    for j, beta in enumerate(entries):
+        point = _property_a_witness(zset, entries[:j], beta, trunc)
+        if point is None:
+            f_set = entries[:j]
+            for b in entries[:j]:
+                smaller = [c for c in f_set if c != b]
+                if _property_a_witness(zset, smaller, beta, trunc) is None:
+                    f_set = smaller
+            failure = AFailure(zset, tuple(f_set), (beta,))
+            cert = Certificate(
+                "InclusionChain",
+                params=_params(registry, trunc, XI),
+                payload={
+                    "claim": "absorption-failure",
+                    "afailure": failure.to_payload(),
+                },
+                steps=[
                     {
-                        "constraining": [b.label for b in f_set],
-                        "beta": beta.label,
-                        "point": point.literal(),
+                        "check": "containment",
+                        "lhs": setexpr_text(failure.lhs()),
+                        "rhs": setexpr_text(failure.rhs()),
+                        "exhaustive": True,
                     }
-                )
+                ],
+            )
+            return PropertyAReport(False, listed, failure, cert)
+        listed.append({"alpha": beta.label, "point": point.literal()})
     cert = Certificate(
         "SeparatorWitness",
         params=_params(registry, trunc, XI),
         payload={
             "claim": "non-absorption-holds",
             "zset": setexpr_text(zset),
-            "witnesses": witnesses,
+            "entries": listed,
         },
     )
-    return PropertyAReport(True, witnesses, None, cert)
+    return PropertyAReport(True, listed, None, cert)
 
 
 def _property_a_witness(

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from zfilterlab.branches import make_registry
+from zfilterlab.branches import branch_member, find_separator, make_registry
 from zfilterlab.certificates import (
     SCHEMA_VERSION,
     Certificate,
@@ -155,9 +155,10 @@ class TestStructure:
         assert not report.ok and report.problems
 
     def test_version_one_document_rejected(self):
-        # schema 2 certificates still list the closure classes
+        # schema 2 certificates still list the closure classes, and schema 3
+        # property-a certificates one witness per (F, beta) pair
         cert = sample_certificates()[0]
-        for schema in (1, 2):
+        for schema in (1, 2, 3):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": cert.steps}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -195,7 +196,7 @@ class TestSeparatorWitnessClaims:
             (lambda: check_extendibility_a(reg(), TR), "entries"),
             (lambda: increasing_chain_engine(reg(), 3, TR).certificate, "entries"),
             (lambda: decreasing_chain_engine(reg(), 3, TR).certificate, "entries"),
-            (lambda: property_a_check(Whole(), reg(), TR).certificate, "witnesses"),
+            (lambda: property_a_check(Whole(), reg(), TR).certificate, "entries"),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
     )
@@ -224,6 +225,20 @@ class TestSeparatorWitnessClaims:
         cert.payload["entries"][0]["point"] = "{1:1}"
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         assert not check_certificate(fresh).ok
+
+    def test_property_a_point_outside_the_maximal_set_rejected(self):
+        # b3's point must lie in the zero sets of b0, b1 and b2, not only in
+        # those of b0 and b1
+        r = reg()
+        cert = property_a_check(Whole(), r, TR).certificate
+        assert len(cert.payload["entries"]) == len(r)
+        b0, b1, b2, b3 = r.entries[:4]
+        l = find_separator(b3, [b0, b1])
+        assert branch_member(b2, l)
+        cert.payload["entries"][3]["point"] = f"{{{l}:{l}}}"
+        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        report = check_certificate(fresh)
+        assert not report.ok and "fails to separate b3" in report.problems[0]
 
     def test_single_entry_registry_rejected(self):
         cert = check_extendibility_a(reg(), TR)
@@ -320,12 +335,12 @@ class TestBoundedReplay:
         assert "not covered" in report.problems[0]
 
     def test_property_a_listing_stops_at_the_first_missing_pair(self):
-        # 24 entries have millions of (F, beta) pairs; none of them is listed
+        # 24 entries, none of them listed
         words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(24)]
         r = make_registry([(w, "2") for w in words])
         cert = property_a_check(Whole(), reg(), TR).certificate
         params = dict(cert.params, registry=r.to_payload())
-        payload = dict(cert.payload, witnesses=[])
+        payload = dict(cert.payload, entries=[])
         start = time.perf_counter()
         report = check_certificate(Certificate(cert.kind, params, payload, cert.steps))
         assert time.perf_counter() - start < 2.0

@@ -176,6 +176,28 @@ class TestVerify:
         assert code == EXIT_OK
         assert Certificate.read(str(out_file)).kind == "CounterexamplePoint"
 
+    @pytest.mark.parametrize("lemma, extra", [
+        ("property-a", []),
+        ("extendibility-b", ["--alpha", "e0"]),
+        ("property-b", ["--cover", "COVER"]),
+    ])
+    def test_xi_only_lemmas_refuse_another_ambient(self, capsys, tmp_path, lemma, extra):
+        # these engines decide and record xi; {1:1,3:1} is a pi point only
+        cover_file = tmp_path / "cover.json"
+        cover_file.write_text(json.dumps({"afailures": [
+            {"zset": "(union N:e0 (pt {1:1,3:1}))", "constraining": [], "absorbing": ["e1"]}]}))
+        out_file = tmp_path / "x.json"
+        extra = [str(cover_file) if x == "COVER" else x for x in extra]
+        code, out, err = run(
+            capsys,
+            "verify", lemma, "--ambient", "pi", "--zset", "(union N:e0 (pt {1:1,3:1}))",
+            *extra, "-r", "e0=:1@0", "-r", "e1=:2@1", "--T", "4", "--V", "5",
+            "--out", str(out_file),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "xi" in err
+        assert not out_file.exists()
+
     def test_unknown_hypothesis_exit_code(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -1,10 +1,12 @@
 """Engine tests: extendibility, closure containments, properties, chains."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfilterlab.branches import BranchIndex, Registry, branch_member, make_registry
+from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separator, make_registry
 from zfilterlab.engines import (
     AFailure,
     AFailureVerificationError,
@@ -29,11 +31,13 @@ from zfilterlab.space import (
     XI,
     Atom,
     Diff,
+    Inter,
     Singleton,
     Truncation,
     Union,
     Whole,
     XiPoint,
+    containment_counterexample,
     enumerate_truncated,
     eval_setexpr,
     inter_atoms,
@@ -249,17 +253,47 @@ class TestExactClosureRule:
         self.assert_rule(report, XiPoint.of({p: 1 + v for p, v in zip(support, values)}, PI))
 
 
+@st.composite
+def property_a_setups(draw):
+    """A registry of at most 5 entries (2 to 5 draws, repeats dropped), a
+    zset built from some of its atoms and one singleton by union or
+    intersection, and a small truncation."""
+    branches: list[BranchIndex] = []
+    for pre, period in draw(st.lists(
+        st.tuples(st.text(alphabet="12", max_size=3), st.text(alphabet="12", min_size=1, max_size=2)),
+        min_size=2, max_size=5,
+    )):
+        b = BranchIndex(pre, period, len(branches))
+        if b not in branches:
+            branches.append(b)
+    atoms = [Atom(b) for b in branches if draw(st.booleans())]
+    positions = sorted(draw(st.sets(st.integers(1, 12), max_size=3)))
+    top = max(positions, default=0)
+    point = XiPoint.of({p: top + draw(st.integers(0, 3)) for p in positions})
+    combine = draw(st.sampled_from((Union, Inter)))
+    trunc = Truncation(draw(st.integers(3, 5)), draw(st.integers(2, 6)))
+    return Registry(branches), combine((*atoms, Singleton(point))), trunc
+
+
+def has_point(zset, f_set, beta, trunc) -> bool:
+    """The separator point against ``f_set``, or a truncated point, lies in
+    ``zset ∩ ⋂f_set`` outside Z(beta)."""
+    lhs = Inter((zset, inter_atoms(f_set)))
+    l = find_separator(beta, f_set)
+    return (eval_setexpr(XiPoint.of({l: l}), Diff(lhs, Atom(beta)))
+            or containment_counterexample(lhs, Atom(beta), trunc, XI) is not None)
+
+
 class TestPropertyA:
     def test_whole_has_property(self):
         reg = make_registry([("", "1"), ("", "2")])
         report = property_a_check(Whole(), reg, TR)
         assert report.holds
-        for w in report.witnesses:
-            point = parse_point_literal(w["point"])
-            f_set = [reg.by_label(x) for x in w["constraining"]]
-            beta = reg.by_label(w["beta"])
-            assert eval_setexpr(point, inter_atoms(f_set))
-            assert not eval_setexpr(point, Atom(beta))
+        assert [e["alpha"] for e in report.entries] == ["b0", "b1"]
+        for j, e in enumerate(report.entries):
+            point = parse_point_literal(e["point"])
+            assert eval_setexpr(point, inter_atoms(reg.entries[:j]))
+            assert not eval_setexpr(point, Atom(reg.entries[j]))
 
     def test_top_zero_set_fails_reflexively(self):
         reg = reg3()
@@ -274,6 +308,55 @@ class TestPropertyA:
         assert not report.holds
         assert report.failure.constraining == ()
         assert report.failure.absorbing == (reg.entries[0],)
+
+    @given(property_a_setups())
+    @settings(max_examples=300, deadline=None)
+    def test_one_point_per_entry_serves_every_constraint_set(self, setup):
+        reg, zset, trunc = setup
+        report = property_a_check(zset, reg, trunc)
+        assert check_certificate(report.certificate).ok
+        entries = list(reg)
+        if report.holds:
+            assert len(report.entries) == len(entries)
+            cut = len(entries)
+        else:
+            beta = report.failure.absorbing[0]
+            cut = entries.index(beta)
+        # the entries before the first failing one are listed, in rank order
+        assert [e["alpha"] for e in report.entries] == [b.label for b in entries[:cut]]
+        for j, e in enumerate(report.entries):
+            point = parse_point_literal(e["point"])
+            # the whole quantifier range: every F below the entry, one by one
+            for size in range(j + 1):
+                for f_set in itertools.combinations(entries[:j], size):
+                    target = Diff(Inter((zset, inter_atoms(f_set))), Atom(entries[j]))
+                    assert eval_setexpr(point, target), (e, f_set)
+        if not report.holds:
+            failure = report.failure
+            assert containment_counterexample(failure.lhs(), failure.rhs(), trunc, XI) is None
+            # the reported constraint set keeps only members it cannot do without
+            for b in failure.constraining:
+                smaller = [c for c in failure.constraining if c != b]
+                assert has_point(zset, smaller, beta, trunc), (b, failure)
+
+    def test_separator_past_the_truncation_serves_the_smaller_sets(self):
+        # (F = {b1}, b2) on its own has no point: its separator point {4:4}
+        # misses the zset and the truncation holds none of zset ∩ Z(b1)
+        # outside Z(b2).  The separator point {10:10} against the largest
+        # set {b0, b1} lies past T, in the zset, so it serves {b1} too and
+        # the property holds relative to the registry.
+        reg = make_registry([("", "12"), ("11", "2"), ("122", "21")])
+        zset = parse_setexpr("(union (pt {1:1}) (pt {3:3}) (pt {10:10}))", reg)
+        trunc = Truncation(4, 2)
+        b0, b1, b2 = reg.entries
+        assert find_separator(b2, [b1]) == 4
+        assert containment_counterexample(
+            Inter((zset, Atom(b1))), Atom(b2), trunc, XI) is None
+        report = property_a_check(zset, reg, trunc)
+        assert report.holds
+        assert report.entries[2] == {"alpha": "b2", "point": "{10:10}"}
+        assert eval_setexpr(XiPoint.of({10: 10}), Diff(Inter((zset, Atom(b1))), Atom(b2)))
+        assert check_certificate(report.certificate).ok
 
 
 def whole_afailure(reg: Registry, trunc: Truncation) -> AFailure:
