@@ -318,7 +318,17 @@ def _check_contradiction(ctx: _Context) -> None:
     payload = ctx.cert.payload
     trunc = ctx.need_trunc()
     _check_refuter_inputs(ctx, trunc)
+    # tie the payload to its cover: the replay above already checked every
+    # recorded failure's inclusion on the truncation, this one included
+    afailures = ctx.cert.params.get("afailures", [])
+    index = payload["afailure_index"]
+    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < len(afailures):
+        ctx.report.fail(f"afailure_index {index!r} names no recorded absorption failure")
+        return
     af = payload["afailure"]
+    if af != afailures[index]:
+        ctx.report.fail(f"the afailure differs from the recorded one at index {index}")
+        return
     zset = ctx.expr(af["zset"])
     constraining = ctx.branch_entries(af["constraining"])
     absorbing = ctx.branch_entries(af["absorbing"])
@@ -332,14 +342,6 @@ def _check_contradiction(ctx: _Context) -> None:
         ctx.report.fail("contradiction point leaves the constraining intersection")
     if any(eval_setexpr(point, Atom(b)) for b in absorbing):
         ctx.report.fail("contradiction point still sits in an absorbing zero set")
-    # the same inclusion must hold exhaustively within the truncation: the
-    # certificate's force is exactly the clash between the two facts
-    lhs = Inter((zset, inter_atoms(constraining)))
-    bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
-    if bad is not None:
-        ctx.report.fail(
-            f"claimed inclusion already fails on the truncation at {bad.literal()}"
-        )
 
 
 def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> None:

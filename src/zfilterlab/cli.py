@@ -76,18 +76,17 @@ CAP_V = 16
 
 OUTPUT_DIR_ENV = "ZFILTERLAB_OUT"
 
-LEMMAS = (
-    "extendibility-a",
-    "extendibility-b",
-    "containment-dec",
-    "containment-full",
-    "property-a",
-    "property-b",
-    "chain-inc",
-    "chain-dec",
-)
-# engines that always decide, and record, the ambient xi
-XI_LEMMAS = ("extendibility-b", "property-a", "property-b")
+# each lemma's engine decides, and records, this one ambient
+LEMMAS = {
+    "extendibility-a": XI,
+    "extendibility-b": XI,
+    "containment-dec": XI,
+    "containment-full": PI,
+    "property-a": XI,
+    "property-b": XI,
+    "chain-inc": XI,
+    "chain-dec": XI,
+}
 
 
 class UsageError(Exception):
@@ -190,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--steps", type=int, default=2, help="chain length")
     verify.add_argument("--cover", help="putative cover file (property-b)")
     verify.add_argument("--seed", type=int, default=0, help="recorded in the certificate")
-    verify.set_defaults(func=_cmd_verify)
+    # --ambient defaults to the lemma's own ambient
+    verify.set_defaults(func=_cmd_verify, ambient=None)
 
     oracle = sub.add_parser("oracle", help="exhaustive truncated claim evaluation")
     oracle.add_argument("claim", help="claim file (JSON)")
@@ -364,14 +364,15 @@ def _check_file(args) -> CheckReport:
 
 def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
     lemma = args.lemma
-    if lemma in XI_LEMMAS and args.ambient != XI:
-        raise UsageError(f"{lemma} decides in {XI} only, not in {args.ambient}")
+    ambient = LEMMAS[lemma]
+    if args.ambient not in (None, ambient):
+        raise UsageError(f"{lemma} decides in {ambient} only, not in {args.ambient}")
     if lemma == "extendibility-a":
         return check_extendibility_a(reg, trunc)
     if lemma == "extendibility-b":
         if not args.zset or not args.alpha:
             raise UsageError("extendibility-b needs --zset and --alpha")
-        zset = parse_setexpr(args.zset, reg, args.ambient)
+        zset = parse_setexpr(args.zset, reg, ambient)
         return check_extendibility_b(zset, _resolve_branch(reg, args.alpha), reg, trunc)
     if lemma == "containment-dec":
         subtracted = [_resolve_branch(reg, b) for b in args.F]
@@ -384,12 +385,12 @@ def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
     if lemma == "property-a":
         if not args.zset:
             raise UsageError("property-a needs --zset")
-        zset = parse_setexpr(args.zset, reg, args.ambient)
+        zset = parse_setexpr(args.zset, reg, ambient)
         return property_a_check(zset, reg, trunc).certificate
     if lemma == "property-b":
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")
-        failures = _load_afailures(args.cover, reg, args.ambient)
+        failures = _load_afailures(args.cover, reg, ambient)
         return property_b_refute(failures, args.gamma, reg, trunc)
     if lemma == "chain-inc":
         return increasing_chain_engine(reg, args.steps, trunc).certificate

@@ -20,14 +20,14 @@ truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
 finite values, and every caller that reasons from supports alone (the
-containment loop and the closure engines' class view) compiles its
-expression once with `support_evaluator`.  A support is a frozenset of
-positions; an atom compiles to the set of its branch's elements up to ``T``
-and holds exactly when the support misses that set.  Supports may also hold
-positions past ``T``, listed up front as ``extra`` (`eval_on_support` lists
-a whole support that way); each atom adds the extra positions its branch
-owns, so no set is sized by a position's value.  The closure containments
-themselves need no support walk: the coordinate-pushing step decides them
+containment loop, `closure_member` and the closure engines' class view)
+compiles its expression once with `support_evaluator`.  A support is a
+frozenset of positions; an atom compiles to the set of its branch's elements
+up to ``T`` and holds exactly when the support misses that set.  Supports
+may also hold positions past ``T``, listed up front as ``extra``
+(`eval_on_support` lists a whole support that way); each atom adds the extra
+positions its branch owns, so no set is sized by a position's value.  The
+closure containments need no support walk: coordinate pushing decides them
 exactly from separators and a cover (see `engines.ContainmentReport`).
 
 Every finite containment claim (the oracle, the checker, filter membership,
@@ -576,14 +576,7 @@ def sequence_start(base: XiPoint, varied: Sequence[int]) -> int:
 
 def approx_sequence(point: XiPoint, position: int, count: int) -> ApproxSequence:
     """Single-position approximation of ``point`` varying ``position``."""
-    _require_valid(point)
-    if point.coordinate(position) is not None:
-        raise SpaceError(f"position {position} lies in the support")
-    if not escape_terms_valid(point, [position]):
-        raise SpaceError(
-            f"no level admits varying position {position} on {point.literal()}"
-        )
-    return ApproxSequence(point, (position,), sequence_start(point, [position]), count)
+    return multi_escape_sequence(point, (position,), count)
 
 
 def escape_terms_valid(point: XiPoint, positions: Sequence[int]) -> bool:
@@ -631,43 +624,49 @@ class ClosureVerdict:
     truncation: Truncation | None = None
 
 
-def closure_member(
-    point: XiPoint,
-    expr: SetExpr,
-    trunc: Truncation,
-    *,
-    max_varied: int = 2,
-    terms: int = 3,
-    position_limit: int | None = None,
-) -> ClosureVerdict:
+def closure_member(point: XiPoint, expr: SetExpr, trunc: Truncation) -> ClosureVerdict:
     """Decide membership of ``point`` in the closure of ``expr``, boundedly.
 
-    The proof search follows the one witness schema the constructions ever
-    need: push finitely many off-support coordinates to large finite values
-    and check that every term lands inside the set.  The refutation search
-    fixes the point's support and exhaustively empties the expression on the
-    truncated neighborhood.
+    Both searches read ``expr`` through one `support_evaluator`.  The proof
+    search pushes one, then two, free positions up to ``max(T, 64)`` to large
+    finite values; the three terms share one support, whose verdict decides
+    them unless it is value-sensitive.  The refutation holds the point's
+    coordinates and finds no support class within the truncation that meets
+    ``expr``: a class meets it at one of its singletons or, when it holds some
+    other point, exactly when its support plus the sentinel position 0 does.
     """
     _require_valid(point)
     if eval_setexpr(point, expr):
         return ClosureVerdict("proven", witness=point)
+    limit = max(trunc.T, 64)
+    held = frozenset(point.positions())
+    in_expr = support_evaluator(expr, limit, held)
+    free = [p for p in range(1, limit + 1) if p not in held]
+    for combo in itertools.chain.from_iterable(itertools.combinations(free, n) for n in (1, 2)):
+        if not escape_terms_valid(point, combo):
+            continue
+        verdict = in_expr(held.union(combo))
+        if verdict is False:
+            continue
+        seq = multi_escape_sequence(point, combo, 3)
+        if verdict or all(eval_setexpr(t, expr) for t in seq.terms()):
+            return ClosureVerdict("proven", witness=seq)
 
-    limit = position_limit if position_limit is not None else max(trunc.T, 64)
-    free = [p for p in range(1, limit + 1) if point.coordinate(p) is None]
-    for size in range(1, max_varied + 1):
-        for combo in itertools.combinations(free, size):
-            if not escape_terms_valid(point, combo):
-                continue
-            seq = multi_escape_sequence(point, combo, terms)
-            if all(eval_setexpr(t, expr) for t in seq.terms()):
-                return ClosureVerdict("proven", witness=seq)
-
-    fixed = point.support
-    for q in enumerate_truncated(trunc, point.ambient):
-        if all(q.coordinate(p) == v for p, v in fixed):
-            if eval_setexpr(q, expr):
-                return ClosureVerdict("unknown", truncation=trunc)
-    return ClosureVerdict("refuted", neighborhood=fixed, truncation=trunc)
+    for support in support_classes(trunc):
+        values = _value_range(point.ambient, max(support, default=0), trunc.V)
+        if not held <= support or not all(v in values for v in point.values()):
+            continue
+        # the expression's singletons that are held points of this class
+        inside = {
+            q.support for q in expr.singleton_points()
+            if frozenset(q.positions()) == support and set(point.support) <= set(q.support)
+            and all(v in values for v in q.values())
+        }
+        if any(eval_setexpr(XiPoint(s, point.ambient), expr) for s in inside) or (
+            len(values) ** len(support - held) > len(inside) and in_expr(support | {0})
+        ):
+            return ClosureVerdict("unknown", truncation=trunc)
+    return ClosureVerdict("refuted", neighborhood=point.support, truncation=trunc)
 
 
 # ---------------------------------------------------------------------------

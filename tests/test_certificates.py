@@ -139,6 +139,25 @@ class TestTampering:
         report = check_certificate(fresh)
         assert not report.ok
 
+    @pytest.mark.parametrize("tamper", ["index-out-of-range", "index-not-int", "afailure-dropped"])
+    def test_contradiction_is_tied_to_its_cover(self, tamper):
+        # the payload afailure must be the recorded one at afailure_index;
+        # each tamper used to pass under a fresh digest
+        cert = next(c for c in sample_certificates() if c.kind == "Contradiction")
+        params, payload = dict(cert.params), dict(cert.payload)
+        index = payload["afailure_index"]
+        if tamper == "index-out-of-range":
+            payload["afailure_index"] = 99
+        elif tamper == "index-not-int":
+            payload["afailure_index"] = str(index)
+        else:
+            # drop the payload's afailure from the recorded cover
+            params["afailures"] = [a for i, a in enumerate(params["afailures"]) if i != index]
+            params["cover"] = [c for i, c in enumerate(params["cover"]) if i != index]
+        assert check_certificate(cert).ok
+        tampered = Certificate(cert.kind, params, payload, cert.steps)
+        assert not check_certificate(Certificate.from_json(tampered.to_json())).ok
+
 
 class TestStructure:
     def test_bad_field_types_rejected_on_construction(self):

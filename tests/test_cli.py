@@ -180,23 +180,39 @@ class TestVerify:
         ("property-a", []),
         ("extendibility-b", ["--alpha", "e0"]),
         ("property-b", ["--cover", "COVER"]),
+        ("extendibility-a", []),
+        ("containment-dec", ["--F", "e0", "--G", "e1"]),
+        ("containment-full", ["--F", "e0", "--G", "e1"]),
+        ("chain-inc", []),
+        ("chain-dec", []),
     ])
     def test_xi_only_lemmas_refuse_another_ambient(self, capsys, tmp_path, lemma, extra):
-        # these engines decide and record xi; {1:1,3:1} is a pi point only
+        # every engine decides and records one ambient, containment-full pi
+        # and the rest xi, and refuses the other; {1:1,3:1} is a pi point only
+        own, other = ("pi", "xi") if lemma == "containment-full" else ("xi", "pi")
         cover_file = tmp_path / "cover.json"
         cover_file.write_text(json.dumps({"afailures": [
             {"zset": "(union N:e0 (pt {1:1,3:1}))", "constraining": [], "absorbing": ["e1"]}]}))
         out_file = tmp_path / "x.json"
         extra = [str(cover_file) if x == "COVER" else x for x in extra]
+        flags = [*extra, "-r", "e0=:1@0", "-r", "e1=:2@1", "--T", "4", "--V", "5",
+                 "--out", str(out_file)]
         code, out, err = run(
             capsys,
-            "verify", lemma, "--ambient", "pi", "--zset", "(union N:e0 (pt {1:1,3:1}))",
-            *extra, "-r", "e0=:1@0", "-r", "e1=:2@1", "--T", "4", "--V", "5",
-            "--out", str(out_file),
+            "verify", lemma, "--ambient", other, "--zset", "(union N:e0 (pt {1:1,3:1}))",
+            *flags,
         )
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error:") and "xi" in err
+        assert err.startswith("error:") and own in err
         assert not out_file.exists()
+        # the lemma's own ambient is the default, and naming it changes
+        # nothing (the three lemmas that read the pi-only set are left out)
+        if lemma not in ("extendibility-b", "property-a", "property-b"):
+            assert run(capsys, "verify", lemma, *flags)[0] == EXIT_OK
+            default = out_file.read_bytes()
+            assert run(capsys, "verify", lemma, "--ambient", own, *flags)[0] == EXIT_OK
+            assert out_file.read_bytes() == default
+            assert Certificate.read(str(out_file)).params["ambient"] == own
 
     def test_unknown_hypothesis_exit_code(self, capsys, tmp_path):
         code, _, err = run(

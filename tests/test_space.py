@@ -1,5 +1,8 @@
 """Point validity, zero-set membership, enumeration, sequences, closure checks."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from zfilterlab.space import (
     XI,
     ApproxSequence,
     Atom,
+    ClosureVerdict,
     Diff,
     Inter,
     SetExpr,
@@ -29,6 +33,7 @@ from zfilterlab.space import (
     containment_violations,
     empty_expr,
     enumerate_truncated,
+    escape_terms_valid,
     eval_on_support,
     eval_setexpr,
     in_zero_set,
@@ -43,6 +48,7 @@ from zfilterlab.space import (
 ALL1 = BranchIndex("", "1", 0, "a1")
 ALL2 = BranchIndex("", "2", 1, "a2")
 ONE_THEN_2 = BranchIndex("1", "2", 2, "m")
+ONE_TWO_THEN_1 = BranchIndex("12", "1", 3, "t")
 
 P_INF = XiPoint.of({})
 
@@ -217,34 +223,6 @@ class TestApproxSequence:
             multi_escape_sequence(XiPoint.of({2: 3}), [5], 2)
 
 
-class TestClosure:
-    def test_point_in_set_is_its_own_witness(self):
-        verdict = closure_member(P_INF, Whole(), Truncation(3, 4))
-        assert verdict.status == "proven" and verdict.witness == P_INF
-
-    def test_separator_escape(self):
-        # the all-infinite point is a limit of the intersection minus one set
-        expr = Diff(inter_atoms([ALL2]), Atom(ALL1))
-        verdict = closure_member(P_INF, expr, Truncation(4, 6))
-        assert verdict.status == "proven"
-        assert isinstance(verdict.witness, ApproxSequence)
-        for t in verdict.witness.terms():
-            assert eval_setexpr(t, expr)
-
-    def test_refuted_by_support_neighborhood(self):
-        p = XiPoint.of({1: 1})
-        verdict = closure_member(p, Atom(ALL1), Truncation(2, 3))
-        assert verdict.status == "refuted"
-        assert verdict.neighborhood == ((1, 1),)
-
-    def test_unknown_when_search_bounded_out(self):
-        # singleton off the point: proof impossible, support neighborhood
-        # still meets the target, so the bounded engine stays agnostic
-        target = Singleton(XiPoint.of({1: 2}))
-        verdict = closure_member(P_INF, target, Truncation(2, 3))
-        assert verdict.status == "unknown"
-
-
 class TestAFormContainment:
     def test_examples(self):
         assert a_form_contained([ALL1, ALL2], [ALL1])
@@ -258,8 +236,6 @@ class TestAFormContainment:
         assert not eval_setexpr(w, inter_atoms([ALL2]))
 
     def test_agrees_with_exhaustive_oracle_small(self):
-        import itertools
-
         branches = [ALL1, ALL2, ONE_THEN_2]
         trunc = Truncation(4, 5)
         pts = enumerate_truncated(trunc, XI)
@@ -296,10 +272,10 @@ def test_validity_criterion_is_value_floor(mapping):
     assert validate_point(p) == expected
 
 
-_BRANCHES = [ALL1, ALL2, ONE_THEN_2, BranchIndex("12", "1", 3, "t")]
+_BRANCHES = [ALL1, ALL2, ONE_THEN_2, ONE_TWO_THEN_1]
 
 
-def _setexprs(ambient):
+def _setexprs(ambient, more_points=st.nothing()):
     # singleton values of at least 4 keep most singletons valid and inside
     # the truncation, so value-sensitive support classes come up often
     points = st.dictionaries(
@@ -310,6 +286,7 @@ def _setexprs(ambient):
     leaves = st.one_of(
         st.sampled_from(_BRANCHES).map(Atom),
         points.map(Singleton),
+        more_points.map(Singleton),
         st.just(Whole()),
     )
 
@@ -435,3 +412,170 @@ def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkey
     walks.clear()
     assert list(containment_violations(Atom(ALL1), Atom(ALL2), trunc, XI)) == expected
     assert expected and walks == [trunc]
+
+
+def _closure_member_reference(point, expr, trunc):
+    """`closure_member` as it was before it read supports, kept as the
+    reference: every term and every truncated point is evaluated."""
+    space._require_valid(point)
+    if eval_setexpr(point, expr):
+        return ClosureVerdict("proven", witness=point)
+
+    limit = max(trunc.T, 64)
+    free = [p for p in range(1, limit + 1) if point.coordinate(p) is None]
+    for size in range(1, 3):
+        for combo in itertools.combinations(free, size):
+            if not escape_terms_valid(point, combo):
+                continue
+            seq = multi_escape_sequence(point, combo, 3)
+            if all(eval_setexpr(t, expr) for t in seq.terms()):
+                return ClosureVerdict("proven", witness=seq)
+
+    fixed = point.support
+    for q in enumerate_truncated(trunc, point.ambient):
+        if all(q.coordinate(p) == v for p, v in fixed):
+            if eval_setexpr(q, expr):
+                return ClosureVerdict("unknown", truncation=trunc)
+    return ClosureVerdict("refuted", neighborhood=fixed, truncation=trunc)
+
+
+@st.composite
+def _carrying(draw, point, trunc):
+    """A singleton point that carries ``point``'s coordinates and one or two
+    more, with values valid in the ambient and at most one past ``V``: the
+    kind of singleton that can meet the point's neighborhood classes."""
+    held = dict(point.support)
+    free = [p for p in range(1, trunc.T + 3) if p not in held]
+    extra = draw(st.lists(st.sampled_from(free), min_size=1, max_size=2, unique=True))
+    lo = max([*held, *extra]) if point.ambient == XI else 1
+    values = st.integers(min_value=lo, max_value=max(lo, trunc.V + 1))
+    return XiPoint.of({**held, **{p: draw(values) for p in extra}}, point.ambient)
+
+
+def _closure_cases(ambient):
+    def within(trunc):
+        # coordinates reach one past the truncation, so that most points
+        # lie inside it and some do not
+        point = st.dictionaries(
+            st.integers(min_value=1, max_value=trunc.T + 1),
+            st.integers(min_value=1, max_value=trunc.V + 1),
+            max_size=2,
+        ).map(lambda m: XiPoint.of(m, ambient)).filter(validate_point)
+
+        def with_expr(point):
+            carrying = _carrying(point, trunc)
+            exprs = _setexprs(ambient, carrying)
+            joined = st.builds(lambda q, e: Union((Singleton(q), e)), carrying, exprs)
+            return st.tuples(st.just(point), st.one_of(exprs, joined), st.just(trunc))
+
+        return point.flatmap(with_expr)
+
+    return st.builds(
+        Truncation, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=5)
+    ).flatmap(within)
+
+
+class TestClosure:
+    def test_point_in_set_is_its_own_witness(self):
+        verdict = closure_member(P_INF, Whole(), Truncation(3, 4))
+        assert verdict.status == "proven" and verdict.witness == P_INF
+
+    def test_separator_escape(self):
+        # the all-infinite point is a limit of the intersection minus one set
+        expr = Diff(inter_atoms([ALL2]), Atom(ALL1))
+        verdict = closure_member(P_INF, expr, Truncation(4, 6))
+        assert verdict.status == "proven"
+        assert isinstance(verdict.witness, ApproxSequence)
+        for t in verdict.witness.terms():
+            assert eval_setexpr(t, expr)
+
+    def test_refuted_by_support_neighborhood(self):
+        p = XiPoint.of({1: 1})
+        verdict = closure_member(p, Atom(ALL1), Truncation(2, 3))
+        assert verdict.status == "refuted"
+        assert verdict.neighborhood == ((1, 1),)
+
+    def test_unknown_when_search_bounded_out(self):
+        # singleton off the point: proof impossible, support neighborhood
+        # still meets the target, so the bounded engine stays agnostic
+        target = Singleton(XiPoint.of({1: 2}))
+        verdict = closure_member(P_INF, target, Truncation(2, 3))
+        assert verdict.status == "unknown"
+
+    def test_a_late_singleton_alone_meets_the_class(self):
+        # the class {1, 2} holding 1:10 has nine points, 2..10 at position 2,
+        # and only the last lies in the set: reading the first k + 1 = 2
+        # points of the class in value order would refute
+        point, trunc = XiPoint.of({1: 10}), Truncation(2, 10)
+        expr = Singleton(XiPoint.of({1: 10, 2: 10}))
+        verdict = closure_member(point, expr, trunc)
+        assert verdict.status == "unknown"
+        assert verdict == _closure_member_reference(point, expr, trunc)
+
+    @pytest.mark.parametrize(
+        "point, expr",
+        [
+            (XiPoint.of({1: 10}), empty_expr()),
+            # the singleton carries 1:3 but lies past V, and every support
+            # holding position 1 misses ALL1
+            (XiPoint.of({1: 3}, PI),
+             Union((Singleton(XiPoint.of({1: 3, 2: 17}, PI)), Atom(ALL1)))),
+        ],
+        ids=["xi-empty", "pi-singleton-past-v"],
+    )
+    def test_refutation_at_the_cap_enumerates_no_point(self, monkeypatch, point, expr):
+        # (12, 16) holds 4.9e9 points of xi; the refutation walks support
+        # classes instead
+        def fail(*args):
+            pytest.fail("the refutation listed points")
+
+        for name in ("enumerate_truncated", "class_points"):
+            monkeypatch.setattr(space, name, fail)
+        start = time.perf_counter()
+        verdict = closure_member(point, expr, Truncation(12, 16))
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == "refuted" and verdict.neighborhood == point.support
+
+    @pytest.mark.parametrize(
+        "V, removed, status",
+        [(1, False, "unknown"), (1, True, "refuted"), (2, True, "unknown")],
+        ids=["generic", "every-point-removed", "one-point-removed"],
+    )
+    def test_classes_three_positions_past_the_point(self, V, removed, status):
+        # the core holds only on supports that avoid ALL1 and hit ALL2, 12:1
+        # and 112:1, which share no position past 1: no sequence of one or
+        # two varied positions gets there, but six classes of the full
+        # product within T = 8 do.  Removing each class's point of all-1
+        # values empties the classes at V = 1 and leaves generic points at
+        # V = 2.
+        hit = (ALL2, ONE_TWO_THEN_1, BranchIndex("112", "1", 5, "u"))
+        core = Inter((Atom(ALL1), *(Diff(Whole(), Atom(b)) for b in hit)))
+        trunc = Truncation(8, V)
+        supports = [s for s in support_classes(trunc) if eval_on_support(s, core)]
+        assert len(supports) == 6 and min(map(len, supports)) == 3
+        expr = core
+        if removed:
+            points = [XiPoint.of(dict.fromkeys(s, 1), PI) for s in supports]
+            expr = Diff(core, Union(tuple(map(Singleton, points))))
+        point = XiPoint.of({}, PI)
+        verdict = closure_member(point, expr, trunc)
+        assert verdict.status == status
+        assert verdict == _closure_member_reference(point, expr, trunc)
+
+    @given(st.sampled_from([XI, PI]).flatmap(_closure_cases))
+    @example((XiPoint.of({1: 4}), Singleton(XiPoint.of({1: 4, 2: 5})), Truncation(2, 5)))
+    # no varied position keeps 1:1 valid, and only the class {1} holds it
+    @example((XiPoint.of({1: 1}), Diff(Whole(), Atom(ALL2)), Truncation(2, 2)))
+    # a singleton on the class {1, 2} that does not carry the held 1:2
+    @example((XiPoint.of({1: 2}), Singleton(XiPoint.of({1: 3, 2: 3})), Truncation(2, 3)))
+    # the first varied support is value-sensitive, and its terms lie in the set
+    @example((P_INF,
+              Inter((Diff(Whole(), Atom(ALL1)), Diff(Whole(), Singleton(XiPoint.of({1: 9}))))),
+              Truncation(2, 3)))
+    # the point's value lies past V, so no class within the truncation holds it
+    @example((XiPoint.of({1: 6}), Singleton(XiPoint.of({1: 6, 2: 6})), Truncation(2, 5)))
+    @example((P_INF, Singleton(XiPoint.of({1: 2})), Truncation(2, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, case):
+        point, expr, trunc = case
+        assert closure_member(point, expr, trunc) == _closure_member_reference(point, expr, trunc)
