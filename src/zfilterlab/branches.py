@@ -8,15 +8,22 @@ its finite prefixes.  Two distinct branches share exactly the codes of their
 common prefixes, so the element sets of distinct branches have finite
 intersection while each is infinite: an almost-disjoint family at desk scale.
 
+The codes of a branch's prefixes follow the recurrence
+``c_k = 2*c_(k-1) + (1 for letter "1", 2 for "2")`` from ``c_0 = 0``.  Each
+branch computes them once and keeps them up to length 64, i.e. every element
+below ``2**64``; a longer prefix is encoded from its word on each call and is
+not stored, so no stored list grows with the size of a queried position.
+
 Everything here is exact integer combinatorics; no enumeration is truncated.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ALPHABET = ("1", "2")
 
@@ -57,9 +64,21 @@ def decode_code(code: int) -> str:
     return format(code + 1 - (1 << length), f"0{length}b").translate(_TO_WORD)
 
 
+def _codes_after(code: int, letters: str) -> Iterator[int]:
+    """Codes of the word coded by ``code`` (0 for the empty word) extended by
+    each successive prefix of ``letters``."""
+    for ch in letters:
+        code = 2 * code + (1 if ch == "1" else 2)
+        yield code
+
+
 # ---------------------------------------------------------------------------
 # Branches
 # ---------------------------------------------------------------------------
+
+# prefix codes are kept up to this length, i.e. for elements below 2**64
+_STORED_LENGTH = 64
+
 
 def _canonicalize(pre: str, period: str) -> tuple[str, str]:
     """Minimal preperiod and minimal period for an eventually periodic word."""
@@ -92,6 +111,8 @@ class BranchIndex:
     period: str
     rank: int
     label: str = ""
+    # codes of the prefixes of length 1, 2, ..., filled on demand
+    _codes: tuple[int, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.period:
@@ -140,8 +161,26 @@ class BranchIndex:
 
     # element set -----------------------------------------------------------
 
+    def _prefix_codes(self, length: int) -> tuple[int, ...]:
+        """Codes of the prefixes of length ``1..length`` or more, for ``length``
+        at most 64.
+
+        A longer tuple replaces the stored one, never an in-place append, so
+        a concurrent reader sees the old tuple or the new one, not a half-built
+        list.
+        """
+        codes = self._codes
+        if len(codes) < length:
+            target = min(max(length, 2 * len(codes)), _STORED_LENGTH)
+            start = codes[-1] if codes else 0
+            codes += tuple(_codes_after(start, self.prefix(target)[len(codes):]))
+            object.__setattr__(self, "_codes", codes)
+        return codes
+
     def element(self, n: int) -> int:
         """The ``n``-th element of the branch's set: the code of its length-``n`` prefix."""
+        if 0 < n <= _STORED_LENGTH:
+            return self._prefix_codes(n)[n - 1]
         return encode_string(self.prefix(n))
 
     def elements(self, count: int) -> list[int]:
@@ -156,11 +195,12 @@ class BranchIndex:
         The length-``n`` prefix has code >= 2**n - 1, so only prefixes up to
         length ``bound.bit_length()`` can qualify.
         """
-        out = []
-        for n in range(1, max(bound, 1).bit_length() + 1):
-            c = self.element(n)
-            if c <= bound:
-                out.append(c)
+        length = max(bound, 1).bit_length()
+        codes = self._prefix_codes(min(length, _STORED_LENGTH))
+        out = list(codes[:bisect_right(codes, bound)])
+        if length > _STORED_LENGTH and len(out) == _STORED_LENGTH:
+            longer = _codes_after(codes[-1], self.prefix(length)[_STORED_LENGTH:])
+            out.extend(itertools.takewhile(lambda c: c <= bound, longer))
         return out
 
     def lcp(self, other: "BranchIndex") -> int:
@@ -177,9 +217,11 @@ def _lcm(a: int, b: int) -> int:
 
 
 def branch_member(alpha: BranchIndex, n: int) -> bool:
-    """Whether code ``n`` belongs to the branch's element set."""
-    word = decode_code(n)
-    return alpha.prefix(len(word)) == word
+    """Whether code ``n`` belongs to the branch's element set: whether it is
+    the code of the branch's prefix of the same length."""
+    if n < 1:
+        raise BranchError(f"codes start at 1, got {n}")
+    return alpha.element((n + 1).bit_length() - 1) == n
 
 
 def branch_elements(alpha: BranchIndex, count: int) -> list[int]:
@@ -235,21 +277,22 @@ class Registry:
     """
 
     entries: list[BranchIndex] = field(default_factory=list)
+    # indexes over ``entries``: every expanded word, and each label's entry
+    _words: set[BranchIndex] = field(default_factory=set, init=False, repr=False, compare=False)
+    _labels: dict[str, BranchIndex] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen_words: set[BranchIndex] = set()
-        seen_labels: set[str] = set()
         prev_rank = -1
         for e in self.entries:
             if e.rank <= prev_rank:
                 raise BranchError("registry ranks must be strictly increasing")
-            if e in seen_words:
+            if e in self._words:
                 raise BranchError(f"duplicate branch word {e.literal()}")
-            if e.label in seen_labels:
+            if e.label in self._labels:
                 raise BranchError(f"duplicate label {e.label!r}")
             prev_rank = e.rank
-            seen_words.add(e)
-            seen_labels.add(e.label)
+            self._words.add(e)
+            self._labels[e.label] = e
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -258,25 +301,27 @@ class Registry:
         return iter(self.entries)
 
     def __contains__(self, branch: BranchIndex) -> bool:
-        return any(e == branch for e in self.entries)
+        return branch in self._words
 
     def max_rank(self) -> int:
         return self.entries[-1].rank if self.entries else -1
 
     def by_label(self, label: str) -> BranchIndex:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise BranchError(f"no branch labelled {label!r}")
+        try:
+            return self._labels[label]
+        except KeyError:
+            raise BranchError(f"no branch labelled {label!r}") from None
 
     def add(self, branch: BranchIndex) -> BranchIndex:
         if branch.rank <= self.max_rank():
             raise BranchError("new entries must carry a rank above all existing ranks")
         if branch in self:
             raise BranchError(f"branch word {branch.literal()} already registered")
-        if any(e.label == branch.label for e in self.entries):
+        if branch.label in self._labels:
             raise BranchError(f"label {branch.label!r} already registered")
         self.entries.append(branch)
+        self._words.add(branch)
+        self._labels[branch.label] = branch
         return branch
 
     def mint_through(self, word: str, min_rank: int) -> BranchIndex:
@@ -324,26 +369,18 @@ def find_cover(
         raise BranchError("cover bound must be >= 1")
     base = list(base)
     cover: list[BranchIndex] = []
-
-    def covered(n: int) -> bool:
-        return any(branch_member(b, n) for b in itertools.chain(base, cover))
-
+    covered = set().union(*(b.elements_upto(l) for b in base))
     for n in range(1, l + 1):
-        if covered(n):
+        if n in covered:
             continue
-        word = decode_code(n)
-        reusable = [
-            e
-            for e in registry
-            if e.rank >= gamma
-            and e.prefix(len(word)) == word
-            and all(e != b for b in base)
-            and all(e != c for c in cover)
-        ]
-        if reusable:
-            cover.append(min(reusable, key=lambda e: e.rank))
-        else:
-            cover.append(registry.mint_through(word, gamma))
+        # the least-ranked admissible entry through n's word; no branch of
+        # base or cover passes through it, or n would be covered
+        length = (n + 1).bit_length() - 1
+        chosen = next((e for e in registry if e.rank >= gamma and e.element(length) == n), None)
+        if chosen is None:
+            chosen = registry.mint_through(decode_code(n), gamma)
+        cover.append(chosen)
+        covered.update(chosen.elements_upto(l))
     return cover
 
 

@@ -191,7 +191,7 @@ def _verify_cover(
     for c in cover:
         if c.rank < gamma:
             ctx.report.fail(f"cover branch {c.label} has rank {c.rank} below {gamma}")
-    if not isinstance(depth, int):
+    if not isinstance(depth, int) or isinstance(depth, bool):
         raise CertificateError(f"cover depth {depth!r} is not an integer")
     branches = [*base, *cover]
     # a branch has at most depth.bit_length() elements up to depth
@@ -276,7 +276,7 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
         return
     for beta in subtracted:
         l = separators[beta.label]
-        if not isinstance(l, int):
+        if not isinstance(l, int) or isinstance(l, bool):
             raise CertificateError(f"separator {l!r} for {beta.label} is not an integer")
         if not branch_member(beta, l):
             ctx.report.fail(f"separator for {beta.label} is not an element of it")

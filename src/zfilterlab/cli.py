@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--steps", type=int, default=2, help="chain length")
     verify.add_argument("--cover", help="putative cover file (property-b)")
     verify.add_argument("--seed", type=int, default=0, help="recorded in the certificate")
-    # --ambient defaults to the lemma's own ambient
+    # --ambient defaults to the lemma's own ambient, or the certificate's
     verify.set_defaults(func=_cmd_verify, ambient=None)
 
     oracle = sub.add_parser("oracle", help="exhaustive truncated claim evaluation")
@@ -347,15 +347,18 @@ def _cmd_verify(args) -> int:
 
 
 def _check_file(args) -> CheckReport:
-    """Replay a certificate file, refusing truncations past the caps first:
-    in the worst case the replay enumerates every support class up to the
-    certificate's T."""
+    """Replay a certificate file, refusing an ``--ambient`` other than the
+    recorded one, and truncations past the caps: in the worst case the replay
+    enumerates every support class up to the certificate's T."""
     text = _read_file(args.check, "certificate")
     try:
         cert = Certificate.from_json(text)
     except CertificateError:
         # the checker reports why the document does not parse
         return check_certificate_text(text)
+    recorded = cert.params.get("ambient", XI)
+    if args.ambient not in (None, recorded):
+        raise UsageError(f"the certificate is made in {recorded}, not in {args.ambient}")
     trunc = cert.params.get("truncation")
     if isinstance(trunc, dict) and all(isinstance(trunc.get(k), int) for k in ("T", "V")):
         _require_within_caps(args, trunc["T"], trunc["V"], "certificate truncation")

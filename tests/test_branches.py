@@ -1,6 +1,11 @@
 """Branch-family tests: codec, element sets, separators, covers, density."""
 
+import functools
 import itertools
+import random
+import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +31,15 @@ ALL2 = BranchIndex("", "2", 1, "a2")
 ONE_THEN_2 = BranchIndex("1", "2", 2, "m")
 
 
+def codec_member(branch: BranchIndex, n: int) -> bool:
+    """Oracle: decode the code and test prefix-ness directly."""
+    word = decode_code(n)
+    return branch.prefix(len(word)) == word
+
+
 def brute_codes_of_branch(branch: BranchIndex, bound: int) -> set[int]:
-    """Oracle: scan every code up to the bound and test prefix-ness directly."""
-    out = set()
-    for n in range(1, bound + 1):
-        w = decode_code(n)
-        if branch.prefix(len(w)) == w:
-            out.add(n)
-    return out
+    """Oracle: scan every code up to the bound."""
+    return {n for n in range(1, bound + 1) if codec_member(branch, n)}
 
 
 words = st.text(alphabet="12", min_size=1, max_size=16)
@@ -245,3 +251,207 @@ class TestRegistry:
         ]
         for n in range(1, 2 ** (d + 1) - 1):
             assert any(branch_member(b, n) for b in branches)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: stored prefix codes and the registry's indexes against
+# the codec and linear scans, which stay the reference
+# ---------------------------------------------------------------------------
+
+pres = st.text(alphabet="12", max_size=6)
+periods = st.text(alphabet="12", min_size=1, max_size=4)
+branches = st.builds(BranchIndex, pres, periods, st.just(0))
+# either side of 2**64, the last stored element, and far past it
+codes = st.one_of(
+    st.integers(1, 2**70), st.integers(2**63, 2**66), st.integers(10**100, 10**101)
+)
+
+
+def scanned_elements_upto(alpha: BranchIndex, bound: int) -> list[int]:
+    return [
+        c
+        for c in (encode_string(alpha.prefix(k)) for k in range(1, max(bound, 1).bit_length() + 1))
+        if c <= bound
+    ]
+
+
+def reference_cover(l, gamma, registry, base=()):
+    """find_cover's former body: every chosen branch tested at every position."""
+    base = list(base)
+    cover = []
+
+    def covered(n):
+        return any(branch_member(b, n) for b in itertools.chain(base, cover))
+
+    for n in range(1, l + 1):
+        if covered(n):
+            continue
+        word = decode_code(n)
+        reusable = [
+            e
+            for e in registry
+            if e.rank >= gamma
+            and e.prefix(len(word)) == word
+            and all(e != b for b in base)
+            and all(e != c for c in cover)
+        ]
+        if reusable:
+            cover.append(min(reusable, key=lambda e: e.rank))
+        else:
+            cover.append(registry.mint_through(word, gamma))
+    return cover
+
+
+class TestStoredCodes:
+    @given(branches, st.lists(codes, max_size=8), st.lists(st.integers(1, 72), max_size=4))
+    @settings(max_examples=200)
+    def test_member_matches_the_codec(self, alpha, ns, lengths):
+        # the codes of the branch's own prefixes are the members
+        ns += [encode_string(alpha.prefix(k)) for k in lengths]
+        for n in ns:
+            assert branch_member(alpha, n) == codec_member(alpha, n), n
+        for n in (0, -1, -(2**70)):
+            with pytest.raises(BranchError):
+                branch_member(alpha, n)
+
+    @given(branches, st.permutations(range(1, 71)))
+    @settings(max_examples=100)
+    def test_element_matches_the_codec_in_any_order(self, alpha, order):
+        for n in order:
+            assert alpha.element(n) == encode_string(alpha.prefix(n)), n
+        assert alpha.elements(70) == [encode_string(alpha.prefix(n)) for n in range(1, 71)]
+
+    @given(branches, st.lists(st.one_of(st.integers(-3, 2**12), codes), min_size=1, max_size=6))
+    @settings(max_examples=150)
+    def test_elements_upto_matches_a_scan(self, alpha, bounds):
+        for bound in bounds:
+            got = alpha.elements_upto(bound)
+            assert got == scanned_elements_upto(alpha, bound), bound
+            if bound <= 2**12:
+                assert set(got) == brute_codes_of_branch(alpha, bound)
+
+    def test_no_stored_list_grows_with_a_position(self):
+        alpha = BranchIndex("12", "21", 0)
+        far = encode_string(alpha.prefix(16_000))
+        assert branch_member(alpha, far) and not branch_member(alpha, far + 1)
+        assert alpha.elements_upto(far)[-1] == far
+        assert len(alpha._codes) == 64
+
+    def test_concurrent_readers_see_whole_tuples(self):
+        # threads extending one branch's codes at once each read only correct
+        # codes: a longer tuple replaces the stored one in a single assignment
+        want = {n: encode_string(BranchIndex("1", "12", 0).prefix(n)) for n in range(1, 65)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(50):
+                alpha = BranchIndex("1", "12", 0)
+                wrong = []
+
+                def read(seed):
+                    order = random.Random(seed).sample(range(1, 65), 64)
+                    wrong.extend(n for n in order if alpha.element(n) != want[n])
+
+                threads = [
+                    threading.Thread(target=read, args=(round_ * 8 + i,)) for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+                assert alpha._codes == tuple(want[n] for n in range(1, 65))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @given(st.data())
+    @settings(max_examples=120)
+    def test_find_cover_matches_the_former_scan(self, data):
+        words = data.draw(st.lists(st.tuples(pres, periods), max_size=8))
+        entries, rank = [], 0
+        for pre, period in words:
+            branch = BranchIndex(pre, period, rank)
+            if branch not in entries:
+                entries.append(branch)
+                rank += data.draw(st.integers(1, 3))
+        base = data.draw(st.lists(st.one_of(st.sampled_from(entries), branches), max_size=3)
+                         if entries else st.lists(branches, max_size=3))
+        l = data.draw(st.integers(1, 40))
+        gamma = data.draw(st.integers(0, rank + 2))
+        ours, theirs = Registry(list(entries)), Registry(list(entries))
+        got = find_cover(l, gamma, ours, base)
+        want = reference_cover(l, gamma, theirs, base)
+        assert [(c.literal(), c.rank, c.label) for c in got] == [
+            (c.literal(), c.rank, c.label) for c in want
+        ]
+        assert ours.to_payload() == theirs.to_payload()
+
+
+def scanned_add_error(entries, branch):
+    """The BranchError message Registry.add gives, found by scanning."""
+    if branch.rank <= (entries[-1].rank if entries else -1):
+        return "new entries must carry a rank above all existing ranks"
+    if any(e == branch for e in entries):
+        return f"branch word {branch.literal()} already registered"
+    if any(e.label == branch.label for e in entries):
+        return f"label {branch.label!r} already registered"
+    return None
+
+
+class TestRegistryIndexes:
+    labels = st.sampled_from(["", "a", "b", "b2", "b4", "c"])
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_registry_agrees_with_linear_scans(self, data):
+        reg = Registry()
+        seen = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            before = list(reg.entries)
+            if data.draw(st.booleans()):
+                rank = max(reg.max_rank() + data.draw(st.integers(0, 2)), 0)
+                branch = BranchIndex(data.draw(pres), data.draw(periods), rank, data.draw(self.labels))
+                op = functools.partial(reg.add, branch)
+            else:
+                # minting registers the first candidate no entry carries
+                word = data.draw(st.text(alphabet="12", min_size=1, max_size=3))
+                min_rank = data.draw(st.integers(0, 6))
+                rank = max(min_rank, reg.max_rank() + 1)
+                candidates = [(word, "1"), (word, "2")] + [
+                    (word + "2" * j, "1") for j in range(1, len(before) + 2)
+                ]
+                branch = next(
+                    b for b in (BranchIndex(pre, period, rank) for pre, period in candidates)
+                    if not any(e == b for e in before)
+                )
+                op = functools.partial(reg.mint_through, word, min_rank)
+            seen.append(branch)
+            error = scanned_add_error(before, branch)
+            if error is None:
+                added = op()
+                assert (added.literal(), added.rank, added.label) == (
+                    branch.literal(), branch.rank, branch.label
+                )
+                assert reg.entries == before + [added]
+            else:
+                with pytest.raises(BranchError, match=re.escape(error)):
+                    op()
+                assert reg.entries == before
+            for probe in seen:
+                assert (probe in reg) == any(e == probe for e in reg.entries)
+            for label in ["a", "b", "b2", "b4", "c", "zz"] + [e.label for e in reg.entries]:
+                match = [e for e in reg.entries if e.label == label]
+                if match:
+                    assert reg.by_label(label) is match[0]
+                else:
+                    with pytest.raises(BranchError, match="no branch labelled"):
+                        reg.by_label(label)
+
+    def test_constructor_rejects_duplicates_like_add(self):
+        with pytest.raises(BranchError, match="duplicate branch word 1:2"):
+            Registry([BranchIndex("1", "2", 0), BranchIndex("12", "2", 1)])
+        with pytest.raises(BranchError, match="duplicate label 'x'"):
+            Registry([BranchIndex("", "1", 0, "x"), BranchIndex("", "2", 1, "x")])
+        with pytest.raises(BranchError, match="strictly increasing"):
+            Registry([BranchIndex("", "1", 1), BranchIndex("", "2", 1)])

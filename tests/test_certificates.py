@@ -81,6 +81,14 @@ class TestRoundTrip:
             report = check_certificate(again)
             assert report.ok, (cert.kind, report.problems)
 
+    def test_serialization_is_the_canonical_document(self):
+        # the digest is spliced into the serialized body, not serialized with it
+        for cert in sample_certificates():
+            body = {"schema": SCHEMA_VERSION, "kind": cert.kind, "params": cert.params,
+                    "payload": cert.payload, "steps": cert.steps}
+            digest = body_digest(cert.kind, cert.params, cert.payload, cert.steps)
+            assert cert.to_json() == canonical_json({**body, "digest": digest})
+
     def test_byte_determinism(self):
         r1, r2 = reg(), reg()
         a = check_extendibility_a(r1, TR).to_json()
@@ -289,14 +297,42 @@ class TestWrongTypedFields:
                     report = check_certificate(fresh)
                     assert isinstance(report.ok, bool), (cert.kind, section, key, value)
 
+    @staticmethod
+    def position_one_certificates():
+        """Rank-floor and full-product closure certificates and a cover to
+        depth 1, on b0 = 1:2 and b1 = 2:1 with b0 subtracted and b1 kept.
+
+        Position 1, the code of the word 1, is b0's separator in both claims
+        and the depth of the rank floor and the cover, so ``True``, equal to
+        1, fails only for its type.
+        """
+        specs = [("1", "2"), ("2", "1")]
+        r = make_registry(specs)
+        certs = [containment_decreasing([r.entries[0]], [r.entries[1]], 2, r, TR).certificate]
+        r = make_registry(specs)
+        certs.append(containment_full_product([r.entries[1]], [r.entries[0]], TR).certificate)
+        certs.append(cover_certificate(1, 0, make_registry(specs), [])[1])
+        for cert in certs:
+            assert check_certificate(cert).ok
+        assert [c.payload["separators"] for c in certs[:2]] == [{"b0": 1}] * 2
+        assert certs[0].payload["depth"] == certs[2].params["depth"] == 1
+        return certs
+
     def test_every_separator_replacement_is_rejected(self):
         # no wrong-typed, nonpositive or fractional position is a separator here
-        for cert in closure_certificates():
+        for cert in closure_certificates() + self.position_one_certificates()[:2]:
             separators = cert.payload["separators"]
             for label, value in itertools.product(separators, self.VALUES + [0, -1, 2.5]):
                 payload = dict(cert.payload, separators=dict(separators, **{label: value}))
                 report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
                 assert report.ok is False, (cert.payload["claim"], label, value)
+
+    def test_every_depth_replacement_is_rejected(self):
+        dec, _, cover = self.position_one_certificates()
+        for cert, section in ((dec, "payload"), (cover, "params")):
+            for value in self.VALUES:
+                report = check_certificate(_with(section, depth=value)(cert))
+                assert report.ok is False, (cert.kind, value)
 
     def test_every_non_integer_truncation_is_rejected(self):
         # a fractional or boolean bound is no truncation; it used to reach

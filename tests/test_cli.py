@@ -214,6 +214,29 @@ class TestVerify:
             assert out_file.read_bytes() == default
             assert Certificate.read(str(out_file)).params["ambient"] == own
 
+    @pytest.mark.parametrize("lemma, recorded, other", [
+        ("containment-full", "pi", "xi"),
+        ("chain-dec", "xi", "pi"),
+    ])
+    def test_check_refuses_another_ambient(self, capsys, tmp_path, lemma, recorded, other):
+        # the replay decides in the recorded ambient, so asking for another
+        # one is refused rather than answered about the recorded one
+        out_file = tmp_path / "x.json"
+        flags = ["--F", "e0", "--G", "e1"] if lemma == "containment-full" else []
+        code, _, _ = run(
+            capsys,
+            "verify", lemma, *flags, "-r", "e0=:1@0", "-r", "e1=:2@1", "-r", "e2=1:2@2",
+            "--T", "4", "--V", "5", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        assert Certificate.read(str(out_file)).params["ambient"] == recorded
+        code, out, err = run(capsys, "verify", "--check", str(out_file), "--ambient", other)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and recorded in err
+        for same in ([], ["--ambient", recorded]):
+            code, out, _ = run(capsys, "verify", "--check", str(out_file), *same)
+            assert code == EXIT_OK and out.strip() == "verified"
+
     def test_unknown_hypothesis_exit_code(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
