@@ -10,9 +10,10 @@ intersection while each is infinite: an almost-disjoint family at desk scale.
 
 The codes of a branch's prefixes follow the recurrence
 ``c_k = 2*c_(k-1) + (1 for letter "1", 2 for "2")`` from ``c_0 = 0``.  Each
-branch computes them once and keeps them up to length 64, i.e. every element
-below ``2**64``; a longer prefix is encoded from its word on each call and is
-not stored, so no stored list grows with the size of a queried position.
+branch computes them as they are asked for and keeps them up to length 64,
+i.e. every element below ``2**64``; a longer prefix is encoded from its word
+on each call and is not stored, so no stored list grows with the size of a
+queried position.
 
 Everything here is exact integer combinatorics; no enumeration is truncated.
 """
@@ -165,17 +166,14 @@ class BranchIndex:
         """Codes of the prefixes of length ``1..length`` or more, for ``length``
         at most 64.
 
-        A longer tuple replaces the stored one, never an in-place append, so
-        a concurrent reader sees the old tuple or the new one, not a half-built
-        list.
+        The stored codes grow on demand, at least doubling, because most
+        branches are read only near the root: filling all 64 on first use
+        made whole commands measurably slower.
         """
-        codes = self._codes
-        if len(codes) < length:
-            target = min(max(length, 2 * len(codes)), _STORED_LENGTH)
-            start = codes[-1] if codes else 0
-            codes += tuple(_codes_after(start, self.prefix(target)[len(codes):]))
-            object.__setattr__(self, "_codes", codes)
-        return codes
+        if len(self._codes) < length:
+            target = min(max(length, 2 * len(self._codes)), _STORED_LENGTH)
+            object.__setattr__(self, "_codes", tuple(_codes_after(0, self.prefix(target))))
+        return self._codes
 
     def element(self, n: int) -> int:
         """The ``n``-th element of the branch's set: the code of its length-``n`` prefix."""
@@ -277,22 +275,21 @@ class Registry:
     """
 
     entries: list[BranchIndex] = field(default_factory=list)
-    # indexes over ``entries``: every expanded word, and each label's entry
-    _words: set[BranchIndex] = field(default_factory=set, init=False, repr=False, compare=False)
-    _labels: dict[str, BranchIndex] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        seen_words: set[BranchIndex] = set()
+        seen_labels: set[str] = set()
         prev_rank = -1
         for e in self.entries:
             if e.rank <= prev_rank:
                 raise BranchError("registry ranks must be strictly increasing")
-            if e in self._words:
+            if e in seen_words:
                 raise BranchError(f"duplicate branch word {e.literal()}")
-            if e.label in self._labels:
+            if e.label in seen_labels:
                 raise BranchError(f"duplicate label {e.label!r}")
             prev_rank = e.rank
-            self._words.add(e)
-            self._labels[e.label] = e
+            seen_words.add(e)
+            seen_labels.add(e.label)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -301,27 +298,25 @@ class Registry:
         return iter(self.entries)
 
     def __contains__(self, branch: BranchIndex) -> bool:
-        return branch in self._words
+        return any(e == branch for e in self.entries)
 
     def max_rank(self) -> int:
         return self.entries[-1].rank if self.entries else -1
 
     def by_label(self, label: str) -> BranchIndex:
-        try:
-            return self._labels[label]
-        except KeyError:
-            raise BranchError(f"no branch labelled {label!r}") from None
+        for e in self.entries:
+            if e.label == label:
+                return e
+        raise BranchError(f"no branch labelled {label!r}")
 
     def add(self, branch: BranchIndex) -> BranchIndex:
         if branch.rank <= self.max_rank():
             raise BranchError("new entries must carry a rank above all existing ranks")
         if branch in self:
             raise BranchError(f"branch word {branch.literal()} already registered")
-        if branch.label in self._labels:
+        if any(e.label == branch.label for e in self.entries):
             raise BranchError(f"label {branch.label!r} already registered")
         self.entries.append(branch)
-        self._words.add(branch)
-        self._labels[branch.label] = branch
         return branch
 
     def mint_through(self, word: str, min_rank: int) -> BranchIndex:

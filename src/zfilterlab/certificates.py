@@ -47,9 +47,13 @@ def _body(kind: str, params: dict, payload: dict, steps: list) -> dict:
     }
 
 
+def _text_digest(body: str) -> str:
+    """Digest of a certificate body in its canonical serialization."""
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def body_digest(kind: str, params: dict, payload: dict, steps: list) -> str:
-    blob = canonical_json(_body(kind, params, payload, steps)).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _text_digest(canonical_json(_body(kind, params, payload, steps)))
 
 
 @dataclass
@@ -75,9 +79,8 @@ class Certificate:
 
     def to_json(self) -> str:
         body = canonical_json(_body(self.kind, self.params, self.payload, self.steps))
-        digest = hashlib.sha256(body.encode()).hexdigest()
         # "digest" sorts before every other key, so it opens the document
-        return f'{{"digest":"{digest}",{body[1:]}'
+        return f'{{"digest":"{_text_digest(body)}",{body[1:]}'
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Certificate":

@@ -1,11 +1,6 @@
 """Branch-family tests: codec, element sets, separators, covers, density."""
 
-import functools
 import itertools
-import random
-import re
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -337,34 +332,6 @@ class TestStoredCodes:
         assert alpha.elements_upto(far)[-1] == far
         assert len(alpha._codes) == 64
 
-    def test_concurrent_readers_see_whole_tuples(self):
-        # threads extending one branch's codes at once each read only correct
-        # codes: a longer tuple replaces the stored one in a single assignment
-        want = {n: encode_string(BranchIndex("1", "12", 0).prefix(n)) for n in range(1, 65)}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_ in range(50):
-                alpha = BranchIndex("1", "12", 0)
-                wrong = []
-
-                def read(seed):
-                    order = random.Random(seed).sample(range(1, 65), 64)
-                    wrong.extend(n for n in order if alpha.element(n) != want[n])
-
-                threads = [
-                    threading.Thread(target=read, args=(round_ * 8 + i,)) for i in range(8)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert wrong == []
-                assert alpha._codes == tuple(want[n] for n in range(1, 65))
-        finally:
-            sys.setswitchinterval(interval)
-
     @given(st.data())
     @settings(max_examples=120)
     def test_find_cover_matches_the_former_scan(self, data):
@@ -387,71 +354,3 @@ class TestStoredCodes:
         ]
         assert ours.to_payload() == theirs.to_payload()
 
-
-def scanned_add_error(entries, branch):
-    """The BranchError message Registry.add gives, found by scanning."""
-    if branch.rank <= (entries[-1].rank if entries else -1):
-        return "new entries must carry a rank above all existing ranks"
-    if any(e == branch for e in entries):
-        return f"branch word {branch.literal()} already registered"
-    if any(e.label == branch.label for e in entries):
-        return f"label {branch.label!r} already registered"
-    return None
-
-
-class TestRegistryIndexes:
-    labels = st.sampled_from(["", "a", "b", "b2", "b4", "c"])
-
-    @given(st.data())
-    @settings(max_examples=150)
-    def test_registry_agrees_with_linear_scans(self, data):
-        reg = Registry()
-        seen = []
-        for _ in range(data.draw(st.integers(1, 12))):
-            before = list(reg.entries)
-            if data.draw(st.booleans()):
-                rank = max(reg.max_rank() + data.draw(st.integers(0, 2)), 0)
-                branch = BranchIndex(data.draw(pres), data.draw(periods), rank, data.draw(self.labels))
-                op = functools.partial(reg.add, branch)
-            else:
-                # minting registers the first candidate no entry carries
-                word = data.draw(st.text(alphabet="12", min_size=1, max_size=3))
-                min_rank = data.draw(st.integers(0, 6))
-                rank = max(min_rank, reg.max_rank() + 1)
-                candidates = [(word, "1"), (word, "2")] + [
-                    (word + "2" * j, "1") for j in range(1, len(before) + 2)
-                ]
-                branch = next(
-                    b for b in (BranchIndex(pre, period, rank) for pre, period in candidates)
-                    if not any(e == b for e in before)
-                )
-                op = functools.partial(reg.mint_through, word, min_rank)
-            seen.append(branch)
-            error = scanned_add_error(before, branch)
-            if error is None:
-                added = op()
-                assert (added.literal(), added.rank, added.label) == (
-                    branch.literal(), branch.rank, branch.label
-                )
-                assert reg.entries == before + [added]
-            else:
-                with pytest.raises(BranchError, match=re.escape(error)):
-                    op()
-                assert reg.entries == before
-            for probe in seen:
-                assert (probe in reg) == any(e == probe for e in reg.entries)
-            for label in ["a", "b", "b2", "b4", "c", "zz"] + [e.label for e in reg.entries]:
-                match = [e for e in reg.entries if e.label == label]
-                if match:
-                    assert reg.by_label(label) is match[0]
-                else:
-                    with pytest.raises(BranchError, match="no branch labelled"):
-                        reg.by_label(label)
-
-    def test_constructor_rejects_duplicates_like_add(self):
-        with pytest.raises(BranchError, match="duplicate branch word 1:2"):
-            Registry([BranchIndex("1", "2", 0), BranchIndex("12", "2", 1)])
-        with pytest.raises(BranchError, match="duplicate label 'x'"):
-            Registry([BranchIndex("", "1", 0, "x"), BranchIndex("", "2", 1, "x")])
-        with pytest.raises(BranchError, match="strictly increasing"):
-            Registry([BranchIndex("", "1", 1), BranchIndex("", "2", 1)])
