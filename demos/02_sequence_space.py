@@ -11,6 +11,7 @@ from zfilterlab import (
     Atom,
     BranchIndex,
     Diff,
+    Inter,
     Singleton,
     Truncation,
     Union,
@@ -78,12 +79,24 @@ print(" ", ", ".join(t.literal() for t in seq2.terms()))
 
 # --- closure verdicts ------------------------------------------------------------
 
-trunc = Truncation(4, 6)
+# exact and two-valued: one support per reachable atom hit pattern decides
+# membership, with no truncation
 print("\nclosure membership of the all-infinite point in N_b \\ N_a:")
-verdict = closure_member(p_inf, expr, trunc)
+verdict = closure_member(p_inf, expr)
 print("  status:", verdict.status)
 print("  witness terms:", ", ".join(t.literal() for t in verdict.witness.terms()))
 
 print("closure membership of {1:1} in N_a (support pins coordinate 1):")
-verdict = closure_member(XiPoint.of({1: 1}), Atom(all1), trunc)
-print("  status:", verdict.status, "- neighborhood:", verdict.neighborhood)
+verdict = closure_member(XiPoint.of({1: 1}), Atom(all1))
+print("  status:", verdict.status, "- neighborhood (held, m, N):", verdict.neighborhood)
+
+# a point of N_a outside N_b, N_12:1 and N_112:1 hits three branches that
+# share no position outside a: no one or two varied positions get there,
+# three do
+hit = [all2, BranchIndex("12", "1", rank=2), BranchIndex("112", "1", rank=3)]
+core = Inter((Atom(all1), *(Diff(Whole(), Atom(b)) for b in hit)))
+print("closure membership of the all-infinite point of the full product in")
+print("N_a minus N_b, N_12:1 and N_112:1:")
+verdict = closure_member(XiPoint.of({}, "pi"), core)
+print("  status:", verdict.status, "- varied positions:", verdict.witness.varied)
+print("  witness terms:", ", ".join(t.literal() for t in verdict.witness.terms()))

@@ -41,7 +41,6 @@ class CheckReport:
     kind: str
     ok: bool = True
     problems: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def fail(self, message: str) -> None:
         self.ok = False

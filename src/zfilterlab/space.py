@@ -21,14 +21,16 @@ truncated sub-universes as the ground-truth oracle.
 Whether a point lies in a zero set depends only on which positions carry
 finite values, and every caller that reasons from supports alone (the
 containment loop, `closure_member` and the closure engines' class view)
-compiles its expression once with `support_evaluator`.  A support is a
-frozenset of positions; an atom compiles to the set of its branch's elements
-up to ``T`` and holds exactly when the support misses that set.  Supports
-may also hold positions past ``T``, listed up front as ``extra``
-(`eval_on_support` lists a whole support that way); each atom adds the extra
-positions its branch owns, so no set is sized by a position's value.  The
-closure containments need no support walk: coordinate pushing decides them
-exactly from separators and a cover (see `engines.ContainmentReport`).
+compiles its expression once with `support_evaluator` (`closure_member`,
+exact and two-valued, reads one support per reachable hit pattern).  A
+support is a frozenset of positions; an atom compiles to the set of its
+branch's elements up to ``T`` and holds exactly when the support misses
+that set.  Supports may also hold positions past ``T``, listed up front as
+``extra`` (`eval_on_support` lists a whole support that way); each atom
+adds the extra positions its branch owns, so no set is sized by a
+position's value.  The closure containments need no support walk:
+coordinate pushing decides them exactly from separators and a cover (see
+`engines.ContainmentReport`).
 
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,
@@ -424,7 +426,8 @@ def containment_violations(
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
     # position 0 lies in no branch and in no singleton's support, so every
     # singleton reads False on a representative plus 0
-    probes = (rep | {0} for rep in _hit_patterns(lhs.atoms() + rhs.atoms(), trunc.T))
+    patterns = _hit_patterns(lhs.atoms() + rhs.atoms(), range(1, trunc.T + 1))
+    probes = (rep | {0} for rep in patterns)
     if any(in_lhs(s) is True and in_rhs(s) is False for s in probes):
         supports: Iterable[frozenset[int]] = support_classes(trunc)
     else:
@@ -447,9 +450,9 @@ def containment_violations(
         )
 
 
-def _hit_patterns(atoms: Iterable[BranchIndex], T: int) -> list[frozenset[int]]:
+def _hit_patterns(atoms: Iterable[BranchIndex], positions: Sequence[int]) -> list[frozenset[int]]:
     """One representative support for each set of atoms a nonempty support
-    of positions ``1..T`` can hit.
+    drawn from ``positions`` can hit, the earliest positions first.
 
     A position's pattern is the set of atoms whose branch owns it, and a
     support hits the union of its positions' patterns; positions in no atom
@@ -457,10 +460,10 @@ def _hit_patterns(atoms: Iterable[BranchIndex], T: int) -> list[frozenset[int]]:
     """
     owners: dict[int, int] = {}
     for i, atom in enumerate(dict.fromkeys(atoms)):
-        for p in atom.elements_upto(T):
+        for p in atom.elements_upto(max(positions, default=0)):
             owners[p] = owners.get(p, 0) | 1 << i
     first: dict[int, int] = {}
-    for p in range(1, T + 1):
+    for p in positions:
         first.setdefault(owners.get(p, 0), p)
     reps: dict[int, frozenset[int]] = {}
     for mask, p in first.items():
@@ -604,69 +607,80 @@ def multi_escape_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Closure membership (three-valued)
+# Closure membership
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ClosureVerdict:
-    """Outcome of a bounded closure-membership check.
+    """Outcome of an exact closure-membership check.
 
     ``proven`` carries a witness: the point itself when it satisfies the
-    expression, else an approximating sequence all of whose listed terms do.
-    ``refuted`` carries a finite neighborhood description (the fixed support
-    coordinates) on which the expression was exhaustively empty within the
-    truncation.  Anything else is unknown: the search is sound, not complete.
+    expression, else an approximating sequence all of whose terms do.
+    ``refuted`` carries a basic neighborhood ``(held, m, N)`` of the point
+    that misses the expression: the points that keep the held coordinates
+    and put a value past ``N``, or infinity, at every other position up to
+    ``m``.
     """
 
-    status: Literal["proven", "refuted", "unknown"]
+    status: Literal["proven", "refuted"]
     witness: ApproxSequence | XiPoint | None = None
-    neighborhood: tuple[tuple[int, int], ...] | None = None
-    truncation: Truncation | None = None
+    neighborhood: tuple[tuple[tuple[int, int], ...], int, int] | None = None
 
 
-def closure_member(point: XiPoint, expr: SetExpr, trunc: Truncation) -> ClosureVerdict:
-    """Decide membership of ``point`` in the closure of ``expr``, boundedly.
+def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
+    """Decide exactly whether ``point`` lies in the closure of ``expr``.
 
-    Both searches read ``expr`` through one `support_evaluator`.  The proof
-    search pushes one, then two, free positions up to ``max(T, 64)`` to large
-    finite values; the three terms share one support, whose verdict decides
-    them unless it is value-sensitive.  The refutation holds the point's
-    coordinates and finds no support class within the truncation that meets
-    ``expr``: a class meets it at one of its singletons or, when it holds some
-    other point, exactly when its support plus the sentinel position 0 does.
+    Near ``point``, any other point keeps its coordinates and adds a nonempty
+    finite set R of positions (within ``1..min(point.values())`` in ``xi``
+    with a nonempty support).  With values past every singleton's, it is no
+    singleton, so ``supp(point) | R | {0}`` settles it and only R's atom hit
+    pattern matters; one R per reachable pattern is read.  A True one gives
+    the escape sequence.  Otherwise the neighborhood ``(held, m, N)``, with
+    ``m`` and ``N`` the largest singleton position and value (0 without
+    any), holds no point of ``expr``.
     """
     _require_valid(point)
     if eval_setexpr(point, expr):
         return ClosureVerdict("proven", witness=point)
-    limit = max(trunc.T, 64)
+    singletons = expr.singleton_points()
+    m = max((q.max_position() for q in singletons), default=0)
+    N = max((v for q in singletons for v in q.values()), default=0)
     held = frozenset(point.positions())
-    in_expr = support_evaluator(expr, limit, held)
-    free = [p for p in range(1, limit + 1) if p not in held]
-    for combo in itertools.chain.from_iterable(itertools.combinations(free, n) for n in (1, 2)):
-        if not escape_terms_valid(point, combo):
-            continue
-        verdict = in_expr(held.union(combo))
-        if verdict is False:
-            continue
-        seq = multi_escape_sequence(point, combo, 3)
-        if verdict or all(eval_setexpr(t, expr) for t in seq.terms()):
-            return ClosureVerdict("proven", witness=seq)
+    limit = min(point.values()) if point.ambient == XI and held else None
+    positions = _escape_positions(expr.atoms(), held, limit)
+    in_expr = support_evaluator(expr, 0, held.union(positions))
+    for rep in _hit_patterns(expr.atoms(), positions):
+        if in_expr(held | rep | {0}):
+            varied = tuple(sorted(rep))
+            start = max(sequence_start(point, varied), N)
+            return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))
+    return ClosureVerdict("refuted", neighborhood=(point.support, m, N))
 
-    for support in support_classes(trunc):
-        values = _value_range(point.ambient, max(support, default=0), trunc.V)
-        if not held <= support or not all(v in values for v in point.values()):
-            continue
-        # the expression's singletons that are held points of this class
-        inside = {
-            q.support for q in expr.singleton_points()
-            if frozenset(q.positions()) == support and set(point.support) <= set(q.support)
-            and all(v in values for v in q.values())
-        }
-        if any(eval_setexpr(XiPoint(s, point.ambient), expr) for s in inside) or (
-            len(values) ** len(support - held) > len(inside) and in_expr(support | {0})
-        ):
-            return ClosureVerdict("unknown", truncation=trunc)
-    return ClosureVerdict("refuted", neighborhood=point.support, truncation=trunc)
+
+def _escape_positions(
+    atoms: Iterable[BranchIndex], held: frozenset[int], limit: int | None
+) -> list[int]:
+    """Positions off ``held`` and at most ``limit`` (None: no limit) that
+    show every hit pattern one such position can have: past B, the deepest
+    position two atoms share, a position lies in at most one atom, so the
+    atoms' elements up to B, each atom's first element past B and one
+    position in no atom suffice.  Both searches step only over held
+    positions and atoms' elements, never up to a value.
+    """
+    atoms = list(dict.fromkeys(atoms))
+    B = max(
+        (a.element(d) for a, b in itertools.combinations(atoms, 2) if (d := a.lcp(b))),
+        default=0,
+    )
+    found = {p for a in atoms for p in a.elements_upto(B)}
+    for a in atoms:
+        past = (a.element(n) for n in itertools.count(len(a.elements_upto(B)) + 1))
+        found.add(next(p for p in past if p not in held))
+    found.add(next(
+        p for p in itertools.count(1)
+        if p not in held and not any(branch_member(a, p) for a in atoms)
+    ))
+    return sorted(p for p in found - held if limit is None or p <= limit)
 
 
 # ---------------------------------------------------------------------------

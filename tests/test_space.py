@@ -14,7 +14,6 @@ from zfilterlab.space import (
     XI,
     ApproxSequence,
     Atom,
-    ClosureVerdict,
     Diff,
     Inter,
     SetExpr,
@@ -415,11 +414,17 @@ def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkey
 
 
 def _closure_member_reference(point, expr, trunc):
-    """`closure_member` as it was before it read supports, kept as the
-    reference: every term and every truncated point is evaluated."""
+    """A bounded closure search that evaluates every term and every
+    truncated point, kept as the reference for the verdicts it decides.
+
+    Returns "proven" when a sequence of one or two varied positions up to
+    ``max(T, 64)`` has three terms in ``expr``, "unknown" when some truncated
+    point that keeps the point's coordinates lies in ``expr``, and
+    "refuted" (on the truncation only) otherwise.
+    """
     space._require_valid(point)
     if eval_setexpr(point, expr):
-        return ClosureVerdict("proven", witness=point)
+        return "proven"
 
     limit = max(trunc.T, 64)
     free = [p for p in range(1, limit + 1) if point.coordinate(p) is None]
@@ -429,14 +434,14 @@ def _closure_member_reference(point, expr, trunc):
                 continue
             seq = multi_escape_sequence(point, combo, 3)
             if all(eval_setexpr(t, expr) for t in seq.terms()):
-                return ClosureVerdict("proven", witness=seq)
+                return "proven"
 
     fixed = point.support
     for q in enumerate_truncated(trunc, point.ambient):
         if all(q.coordinate(p) == v for p, v in fixed):
             if eval_setexpr(q, expr):
-                return ClosureVerdict("unknown", truncation=trunc)
-    return ClosureVerdict("refuted", neighborhood=fixed, truncation=trunc)
+                return "unknown"
+    return "refuted"
 
 
 @st.composite
@@ -475,79 +480,132 @@ def _closure_cases(ambient):
     ).flatmap(within)
 
 
+def _check_closure_verdict(point, expr, verdict):
+    """A proof's terms are valid points of ``expr`` that vary positions off
+    the point; a refutation's neighborhood, sampled with values ``N+1..N+3``
+    or infinity at the other positions ``1..m+2``, holds no point of it."""
+    if verdict.status == "proven":
+        if verdict.witness == point:
+            assert eval_setexpr(point, expr)
+            return
+        seq = verdict.witness
+        assert set(seq.varied).isdisjoint(point.positions())
+        for t in seq.terms():
+            assert validate_point(t) and eval_setexpr(t, expr), t
+        return
+    held, m, N = verdict.neighborhood
+    assert held == point.support and not eval_setexpr(point, expr)
+    free = [p for p in range(1, m + 3) if point.coordinate(p) is None]
+    for values in itertools.product((None, N + 1, N + 2, N + 3), repeat=len(free)):
+        q = XiPoint(held + tuple((p, v) for p, v in zip(free, values) if v), point.ambient)
+        assert not (validate_point(q) and eval_setexpr(q, expr)), q
+
+
 class TestClosure:
     def test_point_in_set_is_its_own_witness(self):
-        verdict = closure_member(P_INF, Whole(), Truncation(3, 4))
+        verdict = closure_member(P_INF, Whole())
         assert verdict.status == "proven" and verdict.witness == P_INF
 
     def test_separator_escape(self):
         # the all-infinite point is a limit of the intersection minus one set
         expr = Diff(inter_atoms([ALL2]), Atom(ALL1))
-        verdict = closure_member(P_INF, expr, Truncation(4, 6))
+        verdict = closure_member(P_INF, expr)
         assert verdict.status == "proven"
         assert isinstance(verdict.witness, ApproxSequence)
-        for t in verdict.witness.terms():
-            assert eval_setexpr(t, expr)
+        _check_closure_verdict(P_INF, expr, verdict)
 
     def test_refuted_by_support_neighborhood(self):
         p = XiPoint.of({1: 1})
-        verdict = closure_member(p, Atom(ALL1), Truncation(2, 3))
+        verdict = closure_member(p, Atom(ALL1))
         assert verdict.status == "refuted"
-        assert verdict.neighborhood == ((1, 1),)
+        assert verdict.neighborhood == (((1, 1),), 0, 0)
 
     def test_unknown_when_search_bounded_out(self):
-        # singleton off the point: proof impossible, support neighborhood
-        # still meets the target, so the bounded engine stays agnostic
+        # a singleton off the point: every truncated neighborhood that holds
+        # position 1 at most at V meets it, so a bounded search cannot
+        # decide; pushing position 1 past its value 2 misses it
         target = Singleton(XiPoint.of({1: 2}))
-        verdict = closure_member(P_INF, target, Truncation(2, 3))
-        assert verdict.status == "unknown"
+        assert _closure_member_reference(P_INF, target, Truncation(2, 3)) == "unknown"
+        verdict = closure_member(P_INF, target)
+        assert verdict.status == "refuted" and verdict.neighborhood == ((), 1, 2)
+        _check_closure_verdict(P_INF, target, verdict)
 
     def test_a_late_singleton_alone_meets_the_class(self):
-        # the class {1, 2} holding 1:10 has nine points, 2..10 at position 2,
-        # and only the last lies in the set: reading the first k + 1 = 2
-        # points of the class in value order would refute
+        # the class {1, 2} holding 1:10 has nine points within V = 10, 2..10
+        # at position 2, and only the last lies in the set: a bounded search
+        # cannot decide, and values past 10 at position 2 miss the set
         point, trunc = XiPoint.of({1: 10}), Truncation(2, 10)
         expr = Singleton(XiPoint.of({1: 10, 2: 10}))
-        verdict = closure_member(point, expr, trunc)
-        assert verdict.status == "unknown"
-        assert verdict == _closure_member_reference(point, expr, trunc)
+        assert _closure_member_reference(point, expr, trunc) == "unknown"
+        verdict = closure_member(point, expr)
+        assert verdict.status == "refuted" and verdict.neighborhood == (((1, 10),), 2, 10)
+        _check_closure_verdict(point, expr, verdict)
+
+    def test_terms_start_past_every_singleton_value(self):
+        # the sequence through position 1 would start on the removed {1:2}
+        expr = Diff(Whole(), Union((Singleton(P_INF), Singleton(XiPoint.of({1: 2})))))
+        assert multi_escape_sequence(P_INF, (1,), 3).term(1) == XiPoint.of({1: 2})
+        verdict = closure_member(P_INF, expr)
+        assert verdict.status == "proven" and verdict.witness.varied == (1,)
+        assert verdict.witness.term(1) == XiPoint.of({1: 3})
+        _check_closure_verdict(P_INF, expr, verdict)
 
     @pytest.mark.parametrize(
         "point, expr",
         [
             (XiPoint.of({1: 10}), empty_expr()),
-            # the singleton carries 1:3 but lies past V, and every support
-            # holding position 1 misses ALL1
+            # the singleton carries 1:3, and every support holding position 1
+            # misses ALL1
             (XiPoint.of({1: 3}, PI),
              Union((Singleton(XiPoint.of({1: 3, 2: 17}, PI)), Atom(ALL1)))),
         ],
         ids=["xi-empty", "pi-singleton-past-v"],
     )
     def test_refutation_at_the_cap_enumerates_no_point(self, monkeypatch, point, expr):
-        # (12, 16) holds 4.9e9 points of xi; the refutation walks support
-        # classes instead
+        # the refutation reads hit patterns: it lists no support class and
+        # no point
         def fail(*args):
-            pytest.fail("the refutation listed points")
+            pytest.fail("the refutation listed classes or points")
 
-        for name in ("enumerate_truncated", "class_points"):
+        for name in ("support_classes", "enumerate_truncated", "class_points"):
             monkeypatch.setattr(space, name, fail)
         start = time.perf_counter()
-        verdict = closure_member(point, expr, Truncation(12, 16))
+        verdict = closure_member(point, expr)
         assert time.perf_counter() - start < 1.0
-        assert verdict.status == "refuted" and verdict.neighborhood == point.support
+        assert verdict.status == "refuted" and verdict.neighborhood[0] == point.support
+        _check_closure_verdict(point, expr, verdict)
+
+    def test_escape_past_a_long_shared_prefix(self, monkeypatch):
+        # the branches share a 40-letter prefix, so every position of b up
+        # to 2**40 lies in a too, and only b's 41st element escapes a
+        a = BranchIndex("12" * 20 + "1", "2", 0, "a")
+        b = BranchIndex("12" * 20 + "2", "1", 1, "b")
+
+        def fail(*args):
+            pytest.fail("the proof listed classes or points")
+
+        for name in ("support_classes", "enumerate_truncated", "class_points"):
+            monkeypatch.setattr(space, name, fail)
+        expr = Diff(Atom(a), Atom(b))
+        start = time.perf_counter()
+        verdict = closure_member(P_INF, expr)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == "proven" and verdict.witness.varied == (b.element(41),)
+        assert b.element(41) > 2**41
+        _check_closure_verdict(P_INF, expr, verdict)
 
     @pytest.mark.parametrize(
-        "V, removed, status",
-        [(1, False, "unknown"), (1, True, "refuted"), (2, True, "unknown")],
+        "V, removed",
+        [(1, False), (1, True), (2, True)],
         ids=["generic", "every-point-removed", "one-point-removed"],
     )
-    def test_classes_three_positions_past_the_point(self, V, removed, status):
+    def test_classes_three_positions_past_the_point(self, V, removed):
         # the core holds only on supports that avoid ALL1 and hit ALL2, 12:1
         # and 112:1, which share no position past 1: no sequence of one or
         # two varied positions gets there, but six classes of the full
         # product within T = 8 do.  Removing each class's point of all-1
-        # values empties the classes at V = 1 and leaves generic points at
-        # V = 2.
+        # values leaves every class's points with larger values, so the
+        # all-infinite point stays a limit of three varied positions.
         hit = (ALL2, ONE_TWO_THEN_1, BranchIndex("112", "1", 5, "u"))
         core = Inter((Atom(ALL1), *(Diff(Whole(), Atom(b)) for b in hit)))
         trunc = Truncation(8, V)
@@ -558,9 +616,10 @@ class TestClosure:
             points = [XiPoint.of(dict.fromkeys(s, 1), PI) for s in supports]
             expr = Diff(core, Union(tuple(map(Singleton, points))))
         point = XiPoint.of({}, PI)
-        verdict = closure_member(point, expr, trunc)
-        assert verdict.status == status
-        assert verdict == _closure_member_reference(point, expr, trunc)
+        assert _closure_member_reference(point, expr, trunc) != "proven"
+        verdict = closure_member(point, expr)
+        assert verdict.status == "proven" and verdict.witness.varied == (2, 4, 8)
+        _check_closure_verdict(point, expr, verdict)
 
     @given(st.sampled_from([XI, PI]).flatmap(_closure_cases))
     @example((XiPoint.of({1: 4}), Singleton(XiPoint.of({1: 4, 2: 5})), Truncation(2, 5)))
@@ -577,5 +636,10 @@ class TestClosure:
     @example((P_INF, Singleton(XiPoint.of({1: 2})), Truncation(2, 3)))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference(self, case):
+        # every proof the bounded reference finds is found, and every
+        # verdict carries its own evidence
         point, expr, trunc = case
-        assert closure_member(point, expr, trunc) == _closure_member_reference(point, expr, trunc)
+        verdict = closure_member(point, expr)
+        if _closure_member_reference(point, expr, trunc) == "proven":
+            assert verdict.status == "proven"
+        _check_closure_verdict(point, expr, verdict)
