@@ -1,7 +1,9 @@
 """Extendibility certificates and strictly monotone filter-base chains.
 
 Every engine output is a certificate the independent checker re-verifies
-from the payload alone.
+from the payload alone.  Extendibility (b) searches a truncation and records
+it; extendibility (a), the closure containment and the chains are exact and
+take none.
 """
 
 from zfilterlab import (
@@ -23,13 +25,14 @@ trunc = Truncation(4, 6)
 # --- extendibility, condition (a) -------------------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-cert = check_extendibility_a(reg, trunc)
+cert = check_extendibility_a(reg)
 print("extendibility (a): one witness point per entry, against all the others")
 for entry in cert.payload["entries"]:
     print(f"  alpha={entry['alpha']} point={entry['point']}")
 print("checker verdict:", check_certificate(cert).ok)
 
 # --- extendibility, condition (b) -------------------------------------------
+# the only engine here that searches a truncation: T = 4, V = 6
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 cert = check_extendibility_b(Atom(reg.entries[1]), reg.entries[0], reg, trunc)
@@ -48,20 +51,20 @@ print("whole-space exceptions:", cert.payload["exceptions"])
 # --- closure containment with a rank floor -----------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-rep = containment_decreasing([reg.entries[0]], [reg.entries[1]], 10, reg, trunc)
+rep = containment_decreasing([reg.entries[0]], [reg.entries[1]], 10, reg)
 print("\nclosure containment: subtract N_a from N_b, cover past rank 10")
 print("  separators:", rep.separators, "depth:", rep.depth, "cover:",
       [(c.literal(), c.rank) for c in rep.cover])
 print("  decided exactly: kept and cover branches own every position up to the")
 print("  depth, so a support avoiding them lies past every separator")
-count = sum(1 for _ in rep.point_verdicts())
+count = sum(1 for _ in rep.point_verdicts(trunc))
 print(f"  on the truncation: {count} points of the shrunken intersection, all witnessed")
 print("checker verdict:", check_certificate(rep.certificate).ok)
 
 # --- the full product needs no cover ------------------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-rep = containment_full_product([reg.entries[0]], [reg.entries[1]], trunc)
+rep = containment_full_product([reg.entries[0]], [reg.entries[1]])
 print("\nfull product: puncturing N_b out of N_a leaves a dense set")
 print("  separators (escape positions):", rep.separators)
 print("checker verdict:", check_certificate(rep.certificate).ok)
@@ -71,14 +74,14 @@ print("checker verdict:", check_certificate(rep.certificate).ok)
 reg = make_registry(
     [("", "1"), ("", "2"), ("1", "2"), ("12", "1"), ("2", "1")]
 )
-inc = increasing_chain_engine(reg, 5, trunc)
+inc = increasing_chain_engine(reg, 5)
 print("\nincreasing chain: entry j outside the first j entries' intersection")
 print("  strictness witnesses:",
       [(e["alpha"], e["point"]) for e in inc.certificate.payload["entries"]])
 reg = make_registry(
     [("", "1"), ("", "2"), ("1", "2"), ("12", "1"), ("2", "1")]
 )
-dec = decreasing_chain_engine(reg, 5, trunc)
+dec = decreasing_chain_engine(reg, 5)
 print("decreasing chain: entry j outside the later entries' intersection")
 print("  strictness witnesses:",
       [(e["alpha"], e["point"]) for e in dec.certificate.payload["entries"]])

@@ -1,8 +1,10 @@
 """Machine-checkable certificates with canonical serialization.
 
-A certificate is a kind tag, the run parameters (registry, truncation,
-ambient, command-specific knobs), a kind-specific payload, and an ordered step
-list.  Serialization is canonical (sorted keys, fixed separators, no floats),
+A certificate is a kind tag, the run parameters (registry, ambient,
+command-specific knobs, and the truncation ``(T, V)`` for the kinds whose
+claim was searched on one: `ExceptionList`, absorption-failure
+`InclusionChain`, `Contradiction` and `CounterexamplePoint`), a kind-specific
+payload, and an ordered step list.  Serialization is canonical (sorted keys, fixed separators, no floats),
 and a digest over the canonical body makes any byte-level tamper detectable
 before semantic re-verification even starts.  The ``verified`` flag is only
 ever set by the independent checker, never by a producer.
@@ -17,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 KINDS = (
     "SeparatorWitness",

@@ -1,9 +1,11 @@
 """Independent certificate checker.
 
 Re-validates a certificate from its payload alone: digest first, then a
-semantic replay that only uses point evaluation, exhaustive truncated
-enumeration, and the branch codec.  Nothing here calls back into the
-producing engines, so a certificate stands or falls on its own evidence.
+semantic replay that only uses point evaluation, the branch codec and, for
+the kinds that record a truncation (`ExceptionList`, absorption-failure
+`InclusionChain`, `Contradiction`, `CounterexamplePoint`), exhaustive
+truncated enumeration.  Nothing here calls back into the producing engines,
+so a certificate stands or falls on its own evidence.
 
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
 `report.problems` lists every failed obligation.
@@ -84,8 +86,6 @@ class _Context:
         self.report = report
         self.registry = _registry_from_params(cert.params)
         self.ambient: Ambient = cert.params.get("ambient", XI)
-        trunc = cert.params.get("truncation")
-        self.trunc = Truncation(trunc["T"], trunc["V"]) if trunc else None
 
     def branch(self, label: str) -> BranchIndex:
         return self.registry.by_label(label)
@@ -105,9 +105,17 @@ class _Context:
         return parse_setexpr(text, self.registry, self.ambient)
 
     def need_trunc(self) -> Truncation:
-        if self.trunc is None:
+        trunc = self.cert.params.get("truncation")
+        if not trunc:
             raise CertificateError("certificate omits the truncation it relies on")
-        return self.trunc
+        return Truncation(trunc["T"], trunc["V"])
+
+
+def _integer(value, what: str) -> int:
+    """``value`` itself, if it is an integer and not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CertificateError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _registry_from_params(params: dict) -> Registry:
@@ -142,7 +150,7 @@ def _check_separator_witness(ctx: _Context) -> None:
             return
         obligations = [(a, [b for b in entries if b != a]) for a in entries]
     elif claim in ("strictly-increasing-chain", "strictly-decreasing-chain"):
-        steps = ctx.cert.params["steps"]
+        steps = _integer(ctx.cert.params["steps"], "chain steps")
         if not 1 <= steps <= len(entries):
             ctx.report.fail(f"{steps} chain steps do not fit a registry of {len(entries)}")
             return
@@ -173,11 +181,9 @@ def _check_separator_witness(ctx: _Context) -> None:
 
 def _check_cover_set(ctx: _Context) -> None:
     payload = ctx.cert.payload
-    gamma = ctx.cert.params["gamma"]
-    depth = ctx.cert.params["depth"]
     base = ctx.branch_entries(payload["base"])
     cover = ctx.branch_entries(payload["cover"])
-    _verify_cover(ctx, cover, base, depth, gamma)
+    _verify_cover(ctx, cover, base, ctx.cert.params["depth"], ctx.cert.params["gamma"])
 
 
 def _verify_cover(
@@ -187,11 +193,11 @@ def _verify_cover(
     depth: int,
     gamma: int,
 ) -> None:
+    gamma = _integer(gamma, "rank floor")
+    depth = _integer(depth, "cover depth")
     for c in cover:
         if c.rank < gamma:
             ctx.report.fail(f"cover branch {c.label} has rank {c.rank} below {gamma}")
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise CertificateError(f"cover depth {depth!r} is not an integer")
     branches = [*base, *cover]
     # a branch has at most depth.bit_length() elements up to depth
     if len(branches) * depth.bit_length() < depth:
@@ -274,9 +280,7 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
         ctx.report.fail("separators must map exactly the subtracted labels to positions")
         return
     for beta in subtracted:
-        l = separators[beta.label]
-        if not isinstance(l, int) or isinstance(l, bool):
-            raise CertificateError(f"separator {l!r} for {beta.label} is not an integer")
+        l = _integer(separators[beta.label], f"separator for {beta.label}")
         if not branch_member(beta, l):
             ctx.report.fail(f"separator for {beta.label} is not an element of it")
         if any(branch_member(b, l) for b in kept):
@@ -290,47 +294,42 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
 
 
 def _check_absorption_failure(ctx: _Context) -> None:
-    payload = ctx.cert.payload
-    trunc = ctx.need_trunc()
-    af = payload["afailure"]
+    _replay_afailure(ctx, ctx.cert.payload["afailure"], ctx.need_trunc())
+
+
+def _replay_afailure(
+    ctx: _Context, af: dict, trunc: Truncation
+) -> tuple[SetExpr, list[BranchIndex], list[BranchIndex]]:
+    """Parse a recorded absorption failure ``zset ∩ ⋂constraining ⊆
+    ∪absorbing``, check its rank shape, replay its inclusion on the
+    truncation, and return its three parts."""
     zset = ctx.expr(af["zset"])
     constraining = ctx.branch_entries(af["constraining"])
     absorbing = ctx.branch_entries(af["absorbing"])
-    _check_rank_shape(ctx, constraining, absorbing)
-    lhs = Inter((zset, inter_atoms(constraining)))
-    rhs = union_atoms(absorbing)
-    bad = containment_counterexample(lhs, rhs, trunc, ctx.ambient)
-    if bad is not None:
-        ctx.report.fail(f"claimed absorption inclusion fails at {bad.literal()}")
-
-
-def _check_rank_shape(
-    ctx: _Context, constraining: list[BranchIndex], absorbing: list[BranchIndex]
-) -> None:
     max_f = max((b.rank for b in constraining), default=-1)
-    min_g = min((b.rank for b in absorbing), default=None)
-    if min_g is not None and max_f >= min_g:
+    if absorbing and max_f >= min(b.rank for b in absorbing):
         ctx.report.fail("constraining ranks must stay below absorbing ranks")
+    lhs = Inter((zset, inter_atoms(constraining)))
+    bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
+    if bad is not None:
+        ctx.report.fail(f"absorption inclusion breaks at {bad.literal()} on the truncation")
+    return zset, constraining, absorbing
 
 
 def _check_contradiction(ctx: _Context) -> None:
     payload = ctx.cert.payload
-    trunc = ctx.need_trunc()
-    _check_refuter_inputs(ctx, trunc)
-    # tie the payload to its cover: the replay above already checked every
-    # recorded failure's inclusion on the truncation, this one included
-    afailures = ctx.cert.params.get("afailures", [])
-    index = payload["afailure_index"]
-    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < len(afailures):
-        ctx.report.fail(f"afailure_index {index!r} names no recorded absorption failure")
+    # tie the payload to its cover: the replay checks every recorded
+    # failure's inclusion on the truncation, this one included
+    replayed = _check_refuter_inputs(ctx, ctx.need_trunc())
+    afailures = ctx.cert.params["afailures"]
+    index = _integer(payload["afailure_index"], "afailure_index")
+    if not 0 <= index < len(afailures):
+        ctx.report.fail(f"afailure_index {index} names no recorded absorption failure")
         return
-    af = payload["afailure"]
-    if af != afailures[index]:
+    if payload["afailure"] != afailures[index]:
         ctx.report.fail(f"the afailure differs from the recorded one at index {index}")
         return
-    zset = ctx.expr(af["zset"])
-    constraining = ctx.branch_entries(af["constraining"])
-    absorbing = ctx.branch_entries(af["absorbing"])
+    zset, constraining, absorbing = replayed[index]
     point = ctx.point(payload["point"])
     if not validate_point(point):
         ctx.report.fail("contradiction point is invalid")
@@ -343,24 +342,18 @@ def _check_contradiction(ctx: _Context) -> None:
         ctx.report.fail("contradiction point still sits in an absorbing zero set")
 
 
-def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> None:
+def _check_refuter_inputs(
+    ctx: _Context, trunc: Truncation
+) -> list[tuple[SetExpr, list[BranchIndex], list[BranchIndex]]]:
     """Shared obligations for refuter outputs: every claimed absorption failure
-    verifies on the truncation and the rank floor clears every absorbing rank."""
-    params = ctx.cert.params
-    gamma = params.get("gamma")
-    for af in params.get("afailures", []):
-        zset = ctx.expr(af["zset"])
-        constraining = ctx.branch_entries(af["constraining"])
-        absorbing = ctx.branch_entries(af["absorbing"])
-        _check_rank_shape(ctx, constraining, absorbing)
-        if gamma is not None and absorbing and gamma <= max(b.rank for b in absorbing):
+    verifies on the truncation and the rank floor clears every absorbing rank.
+    Returns the replayed failures, in order."""
+    gamma = _integer(ctx.cert.params["gamma"], "rank floor")
+    replayed = [_replay_afailure(ctx, af, trunc) for af in ctx.cert.params["afailures"]]
+    for _, _, absorbing in replayed:
+        if absorbing and gamma <= max(b.rank for b in absorbing):
             ctx.report.fail("rank floor does not clear the absorbing ranks")
-        lhs = Inter((zset, inter_atoms(constraining)))
-        bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
-        if bad is not None:
-            ctx.report.fail(
-                f"input absorption failure breaks at {bad.literal()} on the truncation"
-            )
+    return replayed
 
 
 def _check_counterexample(ctx: _Context) -> None:
@@ -373,8 +366,7 @@ def _check_counterexample(ctx: _Context) -> None:
     if not cover_texts:
         ctx.report.fail("no cover recorded to refute")
         return
-    if ctx.trunc is not None:
-        _check_refuter_inputs(ctx, ctx.trunc)
+    _check_refuter_inputs(ctx, ctx.need_trunc())
     for text in cover_texts:
         if eval_setexpr(point, ctx.expr(text)):
             ctx.report.fail(f"the point lies in cover set {text}")

@@ -332,9 +332,7 @@ def _cmd_verify(args) -> int:
     if not args.lemma:
         raise UsageError("give a lemma name or --check CERT")
 
-    reg = _registry(args)
-    trunc = _truncation(args)
-    cert = _run_engine(args, reg, trunc)
+    cert = _run_engine(args, _registry(args))
     if args.seed:
         cert.params["seed"] = args.seed
     path = _output_path(args, f"{args.lemma}.cert.json")
@@ -365,40 +363,44 @@ def _check_file(args) -> CheckReport:
     return check_certificate(cert)
 
 
-def _run_engine(args, reg: Registry, trunc: Truncation) -> Certificate:
+def _run_engine(args, reg: Registry) -> Certificate:
+    """Run the lemma's engine.  Only extendibility-b, property-a and
+    property-b search a truncation, so only they read ``--T/--V`` and meet
+    the caps; the other lemmas are exact and ignore those options."""
     lemma = args.lemma
     ambient = LEMMAS[lemma]
     if args.ambient not in (None, ambient):
         raise UsageError(f"{lemma} decides in {ambient} only, not in {args.ambient}")
     if lemma == "extendibility-a":
-        return check_extendibility_a(reg, trunc)
+        return check_extendibility_a(reg)
     if lemma == "extendibility-b":
         if not args.zset or not args.alpha:
             raise UsageError("extendibility-b needs --zset and --alpha")
         zset = parse_setexpr(args.zset, reg, ambient)
-        return check_extendibility_b(zset, _resolve_branch(reg, args.alpha), reg, trunc)
+        alpha = _resolve_branch(reg, args.alpha)
+        return check_extendibility_b(zset, alpha, reg, _truncation(args))
     if lemma == "containment-dec":
         subtracted = [_resolve_branch(reg, b) for b in args.F]
         kept = [_resolve_branch(reg, b) for b in args.G]
-        return containment_decreasing(subtracted, kept, args.gamma, reg, trunc).certificate
+        return containment_decreasing(subtracted, kept, args.gamma, reg).certificate
     if lemma == "containment-full":
         kept = [_resolve_branch(reg, b) for b in args.F]
         subtracted = [_resolve_branch(reg, b) for b in args.G]
-        return containment_full_product(kept, subtracted, trunc).certificate
+        return containment_full_product(kept, subtracted).certificate
     if lemma == "property-a":
         if not args.zset:
             raise UsageError("property-a needs --zset")
         zset = parse_setexpr(args.zset, reg, ambient)
-        return property_a_check(zset, reg, trunc).certificate
+        return property_a_check(zset, reg, _truncation(args)).certificate
     if lemma == "property-b":
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")
         failures = _load_afailures(args.cover, reg, ambient)
-        return property_b_refute(failures, args.gamma, reg, trunc)
+        return property_b_refute(failures, args.gamma, reg, _truncation(args))
     if lemma == "chain-inc":
-        return increasing_chain_engine(reg, args.steps, trunc).certificate
+        return increasing_chain_engine(reg, args.steps).certificate
     if lemma == "chain-dec":
-        return decreasing_chain_engine(reg, args.steps, trunc).certificate
+        return decreasing_chain_engine(reg, args.steps).certificate
     raise UsageError(f"unknown lemma {lemma!r}")
 
 

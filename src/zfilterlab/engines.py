@@ -1,24 +1,26 @@
 """Certificate-producing engines for the constructive combinatorial facts.
 
 Each engine realizes one construction at desk scale, relative to an explicit
-finite registry and truncation, and emits a `Certificate` that an independent
-checker can replay from the payload alone.  The quantifier finitizations are
-stamped into the params of every certificate that relies on them.
+finite registry, and emits a `Certificate` that an independent checker can
+replay from the payload alone.
 
-The engines never trust themselves: exhaustive truncated checks and exact
-branch-word reasoning back every claim, and any residual transfinite step is
-replaced by a concrete eval-verified witness point.  The two closure
-containments are exact: their certificates carry the separators (and, with a
-rank floor, the cover and its depth) from which the paper's
+The engines never trust themselves: exact branch-word reasoning or an
+exhaustive search of a truncation ``(T, V)`` backs every claim, and any
+residual transfinite step is replaced by a concrete eval-verified witness
+point.  Only the engines that search a truncation take one and record it in
+their certificates: `check_extendibility_b`, `property_a_check` (for a
+failure) and `property_b_refute`.  The separator claims (`extendibility-a`,
+the two chains, property (A) when it holds) are shown by one eval-checked
+point per entry, and the two closure containments by the separators (and,
+with a rank floor, the cover and its depth) from which the paper's
 coordinate-pushing step gives every point of the shrunken intersection an
-escape sequence, so they record no truncation.
+escape sequence, so none of them reads or records a truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .branches import (
@@ -83,21 +85,15 @@ def _branches_payload(bs: Iterable[BranchIndex]) -> list[dict]:
     return [_branch_payload(b) for b in sorted(bs, key=lambda x: x.rank)]
 
 
-def _params(registry: Registry, trunc: Truncation | None, ambient: Ambient, **extra) -> dict:
-    params: dict = {"registry": registry.to_payload(), "ambient": ambient}
-    if trunc is not None:
-        params["truncation"] = trunc.to_payload()
-    params.update(extra)
-    return params
+def _params(registry: Registry, ambient: Ambient, **extra) -> dict:
+    return {"registry": registry.to_payload(), "ambient": ambient, **extra}
 
 
 # ---------------------------------------------------------------------------
 # Extendibility, condition (a)
 # ---------------------------------------------------------------------------
 
-def check_extendibility_a(
-    registry: Registry, trunc: Truncation | None = None
-) -> Certificate:
+def check_extendibility_a(registry: Registry) -> Certificate:
     """Witness points showing no single zero set sits in the pairwise-union filter.
 
     For every entry, the point carrying the separator element at the
@@ -112,7 +108,7 @@ def check_extendibility_a(
     entries = list(registry)
     return Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI, filter="pairwise-unions"),
+        params=_params(registry, XI, filter="pairwise-unions"),
         payload={
             "claim": "no-single-zero-set-in-filter",
             "entries": _separator_entries(
@@ -203,7 +199,7 @@ def check_extendibility_b(
 
     return Certificate(
         "ExceptionList",
-        params=_params(registry, trunc, XI),
+        params=_params(registry, XI, truncation=trunc.to_payload()),
         payload={
             "zset": setexpr_text(zset),
             "alpha": alpha0.label,
@@ -251,8 +247,8 @@ class ContainmentReport:
     misses: a separator lies in its own subtracted branch and in no kept one,
     and (in ``xi``) the kept and cover branches own every position up to
     ``depth``, at least every separator, so the terms stay valid.  The
-    certificate carries only these facts; ``classes`` and `point_verdicts`
-    spell the rule out on the truncation, on demand.
+    certificate carries only these facts; `classes` and `point_verdicts`
+    spell the rule out on a truncation the caller gives.
     """
 
     subtracted: tuple[BranchIndex, ...]
@@ -261,20 +257,17 @@ class ContainmentReport:
     separators: dict[str, int]
     cover: list[BranchIndex]
     depth: int
-    truncation: Truncation
     ambient: Ambient
     certificate: Certificate = field(repr=False)
 
     def target(self) -> SetExpr:
         return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
 
-    @cached_property
-    def classes(self) -> list[ClassWitness]:
-        """One escape schema per truncated support class avoiding the kept and
-        cover branches: the separators of the subtracted branches it misses.
-        Classes without truncated points are dropped in ``xi`` and kept in
-        ``pi``."""
-        trunc = self.truncation
+    def classes(self, trunc: Truncation) -> list[ClassWitness]:
+        """One escape schema per support class of ``trunc`` avoiding the kept
+        and cover branches: the separators of the subtracted branches it
+        misses.  Classes without truncated points are dropped in ``xi`` and
+        kept in ``pi``."""
         in_shrunken = support_evaluator(inter_atoms([*self.kept, *self.cover]), trunc.T)
         misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in self.subtracted]
         classes: list[ClassWitness] = []
@@ -289,14 +282,15 @@ class ContainmentReport:
             classes.append(ClassWitness(support, escapes, not missing, count))
         return classes
 
-    def point_verdicts(self):
-        """Yield (point, witness) for every truncated point of the shrunken intersection.
+    def point_verdicts(self, trunc: Truncation):
+        """Yield (point, witness) for every point of ``trunc`` in the shrunken
+        intersection.
 
         The witness is the point itself when it already sits in the target,
         else the multi-position escape sequence through the separators.
         """
-        for cw in self.classes:
-            for p in class_points(cw.support, self.truncation, self.ambient):
+        for cw in self.classes(trunc):
+            for p in class_points(cw.support, trunc, self.ambient):
                 if cw.self_member:
                     yield p, p
                 else:
@@ -308,7 +302,6 @@ def containment_decreasing(
     kept: Sequence[BranchIndex],
     gamma: int,
     registry: Registry,
-    trunc: Truncation,
 ) -> ContainmentReport:
     """Shrink the kept intersection, at ranks past the floor, into the closure.
 
@@ -316,7 +309,7 @@ def containment_decreasing(
     staying inside the kept intersection; covering every position up to the
     deepest separator pushes all remaining support beyond it, which makes the
     escape terms valid and convergent for every point of the shrunken
-    intersection, within the truncation or not.
+    intersection.
     """
     subtracted = tuple(subtracted)
     kept = tuple(kept)
@@ -337,7 +330,7 @@ def containment_decreasing(
 
     cert = Certificate(
         "InclusionChain",
-        params=_params(registry, None, XI, gamma=gamma),
+        params=_params(registry, XI, gamma=gamma),
         payload={
             "claim": "closure-containment-with-rank-floor",
             "subtracted": _branches_payload(subtracted),
@@ -347,7 +340,7 @@ def containment_decreasing(
             "cover": _branches_payload(cover),
         },
     )
-    return ContainmentReport(subtracted, kept, gamma, separators, cover, depth, trunc, XI, cert)
+    return ContainmentReport(subtracted, kept, gamma, separators, cover, depth, XI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +350,6 @@ def containment_decreasing(
 def containment_full_product(
     kept: Sequence[BranchIndex],
     subtracted: Sequence[BranchIndex],
-    trunc: Truncation,
 ) -> ContainmentReport:
     """Density of the punctured intersection inside the full-product intersection.
 
@@ -374,7 +366,7 @@ def containment_full_product(
     registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
     cert = Certificate(
         "InclusionChain",
-        params=_params(registry_view, None, PI),
+        params=_params(registry_view, PI),
         payload={
             "claim": "punctured-intersection-dense",
             "kept": _branches_payload(kept),
@@ -382,7 +374,7 @@ def containment_full_product(
             "separators": separators,
         },
     )
-    return ContainmentReport(subtracted, kept, 0, separators, [], 0, trunc, PI, cert)
+    return ContainmentReport(subtracted, kept, 0, separators, [], 0, PI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ def property_a_check(
     lists one ``{alpha, point}`` per entry.  The first entry without such a
     point is reported with a constraint set shrunk, in rank order, to the
     members it cannot do without, and its inclusion is verified exhaustively
-    on the truncation."""
+    on the truncation, which only that certificate records."""
     entries = list(registry)
     listed: list[dict] = []
     for j, beta in enumerate(entries):
@@ -459,7 +451,7 @@ def property_a_check(
             failure = AFailure(zset, tuple(f_set), (beta,))
             cert = Certificate(
                 "InclusionChain",
-                params=_params(registry, trunc, XI),
+                params=_params(registry, XI, truncation=trunc.to_payload()),
                 payload={
                     "claim": "absorption-failure",
                     "afailure": failure.to_payload(),
@@ -477,7 +469,7 @@ def property_a_check(
         listed.append({"alpha": beta.label, "point": point.literal()})
     cert = Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI),
+        params=_params(registry, XI),
         payload={
             "claim": "non-absorption-holds",
             "zset": setexpr_text(zset),
@@ -556,7 +548,7 @@ def property_b_refute(
     n = len(failures)
     zsets = [f.zset for f in failures]
     cover_expr = Union(tuple(zsets))
-    params = _params(registry, trunc, XI, gamma=gamma,
+    params = _params(registry, XI, truncation=trunc.to_payload(), gamma=gamma,
                      cover=[setexpr_text(z) for z in zsets],
                      afailures=[f.to_payload() for f in failures])
 
@@ -743,9 +735,7 @@ class ChainReport:
     certificate: Certificate
 
 
-def increasing_chain_engine(
-    registry: Registry, steps: int, trunc: Truncation
-) -> ChainReport:
+def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     """Strictly increasing filter-base chain: step k is generated by the
     zero sets of the first k entries (plus the whole space).
 
@@ -761,7 +751,7 @@ def increasing_chain_engine(
     ]
     cert = Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI, steps=steps),
+        params=_params(registry, XI, steps=steps),
         payload={
             "claim": "strictly-increasing-chain",
             "entries": _separator_entries(
@@ -772,9 +762,7 @@ def increasing_chain_engine(
     return ChainReport("increasing", bases, cert)
 
 
-def decreasing_chain_engine(
-    registry: Registry, steps: int, trunc: Truncation
-) -> ChainReport:
+def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     """Strictly decreasing filter-base chain: step k is generated by the
     zero sets of the entries from position k on (the rank tail).
 
@@ -790,7 +778,7 @@ def decreasing_chain_engine(
     ]
     cert = Certificate(
         "SeparatorWitness",
-        params=_params(registry, trunc, XI, steps=steps),
+        params=_params(registry, XI, steps=steps),
         payload={
             "claim": "strictly-decreasing-chain",
             "entries": _separator_entries(
@@ -820,12 +808,11 @@ def cover_certificate(
     gamma: int,
     registry: Registry,
     base: Sequence[BranchIndex],
-    trunc: Truncation | None = None,
 ) -> tuple[list[BranchIndex], Certificate]:
     cover = find_cover(l, gamma, registry, base=base)
     cert = Certificate(
         "CoverSet",
-        params=_params(registry, trunc, XI, gamma=gamma, depth=l),
+        params=_params(registry, XI, gamma=gamma, depth=l),
         payload={
             "base": _branches_payload(base),
             "cover": _branches_payload(cover),

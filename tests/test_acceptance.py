@@ -158,7 +158,7 @@ def test_criterion_prototype_witnesses():
     failures = 0
     pairs = 0
     for reg in registries:
-        cert = check_extendibility_a(reg, TRUNC)
+        cert = check_extendibility_a(reg)
         points = {e["alpha"]: parse_point_literal(e["point"]) for e in cert.payload["entries"]}
         if len(cert.payload["entries"]) != len(reg):
             failures += 1
@@ -199,7 +199,7 @@ def test_criterion_closure_engine_prototype():
         reg = pool_registry()
         subtracted, kept = _sample_disjoint(rng, list(reg))
         gamma = rng.randrange(0, 30)
-        rep = containment_decreasing(subtracted, kept, gamma, reg, TRUNC)
+        rep = containment_decreasing(subtracted, kept, gamma, reg)
         if rep.cover and min(c.rank for c in rep.cover) < gamma:
             bad += 1
         covered = all(
@@ -209,7 +209,7 @@ def test_criterion_closure_engine_prototype():
         if not covered:
             bad += 1
         target = rep.target()
-        for p, witness in rep.point_verdicts():
+        for p, witness in rep.point_verdicts(TRUNC):
             points_total += 1
             terms = [p] if witness is p else witness.terms()
             if not all(eval_setexpr(t, target) for t in terms):
@@ -231,7 +231,7 @@ def test_criterion_closure_engine_full_product():
     for _ in range(100):
         reg = pool_registry()
         kept, subtracted = _sample_disjoint(rng, list(reg))
-        rep = containment_full_product(kept, subtracted, TRUNC)
+        rep = containment_full_product(kept, subtracted)
         target = rep.target()
         lhs = inter_atoms(kept)
         expected_total = 0
@@ -239,7 +239,7 @@ def test_criterion_closure_engine_full_product():
             n for n in range(1, TRUNC.T + 1)
             if not any(branch_member(b, n) for b in kept)
         ]
-        for cw in rep.classes:
+        for cw in rep.classes(TRUNC):
             classes_total += 1
             if cw.count != class_point_count(cw.support, TRUNC, PI):
                 bad += 1
@@ -277,7 +277,7 @@ def test_criterion_closure_engine_full_product():
 def _class_verdicts(rep, cw):
     from zfilterlab.space import multi_escape_sequence
 
-    for p in class_points(cw.support, rep.truncation, rep.ambient):
+    for p in class_points(cw.support, TRUNC, rep.ambient):
         if cw.self_member:
             yield p, p
         else:
@@ -400,8 +400,8 @@ def test_criterion_chain_strictness():
     start = time.perf_counter()
     reg_inc = pool_registry()
     reg_dec = pool_registry()
-    inc = increasing_chain_engine(reg_inc, 8, TRUNC)
-    dec = decreasing_chain_engine(reg_dec, 8, TRUNC)
+    inc = increasing_chain_engine(reg_inc, 8)
+    dec = decreasing_chain_engine(reg_dec, 8)
     bad = 0
     if not check_certificate(inc.certificate).ok:
         bad += 1
@@ -531,7 +531,7 @@ def test_criterion_certificate_integrity():
         again = Certificate.from_json(text)
         if not check_certificate(again).ok:
             bad += 1
-    blob = check_extendibility_a(pool_registry(), TRUNC).to_json().encode()
+    blob = check_extendibility_a(pool_registry()).to_json().encode()
     rng = random.Random(99)
     rejected = 0
     trials = 0

@@ -41,23 +41,23 @@ def reg():
 
 def sample_certificates():
     r = reg()
-    certs = [check_extendibility_a(r, TR)]
+    certs = [check_extendibility_a(r)]
     r = reg()
     certs.append(check_extendibility_b(Whole(), r.entries[0], r, TR))
     r = reg()
     certs.append(
-        containment_decreasing([r.entries[0]], [r.entries[1]], 7, r, TR).certificate
+        containment_decreasing([r.entries[0]], [r.entries[1]], 7, r).certificate
     )
     r = reg()
     certs.append(
-        containment_full_product([r.entries[0]], [r.entries[1]], TR).certificate
+        containment_full_product([r.entries[0]], [r.entries[1]]).certificate
     )
     r = reg()
     certs.append(property_a_check(Whole(), r, TR).certificate)
     r = reg()
-    certs.append(increasing_chain_engine(r, 3, TR).certificate)
+    certs.append(increasing_chain_engine(r, 3).certificate)
     r = reg()
-    certs.append(decreasing_chain_engine(r, 3, TR).certificate)
+    certs.append(decreasing_chain_engine(r, 3).certificate)
     r = make_registry([("11", "1"), ("12", "1"), ("2", "1"), ("21", "2"), ("", "2", 9)])
     constraining = tuple(b for b in r if b.rank <= TR.T)
     failure = AFailure(Whole(), constraining, (r.entries[-1],))
@@ -68,6 +68,8 @@ def sample_certificates():
         AFailure(Atom(r.entries[1]), (), (r.entries[1],)),
     ]
     certs.append(property_b_refute(failures, 50, r, TR))
+    r = reg()
+    certs.append(property_a_check(Atom(r.entries[0]), r, TR).certificate)
     return certs
 
 
@@ -91,8 +93,8 @@ class TestRoundTrip:
 
     def test_byte_determinism(self):
         r1, r2 = reg(), reg()
-        a = check_extendibility_a(r1, TR).to_json()
-        b = check_extendibility_a(r2, TR).to_json()
+        a = check_extendibility_a(r1).to_json()
+        b = check_extendibility_a(r2).to_json()
         assert a == b
 
     def test_file_round_trip(self, tmp_path):
@@ -141,7 +143,7 @@ class TestTampering:
     def test_semantic_lie_rejected_by_checker(self):
         # a well-digested certificate whose witness point is wrong
         r = reg()
-        cert = check_extendibility_a(r, TR)
+        cert = check_extendibility_a(r)
         cert.payload["entries"][0]["point"] = "{1:1,2:2}"
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         report = check_certificate(fresh)
@@ -182,10 +184,11 @@ class TestStructure:
         assert not report.ok and report.problems
 
     def test_version_one_document_rejected(self):
-        # schema 2 certificates still list the closure classes, and schema 3
-        # property-a certificates one witness per (F, beta) pair
+        # schema 2 certificates still list the closure classes, schema 3
+        # property-a certificates one witness per (F, beta) pair, and schema 4
+        # separator certificates a truncation
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3):
+        for schema in (1, 2, 3, 4):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": cert.steps}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -194,12 +197,32 @@ class TestStructure:
             assert "unsupported schema version" in report.problems[0]
 
 
+    def test_only_truncated_searches_record_a_truncation(self):
+        certs = sample_certificates()
+        recorded = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" in c.params}
+        assert recorded == {
+            ("ExceptionList", None),
+            ("InclusionChain", "absorption-failure"),
+            ("Contradiction", "afailure-inclusion-breaks"),
+            ("CounterexamplePoint", "cover-misses-point"),
+        }
+        exact = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" not in c.params}
+        assert exact == {
+            ("SeparatorWitness", "no-single-zero-set-in-filter"),
+            ("SeparatorWitness", "non-absorption-holds"),
+            ("SeparatorWitness", "strictly-increasing-chain"),
+            ("SeparatorWitness", "strictly-decreasing-chain"),
+            ("InclusionChain", "closure-containment-with-rank-floor"),
+            ("InclusionChain", "punctured-intersection-dense"),
+        }
+
+
 class TestSeparatorWitnessClaims:
     def test_empty_payload_rejected(self):
         assert not check_certificate(Certificate("SeparatorWitness", {}, {})).ok
 
     def test_unknown_claim_rejected(self):
-        cert = increasing_chain_engine(reg(), 3, TR).certificate
+        cert = increasing_chain_engine(reg(), 3).certificate
         cert.payload["claim"] = "strictly-sideways-chain"
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         assert not check_certificate(fresh).ok
@@ -220,9 +243,9 @@ class TestSeparatorWitnessClaims:
     @pytest.mark.parametrize(
         "make, field",
         [
-            (lambda: check_extendibility_a(reg(), TR), "entries"),
-            (lambda: increasing_chain_engine(reg(), 3, TR).certificate, "entries"),
-            (lambda: decreasing_chain_engine(reg(), 3, TR).certificate, "entries"),
+            (lambda: check_extendibility_a(reg()), "entries"),
+            (lambda: increasing_chain_engine(reg(), 3).certificate, "entries"),
+            (lambda: decreasing_chain_engine(reg(), 3).certificate, "entries"),
             (lambda: property_a_check(Whole(), reg(), TR).certificate, "entries"),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
@@ -237,10 +260,10 @@ class TestSeparatorWitnessClaims:
 
     def test_entry_counts(self):
         r = reg()
-        assert len(check_extendibility_a(r, TR).payload["entries"]) == len(r)
+        assert len(check_extendibility_a(r).payload["entries"]) == len(r)
         for steps in (1, 3, 5):
-            inc = increasing_chain_engine(reg(), steps, TR).certificate
-            dec = decreasing_chain_engine(reg(), steps, TR).certificate
+            inc = increasing_chain_engine(reg(), steps).certificate
+            dec = decreasing_chain_engine(reg(), steps).certificate
             assert len(inc.payload["entries"]) == steps
             assert len(dec.payload["entries"]) == steps - 1
 
@@ -248,7 +271,7 @@ class TestSeparatorWitnessClaims:
         # b0's point for the group {b1} alone would not do: it must lie in
         # the intersection of every other entry
         r = reg()
-        cert = check_extendibility_a(r, TR)
+        cert = check_extendibility_a(r)
         cert.payload["entries"][0]["point"] = "{1:1}"
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
         assert not check_certificate(fresh).ok
@@ -268,7 +291,7 @@ class TestSeparatorWitnessClaims:
         assert not report.ok and "fails to separate b3" in report.problems[0]
 
     def test_single_entry_registry_rejected(self):
-        cert = check_extendibility_a(reg(), TR)
+        cert = check_extendibility_a(reg())
         cert.params["registry"] = cert.params["registry"][:1]
         cert.payload["entries"] = cert.payload["entries"][:1]
         fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
@@ -308,9 +331,9 @@ class TestWrongTypedFields:
         """
         specs = [("1", "2"), ("2", "1")]
         r = make_registry(specs)
-        certs = [containment_decreasing([r.entries[0]], [r.entries[1]], 2, r, TR).certificate]
+        certs = [containment_decreasing([r.entries[0]], [r.entries[1]], 2, r).certificate]
         r = make_registry(specs)
-        certs.append(containment_full_product([r.entries[1]], [r.entries[0]], TR).certificate)
+        certs.append(containment_full_product([r.entries[1]], [r.entries[0]]).certificate)
         certs.append(cover_certificate(1, 0, make_registry(specs), [])[1])
         for cert in certs:
             assert check_certificate(cert).ok
@@ -332,6 +355,32 @@ class TestWrongTypedFields:
         for cert, section in ((dec, "payload"), (cover, "params")):
             for value in self.VALUES:
                 report = check_certificate(_with(section, depth=value)(cert))
+                assert report.ok is False, (cert.kind, value)
+
+    def test_every_non_integer_steps_is_rejected(self):
+        # True equals 1, so a one-step chain used to pass with it
+        for make in (increasing_chain_engine, decreasing_chain_engine):
+            for steps in (1, 3):
+                cert = make(reg(), steps).certificate
+                assert check_certificate(cert).ok
+                for value in (True, float(steps), steps + 0.5, str(steps), None):
+                    report = check_certificate(_with("params", steps=value)(cert))
+                    assert report.ok is False, (cert.payload["claim"], steps, value)
+
+    def test_every_non_integer_gamma_is_rejected(self):
+        # a rank floor is only compared with ranks, so a bool or a float on
+        # the same side of every rank used to pass
+        r = reg()
+        certs = [cover_certificate(12, 5, r, [r.entries[0]])[1]]
+        certs += [c for c in sample_certificates() if "gamma" in c.params]
+        assert {c.kind for c in certs} == {
+            "CoverSet", "InclusionChain", "Contradiction", "CounterexamplePoint"
+        }
+        for cert in certs:
+            assert check_certificate(cert).ok
+            gamma = cert.params["gamma"]
+            for value in (True, False, 0.5, -1.5, gamma - 0.5, float(gamma), str(gamma), None):
+                report = check_certificate(_with("params", gamma=value)(cert))
                 assert report.ok is False, (cert.kind, value)
 
     def test_every_non_integer_truncation_is_rejected(self):
@@ -422,8 +471,8 @@ def closure_certificates():
     b2 = :2 with separators 3 and 2.
     """
     r = make_registry([("", "1"), ("1", "2"), ("", "2"), ("2", "1")])
-    dec = containment_decreasing([r.entries[0], r.entries[3]], [r.entries[1]], 5, r, TR)
-    full = containment_full_product([r.entries[1]], [r.entries[0], r.entries[2]], TR)
+    dec = containment_decreasing([r.entries[0], r.entries[3]], [r.entries[1]], 5, r)
+    full = containment_full_product([r.entries[1]], [r.entries[0], r.entries[2]])
     return [dec.certificate, full.certificate]
 
 

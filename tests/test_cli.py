@@ -249,19 +249,63 @@ class TestVerify:
     def test_resource_cap(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
-            "verify", "chain-inc", "--steps", "2", *_reg_flags(),
+            "verify", "property-a", "--zset", "W", *_reg_flags(),
             "--T", "20", "--out", str(tmp_path / "x.json"),
         )
         assert code == EXIT_RESOURCE and "cap" in err
 
     def test_cap_override(self, capsys, tmp_path):
+        out_file = tmp_path / "x.json"
         code, _, _ = run(
             capsys,
-            "verify", "chain-inc", "--steps", "2", *_reg_flags(),
-            "--T", "13", "--V", "4", "--cap-T", "13",
-            "--out", str(tmp_path / "x.json"),
+            "verify", "extendibility-b", "--zset", "W", "--alpha", "a", *_reg_flags(),
+            "--T", "13", "--V", "4", "--cap-T", "13", "--out", str(out_file),
         )
         assert code == EXIT_OK
+        assert Certificate.read(str(out_file)).params["truncation"] == {"T": 13, "V": 4}
+
+    @pytest.mark.parametrize("lemma, extra", [
+        ("chain-inc", ["--steps", "2"]),
+        ("extendibility-a", []),
+        ("containment-dec", ["--F", "a", "--G", "b"]),
+        ("containment-full", ["--F", "a", "--G", "b"]),
+    ])
+    def test_exact_lemmas_ignore_the_truncation(self, capsys, tmp_path, lemma, extra):
+        # these engines read no truncation, so --T/--V and the caps are
+        # accepted and have no effect on the certificate
+        extra = [*extra, "-r", "a=1:2@0", "-r", "b=2:1@1"]
+        out_file = tmp_path / "x.json"
+        code, out, err = run(capsys, "verify", lemma, *extra, "--out", str(out_file))
+        assert code == EXIT_OK, err
+        default = out_file.read_bytes()
+        assert "truncation" not in Certificate.read(str(out_file)).params
+        code, out, err = run(
+            capsys, "verify", lemma, *extra, "--T", "13", "--V", "40", "--cap-T", "2",
+            "--out", str(out_file),
+        )
+        assert code == EXIT_OK and "verified" in out, err
+        assert out_file.read_bytes() == default
+        code, out, _ = run(capsys, "verify", "--check", str(out_file))
+        assert code == EXIT_OK and out.strip() == "verified"
+
+    @pytest.mark.parametrize("lemma, extra", [
+        ("extendibility-b", ["--zset", "W", "--alpha", "a"]),
+        ("property-a", ["--zset", "W"]),
+        ("property-b", ["--cover", "COVER", "--gamma", "50"]),
+    ])
+    def test_truncated_lemmas_meet_the_caps(self, capsys, tmp_path, lemma, extra):
+        cover_file = tmp_path / "cover.json"
+        cover_file.write_text(json.dumps({"afailures": [
+            {"zset": "N:a", "constraining": [], "absorbing": ["a"]}]}))
+        extra = [str(cover_file) if x == "COVER" else x for x in extra]
+        out_file = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "verify", lemma, *extra, *_reg_flags(), "--T", "13",
+            "--out", str(out_file),
+        )
+        assert code == EXIT_RESOURCE and out == ""
+        assert "truncation (13,10) exceeds caps (12,16)" in err
+        assert not out_file.exists()
 
     def test_bare_literals_register_on_the_fly(self, capsys, tmp_path):
         out_file = tmp_path / "dec.json"

@@ -101,17 +101,17 @@ class TestExtendibilityB:
 class TestContainmentDecreasing:
     def test_empty_subtracted_is_trivial(self):
         reg = reg3()
-        report = containment_decreasing([], [reg.entries[1]], 5, reg, TR)
+        report = containment_decreasing([], [reg.entries[1]], 5, reg)
         assert report.cover == []
         target = report.target()
-        for p, witness in report.point_verdicts():
+        for p, witness in report.point_verdicts(TR):
             assert witness == p
             assert eval_setexpr(p, target)
 
     def test_single_subtracted_cover_shape(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
-        report = containment_decreasing([a1], [a2], 5, reg, TR)
+        report = containment_decreasing([a1], [a2], 5, reg)
         assert report.depth == report.separators[a1.label] == 1
         assert all(c.rank >= 5 for c in report.cover)
         assert len(report.cover) == 1 and report.cover[0].prefix(1) == "1"
@@ -119,7 +119,7 @@ class TestContainmentDecreasing:
     def test_subtracted_only(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1 = reg.entries[0]
-        report = containment_decreasing([a1], [], 0, reg, TR)
+        report = containment_decreasing([a1], [], 0, reg)
         l = report.separators[a1.label]
         assert l == 1
         for n in range(1, l + 1):
@@ -129,11 +129,11 @@ class TestContainmentDecreasing:
         reg = reg5()
         f = [reg.entries[0]]
         g = [reg.entries[1], reg.entries[2]]
-        report = containment_decreasing(f, g, 7, reg, TR)
+        report = containment_decreasing(f, g, 7, reg)
         target = report.target()
         shrunken = inter_atoms(list(g) + report.cover)
         seen = 0
-        for p, witness in report.point_verdicts():
+        for p, witness in report.point_verdicts(TR):
             seen += 1
             assert eval_setexpr(p, shrunken)
             if witness is p:
@@ -149,32 +149,32 @@ class TestContainmentDecreasing:
     def test_disjointness_required(self):
         reg = reg3()
         with pytest.raises(EngineError):
-            containment_decreasing([reg.entries[0]], [reg.entries[0]], 0, reg, TR)
+            containment_decreasing([reg.entries[0]], [reg.entries[0]], 0, reg)
 
 
 class TestContainmentFullProduct:
     def test_trivial_whole_space(self):
-        report = containment_full_product([], [], TR)
-        for p, witness in report.point_verdicts():
+        report = containment_full_product([], [])
+        for p, witness in report.point_verdicts(TR):
             assert witness == p
 
     def test_escape_position_is_least_separator(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
-        report = containment_full_product([a1], [a2], TR)
+        report = containment_full_product([a1], [a2])
         assert report.separators[a2.label] == 2
-        p_inf_class = next(cw for cw in report.classes if not cw.support)
+        p_inf_class = next(cw for cw in report.classes(TR) if not cw.support)
         assert p_inf_class.escapes == (2,)
 
     def test_every_point_gets_verified_sequence(self):
         reg = reg5()
         kept = [reg.entries[0]]
         subtracted = [reg.entries[1], reg.entries[3]]
-        report = containment_full_product(kept, subtracted, TR)
+        report = containment_full_product(kept, subtracted)
         target = report.target()
         lhs = inter_atoms(kept)
         checked = 0
-        for p, witness in report.point_verdicts():
+        for p, witness in report.point_verdicts(TR):
             checked += 1
             assert p.ambient == PI
             assert eval_setexpr(p, lhs)
@@ -189,7 +189,7 @@ class TestContainmentFullProduct:
     def test_overlap_rejected(self):
         reg = reg3()
         with pytest.raises(EngineError):
-            containment_full_product([reg.entries[0]], [reg.entries[0]], TR)
+            containment_full_product([reg.entries[0]], [reg.entries[0]])
 
 
 @st.composite
@@ -229,14 +229,14 @@ class TestExactClosureRule:
         support = frozenset(point.positions())
         if support and max(support) <= TR.T:
             # the truncated view names the same escapes for this support
-            cw = next(cw for cw in report.classes if cw.support == support)
+            cw = next(cw for cw in report.classes(TR) if cw.support == support)
             assert cw.escapes == tuple(escapes) and cw.self_member == (not missed)
 
     @given(closure_setups())
     @settings(max_examples=150, deadline=None)
     def test_rank_floor(self, setup):
         reg, kept, subtracted, gamma, positions, values = setup
-        report = containment_decreasing(subtracted, kept, gamma, reg, TR)
+        report = containment_decreasing(subtracted, kept, gamma, reg)
         owned = [*kept, *report.cover]
         support = sorted(p for p in positions if not any(branch_member(b, p) for b in owned))
         if support:
@@ -248,7 +248,7 @@ class TestExactClosureRule:
     @settings(max_examples=150, deadline=None)
     def test_full_product(self, setup):
         _, kept, subtracted, _, positions, values = setup
-        report = containment_full_product(kept, subtracted, TR)
+        report = containment_full_product(kept, subtracted)
         support = sorted(p for p in positions if not any(branch_member(b, p) for b in kept))
         self.assert_rule(report, XiPoint.of({p: 1 + v for p, v in zip(support, values)}, PI))
 
@@ -440,7 +440,7 @@ class TestPropertyBRefute:
 class TestChains:
     def test_increasing_one_step(self):
         reg = reg3()
-        report = increasing_chain_engine(reg, 1, TR)
+        report = increasing_chain_engine(reg, 1)
         assert len(report.bases) == 1
         assert report.certificate.payload["entries"] == [
             {"alpha": "b0", "point": "{1:1}"}
@@ -449,7 +449,7 @@ class TestChains:
     def test_increasing_membership_biconditional(self):
         reg = reg5()
         steps = 4
-        report = increasing_chain_engine(reg, steps, TR)
+        report = increasing_chain_engine(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries[:steps]):
                 verdict = filter_member(report.bases[k], Atom(entry), TR)
@@ -458,7 +458,7 @@ class TestChains:
     def test_decreasing_membership_biconditional(self):
         reg = reg5()
         steps = 3
-        report = decreasing_chain_engine(reg, steps, TR)
+        report = decreasing_chain_engine(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries):
                 verdict = filter_member(report.bases[k], Atom(entry), TR)
@@ -466,7 +466,7 @@ class TestChains:
 
     def test_pair_witness_points_verify(self):
         reg = reg5()
-        report = decreasing_chain_engine(reg, 3, TR)
+        report = decreasing_chain_engine(reg, 3)
         points = {
             e["alpha"]: parse_point_literal(e["point"])
             for e in report.certificate.payload["entries"]
@@ -479,13 +479,13 @@ class TestChains:
 
     def test_decreasing_single_step_makes_no_strictness_claim(self):
         reg = reg3()
-        report = decreasing_chain_engine(reg, 1, TR)
+        report = decreasing_chain_engine(reg, 1)
         assert len(report.bases) == 1
         assert report.certificate.payload["entries"] == []
 
     def test_insufficient_registry(self):
         with pytest.raises(EngineError):
-            increasing_chain_engine(reg3(), 4, TR)
+            increasing_chain_engine(reg3(), 4)
 
 
 class TestCoverCertificate:
