@@ -309,6 +309,13 @@ class Registry:
                 return e
         raise BranchError(f"no branch labelled {label!r}")
 
+    def entry(self, branch: BranchIndex) -> BranchIndex:
+        """The entry with ``branch``'s word, whatever its rank and label."""
+        for e in self.entries:
+            if e == branch:
+                return e
+        raise BranchError(f"branch {branch.literal()} is not a registry entry")
+
     def add(self, branch: BranchIndex) -> BranchIndex:
         if branch.rank <= self.max_rank():
             raise BranchError("new entries must carry a rank above all existing ranks")

@@ -4,7 +4,10 @@ A certificate is a kind tag, the run parameters (registry, ambient,
 command-specific knobs, and the truncation ``(T, V)`` for the kinds whose
 claim was searched on one: `ExceptionList`, absorption-failure
 `InclusionChain`, `Contradiction` and `CounterexamplePoint`), a kind-specific
-payload, and an ordered step list.  Serialization is canonical (sorted keys, fixed separators, no floats),
+payload, and an ordered step list.  The registry, a list of ``{label, branch,
+rank}`` entries, is the only place a branch's word and rank are written;
+payload, steps and the other params name a branch by its label (schema 6).
+Serialization is canonical (sorted keys, fixed separators, no floats),
 and a digest over the canonical body makes any byte-level tamper detectable
 before semantic re-verification even starts.  The ``verified`` flag is only
 ever set by the independent checker, never by a producer.
@@ -19,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 KINDS = (
     "SeparatorWitness",

@@ -4,8 +4,10 @@ Re-validates a certificate from its payload alone: digest first, then a
 semantic replay that only uses point evaluation, the branch codec and, for
 the kinds that record a truncation (`ExceptionList`, absorption-failure
 `InclusionChain`, `Contradiction`, `CounterexamplePoint`), exhaustive
-truncated enumeration.  Nothing here calls back into the producing engines,
-so a certificate stands or falls on its own evidence.
+truncated enumeration.  Every branch a certificate names is read from its
+``params.registry`` by label, ranks included, and an unknown label fails the
+check.  Nothing here calls back into the producing engines, so a certificate
+stands or falls on its own evidence.
 
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
 `report.problems` lists every failed obligation.
@@ -17,7 +19,15 @@ from dataclasses import dataclass, field
 
 from .branches import BranchIndex, Registry, branch_member
 from .certificates import Certificate, CertificateError
-from .formats import FormatError, parse_branch_literal, parse_point_literal, parse_setexpr
+from .formats import (
+    AFailureParts,
+    FormatError,
+    parse_afailures,
+    parse_branch_literal,
+    parse_labels,
+    parse_point_literal,
+    parse_setexpr,
+)
 from .space import (
     Ambient,
     Atom,
@@ -84,19 +94,17 @@ class _Context:
     def __init__(self, cert: Certificate, report: CheckReport) -> None:
         self.cert = cert
         self.report = report
-        self.registry = _registry_from_params(cert.params)
+        self.registry = Registry([
+            parse_branch_literal(e["branch"], _integer(e["rank"], "registry rank"), e["label"])
+            for e in cert.params.get("registry", [])
+        ])
         self.ambient: Ambient = cert.params.get("ambient", XI)
 
     def branch(self, label: str) -> BranchIndex:
         return self.registry.by_label(label)
 
     def branches(self, labels: list[str]) -> list[BranchIndex]:
-        return [self.branch(x) for x in labels]
-
-    def branch_entries(self, payload: list[dict]) -> list[BranchIndex]:
-        return [
-            parse_branch_literal(e["branch"], e["rank"], e["label"]) for e in payload
-        ]
+        return parse_labels(labels, self.registry, "a branch list")
 
     def point(self, literal: str) -> XiPoint:
         return parse_point_literal(literal, self.ambient)
@@ -116,14 +124,6 @@ def _integer(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise CertificateError(f"{what} {value!r} is not an integer")
     return value
-
-
-def _registry_from_params(params: dict) -> Registry:
-    entries = [
-        parse_branch_literal(e["branch"], e["rank"], e["label"])
-        for e in params.get("registry", [])
-    ]
-    return Registry(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,8 @@ def _check_separator_witness(ctx: _Context) -> None:
 
 def _check_cover_set(ctx: _Context) -> None:
     payload = ctx.cert.payload
-    base = ctx.branch_entries(payload["base"])
-    cover = ctx.branch_entries(payload["cover"])
+    base = ctx.branches(payload["base"])
+    cover = ctx.branches(payload["cover"])
     _verify_cover(ctx, cover, base, ctx.cert.params["depth"], ctx.cert.params["gamma"])
 
 
@@ -223,11 +223,11 @@ def _check_exception_list(ctx: _Context) -> None:
     if bad is not None:
         ctx.report.fail(f"hypothesis containment fails at {bad.literal()}")
 
-    cover = ctx.branch_entries(payload["cover"])
+    cover = ctx.branches(payload["cover"])
     _verify_cover(ctx, cover, hypothesis, payload["separator"], 0)
 
-    candidates = set(payload["candidates"])
-    exceptions = set(payload["exceptions"])
+    candidates = {b.label for b in ctx.branches(payload["candidates"])}
+    exceptions = {b.label for b in ctx.branches(payload["exceptions"])}
     if not exceptions <= candidates:
         ctx.report.fail("exceptions stray outside the candidate set")
     member_labels = {m["beta"] for m in payload["members"]}
@@ -273,8 +273,8 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
     ambient = XI if rank_floor else PI
     if ctx.ambient != ambient:
         ctx.report.fail(f"claim {payload['claim']} is made in {ambient}, not {ctx.ambient!r}")
-    kept = ctx.branch_entries(payload["kept"])
-    subtracted = ctx.branch_entries(payload["subtracted"])
+    kept = ctx.branches(payload["kept"])
+    subtracted = ctx.branches(payload["subtracted"])
     separators = payload["separators"]
     if not isinstance(separators, dict) or set(separators) != {b.label for b in subtracted}:
         ctx.report.fail("separators must map exactly the subtracted labels to positions")
@@ -288,24 +288,21 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
 
     if rank_floor:
         depth = payload["depth"]
-        _verify_cover(ctx, ctx.branch_entries(payload["cover"]), kept, depth, ctx.cert.params["gamma"])
+        _verify_cover(ctx, ctx.branches(payload["cover"]), kept, depth, ctx.cert.params["gamma"])
         if depth < max(separators.values(), default=0):
             ctx.report.fail(f"depth {depth} lies below a separator")
 
 
 def _check_absorption_failure(ctx: _Context) -> None:
-    _replay_afailure(ctx, ctx.cert.payload["afailure"], ctx.need_trunc())
+    (af,) = parse_afailures([ctx.cert.payload["afailure"]], ctx.registry, ctx.ambient)
+    _replay_afailure(ctx, af, ctx.need_trunc())
 
 
-def _replay_afailure(
-    ctx: _Context, af: dict, trunc: Truncation
-) -> tuple[SetExpr, list[BranchIndex], list[BranchIndex]]:
-    """Parse a recorded absorption failure ``zset ∩ ⋂constraining ⊆
-    ∪absorbing``, check its rank shape, replay its inclusion on the
-    truncation, and return its three parts."""
-    zset = ctx.expr(af["zset"])
-    constraining = ctx.branch_entries(af["constraining"])
-    absorbing = ctx.branch_entries(af["absorbing"])
+def _replay_afailure(ctx: _Context, af: AFailureParts, trunc: Truncation) -> AFailureParts:
+    """Check a parsed absorption failure ``zset ∩ ⋂constraining ⊆
+    ∪absorbing`` for its rank shape, replay its inclusion on the truncation,
+    and return it."""
+    zset, constraining, absorbing = af
     max_f = max((b.rank for b in constraining), default=-1)
     if absorbing and max_f >= min(b.rank for b in absorbing):
         ctx.report.fail("constraining ranks must stay below absorbing ranks")
@@ -313,7 +310,7 @@ def _replay_afailure(
     bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
     if bad is not None:
         ctx.report.fail(f"absorption inclusion breaks at {bad.literal()} on the truncation")
-    return zset, constraining, absorbing
+    return af
 
 
 def _check_contradiction(ctx: _Context) -> None:
@@ -342,14 +339,13 @@ def _check_contradiction(ctx: _Context) -> None:
         ctx.report.fail("contradiction point still sits in an absorbing zero set")
 
 
-def _check_refuter_inputs(
-    ctx: _Context, trunc: Truncation
-) -> list[tuple[SetExpr, list[BranchIndex], list[BranchIndex]]]:
+def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> list[AFailureParts]:
     """Shared obligations for refuter outputs: every claimed absorption failure
     verifies on the truncation and the rank floor clears every absorbing rank.
     Returns the replayed failures, in order."""
     gamma = _integer(ctx.cert.params["gamma"], "rank floor")
-    replayed = [_replay_afailure(ctx, af, trunc) for af in ctx.cert.params["afailures"]]
+    afailures = parse_afailures(ctx.cert.params["afailures"], ctx.registry, ctx.ambient)
+    replayed = [_replay_afailure(ctx, af, trunc) for af in afailures]
     for _, _, absorbing in replayed:
         if absorbing and gamma <= max(b.rank for b in absorbing):
             ctx.report.fail("rank floor does not clear the absorbing ranks")

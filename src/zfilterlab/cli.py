@@ -42,6 +42,7 @@ from .engines import (
 )
 from .formats import (
     FormatError,
+    parse_afailures,
     parse_branch_literal,
     parse_registry,
     parse_setexpr,
@@ -259,9 +260,8 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
     if ":" not in text:
         raise UsageError(f"{text!r} is not a registry label, and literals need a colon")
     branch = parse_branch_literal(text)
-    for e in reg:
-        if e == branch:
-            return e
+    if branch in reg:
+        return reg.entry(branch)
     return reg.add(BranchIndex(branch.pre, branch.period, reg.max_rank() + 1))
 
 
@@ -422,22 +422,20 @@ def _load_json_object(path: str, what: str) -> dict:
     return doc
 
 
-def _expr_field(doc, key: str, what: str, reg: Registry, ambient: str):
-    text = doc.get(key) if isinstance(doc, dict) else None
+def _expr_field(doc: dict, key: str, what: str, reg: Registry, ambient: str):
+    text = doc.get(key)
     if not isinstance(text, str):
         raise UsageError(f"{what} needs a set expression string under {key!r}")
     return parse_setexpr(text, reg, ambient)
 
 
 def _load_afailures(path: str, reg: Registry, ambient: str) -> list[AFailure]:
+    """A cover file's ``afailures``, in the shape a certificate records them."""
     doc = _load_json_object(path, "cover file")
-    failures = []
-    for item in doc.get("afailures", []):
-        zset = _expr_field(item, "zset", "an afailure", reg, ambient)
-        constraining = tuple(reg.by_label(x) for x in item.get("constraining", []))
-        absorbing = tuple(reg.by_label(x) for x in item.get("absorbing", []))
-        failures.append(AFailure(zset, constraining, absorbing))
-    return failures
+    return [
+        AFailure(zset, tuple(constraining), tuple(absorbing))
+        for zset, constraining, absorbing in parse_afailures(doc.get("afailures", []), reg, ambient)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each engine realizes one construction at desk scale, relative to an explicit
 finite registry, and emits a `Certificate` that an independent checker can
-replay from the payload alone.
+replay from the payload alone.  ``params.registry`` is the one place where a
+certificate spells out a branch's word and rank; every other field names a
+branch by the label of its registry entry, with lists in rank order.
 
 The engines never trust themselves: exact branch-word reasoning or an
 exhaustive search of a truncation ``(T, V)`` backs every claim, and any
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .branches import (
+    BranchError,
     BranchIndex,
     Registry,
     branch_member,
@@ -77,12 +80,18 @@ class AFailureVerificationError(EngineError):
 # Payload helpers
 # ---------------------------------------------------------------------------
 
-def _branch_payload(b: BranchIndex) -> dict:
-    return {"label": b.label, "branch": b.literal(), "rank": b.rank}
+def _registered(registry: Registry, branches: Iterable[BranchIndex]) -> tuple[BranchIndex, ...]:
+    """The registry entries with the words of ``branches``; a certificate
+    names a branch only by its entry's label."""
+    try:
+        return tuple(registry.entry(b) for b in branches)
+    except BranchError as exc:
+        raise EngineError(str(exc)) from exc
 
 
-def _branches_payload(bs: Iterable[BranchIndex]) -> list[dict]:
-    return [_branch_payload(b) for b in sorted(bs, key=lambda x: x.rank)]
+def _labels(entries: Iterable[BranchIndex]) -> list[str]:
+    """Labels of registry entries, in rank order."""
+    return [b.label for b in sorted(entries, key=lambda b: b.rank)]
 
 
 def _params(registry: Registry, ambient: Ambient, **extra) -> dict:
@@ -153,19 +162,14 @@ def check_extendibility_b(
     retested and kept only if membership genuinely fails, and every remaining
     entry gets an exhaustively checked inclusion through pair generators.
     """
-    if alpha0 not in registry:
-        raise EngineError("the distinguished entry must come from the registry")
+    (alpha0,) = _registered(registry, [alpha0])
     others = [b for b in registry if b != alpha0]
 
-    hypothesis: tuple[BranchIndex, ...] | None = None
     target = Union((zset, Atom(alpha0)))
-    for size in range(0, len(others) + 1):
-        for group in itertools.combinations(others, size):
-            if containment_counterexample(inter_atoms(group), target, trunc, XI) is None:
-                hypothesis = group
-                break
-        if hypothesis is not None:
-            break
+    groups = (g for size in range(len(others) + 1) for g in itertools.combinations(others, size))
+    hypothesis = next((
+        g for g in groups if containment_counterexample(inter_atoms(g), target, trunc, XI) is None
+    ), None)
     if hypothesis is None:
         raise UnknownHypothesisError(
             "the set joined with the entry contains no group intersection "
@@ -188,7 +192,7 @@ def check_extendibility_b(
         else:
             members.append(entry)
     for beta in registry:
-        if beta == alpha0 or any(beta == c for c in candidates):
+        if beta == alpha0 or beta in candidates:
             continue
         entry = _pair_inclusion_entry(zset, beta, candidates, trunc)
         if entry is None:
@@ -205,7 +209,7 @@ def check_extendibility_b(
             "alpha": alpha0.label,
             "hypothesis_group": [b.label for b in hypothesis],
             "separator": l,
-            "cover": _branches_payload(cover),
+            "cover": _labels(cover),
             "candidates": [b.label for b in candidates],
             "exceptions": [b.label for b in exceptions],
             "members": members,
@@ -311,13 +315,10 @@ def containment_decreasing(
     escape terms valid and convergent for every point of the shrunken
     intersection.
     """
-    subtracted = tuple(subtracted)
-    kept = tuple(kept)
+    subtracted = _registered(registry, subtracted)
+    kept = _registered(registry, kept)
     if any(a == b for a in subtracted for b in kept):
         raise EngineError("the subtracted and kept branch sets must be disjoint")
-    for b in itertools.chain(subtracted, kept):
-        if b not in registry:
-            raise EngineError(f"branch {b.literal()} is not a registry entry")
 
     separators: dict[str, int] = {}
     cover: list[BranchIndex] = []
@@ -333,11 +334,11 @@ def containment_decreasing(
         params=_params(registry, XI, gamma=gamma),
         payload={
             "claim": "closure-containment-with-rank-floor",
-            "subtracted": _branches_payload(subtracted),
-            "kept": _branches_payload(kept),
+            "subtracted": _labels(subtracted),
+            "kept": _labels(kept),
             "separators": separators,
             "depth": depth,
-            "cover": _branches_payload(cover),
+            "cover": _labels(cover),
         },
     )
     return ContainmentReport(subtracted, kept, gamma, separators, cover, depth, XI, cert)
@@ -369,8 +370,8 @@ def containment_full_product(
         params=_params(registry_view, PI),
         payload={
             "claim": "punctured-intersection-dense",
-            "kept": _branches_payload(kept),
-            "subtracted": _branches_payload(subtracted),
+            "kept": _labels(kept),
+            "subtracted": _labels(subtracted),
             "separators": separators,
         },
     )
@@ -394,12 +395,8 @@ class AFailure:
     absorbing: tuple[BranchIndex, ...]
 
     def __post_init__(self) -> None:
-        max_f = max((b.rank for b in self.constraining), default=-1)
-        min_g = min((b.rank for b in self.absorbing), default=None)
-        if min_g is not None and max_f >= min_g:
-            raise EngineError(
-                "constraining ranks must lie strictly below absorbing ranks"
-            )
+        if self.absorbing and self.max_constraining_rank() >= min(b.rank for b in self.absorbing):
+            raise EngineError("constraining ranks must lie strictly below absorbing ranks")
 
     def max_constraining_rank(self) -> int:
         return max((b.rank for b in self.constraining), default=-1)
@@ -413,8 +410,8 @@ class AFailure:
     def to_payload(self) -> dict:
         return {
             "zset": setexpr_text(self.zset),
-            "constraining": _branches_payload(self.constraining),
-            "absorbing": _branches_payload(self.absorbing),
+            "constraining": _labels(self.constraining),
+            "absorbing": _labels(self.absorbing),
         }
 
 
@@ -522,14 +519,12 @@ def property_b_refute(
     failures = list(failures)
     if not failures:
         raise EngineError("a putative cover needs at least one set")
-    for f in failures:
-        if not f.zset.is_difference_free():
-            raise EngineError(
-                "cover sets must be difference-free: zero sets are closed"
-            )
-        for b in itertools.chain(f.constraining, f.absorbing):
-            if b not in registry:
-                raise EngineError(f"branch {b.literal()} is not a registry entry")
+    if not all(f.zset.is_difference_free() for f in failures):
+        raise EngineError("cover sets must be difference-free: zero sets are closed")
+    failures = [
+        AFailure(f.zset, _registered(registry, f.constraining), _registered(registry, f.absorbing))
+        for f in failures
+    ]
     g_ranks = [b.rank for f in failures for b in f.absorbing]
     if g_ranks and gamma <= max(g_ranks):
         raise EngineError(
@@ -548,15 +543,17 @@ def property_b_refute(
     n = len(failures)
     zsets = [f.zset for f in failures]
     cover_expr = Union(tuple(zsets))
-    params = _params(registry, XI, truncation=trunc.to_payload(), gamma=gamma,
-                     cover=[setexpr_text(z) for z in zsets],
-                     afailures=[f.to_payload() for f in failures])
+    # the params are built with each certificate, after the covers are minted,
+    # so that the registry they record holds every branch the steps name
+    extra = dict(truncation=trunc.to_payload(), gamma=gamma,
+                 cover=[setexpr_text(z) for z in zsets],
+                 afailures=[f.to_payload() for f in failures])
 
     missed = containment_counterexample(Whole(), cover_expr, trunc, XI)
     if missed is not None:
         return Certificate(
             "CounterexamplePoint",
-            params=params,
+            params=_params(registry, XI, **extra),
             payload={
                 "claim": "cover-misses-point",
                 "point": missed.literal(),
@@ -570,11 +567,8 @@ def property_b_refute(
     for k in range(n):
         f_k = failures[k]
         base = _merge_branches(accumulated, f_k.constraining)
-        for beta in f_k.absorbing:
-            if any(beta == b for b in base):
-                raise EngineError(
-                    "rank shape violated: an absorbing branch collides with the chain"
-                )
+        if any(beta in base for beta in f_k.absorbing):
+            raise EngineError("rank shape violated: an absorbing branch collides with the chain")
         seps = {b.label: find_separator(b, base) for b in f_k.absorbing}
         depth = max(seps.values(), default=0)
         h_k = find_cover(depth, gamma, registry, base=base) if depth else []
@@ -585,7 +579,7 @@ def property_b_refute(
                 "step": k,
                 "separators": seps,
                 "depth": depth,
-                "cover": _branches_payload(h_k),
+                "cover": _labels(h_k),
                 "chain": [b.label for b in accumulated],
             }
         )
@@ -594,34 +588,20 @@ def property_b_refute(
             inter_atoms(accumulated), remainder, trunc, XI
         )
         if violating is not None:
-            return _chase(
-                violating, k + 1, failures, hs, zsets, registry, trunc, params, steps
-            )
+            return _chase(violating, k + 1, failures, hs, registry, trunc, extra, steps)
     raise AssertionError(
         "unreachable: the all-infinite point always violates the final empty claim"
     )
 
 
-def _merge_branches(
-    first: Iterable[BranchIndex], second: Iterable[BranchIndex]
-) -> list[BranchIndex]:
-    merged: list[BranchIndex] = []
-    for b in itertools.chain(first, second):
-        if not any(b == m for m in merged):
-            merged.append(b)
-    return merged
+def _merge_branches(*parts: Iterable[BranchIndex]) -> list[BranchIndex]:
+    """The branches of ``parts`` in order, each word once, as first met."""
+    return list(dict.fromkeys(itertools.chain(*parts)))
 
 
 def _chase(
-    point: XiPoint,
-    stage: int,
-    failures: Sequence[AFailure],
-    hs: Sequence[Sequence[BranchIndex]],
-    zsets: Sequence[SetExpr],
-    registry: Registry,
-    trunc: Truncation,
-    params: dict,
-    steps: list[dict],
+    point: XiPoint, stage: int, failures: Sequence[AFailure], hs: Sequence[Sequence[BranchIndex]],
+    registry: Registry, trunc: Truncation, extra: dict, steps: list[dict],
 ) -> Certificate:
     """Descend the chain from a violating point to an eval-verified terminal.
 
@@ -635,6 +615,7 @@ def _chase(
     trace: list[dict] = []
     y = point
     s = stage
+    zsets = [f.zset for f in failures]
     singleton_ceiling = max(
         [v for z in zsets for pt in z.singleton_points() for v in pt.values()],
         default=0,
@@ -643,10 +624,7 @@ def _chase(
         f_prev = failures[s - 1]
         if any(eval_setexpr(y, Atom(b)) for b in f_prev.absorbing):
             avoid = _merge_branches(
-                itertools.chain.from_iterable(
-                    [list(failures[i].constraining) + list(hs[i]) for i in range(s - 1)]
-                ),
-                f_prev.constraining,
+                *[(*failures[i].constraining, *hs[i]) for i in range(s - 1)], f_prev.constraining
             )
             y = _escape(y, f_prev.absorbing, avoid, trunc, singleton_ceiling)
             trace.append(
@@ -661,7 +639,7 @@ def _chase(
             trace.append({"action": "contradiction", "stage": s - 1})
             return Certificate(
                 "Contradiction",
-                params=params,
+                params=_params(registry, XI, **extra),
                 payload={
                     "claim": "afailure-inclusion-breaks",
                     "afailure_index": s - 1,
@@ -676,7 +654,7 @@ def _chase(
         raise AssertionError("chase invariant broken: point regained a cover set")
     return Certificate(
         "CounterexamplePoint",
-        params=params,
+        params=_params(registry, XI, **extra),
         payload={
             "claim": "cover-misses-point",
             "point": y.literal(),
@@ -691,11 +669,8 @@ def _in_truncation(p: XiPoint, trunc: Truncation) -> bool:
 
 
 def _escape(
-    y: XiPoint,
-    absorbing: Sequence[BranchIndex],
-    avoid: Sequence[BranchIndex],
-    trunc: Truncation,
-    singleton_ceiling: int,
+    y: XiPoint, absorbing: Sequence[BranchIndex], avoid: Sequence[BranchIndex],
+    trunc: Truncation, singleton_ceiling: int,
 ) -> XiPoint:
     """Extend the support to leave every absorbing zero set, then revalue.
 
@@ -706,10 +681,8 @@ def _escape(
     """
     support = set(y.positions())
     for beta in absorbing:
-        if any(beta == b for b in avoid):
-            raise EngineError(
-                f"cannot escape {beta.literal()}: it is protected by the chain"
-            )
+        if beta in avoid:
+            raise EngineError(f"cannot escape {beta.literal()}: it is protected by the chain")
         if any(branch_member(beta, p) for p in support):
             continue
         for n in itertools.count(1):
@@ -809,13 +782,11 @@ def cover_certificate(
     registry: Registry,
     base: Sequence[BranchIndex],
 ) -> tuple[list[BranchIndex], Certificate]:
+    base = _registered(registry, base)
     cover = find_cover(l, gamma, registry, base=base)
     cert = Certificate(
         "CoverSet",
         params=_params(registry, XI, gamma=gamma, depth=l),
-        payload={
-            "base": _branches_payload(base),
-            "cover": _branches_payload(cover),
-        },
+        payload={"base": _labels(base), "cover": _labels(cover)},
     )
     return cover, cert

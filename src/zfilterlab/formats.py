@@ -6,6 +6,9 @@
 * set expression: s-expressions, e.g. ``(diff (inter N:a N:b) (union N:c))``
   with ``W`` for the whole space, ``N:<ref>`` for a branch atom (label or
   branch literal), and ``(pt {1:2})`` for a singleton
+* absorption failure: ``{"zset": <set expression>, "constraining": [labels],
+  "absorbing": [labels]}``, one item of a cover file's or a certificate's
+  ``afailures`` list
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def _require_text(text, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Branch literals and registry specs
+# Branch literals, registry specs and registry labels
 # ---------------------------------------------------------------------------
 
 def parse_branch_literal(text: str, rank: int = 0, label: str = "") -> BranchIndex:
@@ -78,6 +81,13 @@ def parse_registry(entries: list[str]) -> Registry:
         return Registry(branches)
     except BranchError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def parse_labels(labels, registry: Registry, what: str) -> list[BranchIndex]:
+    """The registry entries a list of labels names, in its order."""
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise FormatError(f"{what} must be a list of registry labels, got {labels!r}")
+    return [registry.by_label(x) for x in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +144,7 @@ def _resolve_atom(ref: str, registry: Registry | None) -> BranchIndex:
             pass
     if ":" in ref:
         branch = parse_branch_literal(ref)
-        if registry is not None:
-            for e in registry:
-                if e == branch:
-                    return e
-        return branch
+        return registry.entry(branch) if registry is not None and branch in registry else branch
     raise FormatError(f"unknown branch reference {ref!r}")
 
 
@@ -200,6 +206,22 @@ def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient 
     if pos != len(tokens):
         raise FormatError(f"trailing tokens in {text!r}")
     return expr
+
+
+# an absorption failure zset ∩ ⋂constraining ⊆ ∪absorbing, as parsed
+AFailureParts = tuple[SetExpr, list[BranchIndex], list[BranchIndex]]
+
+
+def parse_afailures(items, registry: Registry, ambient: Ambient = XI) -> list[AFailureParts]:
+    """Parse an ``afailures`` list; each caller checks the rank shape."""
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise FormatError(f"afailures must be a list of objects, got {items!r}")
+    return [
+        (parse_setexpr(x.get("zset"), registry, ambient),
+         parse_labels(x.get("constraining"), registry, "an afailure's 'constraining'"),
+         parse_labels(x.get("absorbing"), registry, "an afailure's 'absorbing'"))
+        for x in items
+    ]
 
 
 def setexpr_text(expr: SetExpr) -> str:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from zfilterlab.branches import branch_member, find_separator, make_registry
+from zfilterlab.branches import BranchIndex, branch_member, find_separator, make_registry
 from zfilterlab.certificates import (
     SCHEMA_VERSION,
     Certificate,
@@ -19,6 +19,7 @@ from zfilterlab.certificates import (
 from zfilterlab.checking import CheckReport, check_certificate, check_certificate_text
 from zfilterlab.engines import (
     AFailure,
+    EngineError,
     check_extendibility_a,
     check_extendibility_b,
     containment_decreasing,
@@ -185,10 +186,11 @@ class TestStructure:
 
     def test_version_one_document_rejected(self):
         # schema 2 certificates still list the closure classes, schema 3
-        # property-a certificates one witness per (F, beta) pair, and schema 4
-        # separator certificates a truncation
+        # property-a certificates one witness per (F, beta) pair, schema 4
+        # separator certificates a truncation, and schema 5 certificates
+        # spell branches out as {label, branch, rank} outside the registry
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4):
+        for schema in (1, 2, 3, 4, 5):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": cert.steps}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -497,7 +499,7 @@ class TestClosureObligations:
     def test_engine_certificates_hold_and_carry_no_truncation(self):
         dec, full = closure_certificates()
         assert dec.payload["separators"] == {"b0": 3, "b3": 2} and dec.payload["depth"] == 3
-        assert [c["label"] for c in dec.payload["cover"]] == ["b5", "b6"]
+        assert dec.payload["cover"] == ["b5", "b6"]
         assert full.payload["separators"] == {"b0": 3, "b2": 2}
         for cert in (dec, full):
             assert "classes" not in cert.payload and "truncation" not in cert.params
@@ -513,9 +515,10 @@ class TestClosureObligations:
             # 2 is the code of the word 2: not in :1, nor in the kept 1:2
             (0, _separators(b0=2), "is not an element"),
             (1, _separators(b0=2), "is not an element"),
-            # the entry's own branch decides, not the registry's b0 = :1
-            (0, lambda c: _with("payload", subtracted=[
-                dict(c.payload["subtracted"][0], branch="2:2"), c.payload["subtracted"][1]
+            # the registry's entry decides: b0 = 212:1 does not hold 3, the
+            # code of the word 11
+            (0, lambda c: _with("params", registry=[
+                dict(e, branch="212:1") if e["label"] == "b0" else e for e in c.params["registry"]
             ])(c), "is not an element"),
             # 1 is the code of the word 1, a prefix of :1 and of the kept 1:2
             (0, _separators(b0=1), "collides with the kept set"),
@@ -535,6 +538,169 @@ class TestClosureObligations:
         report = check_certificate_text(cert.to_json())
         assert not report.ok
         assert [problem in p for p in report.problems] == [True], report.problems
+
+
+# payload, step and params fields that name branches by registry label;
+# params["cover"] of a refuter certificate lists set expressions instead
+LABEL_FIELDS = {
+    "alpha", "beta", "kept", "subtracted", "cover", "base", "constraining", "absorbing",
+    "hypothesis_group", "candidates", "exceptions", "via_pairs", "chain",
+}
+
+
+def _named_labels(value, found):
+    """Collect, as (field, labels) pairs, every label list ``value`` holds,
+    and refuse an inline ``{label, branch, rank}`` branch dict."""
+    if isinstance(value, dict):
+        assert not {"branch", "rank"} & set(value), value
+        for key, item in value.items():
+            if key == "separators":
+                found.append((key, list(item)))
+            elif key in LABEL_FIELDS:
+                found.append((key, [item] if isinstance(item, str) else item))
+            else:
+                _named_labels(item, found)
+    elif isinstance(value, list):
+        for item in value:
+            _named_labels(item, found)
+    return found
+
+
+def _label_certificates():
+    r = reg()
+    return sample_certificates() + [cover_certificate(12, 5, r, [r.entries[0]])[1]]
+
+
+def _forgery(kind, registry, payload, **params):
+    params = {"registry": registry, "ambient": "xi", **params}
+    return Certificate(kind, params, payload).to_json()
+
+
+B0, B1 = {"label": "b0", "branch": ":1", "rank": 0}, {"label": "b1", "branch": ":2", "rank": 1}
+TRUNCATION = {"T": 4, "V": 6}
+
+
+class TestRegistryLabels:
+    """The registry alone spells out a branch's word and rank (schema 6)."""
+
+    def test_certificates_name_branches_by_registry_label(self):
+        for cert in _label_certificates():
+            ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+            params = {k: v for k, v in cert.params.items() if k not in ("registry", "cover")}
+            named = _named_labels([params, cert.payload, cert.steps], [])
+            assert named, cert.kind
+            for key, labels in named:
+                assert all(isinstance(x, str) and x in ranks for x in labels), (key, labels)
+                if key not in ("chain", "separators"):
+                    # the chain lists branches in the order the steps add them
+                    assert [ranks[x] for x in labels] == sorted(ranks[x] for x in labels), key
+
+    def test_label_lists_follow_rank_order(self):
+        # whatever order the branches are given in
+        r = reg()
+        b0, b1, b2, b3, b4 = r.entries
+        dec = containment_decreasing([b3, b0], [b2, b1], 9, r).certificate
+        assert (dec.payload["subtracted"], dec.payload["kept"]) == (["b0", "b3"], ["b1", "b2"])
+        assert cover_certificate(3, 9, r, [b4, b1])[1].payload["base"] == ["b1", "b4"]
+        failure = AFailure(Whole(), (b2, b0), (b4, b3)).to_payload()
+        assert (failure["constraining"], failure["absorbing"]) == (["b0", "b2"], ["b3", "b4"])
+
+    def test_property_b_registry_holds_the_minted_covers(self):
+        cert = next(c for c in sample_certificates() if c.kind == "Contradiction")
+        minted = {x for step in cert.steps for x in step.get("cover", [])}
+        assert minted and minted <= {e["label"] for e in cert.params["registry"]}
+
+    def test_cover_refuses_an_unregistered_base(self):
+        r = reg()
+        with pytest.raises(EngineError, match="not a registry entry"):
+            cover_certificate(3, 0, r, [BranchIndex("21", "2", 7)])
+
+    def test_cover_ranks_are_read_from_the_registry(self):
+        # :1 and :2 cover 1..3; listed with rank 10 they used to clear the floor
+        inline = _forgery("CoverSet", [B0, B1], {"base": [], "cover": [
+            dict(B0, rank=10), dict(B1, rank=10)]}, gamma=10, depth=3)
+        assert not check_certificate_text(inline).ok
+        labelled = _forgery("CoverSet", [B0, B1], {"base": [], "cover": ["b0", "b1"]},
+                            gamma=10, depth=3)
+        report = check_certificate_text(labelled)
+        assert not report.ok
+        assert report.problems == [
+            "cover branch b0 has rank 0 below 10", "cover branch b1 has rank 1 below 10"
+        ]
+
+    @pytest.mark.parametrize("form", ["inline", "labelled"])
+    def test_absorbing_rank_is_read_from_the_registry(self, form):
+        # Z(b0) ∩ Z(b1) ⊆ Z(b0) holds, but b0 ranks below b1, not at 7
+        constraining, absorbing = ["b1"], ["b0"]
+        if form == "inline":
+            constraining, absorbing = [B1], [dict(B0, rank=7)]
+        text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
+            "zset": "N:b0", "constraining": constraining, "absorbing": absorbing}},
+            truncation=TRUNCATION)
+        report = check_certificate_text(text)
+        assert not report.ok
+        if form == "labelled":
+            assert report.problems == ["constraining ranks must stay below absorbing ranks"]
+
+    @pytest.mark.parametrize("form", ["inline", "labelled"])
+    def test_absorbing_branch_must_be_registered(self, form):
+        # Z(b0) ∩ Z(21:1) ⊆ Z(21:1) holds, but 21:1 is no registry entry
+        absorbing = ["zz"] if form == "labelled" else [{"label": "zz", "branch": "21:1", "rank": 5}]
+        text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
+            "zset": "N:21:1", "constraining": ["b0"] if form == "labelled" else [B0],
+            "absorbing": absorbing}}, truncation=TRUNCATION)
+        report = check_certificate_text(text)
+        assert not report.ok
+        if form == "labelled":
+            assert "no branch labelled 'zz'" in report.problems[0]
+
+    def test_registry_ranks_must_be_integers(self):
+        # ranks are read from the registry alone, so each must be an integer
+        cert = cover_certificate(12, 5, reg(), [])[1]
+        assert check_certificate(cert).ok
+        for value in (0.5, True, "0", None):
+            registry = [dict(cert.params["registry"][0], rank=value), *cert.params["registry"][1:]]
+            report = check_certificate(_with("params", registry=registry)(cert))
+            assert not report.ok and "registry rank" in report.problems[0], (value, report.problems)
+
+    def test_an_unregistered_label_is_rejected(self):
+        # each label list of each certificate, with a label the registry lacks
+        tampered = set()
+        for cert in _label_certificates():
+            assert check_certificate(cert).ok
+            for section in ("params", "payload"):
+                fields = getattr(cert, section)
+                for key in ("base", "cover", "kept", "subtracted", "candidates", "exceptions",
+                            "hypothesis_group", "afailure", "afailures"):
+                    if key not in fields or (section, key) == ("params", "cover"):
+                        continue
+                    # a contradiction's afailure must equal the recorded one
+                    problem = ("differs from the recorded one"
+                               if (cert.kind, key) == ("Contradiction", "afailure")
+                               else "no branch labelled 'nope'")
+                    for forged in _with_unregistered_label(fields[key]):
+                        fresh = _with(section, **{key: forged})(cert)
+                        report = check_certificate_text(fresh.to_json())
+                        assert not report.ok, (cert.kind, key)
+                        assert problem in report.problems[0], report.problems
+                        tampered.add((cert.kind, key))
+        assert {kind for kind, _ in tampered} == {
+            "CoverSet", "ExceptionList", "InclusionChain", "Contradiction", "CounterexamplePoint"
+        }
+
+
+def _with_unregistered_label(value):
+    """Copies of a label list, an afailure or an afailure list, each with
+    one label list opened by ``nope``."""
+    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+        yield ["nope", *value[1:]]
+    elif isinstance(value, dict):
+        for key in ("constraining", "absorbing"):
+            yield dict(value, **{key: ["nope", *value[key][1:]]})
+    else:
+        for i, item in enumerate(value):
+            for forged in _with_unregistered_label(item):
+                yield [*value[:i], forged, *value[i + 1:]]
 
 
 class TestDeepJson:

@@ -47,7 +47,8 @@ class TestFamily:
         assert code == EXIT_OK
         cert = Certificate.read(str(out_file))
         assert cert.kind == "CoverSet"
-        assert all(c["rank"] >= 5 for c in cert.payload["cover"])
+        ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+        assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
 
     def test_density_and_codec(self, capsys):
         assert run(capsys, "family", "density", "--n", "4", "--depth", "4")[1].strip() == "4"
@@ -463,6 +464,34 @@ class TestInputErrors:
             *_reg_flags(), "--T", "4", "--V", "6", "--out", str(tmp_path / "x.json"),
         )
         assert code == EXIT_USAGE and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"afailures": 5}, "afailures must be a list"),
+            ({"afailures": [{"zset": "N:a", "constraining": 5, "absorbing": ["a"]}]},
+             "'constraining' must be a list of registry labels"),
+            # a string used to be read letter by letter, as ["a"]
+            ({"afailures": [{"zset": "N:a", "constraining": [], "absorbing": "a"}]},
+             "'absorbing' must be a list of registry labels"),
+            ({"afailures": [{"zset": "N:a", "absorbing": ["a"]}]},
+             "'constraining' must be a list of registry labels"),
+            ({"afailures": [{"zset": "N:a", "constraining": [], "absorbing": ["zz"]}]},
+             "no branch labelled 'zz'"),
+        ],
+        ids=["afailures-not-a-list", "constraining-not-a-list", "absorbing-a-string",
+             "constraining-missing", "absorbing-unregistered"],
+    )
+    def test_property_b_malformed_afailures(self, capsys, tmp_path, doc, message):
+        # a cover file's afailures have the shape a certificate records
+        cover_file = tmp_path / "cover.json"
+        cover_file.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys,
+            "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+            "-r", "a=:1@0", "-r", "b=:2@1", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == EXIT_USAGE and err.startswith("error:") and message in err, err
 
 
 def _reg_flags():

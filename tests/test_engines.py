@@ -412,9 +412,9 @@ class TestPropertyBRefute:
         # outside every absorbing zero set
         assert eval_setexpr(point, parse_setexpr(refuted["zset"], reg))
         for b in refuted["constraining"]:
-            assert eval_setexpr(point, Atom(reg.by_label(b["label"])))
+            assert eval_setexpr(point, Atom(reg.by_label(b)))
         for b in refuted["absorbing"]:
-            assert not eval_setexpr(point, Atom(reg.by_label(b["label"])))
+            assert not eval_setexpr(point, Atom(reg.by_label(b)))
 
     def test_two_set_cover_with_genuine_failure(self):
         reg = cover_registry()
@@ -493,4 +493,5 @@ class TestCoverCertificate:
         reg = Registry()
         cover, cert = cover_certificate(3, 5, reg, [])
         assert cert.kind == "CoverSet"
-        assert all(c["rank"] >= 5 for c in cert.payload["cover"])
+        ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+        assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
