@@ -47,7 +47,7 @@ failures = [
     AFailure(Atom(a), (), (a,)),   # N_a inside N_a: genuinely failing sets
     AFailure(Atom(b), (), (b,)),
 ]
-cert = property_b_refute(failures, 50, reg, trunc)
+cert = property_b_refute(failures, 50, reg, trunc).certificate
 print("\ntwo zero sets alone:", cert.kind, "at", cert.payload["point"])
 print("checker verdict:", check_certificate(cert).ok)
 
@@ -61,11 +61,11 @@ reg = make_registry(
 )
 constraining = tuple(e for e in reg if e.rank <= 4)
 whole_failure = AFailure(Whole(), constraining, (reg.by_label("b9"),))
-cert = property_b_refute([whole_failure], 50, reg, trunc)
+refuted = property_b_refute([whole_failure], 50, reg, trunc)
+cert = refuted.certificate
 print("\nwhole-space cover:", cert.kind)
 print("  breaking point:", cert.payload["point"])
-print("  chain steps:", len(cert.steps) - 1, "+ chase:",
-      cert.steps[-1]["chase"])
+print("  chain steps:", len(refuted.chain))
 print("checker verdict:", check_certificate(cert).ok)
 
 # --- certificates survive the wire, tampering does not ---------------------------

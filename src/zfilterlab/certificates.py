@@ -3,11 +3,12 @@
 A certificate is a kind tag, the run parameters (registry, ambient,
 command-specific knobs, and the truncation ``(T, V)`` for the kinds whose
 claim was searched on one: `ExceptionList`, absorption-failure
-`InclusionChain`, `Contradiction` and `CounterexamplePoint`), a kind-specific
-payload, and an ordered step list.  The registry, a list of ``{label, branch,
-rank}`` entries, is the only place a branch's word and rank are written;
-payload, steps and the other params name a branch by its label (schema 6).
-Serialization is canonical (sorted keys, fixed separators, no floats),
+`InclusionChain`, `Contradiction` and `CounterexamplePoint`) and a
+kind-specific payload, and it records only what the checker reads (schema
+7): how a run reached its result is no part of the document.  The registry, a
+list of ``{label, branch, rank}`` entries, is the only place a branch's word
+and rank are written; the payload and the other params name a branch by its
+label.  Serialization is canonical (sorted keys, fixed separators, no floats),
 and a digest over the canonical body makes any byte-level tamper detectable
 before semantic re-verification even starts.  The ``verified`` flag is only
 ever set by the independent checker, never by a producer.
@@ -22,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 KINDS = (
     "SeparatorWitness",
@@ -34,6 +35,10 @@ KINDS = (
 )
 
 
+# the top-level keys of a serialized certificate
+FIELDS = ("schema", "kind", "params", "payload", "digest")
+
+
 class CertificateError(ValueError):
     """Raised for malformed, unparseable, or tampered certificate data."""
 
@@ -42,14 +47,8 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _body(kind: str, params: dict, payload: dict, steps: list) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "params": params,
-        "payload": payload,
-        "steps": steps,
-    }
+def _body(kind: str, params: dict, payload: dict) -> dict:
+    return {"schema": SCHEMA_VERSION, "kind": kind, "params": params, "payload": payload}
 
 
 def _text_digest(body: str) -> str:
@@ -57,8 +56,8 @@ def _text_digest(body: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def body_digest(kind: str, params: dict, payload: dict, steps: list) -> str:
-    return _text_digest(canonical_json(_body(kind, params, payload, steps)))
+def body_digest(kind: str, params: dict, payload: dict) -> str:
+    return _text_digest(canonical_json(_body(kind, params, payload)))
 
 
 @dataclass
@@ -66,24 +65,19 @@ class Certificate:
     kind: str
     params: dict = field(default_factory=dict)
     payload: dict = field(default_factory=dict)
-    steps: list = field(default_factory=list)
     verified: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise CertificateError(f"unknown certificate kind {self.kind!r}")
-        if not (
-            isinstance(self.params, dict)
-            and isinstance(self.payload, dict)
-            and isinstance(self.steps, list)
-        ):
-            raise CertificateError("params and payload must be objects, steps a list")
+        if not (isinstance(self.params, dict) and isinstance(self.payload, dict)):
+            raise CertificateError("params and payload must be objects")
 
     def digest(self) -> str:
-        return body_digest(self.kind, self.params, self.payload, self.steps)
+        return body_digest(self.kind, self.params, self.payload)
 
     def to_json(self) -> str:
-        body = canonical_json(_body(self.kind, self.params, self.payload, self.steps))
+        body = canonical_json(_body(self.kind, self.params, self.payload))
         # "digest" sorts before every other key, so it opens the document
         return f'{{"digest":"{_text_digest(body)}",{body[1:]}'
 
@@ -96,12 +90,16 @@ class Certificate:
             raise CertificateError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CertificateError("certificate document must be a JSON object")
-        for key in ("schema", "kind", "params", "payload", "steps", "digest"):
+        for key in FIELDS:
             if key not in doc:
                 raise CertificateError(f"missing field {key!r}")
         if doc["schema"] != SCHEMA_VERSION:
             raise CertificateError(f"unsupported schema version {doc['schema']!r}")
-        cert = cls(doc["kind"], doc["params"], doc["payload"], doc["steps"])
+        extra = sorted(set(doc) - set(FIELDS))
+        if extra:
+            # the digest covers only the known fields
+            raise CertificateError(f"unexpected field {extra[0]!r}")
+        cert = cls(doc["kind"], doc["params"], doc["payload"])
         try:
             digest = cert.digest()
         except RecursionError as exc:

@@ -9,6 +9,12 @@ truncated enumeration.  Every branch a certificate names is read from its
 check.  Nothing here calls back into the producing engines, so a certificate
 stands or falls on its own evidence.
 
+A certificate records only what this checker reads.  A property-(B)
+refutation stands on its point alone: the checker replays every recorded
+absorption failure on the truncation, and the refuted cover is the union of
+their sets, so a `CounterexamplePoint` must miss each of them and a
+`Contradiction` must break the one it names.
+
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
 `report.problems` lists every failed obligation.
 """
@@ -353,16 +359,15 @@ def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> list[AFailurePart
 
 
 def _check_counterexample(ctx: _Context) -> None:
-    payload = ctx.cert.payload
-    point = ctx.point(payload["point"])
+    """The refuted cover is the union of the replayed failures' sets, so the
+    point must lie in none of them."""
+    point = ctx.point(ctx.cert.payload["point"])
     if not validate_point(point):
         ctx.report.fail("counterexample point is invalid")
         return
-    cover_texts = ctx.cert.params.get("cover", [])
-    if not cover_texts:
+    replayed = _check_refuter_inputs(ctx, ctx.need_trunc())
+    if not replayed:
         ctx.report.fail("no cover recorded to refute")
-        return
-    _check_refuter_inputs(ctx, ctx.need_trunc())
-    for text in cover_texts:
-        if eval_setexpr(point, ctx.expr(text)):
-            ctx.report.fail(f"the point lies in cover set {text}")
+    for recorded, (zset, _, _) in zip(ctx.cert.params["afailures"], replayed):
+        if eval_setexpr(point, zset):
+            ctx.report.fail(f"the point lies in cover set {recorded['zset']}")

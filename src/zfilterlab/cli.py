@@ -189,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--gamma", type=int, default=0, help="rank floor")
     verify.add_argument("--steps", type=int, default=2, help="chain length")
     verify.add_argument("--cover", help="putative cover file (property-b)")
-    verify.add_argument("--seed", type=int, default=0, help="recorded in the certificate")
     # --ambient defaults to the lemma's own ambient, or the certificate's
     verify.set_defaults(func=_cmd_verify, ambient=None)
 
@@ -333,8 +332,6 @@ def _cmd_verify(args) -> int:
         raise UsageError("give a lemma name or --check CERT")
 
     cert = _run_engine(args, _registry(args))
-    if args.seed:
-        cert.params["seed"] = args.seed
     path = _output_path(args, f"{args.lemma}.cert.json")
     cert.write(path)
     report = check_certificate(cert)
@@ -396,7 +393,7 @@ def _run_engine(args, reg: Registry) -> Certificate:
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")
         failures = _load_afailures(args.cover, reg, ambient)
-        return property_b_refute(failures, args.gamma, reg, _truncation(args))
+        return property_b_refute(failures, args.gamma, reg, _truncation(args)).certificate
     if lemma == "chain-inc":
         return increasing_chain_engine(reg, args.steps).certificate
     if lemma == "chain-dec":

@@ -2,7 +2,9 @@
 
 Each engine realizes one construction at desk scale, relative to an explicit
 finite registry, and emits a `Certificate` that an independent checker can
-replay from the payload alone.  ``params.registry`` is the one place where a
+replay from the payload alone.  A certificate records only what that checker
+reads; how the engine got there (the property-(B) chain, say) is returned
+beside it in a report.  ``params.registry`` is the one place where a
 certificate spells out a branch's word and rank; every other field names a
 branch by the label of its registry entry, with lists in rank order.
 
@@ -117,7 +119,7 @@ def check_extendibility_a(registry: Registry) -> Certificate:
     entries = list(registry)
     return Certificate(
         "SeparatorWitness",
-        params=_params(registry, XI, filter="pairwise-unions"),
+        params=_params(registry, XI),
         payload={
             "claim": "no-single-zero-set-in-filter",
             "entries": _separator_entries(
@@ -449,18 +451,7 @@ def property_a_check(
             cert = Certificate(
                 "InclusionChain",
                 params=_params(registry, XI, truncation=trunc.to_payload()),
-                payload={
-                    "claim": "absorption-failure",
-                    "afailure": failure.to_payload(),
-                },
-                steps=[
-                    {
-                        "check": "containment",
-                        "lhs": setexpr_text(failure.lhs()),
-                        "rhs": setexpr_text(failure.rhs()),
-                        "exhaustive": True,
-                    }
-                ],
+                payload={"claim": "absorption-failure", "afailure": failure.to_payload()},
             )
             return PropertyAReport(False, listed, failure, cert)
         listed.append({"alpha": beta.label, "point": point.literal()})
@@ -499,12 +490,23 @@ def _property_a_witness(
 # Property (B) refuter
 # ---------------------------------------------------------------------------
 
+@dataclass
+class RefuterReport:
+    """A property-(B) replay: ``chain[k]`` is the accumulated branch list of
+    step k, in the order the steps add branches (empty when the cover misses
+    a truncated point outright).  The certificate records only the refuting
+    point and the inputs its checker replays."""
+
+    chain: list[list[BranchIndex]]
+    certificate: Certificate
+
+
 def property_b_refute(
     failures: Sequence[AFailure],
     gamma: int,
     registry: Registry,
     trunc: Truncation,
-) -> Certificate:
+) -> RefuterReport:
     """Replay the chain induction against a putative cover of the whole space.
 
     Inputs are absorption-failure claims whose union is said to cover the
@@ -542,26 +544,20 @@ def property_b_refute(
     failures = [failures[i] for i in order]
     n = len(failures)
     zsets = [f.zset for f in failures]
-    cover_expr = Union(tuple(zsets))
     # the params are built with each certificate, after the covers are minted,
-    # so that the registry they record holds every branch the steps name
+    # so that the registry they record holds every branch the chain names
     extra = dict(truncation=trunc.to_payload(), gamma=gamma,
-                 cover=[setexpr_text(z) for z in zsets],
                  afailures=[f.to_payload() for f in failures])
 
-    missed = containment_counterexample(Whole(), cover_expr, trunc, XI)
+    missed = containment_counterexample(Whole(), Union(tuple(zsets)), trunc, XI)
     if missed is not None:
-        return Certificate(
+        return RefuterReport([], Certificate(
             "CounterexamplePoint",
             params=_params(registry, XI, **extra),
-            payload={
-                "claim": "cover-misses-point",
-                "point": missed.literal(),
-                "where": "truncation",
-            },
-        )
+            payload={"point": missed.literal()},
+        ))
 
-    steps: list[dict] = []
+    chain: list[list[BranchIndex]] = []
     accumulated: list[BranchIndex] = []
     hs: list[list[BranchIndex]] = []
     for k in range(n):
@@ -569,26 +565,19 @@ def property_b_refute(
         base = _merge_branches(accumulated, f_k.constraining)
         if any(beta in base for beta in f_k.absorbing):
             raise EngineError("rank shape violated: an absorbing branch collides with the chain")
-        seps = {b.label: find_separator(b, base) for b in f_k.absorbing}
-        depth = max(seps.values(), default=0)
+        depth = max((find_separator(b, base) for b in f_k.absorbing), default=0)
         h_k = find_cover(depth, gamma, registry, base=base) if depth else []
         hs.append(h_k)
         accumulated = _merge_branches(base, h_k)
-        steps.append(
-            {
-                "step": k,
-                "separators": seps,
-                "depth": depth,
-                "cover": _labels(h_k),
-                "chain": [b.label for b in accumulated],
-            }
-        )
+        chain.append(accumulated)
         remainder = Union(tuple(zsets[k + 1:]))
         violating = containment_counterexample(
             inter_atoms(accumulated), remainder, trunc, XI
         )
         if violating is not None:
-            return _chase(violating, k + 1, failures, hs, registry, trunc, extra, steps)
+            return RefuterReport(
+                chain, _chase(violating, k + 1, failures, hs, registry, trunc, extra)
+            )
     raise AssertionError(
         "unreachable: the all-infinite point always violates the final empty claim"
     )
@@ -601,7 +590,7 @@ def _merge_branches(*parts: Iterable[BranchIndex]) -> list[BranchIndex]:
 
 def _chase(
     point: XiPoint, stage: int, failures: Sequence[AFailure], hs: Sequence[Sequence[BranchIndex]],
-    registry: Registry, trunc: Truncation, extra: dict, steps: list[dict],
+    registry: Registry, trunc: Truncation, extra: dict,
 ) -> Certificate:
     """Descend the chain from a violating point to an eval-verified terminal.
 
@@ -612,7 +601,6 @@ def _chase(
     either holds at the point, contradicting its claimed inclusion, or the
     descent continues one stage down.
     """
-    trace: list[dict] = []
     y = point
     s = stage
     zsets = [f.zset for f in failures]
@@ -627,45 +615,24 @@ def _chase(
                 *[(*failures[i].constraining, *hs[i]) for i in range(s - 1)], f_prev.constraining
             )
             y = _escape(y, f_prev.absorbing, avoid, trunc, singleton_ceiling)
-            trace.append(
-                {
-                    "action": "escape",
-                    "stage": s - 1,
-                    "absorbing": [b.label for b in f_prev.absorbing],
-                    "point": y.literal(),
-                }
-            )
         if eval_setexpr(y, f_prev.zset):
-            trace.append({"action": "contradiction", "stage": s - 1})
             return Certificate(
                 "Contradiction",
                 params=_params(registry, XI, **extra),
                 payload={
-                    "claim": "afailure-inclusion-breaks",
                     "afailure_index": s - 1,
                     "afailure": f_prev.to_payload(),
                     "point": y.literal(),
                 },
-                steps=steps + [{"chase": trace}],
             )
-        trace.append({"action": "descend", "stage": s - 1, "point": y.literal()})
         s -= 1
     if any(eval_setexpr(y, z) for z in zsets):
         raise AssertionError("chase invariant broken: point regained a cover set")
     return Certificate(
         "CounterexamplePoint",
         params=_params(registry, XI, **extra),
-        payload={
-            "claim": "cover-misses-point",
-            "point": y.literal(),
-            "where": "beyond-truncation" if not _in_truncation(y, trunc) else "truncation",
-        },
-        steps=steps + [{"chase": trace}],
+        payload={"point": y.literal()},
     )
-
-
-def _in_truncation(p: XiPoint, trunc: Truncation) -> bool:
-    return all(pos <= trunc.T and val <= trunc.V for pos, val in p.support)
 
 
 def _escape(

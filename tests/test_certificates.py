@@ -59,19 +59,31 @@ def sample_certificates():
     certs.append(increasing_chain_engine(r, 3).certificate)
     r = reg()
     certs.append(decreasing_chain_engine(r, 3).certificate)
+    certs.append(whole_cover_refutation().certificate)
+    certs.append(zero_set_cover_refutation().certificate)
+    r = reg()
+    certs.append(property_a_check(Atom(r.entries[0]), r, TR).certificate)
+    return certs
+
+
+def whole_cover_refutation():
+    """Property (B) against the whole space, claimed to fail absorption on
+    constraining branches that cover every truncated position: a
+    `Contradiction` whose chain mints covers."""
     r = make_registry([("11", "1"), ("12", "1"), ("2", "1"), ("21", "2"), ("", "2", 9)])
     constraining = tuple(b for b in r if b.rank <= TR.T)
-    failure = AFailure(Whole(), constraining, (r.entries[-1],))
-    certs.append(property_b_refute([failure], 50, r, TR))
+    return property_b_refute([AFailure(Whole(), constraining, (r.entries[-1],))], 50, r, TR)
+
+
+def zero_set_cover_refutation():
+    """Property (B) against Z(b0) ∪ Z(b1): a `CounterexamplePoint` found on
+    the truncation."""
     r = reg()
     failures = [
         AFailure(Atom(r.entries[0]), (), (r.entries[0],)),
         AFailure(Atom(r.entries[1]), (), (r.entries[1],)),
     ]
-    certs.append(property_b_refute(failures, 50, r, TR))
-    r = reg()
-    certs.append(property_a_check(Atom(r.entries[0]), r, TR).certificate)
-    return certs
+    return property_b_refute(failures, 50, r, TR)
 
 
 class TestRoundTrip:
@@ -88,8 +100,8 @@ class TestRoundTrip:
         # the digest is spliced into the serialized body, not serialized with it
         for cert in sample_certificates():
             body = {"schema": SCHEMA_VERSION, "kind": cert.kind, "params": cert.params,
-                    "payload": cert.payload, "steps": cert.steps}
-            digest = body_digest(cert.kind, cert.params, cert.payload, cert.steps)
+                    "payload": cert.payload}
+            digest = body_digest(cert.kind, cert.params, cert.payload)
             assert cert.to_json() == canonical_json({**body, "digest": digest})
 
     def test_byte_determinism(self):
@@ -146,7 +158,7 @@ class TestTampering:
         r = reg()
         cert = check_extendibility_a(r)
         cert.payload["entries"][0]["point"] = "{1:1,2:2}"
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         report = check_certificate(fresh)
         assert not report.ok
 
@@ -164,10 +176,74 @@ class TestTampering:
         else:
             # drop the payload's afailure from the recorded cover
             params["afailures"] = [a for i, a in enumerate(params["afailures"]) if i != index]
-            params["cover"] = [c for i, c in enumerate(params["cover"]) if i != index]
         assert check_certificate(cert).ok
-        tampered = Certificate(cert.kind, params, payload, cert.steps)
+        tampered = Certificate(cert.kind, params, payload)
         assert not check_certificate(Certificate.from_json(tampered.to_json())).ok
+
+
+class TestRefutedCover:
+    """A refutation is checked against the absorption failures it replays,
+    the only record of the cover it refutes."""
+
+    @staticmethod
+    def point_inside_the_cover():
+        cert = zero_set_cover_refutation().certificate
+        r = reg()
+        b0, b1 = r.entries[:2]
+        # a point of Z(b0) outside Z(b1): the cover Z(b0) ∪ Z(b1) holds it
+        l = find_separator(b1, [b0])
+        assert [a["zset"] for a in cert.params["afailures"]] == [f"N:{b0.literal()}",
+                                                                  f"N:{b1.literal()}"]
+        return cert, f"{{{l}:{l}}}"
+
+    @pytest.mark.parametrize("cover", [["N::2"], None], ids=["forged-cover", "no-cover"])
+    def test_point_inside_a_failure_set_rejected(self, cover):
+        # with a cover field that keeps only Z(b1), which misses the point,
+        # the checker used to test the point against that field, and this
+        # certificate verified
+        cert, point = self.point_inside_the_cover()
+        params = dict(cert.params)
+        if cover is not None:
+            params["cover"] = cover
+        forged = Certificate(cert.kind, params, dict(cert.payload, point=point))
+        report = check_certificate_text(forged.to_json())
+        zset = cert.params["afailures"][0]["zset"]
+        assert not report.ok and report.problems == [f"the point lies in cover set {zset}"]
+
+    def test_no_recorded_failure_is_no_cover(self):
+        cert = zero_set_cover_refutation().certificate
+        report = check_certificate(_with("params", afailures=[])(cert))
+        assert report.problems == ["no cover recorded to refute"]
+
+
+class _ReadRecorder(dict):
+    """A dict that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+class TestEveryFieldIsRead:
+    def test_checker_reads_every_field(self):
+        # a field the checker never reads is bytes no check covers
+        for cert in _label_certificates():
+            params, payload = _ReadRecorder(cert.params), _ReadRecorder(cert.payload)
+            assert check_certificate(Certificate(cert.kind, params, payload)).ok
+            assert set(params) - params.read == set(), cert.kind
+            assert set(payload) - payload.read == set(), cert.kind
 
 
 class TestStructure:
@@ -175,24 +251,36 @@ class TestStructure:
         with pytest.raises(CertificateError):
             Certificate("SeparatorWitness", [], {})
         with pytest.raises(CertificateError):
-            Certificate("SeparatorWitness", {}, {}, steps={})
+            Certificate("SeparatorWitness", {}, [])
 
     def test_digest_valid_body_with_list_params_is_a_failed_report(self):
         doc = {"schema": SCHEMA_VERSION, "kind": "SeparatorWitness", "params": [],
-               "payload": {}, "steps": []}
-        doc["digest"] = body_digest("SeparatorWitness", [], {}, [])
+               "payload": {}}
+        doc["digest"] = body_digest("SeparatorWitness", [], {})
         report = check_certificate_text(json.dumps(doc))
         assert not report.ok and report.problems
+
+    def test_document_holds_only_the_checked_fields(self):
+        for cert in sample_certificates():
+            assert set(json.loads(cert.to_json())) == {
+                "schema", "kind", "params", "payload", "digest"
+            }
+        # the digest covers only those fields, so another one is refused
+        cert = sample_certificates()[0]
+        doc = dict(json.loads(cert.to_json()), steps=[])
+        report = check_certificate_text(json.dumps(doc))
+        assert not report.ok and report.problems == ["unexpected field 'steps'"]
 
     def test_version_one_document_rejected(self):
         # schema 2 certificates still list the closure classes, schema 3
         # property-a certificates one witness per (F, beta) pair, schema 4
-        # separator certificates a truncation, and schema 5 certificates
-        # spell branches out as {label, branch, rank} outside the registry
+        # separator certificates a truncation, schema 5 certificates spell
+        # branches out as {label, branch, rank} outside the registry, and
+        # schema 6 certificates carry steps and fields no check reads
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5):
+        for schema in (1, 2, 3, 4, 5, 6):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
-                   "payload": cert.payload, "steps": cert.steps}
+                   "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
             report = check_certificate_text(json.dumps(doc))
             assert not report.ok
@@ -205,8 +293,8 @@ class TestStructure:
         assert recorded == {
             ("ExceptionList", None),
             ("InclusionChain", "absorption-failure"),
-            ("Contradiction", "afailure-inclusion-breaks"),
-            ("CounterexamplePoint", "cover-misses-point"),
+            ("Contradiction", None),
+            ("CounterexamplePoint", None),
         }
         exact = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" not in c.params}
         assert exact == {
@@ -226,7 +314,7 @@ class TestSeparatorWitnessClaims:
     def test_unknown_claim_rejected(self):
         cert = increasing_chain_engine(reg(), 3).certificate
         cert.payload["claim"] = "strictly-sideways-chain"
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
     @pytest.mark.parametrize(
@@ -257,7 +345,7 @@ class TestSeparatorWitnessClaims:
         cert = make()
         assert check_certificate(cert).ok
         cert.payload[field] = cut(cert.payload[field])
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
     def test_entry_counts(self):
@@ -275,7 +363,7 @@ class TestSeparatorWitnessClaims:
         r = reg()
         cert = check_extendibility_a(r)
         cert.payload["entries"][0]["point"] = "{1:1}"
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
     def test_property_a_point_outside_the_maximal_set_rejected(self):
@@ -288,7 +376,7 @@ class TestSeparatorWitnessClaims:
         l = find_separator(b3, [b0, b1])
         assert branch_member(b2, l)
         cert.payload["entries"][3]["point"] = f"{{{l}:{l}}}"
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         report = check_certificate(fresh)
         assert not report.ok and "fails to separate b3" in report.problems[0]
 
@@ -296,14 +384,14 @@ class TestSeparatorWitnessClaims:
         cert = check_extendibility_a(reg())
         cert.params["registry"] = cert.params["registry"][:1]
         cert.payload["entries"] = cert.payload["entries"][:1]
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
     def test_property_a_witnesses_must_lie_in_the_recorded_set(self):
         cert = property_a_check(Whole(), reg(), TR).certificate
         assert cert.payload["zset"] == "W"
         cert.payload["zset"] = "(union)"
-        fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
 
@@ -318,7 +406,7 @@ class TestWrongTypedFields:
                 for key in getattr(cert, section):
                     params, payload = dict(cert.params), dict(cert.payload)
                     {"params": params, "payload": payload}[section][key] = value
-                    fresh = Certificate(cert.kind, params, payload, cert.steps)
+                    fresh = Certificate(cert.kind, params, payload)
                     report = check_certificate(fresh)
                     assert isinstance(report.ok, bool), (cert.kind, section, key, value)
 
@@ -349,7 +437,7 @@ class TestWrongTypedFields:
             separators = cert.payload["separators"]
             for label, value in itertools.product(separators, self.VALUES + [0, -1, 2.5]):
                 payload = dict(cert.payload, separators=dict(separators, **{label: value}))
-                report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+                report = check_certificate(Certificate(cert.kind, cert.params, payload))
                 assert report.ok is False, (cert.payload["claim"], label, value)
 
     def test_every_depth_replacement_is_rejected(self):
@@ -394,7 +482,7 @@ class TestWrongTypedFields:
             for key, value in itertools.product(("T", "V"), (2.5, 1.0, True)):
                 truncation = dict(cert.params["truncation"], **{key: value})
                 params = dict(cert.params, truncation=truncation)
-                report = check_certificate(Certificate(cert.kind, params, cert.payload, cert.steps))
+                report = check_certificate(Certificate(cert.kind, params, cert.payload))
                 assert report.ok is False, (cert.kind, key, value)
 
 
@@ -413,7 +501,7 @@ class TestNestingLimit:
         cert = sample_certificates()[1]
         assert cert.payload["zset"] == "W"
         payload = dict(cert.payload, zset=self.DEEP)
-        text = Certificate(cert.kind, cert.params, payload, cert.steps).to_json()
+        text = Certificate(cert.kind, cert.params, payload).to_json()
         report = check_certificate_text(text)
         assert not report.ok and "deeper than" in report.problems[0]
 
@@ -426,7 +514,7 @@ class TestBoundedReplay:
         cert = sample_certificates()[1]
         payload = dict(cert.payload, separator=3_000_000)
         start = time.perf_counter()
-        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+        report = check_certificate(Certificate(cert.kind, cert.params, payload))
         assert time.perf_counter() - start < 1.0
         assert not report.ok
         assert len([p for p in report.problems if "cover" in p]) == 1
@@ -436,7 +524,7 @@ class TestBoundedReplay:
         cover, cert = cover_certificate(12, 5, r, [r.entries[0]])
         assert check_certificate(cert).ok and cover
         payload = dict(cert.payload, cover=cert.payload["cover"][1:])
-        report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+        report = check_certificate(Certificate(cert.kind, cert.params, payload))
         assert not report.ok and len(report.problems) == 1
         assert "not covered" in report.problems[0]
 
@@ -448,7 +536,7 @@ class TestBoundedReplay:
         params = dict(cert.params, registry=r.to_payload())
         payload = dict(cert.payload, entries=[])
         start = time.perf_counter()
-        report = check_certificate(Certificate(cert.kind, params, payload, cert.steps))
+        report = check_certificate(Certificate(cert.kind, params, payload))
         assert time.perf_counter() - start < 2.0
         assert not report.ok
 
@@ -459,7 +547,7 @@ class TestBoundedReplay:
             separators = dict(cert.payload["separators"], **{label: 10**5000})
             payload = dict(cert.payload, separators=separators)
             start = time.perf_counter()
-            report = check_certificate(Certificate(cert.kind, cert.params, payload, cert.steps))
+            report = check_certificate(Certificate(cert.kind, cert.params, payload))
             assert time.perf_counter() - start < 1.0
             assert isinstance(report, CheckReport) and not report.ok
 
@@ -483,7 +571,6 @@ def _with(section, **changes):
         cert.kind,
         dict(cert.params, **changes) if section == "params" else cert.params,
         dict(cert.payload, **changes) if section == "payload" else cert.payload,
-        cert.steps,
     )
 
 
@@ -540,11 +627,10 @@ class TestClosureObligations:
         assert [problem in p for p in report.problems] == [True], report.problems
 
 
-# payload, step and params fields that name branches by registry label;
-# params["cover"] of a refuter certificate lists set expressions instead
+# payload and params fields that name branches by registry label
 LABEL_FIELDS = {
     "alpha", "beta", "kept", "subtracted", "cover", "base", "constraining", "absorbing",
-    "hypothesis_group", "candidates", "exceptions", "via_pairs", "chain",
+    "hypothesis_group", "candidates", "exceptions", "via_pairs",
 }
 
 
@@ -586,13 +672,12 @@ class TestRegistryLabels:
     def test_certificates_name_branches_by_registry_label(self):
         for cert in _label_certificates():
             ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
-            params = {k: v for k, v in cert.params.items() if k not in ("registry", "cover")}
-            named = _named_labels([params, cert.payload, cert.steps], [])
+            params = {k: v for k, v in cert.params.items() if k != "registry"}
+            named = _named_labels([params, cert.payload], [])
             assert named, cert.kind
             for key, labels in named:
                 assert all(isinstance(x, str) and x in ranks for x in labels), (key, labels)
-                if key not in ("chain", "separators"):
-                    # the chain lists branches in the order the steps add them
+                if key != "separators":
                     assert [ranks[x] for x in labels] == sorted(ranks[x] for x in labels), key
 
     def test_label_lists_follow_rank_order(self):
@@ -606,9 +691,11 @@ class TestRegistryLabels:
         assert (failure["constraining"], failure["absorbing"]) == (["b0", "b2"], ["b3", "b4"])
 
     def test_property_b_registry_holds_the_minted_covers(self):
-        cert = next(c for c in sample_certificates() if c.kind == "Contradiction")
-        minted = {x for step in cert.steps for x in step.get("cover", [])}
-        assert minted and minted <= {e["label"] for e in cert.params["registry"]}
+        report = whole_cover_refutation()
+        assert report.certificate.kind == "Contradiction"
+        chain = {b.label for step in report.chain for b in step}
+        minted = chain - {b.label for b in reg()}
+        assert minted and chain <= {e["label"] for e in report.certificate.params["registry"]}
 
     def test_cover_refuses_an_unregistered_base(self):
         r = reg()
@@ -672,7 +759,7 @@ class TestRegistryLabels:
                 fields = getattr(cert, section)
                 for key in ("base", "cover", "kept", "subtracted", "candidates", "exceptions",
                             "hypothesis_group", "afailure", "afailures"):
-                    if key not in fields or (section, key) == ("params", "cover"):
+                    if key not in fields:
                         continue
                     # a contradiction's afailure must equal the recorded one
                     problem = ("differs from the recorded one"
@@ -712,7 +799,7 @@ class TestDeepJson:
             nested = "[" * depth + "]" * depth
             texts.append(
                 '{"schema":%d,"kind":"CoverSet","params":{},"payload":{"x":%s},'
-                '"steps":[],"digest":"0"}' % (SCHEMA_VERSION, nested)
+                '"digest":"0"}' % (SCHEMA_VERSION, nested)
             )
         for text in texts:
             report = check_certificate_text(text)
@@ -727,7 +814,7 @@ class TestCheckerIndependence:
         cert = check_extendibility_b(Whole(), r.entries[0], r, TR)
         if cert.payload["members"]:
             cert.payload["members"] = cert.payload["members"][:-1]
-            fresh = Certificate(cert.kind, cert.params, cert.payload, cert.steps)
+            fresh = Certificate(cert.kind, cert.params, cert.payload)
             report = check_certificate(fresh)
             assert not report.ok
 

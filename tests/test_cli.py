@@ -114,7 +114,7 @@ class TestVerify:
         # one membership entry short, whatever the truncation
         params = dict(cert.params, truncation={"T": T, "V": V})
         payload = dict(cert.payload, members=cert.payload["members"][:-1])
-        out_file.write_text(Certificate(cert.kind, params, payload, cert.steps).to_json())
+        out_file.write_text(Certificate(cert.kind, params, payload).to_json())
         code, out, err = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("error:") and f"({T},{V}) exceeds caps (12,16)" in err
@@ -135,7 +135,7 @@ class TestVerify:
         assert code == EXIT_OK
         cert = Certificate.read(str(out_file))
         params = dict(cert.params, truncation={"T": T, "V": V})
-        out_file.write_text(Certificate(cert.kind, params, cert.payload, cert.steps).to_json())
+        out_file.write_text(Certificate(cert.kind, params, cert.payload).to_json())
         code, out, err = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_FAIL and out.strip() == "rejected"
         assert "must be integers" in err and "Traceback" not in err
@@ -327,11 +327,17 @@ class TestVerify:
         assert code == EXIT_OK
         assert (tmp_path / "chain-inc.cert.json").exists()
 
+    def test_seed_is_no_option(self, capsys, tmp_path):
+        # a seed was only written into the certificate, where nothing read it
+        code, out, err = run(capsys, "verify", "extendibility-a", *_reg_flags(),
+                             "--seed", "9", "--out", str(tmp_path / "a.json"))
+        assert code == EXIT_USAGE and out == "" and "--seed" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         base = [
             "verify", "extendibility-a", *_reg_flags(),
-            "--T", "4", "--V", "6", "--seed", "9",
+            "--T", "4", "--V", "6",
         ]
         run(capsys, *base, "--out", str(f1))
         run(capsys, *base, "--out", str(f2))

@@ -396,7 +396,7 @@ class TestPropertyBRefute:
             AFailure(Atom(b0), (), (b0,)),
             AFailure(Atom(b1), (), (b1,)),
         ]
-        cert = property_b_refute(failures, 50, reg, TR)
+        cert = property_b_refute(failures, 50, reg, TR).certificate
         assert cert.kind == "CounterexamplePoint"
         point = parse_point_literal(cert.payload["point"])
         assert not eval_setexpr(point, Union((Atom(b0), Atom(b1))))
@@ -404,7 +404,7 @@ class TestPropertyBRefute:
     def test_whole_cover_ends_in_contradiction(self):
         reg = cover_registry()
         failure = whole_afailure(reg, TR)
-        cert = property_b_refute([failure], 50, reg, TR)
+        cert = property_b_refute([failure], 50, reg, TR).certificate
         assert cert.kind == "Contradiction"
         point = parse_point_literal(cert.payload["point"])
         refuted = cert.payload["afailure"]
@@ -420,7 +420,7 @@ class TestPropertyBRefute:
         reg = cover_registry()
         whole_f = whole_afailure(reg, TR)
         extra = AFailure(Atom(reg.entries[0]), (), (reg.entries[0],))
-        cert = property_b_refute([extra, whole_f], 50, reg, TR)
+        cert = property_b_refute([extra, whole_f], 50, reg, TR).certificate
         assert cert.kind in ("Contradiction", "CounterexamplePoint")
         assert cert.kind == "Contradiction"
 
