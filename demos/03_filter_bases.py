@@ -10,7 +10,6 @@ from zfilterlab import (
     FilterBase,
     Truncation,
     Union,
-    Whole,
     combine_nonredundancy_witnesses,
     filter_member,
     make_registry,

@@ -13,10 +13,8 @@ from zfilterlab import (
     AFailure,
     Atom,
     Certificate,
-    Singleton,
     Truncation,
     Whole,
-    XiPoint,
     check_certificate,
     check_certificate_text,
     make_registry,

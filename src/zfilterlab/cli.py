@@ -101,14 +101,22 @@ class ResourceCap(Exception):
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; never raises SystemExit.
 
-    ``main`` may be called any number of times in one process.  The argument
-    parser is built on the first call and reused by every later one: each
-    parse makes a fresh namespace, and argparse looks ``sys.stdout`` and
-    ``sys.stderr`` up when it prints, so redirected streams still capture
-    its help and usage errors.
+    A first word naming a command (``verify``, ``oracle``, or ``family``
+    with its subcommand word) hands the rest of ``argv`` straight to that
+    command's own parser; no arguments, ``-h``/``--help`` or an unknown
+    word go to the top-level parser.  ``main`` may be called any number of
+    times in one process.  The parsers are built on the first call and
+    reused by every later one: each parse makes a fresh namespace, and
+    argparse looks ``sys.stdout`` and ``sys.stderr`` up when it prints, so
+    redirected streams still capture its help and usage errors.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    words = tuple(argv[:2] if argv[:1] == ["family"] else argv[:1])
+    if words in commands:
+        parser, argv = commands[words], argv[len(words):]
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -128,9 +136,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once on first use (not at import, which would
+def _build_parser() -> (
+    tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]
+):
+    """The CLI's top-level parser, and each command's own parser under its
+    command words, built once on first use (not at import, which would
     charge every ``import zfilterlab.cli`` for it)."""
+    commands: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+    def command(subparsers, *words: str, **kwargs) -> argparse.ArgumentParser:
+        commands[words] = subparsers.add_parser(words[-1], **kwargs)
+        return commands[words]
+
     parser = argparse.ArgumentParser(
         prog="zfilterlab",
         description="almost-disjoint branch families and zero-set filter certificates",
@@ -140,22 +157,22 @@ def _build_parser() -> argparse.ArgumentParser:
     family = sub.add_parser("family", help="branch-family computations")
     fam_sub = family.add_subparsers(dest="family_command", required=True)
 
-    p = fam_sub.add_parser("elements", help="first elements of a branch's set")
+    p = command(fam_sub, "family", "elements", help="first elements of a branch's set")
     p.add_argument("branch")
     p.add_argument("--count", type=int, default=8)
     p.set_defaults(func=_cmd_family_elements)
 
-    p = fam_sub.add_parser("intersect", help="exact intersection of two branches")
+    p = command(fam_sub, "family", "intersect", help="exact intersection of two branches")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=_cmd_family_intersect)
 
-    p = fam_sub.add_parser("separator", help="least element escaping a group")
+    p = command(fam_sub, "family", "separator", help="least element escaping a group")
     p.add_argument("branch")
     p.add_argument("--group", action="append", default=[])
     p.set_defaults(func=_cmd_family_separator)
 
-    p = fam_sub.add_parser("cover", help="rank-floored cover of an initial segment")
+    p = command(fam_sub, "family", "cover", help="rank-floored cover of an initial segment")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--gamma", type=int, default=0)
     p.add_argument("--base", action="append", default=[])
@@ -163,20 +180,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(func=_cmd_family_cover)
 
-    p = fam_sub.add_parser("density", help="branches through a position at a depth")
+    p = command(fam_sub, "family", "density", help="branches through a position at a depth")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=_cmd_family_density)
 
-    p = fam_sub.add_parser("encode", help="code of a word")
+    p = command(fam_sub, "family", "encode", help="code of a word")
     p.add_argument("word")
     p.set_defaults(func=_cmd_family_encode)
 
-    p = fam_sub.add_parser("decode", help="word of a code")
+    p = command(fam_sub, "family", "decode", help="word of a code")
     p.add_argument("code", type=int)
     p.set_defaults(func=_cmd_family_decode)
 
-    verify = sub.add_parser("verify", help="run a lemma engine or re-check a certificate")
+    verify = command(sub, "verify", help="run a lemma engine or re-check a certificate")
     verify.add_argument("lemma", nargs="?", choices=LEMMAS)
     verify.add_argument("--check", metavar="CERT", help="re-validate an existing certificate")
     _add_registry_options(verify)
@@ -192,14 +209,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # --ambient defaults to the lemma's own ambient, or the certificate's
     verify.set_defaults(func=_cmd_verify, ambient=None)
 
-    oracle = sub.add_parser("oracle", help="exhaustive truncated claim evaluation")
+    oracle = command(sub, "oracle", help="exhaustive truncated claim evaluation")
     oracle.add_argument("claim", help="claim file (JSON)")
     _add_registry_options(oracle)
     _add_truncation_options(oracle)
     oracle.add_argument("--max-counterexamples", type=int, default=3)
     oracle.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, commands
 
 
 def _add_registry_options(p: argparse.ArgumentParser) -> None:
@@ -250,6 +267,13 @@ def _output_path(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
 
 
+def _write_certificate(cert: Certificate, path: str) -> None:
+    try:
+        cert.write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write certificate: {path}: {exc.strerror or exc}") from exc
+
+
 def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
     """Label lookup first, then branch literal; unseen literals get registered."""
     try:
@@ -293,10 +317,10 @@ def _cmd_family_cover(args) -> int:
     reg = _registry(args)
     base = [_resolve_branch(reg, b) for b in args.base]
     cover, cert = cover_certificate(args.l, args.gamma, reg, base)
+    path = _output_path(args, "cover.cert.json")
+    _write_certificate(cert, path)
     for c in cover:
         print(f"{c.label} {c.literal()} rank={c.rank}")
-    path = _output_path(args, "cover.cert.json")
-    cert.write(path)
     print(f"certificate: {path}")
     report = check_certificate(cert)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -333,7 +357,7 @@ def _cmd_verify(args) -> int:
 
     cert = _run_engine(args, _registry(args))
     path = _output_path(args, f"{args.lemma}.cert.json")
-    cert.write(path)
+    _write_certificate(cert, path)
     report = check_certificate(cert)
     for problem in report.problems:
         print(f"problem: {problem}", file=sys.stderr)

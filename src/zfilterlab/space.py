@@ -251,24 +251,42 @@ def empty_expr() -> SetExpr:
 
 
 def eval_setexpr(point: XiPoint, expr: SetExpr) -> bool:
-    """Structural evaluation of membership; atoms defer to the branch oracle."""
+    """Structural evaluation of membership; atoms defer to the branch oracle.
+
+    The reference every faster evaluator is tested against, so it reads no
+    support rule: the point's positions are listed once and passed down, and
+    each node is told apart by its class, atoms and intersections first.
+    """
     _require_valid(point)
-    return _eval(point, expr)
+    return _eval(point.positions(), point.support, expr)
 
 
-def _eval(point: XiPoint, expr: SetExpr) -> bool:
-    if isinstance(expr, Whole):
+def _eval(
+    positions: tuple[int, ...], support: tuple[tuple[int, int], ...], expr: SetExpr
+) -> bool:
+    kind = type(expr)
+    if kind is Atom:
+        branch = expr.branch
+        for p in positions:
+            if branch_member(branch, p):
+                return False
         return True
-    if isinstance(expr, Atom):
-        return not any(branch_member(expr.branch, p) for p in point.positions())
-    if isinstance(expr, Singleton):
-        return point.support == expr.point.support
-    if isinstance(expr, Union):
-        return any(_eval(point, p) for p in expr.parts)
-    if isinstance(expr, Inter):
-        return all(_eval(point, p) for p in expr.parts)
-    if isinstance(expr, Diff):
-        return _eval(point, expr.left) and not _eval(point, expr.right)
+    if kind is Inter:
+        for part in expr.parts:
+            if not _eval(positions, support, part):
+                return False
+        return True
+    if kind is Union:
+        for part in expr.parts:
+            if _eval(positions, support, part):
+                return True
+        return False
+    if kind is Diff:
+        return _eval(positions, support, expr.left) and not _eval(positions, support, expr.right)
+    if kind is Whole:
+        return True
+    if kind is Singleton:
+        return support == expr.point.support
     raise SpaceError(f"unknown expression node {expr!r}")
 
 

@@ -38,7 +38,7 @@ from zfilterlab.engines import (
     increasing_chain_engine,
     property_b_refute,
 )
-from zfilterlab.filters import FilterBase, filter_member, pairwise_union_base
+from zfilterlab.filters import filter_member, pairwise_union_base
 from zfilterlab.formats import parse_point_literal
 from zfilterlab.space import (
     PI,

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, certificate files, oracle claims."""
 
+import argparse
 import json
 
 import pytest
@@ -16,6 +17,13 @@ from zfilterlab.cli import (
 )
 
 REG = ["a=:1@0", "b=:2@1", "c=1:2@2"]
+
+
+def _reg_flags():
+    flags = []
+    for entry in REG:
+        flags.extend(["--registry", entry])
+    return flags
 
 
 def run(capsys, *argv):
@@ -428,8 +436,88 @@ class TestOracle:
         assert out.splitlines() == [f"counterexample: {p}" for p in points]
 
 
+class TestDispatch:
+    """A command word hands the rest of argv to that command's own parser."""
+
+    # one argv per command: every family subcommand, each lemma, --check, oracle
+    ARGVS = [
+        ["family", "elements", ":1", "--count", "4"],
+        ["family", "intersect", ":1", "1:2"],
+        ["family", "separator", ":1", "--group", "1:2", "--group", "2:1"],
+        ["family", "cover", "--l", "3", "--gamma", "5", "--base", ":1", "-r", "a=:1@0",
+         "--out", "c.json"],
+        ["family", "density", "--n", "4", "--depth", "4"],
+        ["family", "encode", "22"],
+        ["family", "decode", "7"],
+        ["verify", "extendibility-a", *_reg_flags(), "--out", "c.json"],
+        ["verify", "extendibility-b", "--zset", "N:a", "--alpha", "b", *_reg_flags(),
+         "--T", "4", "--V", "6", "--cap-T", "13"],
+        ["verify", "containment-dec", "--F", "a", "--G", "b", "--gamma", "5", *_reg_flags()],
+        ["verify", "containment-full", "--F", "a", "--G", "b", "--G", "c", "--ambient", "pi"],
+        ["verify", "property-a", "--zset", "W", *_reg_flags(), "--T", "5"],
+        ["verify", "property-b", "--cover", "f.json", "--gamma", "50", *_reg_flags()],
+        ["verify", "chain-inc", "--steps", "3", *_reg_flags()],
+        ["verify", "chain-dec", *_reg_flags(), "--steps", "2", "--out", "c.json"],
+        ["verify", "--check", "c.json", "--ambient", "pi", "--cap-V", "20"],
+        ["oracle", "claim.json", *_reg_flags(), "--T", "4", "--V", "6", "--max-counterexamples", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_handler_gets_the_top_level_namespace(self, monkeypatch, argv):
+        top = vars(cli._build_parser()[0].parse_args(argv))
+        parse_args = argparse.ArgumentParser.parse_args
+        used = []
+
+        def recording(parser, args=None, namespace=None):
+            ns = parse_args(parser, args, namespace)
+            used.append((parser.prog, dict(vars(ns))))
+            ns.func = lambda args: EXIT_OK
+            return ns
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(argv) == EXIT_OK
+        words = argv[:2] if argv[0] == "family" else argv[:1]
+        [(prog, received)] = used
+        assert prog == " ".join(["zfilterlab", *words])
+        # the top-level parser also records the command words it consumed
+        for key in ("command", "family_command"):
+            top.pop(key, None)
+            received.pop(key, None)
+        assert received == top
+
+    @pytest.mark.parametrize(
+        "argv, want_code",
+        [
+            ([], EXIT_USAGE),
+            (["nope"], EXIT_USAGE),
+            (["-h"], EXIT_OK),
+            (["verify", "-h"], EXIT_OK),
+            (["family"], EXIT_USAGE),
+            (["family", "nope"], EXIT_USAGE),
+            (["family", "elements", "-h"], EXIT_OK),
+            (["family", "decode", "x"], EXIT_USAGE),
+            (["verify", "nolemma"], EXIT_USAGE),
+            (["oracle"], EXIT_USAGE),
+        ],
+        ids=repr,
+    )
+    def test_help_and_usage_errors_match_the_top_level_parser(self, capsys, argv, want_code):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser()[0].parse_args(argv)
+        out, err = capsys.readouterr()
+        assert (EXIT_USAGE if exc.value.code else EXIT_OK) == want_code
+        assert run(capsys, *argv) == (want_code, out, err)
+
+    def test_unrecognized_arguments_print_the_command_usage(self, capsys):
+        code, out, err = run(capsys, "oracle", "c.json", "--bogus", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: zfilterlab oracle ")
+        assert err.endswith("zfilterlab oracle: error: unrecognized arguments: --bogus 1\n")
+
+
 class TestInputErrors:
-    """Unreadable or incomplete input is a usage error, never a refutation."""
+    """Unreadable or incomplete input, and an unwritable certificate path,
+    are usage errors, never a refutation."""
 
     def test_check_missing_certificate(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--check", str(tmp_path / "absent.json"))
@@ -500,8 +588,26 @@ class TestInputErrors:
         assert code == EXIT_USAGE and err.startswith("error:") and message in err, err
 
 
-def _reg_flags():
-    flags = []
-    for entry in REG:
-        flags.extend(["--registry", entry])
-    return flags
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "extendibility-a", "-r", "a=1:2@0", "-r", "b=2:1@1"],
+         ["family", "cover", "--l", "3"]],
+        ids=["verify", "family-cover"],
+    )
+    def test_unwritable_certificate_path(self, capsys, tmp_path, monkeypatch, argv):
+        missing = tmp_path / "missing" / "c.json"
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot write certificate: {missing}: ")
+        # through the output directory variable too
+        monkeypatch.setenv("ZFILTERLAB_OUT", str(missing.parent))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot write certificate: ")
+        # a directory in the path's place: the temporary file is removed
+        target = tmp_path / "adir"
+        target.mkdir()
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot write certificate: ")
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []

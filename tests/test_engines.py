@@ -10,7 +10,6 @@ from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separ
 from zfilterlab.engines import (
     AFailure,
     AFailureVerificationError,
-    CertificationError,
     EngineError,
     UnknownHypothesisError,
     check_extendibility_a,
@@ -42,7 +41,6 @@ from zfilterlab.space import (
     eval_setexpr,
     inter_atoms,
     multi_escape_sequence,
-    union_atoms,
 )
 
 TR = Truncation(4, 6)

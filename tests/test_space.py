@@ -2,13 +2,14 @@
 
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfilterlab import space
-from zfilterlab.branches import BranchIndex, branch_member, find_separator
+from zfilterlab.branches import BranchIndex, branch_member
 from zfilterlab.space import (
     PI,
     XI,
@@ -379,6 +380,71 @@ def test_support_evaluator_matches_reference_evaluator(case):
             continue
         for p in class_points(support, trunc, ambient):
             assert eval_setexpr(p, expr) == verdict
+
+
+def _recursive_eval(point, expr):
+    """The recursive evaluator `eval_setexpr` used before it listed the point's
+    positions once and told nodes apart by class; `_require_valid` runs first."""
+    if isinstance(expr, Whole):
+        return True
+    if isinstance(expr, Atom):
+        return not any(space.branch_member(expr.branch, p) for p in point.positions())
+    if isinstance(expr, Singleton):
+        return point.support == expr.point.support
+    if isinstance(expr, Union):
+        return any(_recursive_eval(point, p) for p in expr.parts)
+    if isinstance(expr, Inter):
+        return all(_recursive_eval(point, p) for p in expr.parts)
+    if isinstance(expr, Diff):
+        return _recursive_eval(point, expr.left) and not _recursive_eval(point, expr.right)
+    raise SpaceError(f"unknown expression node {expr!r}")
+
+
+@st.composite
+def _evaluations(draw):
+    ambient = draw(st.sampled_from([XI, PI]))
+    # values below the largest position make some points invalid in xi
+    point = draw(
+        st.dictionaries(
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=8),
+            max_size=3,
+        ).map(lambda m: XiPoint.of(m, ambient))
+    )
+    # the point's own singleton among the leaves, so singletons also hold
+    return point, draw(_setexprs(ambient, st.just(point)))
+
+
+@given(_evaluations())
+@example((XiPoint.of({1: 4}), Inter(())))
+@example((XiPoint.of({1: 4}), Union(())))
+@example((XiPoint.of({3: 2}), Whole()))
+@example((XiPoint.of({3: 2}, PI), Singleton(XiPoint.of({3: 2}, PI))))
+@settings(max_examples=200, deadline=None)
+def test_eval_setexpr_matches_recursive_reference(case):
+    point, expr = case
+    if not validate_point(point):
+        with pytest.raises(SpaceError, match="invalid"):
+            eval_setexpr(point, expr)
+        return
+    with mock.patch.object(space, "branch_member", wraps=branch_member) as member:
+        verdict = eval_setexpr(point, expr)
+        calls = member.call_args_list
+        member.reset_mock()
+        assert _recursive_eval(point, expr) == verdict
+        # the same atoms are read at the same positions, in the same order
+        assert member.call_args_list == calls
+
+
+def test_eval_setexpr_refuses_an_unknown_node():
+    class Unknown(SetExpr):
+        pass
+
+    for expr in (Unknown(), Inter((Whole(), Unknown())), Diff(Unknown(), Whole())):
+        with pytest.raises(SpaceError, match="unknown expression node"):
+            eval_setexpr(P_INF, expr)
+        with pytest.raises(SpaceError, match="unknown expression node"):
+            _recursive_eval(P_INF, expr)
 
 
 def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkeypatch):
