@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -109,9 +109,11 @@ class Certificate:
         return cert
 
     def write(self, path: str) -> None:
-        """Atomic write: temp file in the same directory, then rename."""
+        """Atomic write: temp file in the same directory, then rename.  The
+        temp file is made with mode 0o666, so the umask applies as to ``open``."""
         directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(self.to_json())

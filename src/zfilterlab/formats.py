@@ -121,19 +121,13 @@ def parse_point_literal(text: str, ambient: Ambient = XI) -> XiPoint:
 # Set-expression s-expressions
 # ---------------------------------------------------------------------------
 
+# Tokens split on any whitespace; every other character lands in a token.
 _TOKEN_RE = re.compile(r"\(|\)|\{[^{}]*\}|[^\s()]+")
 
 # Deepest accepted nesting of parentheses.  Parsing and every evaluator walk
 # the tree recursively, so deeper input is refused here instead of exhausting
 # the interpreter's recursion limit downstream.
 MAX_SETEXPR_DEPTH = 200
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise FormatError(f"cannot tokenize {text!r}")
-    return tokens
 
 
 def _resolve_atom(ref: str, registry: Registry | None) -> BranchIndex:
@@ -150,7 +144,7 @@ def _resolve_atom(ref: str, registry: Registry | None) -> BranchIndex:
 
 def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient = XI) -> SetExpr:
     _require_text(text, "set expression")
-    tokens = _tokenize(text.strip())
+    tokens = _TOKEN_RE.findall(text.strip())
     pos = 0
 
     def parse_one(depth: int) -> SetExpr:

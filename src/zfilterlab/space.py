@@ -44,16 +44,15 @@ no singleton's support, so it reads every singleton false and leaves the
 pattern as it is.  When no probe has lhs true and rhs false, no other
 support can violate, and only the empty support and the singletons'
 supports within ``T`` are visited; otherwise every support class is.
-Either way the classes come in the same order.  A support class on which
-both sides are decided by the support alone is settled at once.  In any
-other class only singletons read values, and a singleton holds at exactly
-one point, so every point of the class that is none of the sides'
-singletons gets the same verdict.  The loop therefore evaluates only the k
-singletons lying in the class (their values within the class's value
-range) and the first other point in value order, the generic point, whose
-verdict stands for the rest: at most k + 1 points instead of every point of
-the class.  `eval_setexpr` is the reference evaluator the loop is tested
-against.
+Either way the classes come in the same order.  Each distinct atom's
+element set is built once per call and shared by both sides and the probes.
+A support class on which both sides are decided by the support alone is
+settled at once.  In any other class only singletons read values, and a
+singleton holds at exactly one point, so every other point of the class
+gets the sides' verdict on the support plus position 0, with no point
+built.  The loop evaluates only the k singletons lying in the class (their
+values within the class's value range), k points instead of every point of
+the class.  `eval_setexpr` is the reference the loop is tested against.
 """
 
 from __future__ import annotations
@@ -150,20 +149,23 @@ def in_zero_set(point: XiPoint, alpha: BranchIndex) -> bool:
 class SetExpr:
     """Base class; subclasses form a finite expression tree."""
 
-    def atoms(self) -> tuple[BranchIndex, ...]:
-        return ()
-
     def children(self) -> tuple["SetExpr", ...]:
         return ()
 
     def is_difference_free(self) -> bool:
         return all(c.is_difference_free() for c in self.children())
 
-    def singleton_points(self) -> tuple[XiPoint, ...]:
-        out: list[XiPoint] = []
+    def _leaves(self, atoms: list, points: list) -> tuple[list, list]:
+        """Append the atoms' branches and singletons' points in order; return both."""
         for c in self.children():
-            out.extend(c.singleton_points())
-        return tuple(out)
+            c._leaves(atoms, points)
+        return atoms, points
+
+    def atoms(self) -> tuple[BranchIndex, ...]:
+        return tuple(self._leaves([], [])[0])
+
+    def singleton_points(self) -> tuple[XiPoint, ...]:
+        return tuple(self._leaves([], [])[1])
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,9 @@ class Whole(SetExpr):
 class Atom(SetExpr):
     branch: BranchIndex
 
-    def atoms(self) -> tuple[BranchIndex, ...]:
-        return (self.branch,)
+    def _leaves(self, atoms: list, points: list) -> tuple[list, list]:
+        atoms.append(self.branch)
+        return atoms, points
 
     def __repr__(self) -> str:
         return f"Atom({self.branch.literal()})"
@@ -187,8 +190,9 @@ class Atom(SetExpr):
 class Singleton(SetExpr):
     point: XiPoint
 
-    def singleton_points(self) -> tuple[XiPoint, ...]:
-        return (self.point,)
+    def _leaves(self, atoms: list, points: list) -> tuple[list, list]:
+        points.append(self.point)
+        return atoms, points
 
     def __repr__(self) -> str:
         return f"Singleton({self.point.literal()})"
@@ -198,9 +202,6 @@ class Singleton(SetExpr):
 class Union(SetExpr):
     parts: tuple[SetExpr, ...]
 
-    def atoms(self) -> tuple[BranchIndex, ...]:
-        return tuple(a for p in self.parts for a in p.atoms())
-
     def children(self) -> tuple[SetExpr, ...]:
         return self.parts
 
@@ -208,9 +209,6 @@ class Union(SetExpr):
 @dataclass(frozen=True)
 class Inter(SetExpr):
     parts: tuple[SetExpr, ...]
-
-    def atoms(self) -> tuple[BranchIndex, ...]:
-        return tuple(a for p in self.parts for a in p.atoms())
 
     def children(self) -> tuple[SetExpr, ...]:
         return self.parts
@@ -220,9 +218,6 @@ class Inter(SetExpr):
 class Diff(SetExpr):
     left: SetExpr
     right: SetExpr
-
-    def atoms(self) -> tuple[BranchIndex, ...]:
-        return self.left.atoms() + self.right.atoms()
 
     def children(self) -> tuple[SetExpr, ...]:
         return (self.left, self.right)
@@ -372,26 +367,36 @@ def support_evaluator(
     or among ``extra``; ``None`` means it depends on the values (a nonempty
     singleton on exactly that support).  An atom becomes the set of its
     branch's elements up to ``T`` plus the extra positions in the branch,
-    and holds exactly when the support misses that set.
+    built once per distinct atom, and holds exactly when the support misses
+    that set.
     """
-    extra = frozenset(extra)
-    if isinstance(expr, Whole):
-        return lambda support: True
-    if isinstance(expr, Atom):
-        elements = frozenset(expr.branch.elements_upto(T)).union(
-            p for p in extra if branch_member(expr.branch, p)
-        )
-        return elements.isdisjoint
-    if isinstance(expr, Singleton):
-        target = frozenset(expr.point.positions())
-        if not target:
-            return lambda support: not support
-        return lambda support: None if support == target else False
-    if isinstance(expr, (Union, Inter)):
-        parts = [support_evaluator(p, T, extra) for p in expr.parts]
+    return _compile(expr, _atom_sets(expr.atoms(), T, extra))
+
+
+def _atom_sets(
+    atoms: Iterable[BranchIndex], T: int, extra: Iterable[int] = ()
+) -> dict[BranchIndex, frozenset[int]]:
+    """Each distinct atom's elements up to ``T`` plus the ``extra`` positions
+    its branch owns, in first-occurrence order."""
+    extra = tuple(extra)
+    return {
+        a: frozenset(a.elements_upto(T) + [p for p in extra if branch_member(a, p)])
+        for a in dict.fromkeys(atoms)
+    }
+
+
+def _compile(
+    expr: SetExpr, sets: dict[BranchIndex, frozenset[int]]
+) -> Callable[[frozenset[int]], bool | None]:
+    """`support_evaluator` over atom sets already built, told apart by class."""
+    kind = type(expr)
+    if kind is Atom:
+        return sets[expr.branch].isdisjoint
+    if kind is Inter or kind is Union:
+        parts = [_compile(p, sets) for p in expr.parts]
         # one part with this verdict settles the node: True for a union,
         # False for an intersection
-        settles = isinstance(expr, Union)
+        settles = kind is Union
 
         def combined(support: frozenset[int]) -> bool | None:
             unsure = False
@@ -403,9 +408,9 @@ def support_evaluator(
             return None if unsure else not settles
 
         return combined
-    if isinstance(expr, Diff):
-        left = support_evaluator(expr.left, T, extra)
-        right = support_evaluator(expr.right, T, extra)
+    if kind is Diff:
+        left = _compile(expr.left, sets)
+        right = _compile(expr.right, sets)
 
         def difference(support: frozenset[int]) -> bool | None:
             lv = left(support)
@@ -417,6 +422,13 @@ def support_evaluator(
             return True if lv is True and rv is False else None
 
         return difference
+    if kind is Whole:
+        return lambda support: True
+    if kind is Singleton:
+        target = frozenset(expr.point.positions())
+        if not target:
+            return lambda support: not support
+        return lambda support: None if support == target else False
     raise SpaceError(f"unknown expression node {expr!r}")
 
 
@@ -425,26 +437,29 @@ def containment_violations(
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    Both sides are compiled once with `support_evaluator`.  Off the empty
-    support and the singletons' own supports every singleton is false, so a
-    support's verdict there follows from its hit pattern (`_hit_patterns`).
-    When no pattern violates, only the empty support and the singletons'
-    supports within ``T`` are visited, in `support_classes` order; otherwise
-    every support class is.  A class is settled at once when both sides are
-    support-determined there; in the other classes only the sides' singleton
-    points and one generic point are evaluated (see the module docstring).
-    Raises `SpaceError` for an unknown ambient before visiting any class.
+    Both sides are compiled once against one shared set of atom element sets
+    (see `support_evaluator`).  Off the empty support and the singletons' own
+    supports every singleton is false, so a support's verdict there follows
+    from its hit pattern (`_hit_patterns`).  When no pattern violates, only
+    the empty support and the singletons' supports within ``T`` are
+    visited, in `support_classes` order; otherwise every support class is.
+    A class is settled at once when both sides are support-determined
+    there; in the other classes only the sides' singleton points are
+    evaluated (see the module docstring).  Raises `SpaceError` for an
+    unknown ambient before visiting any class.
     """
     if ambient not in (XI, PI):
         raise SpaceError(f"unknown ambient {ambient!r}")
-    in_lhs = support_evaluator(lhs, trunc.T)
-    in_rhs = support_evaluator(rhs, trunc.T)
+    atoms, points = rhs._leaves(*lhs._leaves([], []))
+    sets = _atom_sets(atoms, trunc.T)
+    in_lhs = _compile(lhs, sets)
+    in_rhs = _compile(rhs, sets)
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
-    for q in lhs.singleton_points() + rhs.singleton_points():
+    for q in points:
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
     # position 0 lies in no branch and in no singleton's support, so every
     # singleton reads False on a representative plus 0
-    patterns = _hit_patterns(lhs.atoms() + rhs.atoms(), range(1, trunc.T + 1))
+    patterns = _hit_patterns(sets.values(), range(1, trunc.T + 1))
     probes = (rep | {0} for rep in patterns)
     if any(in_lhs(s) is True and in_rhs(s) is False for s in probes):
         supports: Iterable[frozenset[int]] = support_classes(trunc)
@@ -463,31 +478,35 @@ def containment_violations(
         if lv is True and rv is False:
             yield from class_points(support, trunc, ambient)
             continue
+        generic = in_lhs(support | {0}) and not in_rhs(support | {0})
         yield from _value_sensitive_violations(
-            support, singletons.get(support, ()), lhs, rhs, lv, rv, trunc, ambient
+            support, singletons.get(support, ()), lhs, rhs, lv, rv, generic, trunc, ambient
         )
 
 
-def _hit_patterns(atoms: Iterable[BranchIndex], positions: Sequence[int]) -> list[frozenset[int]]:
+def _hit_patterns(sets: Iterable[frozenset[int]], positions: Sequence[int]) -> list[frozenset[int]]:
     """One representative support for each set of atoms a nonempty support
     drawn from ``positions`` can hit, the earliest positions first.
 
-    A position's pattern is the set of atoms whose branch owns it, and a
+    ``sets`` holds one element set per distinct atom, exact on ``positions``.
+    A position's pattern is the mask of the atoms whose set holds it, and a
     support hits the union of its positions' patterns; positions in no atom
-    count too, as they make the empty pattern reachable.
+    count too, as they make the empty pattern reachable.  Only a new mask
+    gets a representative.
     """
     owners: dict[int, int] = {}
-    for i, atom in enumerate(dict.fromkeys(atoms)):
-        for p in atom.elements_upto(max(positions, default=0)):
+    for i, elements in enumerate(sets):
+        for p in elements:
             owners[p] = owners.get(p, 0) | 1 << i
     first: dict[int, int] = {}
     for p in positions:
         first.setdefault(owners.get(p, 0), p)
-    reps: dict[int, frozenset[int]] = {}
+    reps: dict[int, tuple[int, ...]] = {}
     for mask, p in first.items():
-        for m, rep in [(0, frozenset()), *reps.items()]:
-            reps.setdefault(m | mask, rep | {p})
-    return list(reps.values())
+        for m, rep in [(0, ()), *reps.items()]:
+            if m | mask not in reps:
+                reps[m | mask] = (*rep, p)
+    return [frozenset(rep) for rep in reps.values()]
 
 
 def _value_sensitive_violations(
@@ -497,6 +516,7 @@ def _value_sensitive_violations(
     rhs: SetExpr,
     lv: bool | None,
     rv: bool | None,
+    generic: bool,
     trunc: Truncation,
     ambient: Ambient,
 ) -> Iterator[XiPoint]:
@@ -504,7 +524,7 @@ def _value_sensitive_violations(
 
     ``singleton_values`` are the value tuples of the sides' singletons on this
     support; a side with a support verdict (``lv`` True, ``rv`` False) is not
-    evaluated again.
+    evaluated again.  ``generic`` tells whether the class's other points violate.
     """
     pos = sorted(support)
     values = _value_range(ambient, pos[-1], trunc.V)
@@ -521,11 +541,7 @@ def _value_sensitive_violations(
         if all(v in values for v in vals)
     ]
     verdicts = {p.values(): violates(p) for p in inside}
-    generic = next(
-        (vals for vals in itertools.product(values, repeat=len(pos)) if vals not in verdicts),
-        None,
-    )
-    if generic is not None and violates(XiPoint(tuple(zip(pos, generic)), ambient)):
+    if generic and class_point_count(support, trunc, ambient) > len(inside):
         for p in class_points(support, trunc, ambient):
             if verdicts.get(p.values(), True):
                 yield p
@@ -660,14 +676,15 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     _require_valid(point)
     if eval_setexpr(point, expr):
         return ClosureVerdict("proven", witness=point)
-    singletons = expr.singleton_points()
+    atoms, singletons = expr._leaves([], [])
     m = max((q.max_position() for q in singletons), default=0)
     N = max((v for q in singletons for v in q.values()), default=0)
     held = frozenset(point.positions())
     limit = min(point.values()) if point.ambient == XI and held else None
-    positions = _escape_positions(expr.atoms(), held, limit)
-    in_expr = support_evaluator(expr, 0, held.union(positions))
-    for rep in _hit_patterns(expr.atoms(), positions):
+    positions = _escape_positions(atoms, held, limit)
+    sets = _atom_sets(atoms, 0, held.union(positions))
+    in_expr = _compile(expr, sets)
+    for rep in _hit_patterns(sets.values(), positions):
         if in_expr(held | rep | {0}):
             varied = tuple(sorted(rep))
             start = max(sequence_start(point, varied), N)

@@ -3,11 +3,17 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import re
+import stat
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zfilterlab import formats
 from zfilterlab.branches import BranchIndex, branch_member, find_separator, make_registry
 from zfilterlab.certificates import (
     SCHEMA_VERSION,
@@ -116,6 +122,23 @@ class TestRoundTrip:
         cert.write(str(path))
         again = Certificate.read(str(path))
         assert again.to_json() == cert.to_json()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # a new file and a replaced one both get what a plain open would give
+        cert = sample_certificates()[0]
+        path = tmp_path / "cert.json"
+        old = os.umask(umask)
+        try:
+            cert.write(str(path))
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+            path.chmod(0o640)
+            cert.write(str(path))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert os.listdir(tmp_path) == ["cert.json"]
+        assert Certificate.read(str(path)).to_json() == cert.to_json()
 
 
 class TestTampering:
@@ -504,6 +527,22 @@ class TestNestingLimit:
         text = Certificate(cert.kind, cert.params, payload).to_json()
         report = check_certificate_text(text)
         assert not report.ok and "deeper than" in report.problems[0]
+
+
+class TestSetExprTokens:
+    @pytest.mark.parametrize(
+        "text",
+        ["(union\tN:1:2 N:2:1)", "(union\n N:1:2\n N:2:1)", "(union\r\nN:1:2\x0bN:2:1)\n"],
+    )
+    def test_any_whitespace_separates_tokens(self, text):
+        assert parse_setexpr(text) == parse_setexpr("(union N:1:2 N:2:1)")
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_tokens_hold_every_non_whitespace_character_in_order(text):
+    tokens = formats._TOKEN_RE.findall(text)
+    assert re.sub(r"\s", "", "".join(tokens)) == re.sub(r"\s", "", text)
 
 
 class TestBoundedReplay:

@@ -354,7 +354,9 @@ def test_containment_violations_match_reference_evaluator(claim):
     assert list(containment_violations(lhs, rhs, trunc, ambient)) == expected
 
 
-# the full product stops at T = 4 for the same reason as in _CLAIMS
+# the full product stops at T = 4 for the same reason as in _CLAIMS; the
+# extra positions past T reach the branches' elements 7, 10, 11, 14, 15, 22,
+# 23, 30 and 31
 @given(
     st.sampled_from([XI, PI]).flatmap(
         lambda ambient: st.tuples(
@@ -362,24 +364,61 @@ def test_containment_violations_match_reference_evaluator(claim):
             _setexprs(ambient),
             st.integers(min_value=0, max_value=5 if ambient == XI else 4),
         )
+    ).flatmap(
+        lambda case: st.tuples(
+            *map(st.just, case),
+            st.frozensets(st.integers(min_value=case[2] + 1, max_value=32), min_size=1, max_size=2),
+        )
     )
 )
 # a support verdict on the left with an undecided singleton on the right
-@example((XI, Diff(Whole(), Singleton(_P14)), 3))
-@example((PI, Inter((Atom(ALL2), Diff(Atom(ALL2), Singleton(XiPoint.of({1: 4}, PI))))), 3))
+@example((XI, Diff(Whole(), Singleton(_P14)), 3, frozenset({7})))
+@example((PI, Inter((Atom(ALL2), Diff(Atom(ALL2), Singleton(XiPoint.of({1: 4}, PI))))), 3,
+          frozenset({14})))
+# a singleton whose support holds an extra position
+@example((XI, Diff(Atom(ALL1), Singleton(XiPoint.of({2: 4, 4: 4}))), 2, frozenset({4, 15})))
 @settings(max_examples=150, deadline=None)
 def test_support_evaluator_matches_reference_evaluator(case):
-    ambient, expr, T = case
+    ambient, expr, T, extra = case
     trunc = Truncation(T, T + 1)
-    evaluate = support_evaluator(expr, T)
+    evaluate = support_evaluator(expr, T, extra)
     value_sensitive = {frozenset(q.positions()) for q in expr.singleton_points()} - {frozenset()}
-    for support in support_classes(trunc):
+    positions = [*range(1, T + 1), *sorted(extra)]
+    for support in map(frozenset, itertools.chain.from_iterable(
+        itertools.combinations(positions, n) for n in range(len(positions) + 1)
+    )):
         verdict = evaluate(support)
         if verdict is None:
             assert support in value_sensitive
             continue
-        for p in class_points(support, trunc, ambient):
+        if support <= set(range(1, T + 1)):
+            points = list(class_points(support, trunc, ambient))
+        else:
+            # one valid point of a support past T: every value at its width
+            points = [XiPoint.of(dict.fromkeys(support, max(support)), ambient)]
+        for p in points:
             assert eval_setexpr(p, expr) == verdict
+
+
+@given(
+    st.lists(st.frozensets(st.integers(min_value=1, max_value=8)), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=8), max_size=8, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_hit_patterns_match_brute_force(element_sets, positions):
+    def hits(support):
+        return sum(1 << i for i, s in enumerate(element_sets) if not s.isdisjoint(support))
+
+    reps = space._hit_patterns(element_sets, positions)
+    every = {
+        hits(combo)
+        for n in range(1, len(positions) + 1)
+        for combo in itertools.combinations(positions, n)
+    }
+    # one representative per reachable pattern, each a nonempty support
+    # drawn from the positions
+    assert sorted(map(hits, reps)) == sorted(every)
+    assert all(rep and rep <= set(positions) for rep in reps)
 
 
 def _recursive_eval(point, expr):
@@ -447,10 +486,10 @@ def test_eval_setexpr_refuses_an_unknown_node():
             _recursive_eval(P_INF, expr)
 
 
-def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkeypatch):
+def test_value_sensitive_class_evaluates_only_its_singletons(monkeypatch):
     # the 9-position class at (12, 16) has 8**9 points; both sides agree on
-    # all of them, and only the k = 1 singleton and the generic point need
-    # evaluating, at most twice each (lhs and rhs)
+    # all of them.  Only the k = 1 singleton is evaluated, once per side: the
+    # other points' verdict is read from the support plus position 0
     p = XiPoint.of({1: 10, 2: 11, 3: 12, 4: 13, 5: 14, 6: 15, 7: 16, 8: 9, 9: 9})
     lhs = Union((Inter((Atom(ALL1), Atom(ALL2))), Singleton(p)))
     rhs = Union((Singleton(p), Inter((Atom(ALL2), Atom(ALL1)))))
@@ -461,11 +500,10 @@ def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkey
     walks = []
     classes = space.support_classes
     monkeypatch.setattr(space, "support_classes", lambda t: walks.append(t) or classes(t))
-    k = 1
     for left, right in ((lhs, rhs), (rhs, lhs)):
         calls.clear()
         assert list(containment_violations(left, right, Truncation(12, 16), XI)) == []
-        assert p in calls and len(calls) <= 2 * (k + 1)
+        assert calls == [p, p]
     assert walks == []
     # a support-decided claim that fails walks every class, as before
     trunc = Truncation(3, 4)
@@ -477,6 +515,15 @@ def test_value_sensitive_class_evaluates_singletons_and_one_generic_point(monkey
     walks.clear()
     assert list(containment_violations(Atom(ALL1), Atom(ALL2), trunc, XI)) == expected
     assert expected and walks == [trunc]
+    # at V = 2 the xi class {2} is the point {2:2} alone: every other point
+    # would violate, but there is none, so the class is not listed
+    lhs, trunc = Diff(Whole(), Singleton(XiPoint.of({2: 2}))), Truncation(2, 2)
+    expected = [q for q in enumerate_truncated(trunc, XI) if eval_setexpr(q, lhs)]
+    listed = []
+    points = space.class_points
+    monkeypatch.setattr(space, "class_points", lambda s, t, a: listed.append(s) or points(s, t, a))
+    assert list(containment_violations(lhs, empty_expr(), trunc, XI)) == expected
+    assert frozenset({2}) not in listed and len(listed) == 3
 
 
 def _closure_member_reference(point, expr, trunc):
