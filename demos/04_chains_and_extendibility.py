@@ -16,8 +16,12 @@ from zfilterlab import (
     containment_decreasing,
     containment_full_product,
     decreasing_chain_engine,
+    enumerate_truncated,
+    eval_setexpr,
     increasing_chain_engine,
+    inter_atoms,
     make_registry,
+    multi_escape_sequence,
 )
 
 trunc = Truncation(4, 6)
@@ -57,7 +61,17 @@ print("  separators:", rep.separators, "depth:", rep.depth, "cover:",
       [(c.literal(), c.rank) for c in rep.cover])
 print("  decided exactly: kept and cover branches own every position up to the")
 print("  depth, so a support avoiding them lies past every separator")
-count = sum(1 for _ in rep.point_verdicts(trunc))
+# on the truncation: each point of the shrunken intersection escapes through
+# the separators of the subtracted branches it misses, into the target
+target, shrunken = rep.target(), inter_atoms([*rep.kept, *rep.cover])
+count = 0
+for p in enumerate_truncated(trunc):
+    if eval_setexpr(p, shrunken):
+        missed = [a for a in rep.subtracted if eval_setexpr(p, Atom(a))]
+        escapes = sorted({rep.separators[a.label] for a in missed})
+        terms = multi_escape_sequence(p, escapes, 3).terms() if escapes else [p]
+        assert all(eval_setexpr(t, target) for t in terms)
+        count += 1
 print(f"  on the truncation: {count} points of the shrunken intersection, all witnessed")
 print("checker verdict:", check_certificate(rep.certificate).ok)
 

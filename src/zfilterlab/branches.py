@@ -326,6 +326,15 @@ class Registry:
         self.entries.append(branch)
         return branch
 
+    def add_unlabelled(self, pre: str, period: str, rank: int) -> BranchIndex:
+        """Register a new word at ``rank`` under the label ``b<rank>`` or, when
+        an entry already carries it, the first free ``b<rank>_2``,
+        ``b<rank>_3``, ..."""
+        taken = {e.label for e in self.entries}
+        labels = itertools.chain([f"b{rank}"], (f"b{rank}_{n}" for n in itertools.count(2)))
+        label = next(x for x in labels if x not in taken)
+        return self.add(BranchIndex(pre, period, rank, label))
+
     def mint_through(self, word: str, min_rank: int) -> BranchIndex:
         """Register a fresh branch extending ``word`` with rank >= ``min_rank``.
 
@@ -342,9 +351,8 @@ class Registry:
             ((word + "2" * j, "1") for j in itertools.count(1)),
         )
         for pre, period in candidates:
-            branch = BranchIndex(pre, period, rank)
-            if branch not in self:
-                return self.add(branch)
+            if BranchIndex(pre, period, rank) not in self:
+                return self.add_unlabelled(pre, period, rank)
         raise AssertionError("unreachable: infinitely many candidates")
 
     def to_payload(self) -> list[dict]:

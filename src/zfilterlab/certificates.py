@@ -5,7 +5,7 @@ command-specific knobs, and the truncation ``(T, V)`` for the kinds whose
 claim was searched on one: `ExceptionList`, absorption-failure
 `InclusionChain`, `Contradiction` and `CounterexamplePoint`) and a
 kind-specific payload, and it records only what the checker reads (schema
-7): how a run reached its result is no part of the document.  The registry, a
+8): how a run reached its result is no part of the document.  The registry, a
 list of ``{label, branch, rank}`` entries, is the only place a branch's word
 and rank are written; the payload and the other params name a branch by its
 label.  Serialization is canonical (sorted keys, fixed separators, no floats),
@@ -23,7 +23,7 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 KINDS = (
     "SeparatorWitness",
@@ -93,7 +93,9 @@ class Certificate:
         for key in FIELDS:
             if key not in doc:
                 raise CertificateError(f"missing field {key!r}")
-        if doc["schema"] != SCHEMA_VERSION:
+        # the digest is taken over the integer version, so a float equal to it
+        # would pass with bytes that are not canonical
+        if type(doc["schema"]) is not int or doc["schema"] != SCHEMA_VERSION:
             raise CertificateError(f"unsupported schema version {doc['schema']!r}")
         extra = sorted(set(doc) - set(FIELDS))
         if extra:

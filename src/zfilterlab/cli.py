@@ -285,7 +285,7 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
     branch = parse_branch_literal(text)
     if branch in reg:
         return reg.entry(branch)
-    return reg.add(BranchIndex(branch.pre, branch.period, reg.max_rank() + 1))
+    return reg.add_unlabelled(branch.pre, branch.period, reg.max_rank() + 1)
 
 
 # ---------------------------------------------------------------------------

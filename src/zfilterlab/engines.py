@@ -50,14 +50,9 @@ from .space import (
     Whole,
     XI,
     XiPoint,
-    class_point_count,
-    class_points,
     containment_counterexample,
     eval_setexpr,
     inter_atoms,
-    multi_escape_sequence,
-    support_classes,
-    support_evaluator,
     union_atoms,
 )
 
@@ -234,16 +229,6 @@ def _pair_inclusion_entry(
 # Closure containment (coordinate pushing)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassWitness:
-    """Uniform escape schema for every point sharing a support set."""
-
-    support: frozenset[int]
-    escapes: tuple[int, ...]
-    self_member: bool
-    count: int
-
-
 @dataclass
 class ContainmentReport:
     """A closure containment decided exactly by coordinate pushing.
@@ -253,13 +238,12 @@ class ContainmentReport:
     misses: a separator lies in its own subtracted branch and in no kept one,
     and (in ``xi``) the kept and cover branches own every position up to
     ``depth``, at least every separator, so the terms stay valid.  The
-    certificate carries only these facts; `classes` and `point_verdicts`
-    spell the rule out on a truncation the caller gives.
+    certificate carries only these facts, and the report the branches behind
+    its labels.
     """
 
     subtracted: tuple[BranchIndex, ...]
     kept: tuple[BranchIndex, ...]
-    gamma: int
     separators: dict[str, int]
     cover: list[BranchIndex]
     depth: int
@@ -268,39 +252,6 @@ class ContainmentReport:
 
     def target(self) -> SetExpr:
         return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
-
-    def classes(self, trunc: Truncation) -> list[ClassWitness]:
-        """One escape schema per support class of ``trunc`` avoiding the kept
-        and cover branches: the separators of the subtracted branches it
-        misses.  Classes without truncated points are dropped in ``xi`` and
-        kept in ``pi``."""
-        in_shrunken = support_evaluator(inter_atoms([*self.kept, *self.cover]), trunc.T)
-        misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in self.subtracted]
-        classes: list[ClassWitness] = []
-        for support in support_classes(trunc):
-            if not in_shrunken(support):
-                continue
-            count = class_point_count(support, trunc, self.ambient)
-            if self.ambient == XI and count == 0:
-                continue
-            missing = [a for a, avoided in misses if avoided(support)]
-            escapes = tuple(sorted({self.separators[a.label] for a in missing}))
-            classes.append(ClassWitness(support, escapes, not missing, count))
-        return classes
-
-    def point_verdicts(self, trunc: Truncation):
-        """Yield (point, witness) for every point of ``trunc`` in the shrunken
-        intersection.
-
-        The witness is the point itself when it already sits in the target,
-        else the multi-position escape sequence through the separators.
-        """
-        for cw in self.classes(trunc):
-            for p in class_points(cw.support, trunc, self.ambient):
-                if cw.self_member:
-                    yield p, p
-                else:
-                    yield p, multi_escape_sequence(p, cw.escapes, 3)
 
 
 def containment_decreasing(
@@ -343,7 +294,7 @@ def containment_decreasing(
             "cover": _labels(cover),
         },
     )
-    return ContainmentReport(subtracted, kept, gamma, separators, cover, depth, XI, cert)
+    return ContainmentReport(subtracted, kept, separators, cover, depth, XI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +328,7 @@ def containment_full_product(
             "separators": separators,
         },
     )
-    return ContainmentReport(subtracted, kept, 0, separators, [], 0, PI, cert)
+    return ContainmentReport(subtracted, kept, separators, [], 0, PI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +570,7 @@ def _chase(
             return Certificate(
                 "Contradiction",
                 params=_params(registry, XI, **extra),
-                payload={
-                    "afailure_index": s - 1,
-                    "afailure": f_prev.to_payload(),
-                    "point": y.literal(),
-                },
+                payload={"afailure_index": s - 1, "point": y.literal()},
             )
         s -= 1
     if any(eval_setexpr(y, z) for z in zsets):
@@ -670,7 +617,6 @@ def _escape(
 
 @dataclass
 class ChainReport:
-    direction: str
     bases: list[FilterBase]
     certificate: Certificate
 
@@ -699,7 +645,7 @@ def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
             ),
         },
     )
-    return ChainReport("increasing", bases, cert)
+    return ChainReport(bases, cert)
 
 
 def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
@@ -726,7 +672,7 @@ def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
             ),
         },
     )
-    return ChainReport("decreasing", bases, cert)
+    return ChainReport(bases, cert)
 
 
 def _chain_entries(registry: Registry, steps: int) -> list[BranchIndex]:

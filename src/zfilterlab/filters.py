@@ -3,11 +3,11 @@
 A filter base is a finite generator list; a set belongs to the generated
 filter iff it contains the intersection of some finite generator subset.
 Membership verdicts are three-valued: pure intersection forms are decided
-exactly, everything else is settled by exhaustive evaluation on a truncated
-sub-universe and stamped with the truncation used, and with no truncation at
-hand the query stays unknown.  Refutations always carry a concrete point in
-the intersection of all generators that misses the queried set, which rules
-out every generator subset at once.
+exactly (``exact`` is set), everything else is settled by exhaustive
+evaluation on the truncated sub-universe the caller passes, and with no
+truncation at hand the query stays unknown.  Refutations always carry a
+concrete point in the intersection of all generators that misses the queried
+set, which rules out every generator subset at once.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class MemberVerdict:
     subset: tuple[int, ...] | None = None  # generator indices whose intersection works
     witness: XiPoint | None = None  # point in every generator but outside the query
     exact: bool = False
-    truncation: Truncation | None = None
 
     @property
     def proven(self) -> bool:
@@ -151,12 +150,12 @@ def filter_member(
 
     witness = containment_counterexample(base.core(), zset, trunc, base.ambient)
     if witness is not None:
-        return MemberVerdict("refuted", witness=witness, truncation=trunc)
+        return MemberVerdict("refuted", witness=witness)
     for size in range(0, len(gens) + 1):
         for combo in itertools.combinations(range(len(gens)), size):
             lhs = inter_of(gens[i] for i in combo)
             if containment_counterexample(lhs, zset, trunc, base.ambient) is None:
-                return MemberVerdict("proven", subset=combo, truncation=trunc)
+                return MemberVerdict("proven", subset=combo)
     raise AssertionError("the full generator subset must succeed here")
 
 
@@ -236,7 +235,7 @@ def combine_nonredundancy_witnesses(
         target_base.core(), Union(tuple(ordered)), trunc, target_base.ambient
     )
     if point is None:
-        target_verdict = MemberVerdict("unknown", truncation=trunc)
+        target_verdict = MemberVerdict("unknown")
     else:
-        target_verdict = MemberVerdict("refuted", witness=point, truncation=trunc)
+        target_verdict = MemberVerdict("refuted", witness=point)
     return CombineReport(combined, per_base, target_verdict)

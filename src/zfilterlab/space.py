@@ -19,18 +19,17 @@ algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
-finite values, and every caller that reasons from supports alone (the
-containment loop, `closure_member` and the closure engines' class view)
-compiles its expression once with `support_evaluator` (`closure_member`,
-exact and two-valued, reads one support per reachable hit pattern).  A
-support is a frozenset of positions; an atom compiles to the set of its
-branch's elements up to ``T`` and holds exactly when the support misses
-that set.  Supports may also hold positions past ``T``, listed up front as
-``extra`` (`eval_on_support` lists a whole support that way); each atom
-adds the extra positions its branch owns, so no set is sized by a
-position's value.  The closure containments need no support walk:
-coordinate pushing decides them exactly from separators and a cover (see
-`engines.ContainmentReport`).
+finite values, and the callers that reason from supports alone (the
+containment loop and `closure_member`) compile their expressions once with
+`support_evaluator` (`closure_member`, exact and two-valued, reads one
+support per reachable hit pattern).  A support is a frozenset of positions;
+an atom compiles to the set of its branch's elements up to ``T`` and holds
+exactly when the support misses that set.  Supports may also hold positions
+past ``T``, listed up front as ``extra`` (`eval_on_support` lists a whole
+support that way); each atom adds the extra positions its branch owns, so
+no set is sized by a position's value.  The closure containments need no
+support walk: coordinate pushing decides them exactly from separators and a
+cover (see `engines.ContainmentReport`).
 
 Every finite containment claim (the oracle, the checker, filter membership,
 the engines) runs through one truncated-containment loop,

@@ -17,6 +17,7 @@ import itertools
 import random
 import time
 
+from closure_view import class_verdicts, classes, point_verdicts
 from zfilterlab.branches import (
     BranchIndex,
     Registry,
@@ -55,6 +56,7 @@ from zfilterlab.space import (
     enumerate_truncated,
     eval_setexpr,
     inter_atoms,
+    multi_escape_sequence,
     union_atoms,
 )
 
@@ -209,7 +211,7 @@ def test_criterion_closure_engine_prototype():
         if not covered:
             bad += 1
         target = rep.target()
-        for p, witness in rep.point_verdicts(TRUNC):
+        for p, witness in point_verdicts(rep, TRUNC):
             points_total += 1
             terms = [p] if witness is p else witness.terms()
             if not all(eval_setexpr(t, target) for t in terms):
@@ -239,7 +241,7 @@ def test_criterion_closure_engine_full_product():
             n for n in range(1, TRUNC.T + 1)
             if not any(branch_member(b, n) for b in kept)
         ]
-        for cw in rep.classes(TRUNC):
+        for cw in classes(rep, TRUNC):
             classes_total += 1
             if cw.count != class_point_count(cw.support, TRUNC, PI):
                 bad += 1
@@ -250,14 +252,12 @@ def test_criterion_closure_engine_full_product():
             seq_points = (
                 [sample]
                 if cw.self_member
-                else __import__("zfilterlab.space", fromlist=["multi_escape_sequence"])
-                .multi_escape_sequence(sample, cw.escapes, 3)
-                .terms()
+                else multi_escape_sequence(sample, cw.escapes, 3).terms()
             )
             if not all(eval_setexpr(t, target) for t in seq_points):
                 bad += 1
             if cw.count <= 256 and full_checked < 20000:
-                for p, witness in _class_verdicts(rep, cw):
+                for p, witness in class_verdicts(rep, cw, TRUNC):
                     full_checked += 1
                     terms = [p] if witness is p else witness.terms()
                     if not all(eval_setexpr(t, target) for t in terms):
@@ -272,16 +272,6 @@ def test_criterion_closure_engine_full_product():
            bad == 0,
            f"{covered_points} points in {classes_total} classes, "
            f"{full_checked} fully evaluated, {elapsed:.2f}s")
-
-
-def _class_verdicts(rep, cw):
-    from zfilterlab.space import multi_escape_sequence
-
-    for p in class_points(cw.support, TRUNC, rep.ambient):
-        if cw.self_member:
-            yield p, p
-        else:
-            yield p, multi_escape_sequence(p, cw.escapes, 3)
 
 
 def _refuter_fixtures():

@@ -207,6 +207,13 @@ class TestCover:
         again = reg.mint_through("1", 5)
         assert again != fresh and again != ALL1
 
+    def test_minting_labels_past_taken_defaults(self):
+        # b<rank> when free, else the first free b<rank>_<n>
+        reg = Registry([BranchIndex("", "1", 0, "b2"), BranchIndex("", "2", 1, "b2_2")])
+        assert reg.mint_through("1", 2).label == "b2_3"
+        assert reg.mint_through("1", 2).label == "b3"
+        assert [e.label for e in reg] == ["b2", "b2_2", "b2_3", "b3"]
+
 
 class TestDensity:
     def test_examples(self):

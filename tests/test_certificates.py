@@ -187,8 +187,8 @@ class TestTampering:
 
     @pytest.mark.parametrize("tamper", ["index-out-of-range", "index-not-int", "afailure-dropped"])
     def test_contradiction_is_tied_to_its_cover(self, tamper):
-        # the payload afailure must be the recorded one at afailure_index;
-        # each tamper used to pass under a fresh digest
+        # afailure_index must name a recorded absorption failure; dropping
+        # the named one from the cover leaves the index out of range
         cert = next(c for c in sample_certificates() if c.kind == "Contradiction")
         params, payload = dict(cert.params), dict(cert.payload)
         index = payload["afailure_index"]
@@ -298,16 +298,28 @@ class TestStructure:
         # schema 2 certificates still list the closure classes, schema 3
         # property-a certificates one witness per (F, beta) pair, schema 4
         # separator certificates a truncation, schema 5 certificates spell
-        # branches out as {label, branch, rank} outside the registry, and
-        # schema 6 certificates carry steps and fields no check reads
+        # branches out as {label, branch, rank} outside the registry, schema
+        # 6 certificates carry steps and fields no check reads, and schema 7
+        # contradictions repeat their afailure beside its index
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5, 6):
+        for schema in (1, 2, 3, 4, 5, 6, 7):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
             report = check_certificate_text(json.dumps(doc))
             assert not report.ok
             assert "unsupported schema version" in report.problems[0]
+
+    @pytest.mark.parametrize("schema", [f"{SCHEMA_VERSION}.0", "true"])
+    def test_schema_must_be_the_integer_version(self, schema):
+        # the digest is recomputed from the integer version, so a float or a
+        # bool that compares equal to it would pass with non-canonical bytes
+        text = sample_certificates()[0].to_json()
+        assert check_certificate_text(text).ok
+        forged = text.replace(f'"schema":{SCHEMA_VERSION}', f'"schema":{schema}')
+        assert forged != text
+        report = check_certificate_text(forged)
+        assert not report.ok and "unsupported schema version" in report.problems[0]
 
 
     def test_only_truncated_searches_record_a_truncation(self):
@@ -800,15 +812,11 @@ class TestRegistryLabels:
                             "hypothesis_group", "afailure", "afailures"):
                     if key not in fields:
                         continue
-                    # a contradiction's afailure must equal the recorded one
-                    problem = ("differs from the recorded one"
-                               if (cert.kind, key) == ("Contradiction", "afailure")
-                               else "no branch labelled 'nope'")
                     for forged in _with_unregistered_label(fields[key]):
                         fresh = _with(section, **{key: forged})(cert)
                         report = check_certificate_text(fresh.to_json())
                         assert not report.ok, (cert.kind, key)
-                        assert problem in report.problems[0], report.problems
+                        assert "no branch labelled 'nope'" in report.problems[0], report.problems
                         tampered.add((cert.kind, key))
         assert {kind for kind, _ in tampered} == {
             "CoverSet", "ExceptionList", "InclusionChain", "Contradiction", "CounterexamplePoint"

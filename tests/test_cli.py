@@ -58,6 +58,20 @@ class TestFamily:
         ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
         assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
 
+    def test_cover_mints_past_a_taken_default_label(self, capsys, tmp_path):
+        # the first minted branch has rank 3, and "b3" already names an entry
+        out_file = tmp_path / "cover.json"
+        code, out, _ = run(
+            capsys,
+            "family", "cover", "--l", "10", "--gamma", "3",
+            "-r", "b3=1:2@0", "-r", "x=2:1@1", "--out", str(out_file),
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "b3_2 :1 rank=3"
+        cert = Certificate.read(str(out_file))
+        assert [e["label"] for e in cert.params["registry"]][:3] == ["b3", "x", "b3_2"]
+        assert run(capsys, "verify", "--check", str(out_file))[1].strip() == "verified"
+
     def test_density_and_codec(self, capsys):
         assert run(capsys, "family", "density", "--n", "4", "--depth", "4")[1].strip() == "4"
         assert run(capsys, "family", "encode", "22")[1].strip() == "6"
@@ -324,6 +338,19 @@ class TestVerify:
             "--T", "4", "--V", "6", "--out", str(out_file),
         )
         assert code == EXIT_OK and "verified" in out
+
+    def test_bare_literal_past_a_taken_default_label(self, capsys, tmp_path):
+        # the literal registers at rank 1, and "b1" already names an entry
+        out_file = tmp_path / "dec.json"
+        code, out, _ = run(
+            capsys,
+            "verify", "containment-dec", "--F", "1:2", "--G", "2:1",
+            "-r", "b1=22:1@0", "--out", str(out_file),
+        )
+        assert code == EXIT_OK and "verified" in out
+        cert = Certificate.read(str(out_file))
+        assert [e["label"] for e in cert.params["registry"]] == ["b1", "b1_2", "b2"]
+        assert cert.payload["subtracted"] == ["b1_2"] and cert.payload["kept"] == ["b2"]
 
     def test_output_dir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ZFILTERLAB_OUT", str(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closure_view import classes, point_verdicts
 from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separator, make_registry
 from zfilterlab.engines import (
     AFailure,
@@ -102,7 +103,7 @@ class TestContainmentDecreasing:
         report = containment_decreasing([], [reg.entries[1]], 5, reg)
         assert report.cover == []
         target = report.target()
-        for p, witness in report.point_verdicts(TR):
+        for p, witness in point_verdicts(report, TR):
             assert witness == p
             assert eval_setexpr(p, target)
 
@@ -131,7 +132,7 @@ class TestContainmentDecreasing:
         target = report.target()
         shrunken = inter_atoms(list(g) + report.cover)
         seen = 0
-        for p, witness in report.point_verdicts(TR):
+        for p, witness in point_verdicts(report, TR):
             seen += 1
             assert eval_setexpr(p, shrunken)
             if witness is p:
@@ -153,7 +154,7 @@ class TestContainmentDecreasing:
 class TestContainmentFullProduct:
     def test_trivial_whole_space(self):
         report = containment_full_product([], [])
-        for p, witness in report.point_verdicts(TR):
+        for p, witness in point_verdicts(report, TR):
             assert witness == p
 
     def test_escape_position_is_least_separator(self):
@@ -161,7 +162,7 @@ class TestContainmentFullProduct:
         a1, a2 = reg.entries
         report = containment_full_product([a1], [a2])
         assert report.separators[a2.label] == 2
-        p_inf_class = next(cw for cw in report.classes(TR) if not cw.support)
+        p_inf_class = next(cw for cw in classes(report, TR) if not cw.support)
         assert p_inf_class.escapes == (2,)
 
     def test_every_point_gets_verified_sequence(self):
@@ -172,7 +173,7 @@ class TestContainmentFullProduct:
         target = report.target()
         lhs = inter_atoms(kept)
         checked = 0
-        for p, witness in report.point_verdicts(TR):
+        for p, witness in point_verdicts(report, TR):
             checked += 1
             assert p.ambient == PI
             assert eval_setexpr(p, lhs)
@@ -227,7 +228,7 @@ class TestExactClosureRule:
         support = frozenset(point.positions())
         if support and max(support) <= TR.T:
             # the truncated view names the same escapes for this support
-            cw = next(cw for cw in report.classes(TR) if cw.support == support)
+            cw = next(cw for cw in classes(report, TR) if cw.support == support)
             assert cw.escapes == tuple(escapes) and cw.self_member == (not missed)
 
     @given(closure_setups())
@@ -404,8 +405,9 @@ class TestPropertyBRefute:
         failure = whole_afailure(reg, TR)
         cert = property_b_refute([failure], 50, reg, TR).certificate
         assert cert.kind == "Contradiction"
+        assert set(cert.payload) == {"afailure_index", "point"}
         point = parse_point_literal(cert.payload["point"])
-        refuted = cert.payload["afailure"]
+        refuted = cert.params["afailures"][cert.payload["afailure_index"]]
         # the point witnesses the break: inside the set and its constraint,
         # outside every absorbing zero set
         assert eval_setexpr(point, parse_setexpr(refuted["zset"], reg))
