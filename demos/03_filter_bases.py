@@ -1,8 +1,8 @@
 """Filter bases over zero sets: membership verdicts, shifts, pseudo-finiteness.
 
 A finite generator list presents the filter of all supersets of finite
-generator intersections.  Pure intersection forms are decided exactly;
-everything else is settled exhaustively on a truncation and stamped with it.
+generator intersections.  Pure intersection forms are decided exactly over
+the whole space; everything else is settled exhaustively on a truncation.
 """
 
 from zfilterlab import (

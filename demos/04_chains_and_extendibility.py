@@ -1,9 +1,8 @@
 """Extendibility certificates and strictly monotone filter-base chains.
 
 Every engine output is a certificate the independent checker re-verifies
-from the payload alone.  Extendibility (b) searches a truncation and records
-it; extendibility (a), the closure containment and the chains are exact and
-take none.
+from the payload alone.  All of them are exact and take no truncation;
+extendibility (b) decides each of its containments over the whole space.
 """
 
 from zfilterlab import (
@@ -36,10 +35,8 @@ for entry in cert.payload["entries"]:
 print("checker verdict:", check_certificate(cert).ok)
 
 # --- extendibility, condition (b) -------------------------------------------
-# the only engine here that searches a truncation: T = 4, V = 6
-
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-cert = check_extendibility_b(Atom(reg.entries[1]), reg.entries[0], reg, trunc)
+cert = check_extendibility_b(Atom(reg.entries[1]), reg.entries[0], reg)
 print("\nextendibility (b) for N_b against entry a:")
 print("  hypothesis group:", cert.payload["hypothesis_group"])
 print("  separator:", cert.payload["separator"])
@@ -49,7 +46,7 @@ print("checker verdict:", check_certificate(cert).ok)
 
 # the whole space needs no exceptions at all
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-cert = check_extendibility_b(Whole(), reg.entries[0], reg, trunc)
+cert = check_extendibility_b(Whole(), reg.entries[0], reg)
 print("whole-space exceptions:", cert.payload["exceptions"])
 
 # --- closure containment with a rank floor -----------------------------------

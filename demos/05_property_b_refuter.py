@@ -15,8 +15,10 @@ from zfilterlab import (
     Certificate,
     Truncation,
     Whole,
+    XI,
     check_certificate,
     check_certificate_text,
+    exact_counterexample,
     make_registry,
     property_a_check,
     property_b_refute,
@@ -27,11 +29,11 @@ trunc = Truncation(6, 8)
 # --- property (A) first: which sets absorb? -----------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-report = property_a_check(Whole(), reg, trunc)
+report = property_a_check(Whole(), reg)
 print("whole space has the non-absorption property:", report.holds,
       f"({len(report.entries)} witness points, one per entry)")
 
-report = property_a_check(Atom(reg.entries[-1]), reg, trunc)
+report = property_a_check(Atom(reg.entries[-1]), reg)
 print("the top-ranked zero set fails it:", not report.holds,
       "- violating pair: constraining =",
       [b.label for b in report.failure.constraining],
@@ -65,6 +67,9 @@ print("\nwhole-space cover:", cert.kind)
 print("  breaking point:", cert.payload["point"])
 print("  chain steps:", len(refuted.chain))
 print("checker verdict:", check_certificate(cert).ok)
+# decided over the whole space, the claimed failure breaks at once
+exact = exact_counterexample(whole_failure.lhs(), whole_failure.rhs(), XI)
+print("  the claim decided exactly breaks at:", exact.literal())
 
 # --- certificates survive the wire, tampering does not ---------------------------
 

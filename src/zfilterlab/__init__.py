@@ -29,7 +29,6 @@ from .engines import (
     AFailureVerificationError,
     CertificationError,
     EngineError,
-    UnknownHypothesisError,
     check_extendibility_a,
     check_extendibility_b,
     containment_decreasing,
@@ -72,12 +71,11 @@ from .space import (
     Whole,
     XI,
     XiPoint,
-    a_form_contained,
-    a_form_witness,
     approx_sequence,
     closure_member,
     enumerate_truncated,
     eval_setexpr,
+    exact_counterexample,
     in_zero_set,
     inter_atoms,
     multi_escape_sequence,

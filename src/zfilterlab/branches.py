@@ -24,7 +24,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 ALPHABET = ("1", "2")
 
@@ -327,12 +327,8 @@ class Registry:
         return branch
 
     def add_unlabelled(self, pre: str, period: str, rank: int) -> BranchIndex:
-        """Register a new word at ``rank`` under the label ``b<rank>`` or, when
-        an entry already carries it, the first free ``b<rank>_2``,
-        ``b<rank>_3``, ..."""
-        taken = {e.label for e in self.entries}
-        labels = itertools.chain([f"b{rank}"], (f"b{rank}_{n}" for n in itertools.count(2)))
-        label = next(x for x in labels if x not in taken)
+        """Register a new word at ``rank`` under `default_label`'s label."""
+        label = default_label(rank, {e.label for e in self.entries})
         return self.add(BranchIndex(pre, period, rank, label))
 
     def mint_through(self, word: str, min_rank: int) -> BranchIndex:
@@ -360,6 +356,12 @@ class Registry:
             {"label": e.label, "branch": e.literal(), "rank": e.rank}
             for e in self.entries
         ]
+
+
+def default_label(rank: int, taken: Container[str]) -> str:
+    """``b<rank>``, else the first of ``b<rank>_2``, ``b<rank>_3``, ... not in ``taken``."""
+    labels = itertools.chain([f"b{rank}"], (f"b{rank}_{n}" for n in itertools.count(2)))
+    return next(x for x in labels if x not in taken)
 
 
 def find_cover(

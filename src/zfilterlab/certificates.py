@@ -1,11 +1,10 @@
 """Machine-checkable certificates with canonical serialization.
 
 A certificate is a kind tag, the run parameters (registry, ambient,
-command-specific knobs, and the truncation ``(T, V)`` for the kinds whose
-claim was searched on one: `ExceptionList`, absorption-failure
-`InclusionChain`, `Contradiction` and `CounterexamplePoint`) and a
+command-specific knobs, and the truncation ``(T, V)`` for the two kinds whose
+claim was searched on one: `Contradiction` and `CounterexamplePoint`) and a
 kind-specific payload, and it records only what the checker reads (schema
-8): how a run reached its result is no part of the document.  The registry, a
+9): how a run reached its result is no part of the document.  The registry, a
 list of ``{label, branch, rank}`` entries, is the only place a branch's word
 and rank are written; the payload and the other params name a branch by its
 label.  Serialization is canonical (sorted keys, fixed separators, no floats),
@@ -23,7 +22,7 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 KINDS = (
     "SeparatorWitness",

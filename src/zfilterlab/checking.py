@@ -1,13 +1,14 @@
 """Independent certificate checker.
 
 Re-validates a certificate from its payload alone: digest first, then a
-semantic replay that only uses point evaluation, the branch codec and, for
-the kinds that record a truncation (`ExceptionList`, absorption-failure
-`InclusionChain`, `Contradiction`, `CounterexamplePoint`), exhaustive
-truncated enumeration.  Every branch a certificate names is read from its
-``params.registry`` by label, ranks included, and an unknown label fails the
-check.  Nothing here calls back into the producing engines, so a certificate
-stands or falls on its own evidence.
+semantic replay that only uses point evaluation, the branch codec, the exact
+containment rule (`space.exact_counterexample`: the `ExceptionList`
+inclusions and an absorption-failure `InclusionChain`) and, for the two
+kinds that record a truncation (`Contradiction`, `CounterexamplePoint`),
+exhaustive truncated enumeration.  Every branch a certificate names is read
+from its ``params.registry`` by label, ranks included, and an unknown label
+fails the check.  Nothing here calls back into the producing engines, so a
+certificate stands or falls on its own evidence.
 
 A certificate records only what this checker reads.  A property-(B)
 refutation stands on its point alone: the checker replays every recorded
@@ -48,6 +49,7 @@ from .space import (
     XiPoint,
     containment_counterexample,
     eval_setexpr,
+    exact_counterexample,
     inter_atoms,
     union_atoms,
     validate_point,
@@ -218,24 +220,28 @@ def _verify_cover(
 
 
 def _check_exception_list(ctx: _Context) -> None:
+    """The hypothesis and pair inclusions hold exactly, the separator lies in
+    ``alpha`` and no hypothesis branch, and exceptions in the group or cover."""
     payload = ctx.cert.payload
-    trunc = ctx.need_trunc()
     zset = ctx.expr(payload["zset"])
     alpha = ctx.branch(payload["alpha"])
     hypothesis = ctx.branches(payload["hypothesis_group"])
-    bad = containment_counterexample(
-        inter_atoms(hypothesis), Union((zset, Atom(alpha))), trunc, ctx.ambient
-    )
+    bad = exact_counterexample(inter_atoms(hypothesis), Union((zset, Atom(alpha))), ctx.ambient)
     if bad is not None:
         ctx.report.fail(f"hypothesis containment fails at {bad.literal()}")
 
+    l = _integer(payload["separator"], "separator")
+    if not branch_member(alpha, l):
+        ctx.report.fail(f"separator {l} is not an element of {alpha.label}")
+    if any(branch_member(b, l) for b in hypothesis):
+        ctx.report.fail(f"separator {l} collides with the hypothesis group")
     cover = ctx.branches(payload["cover"])
-    _verify_cover(ctx, cover, hypothesis, payload["separator"], 0)
+    _verify_cover(ctx, cover, hypothesis, l, 0)
 
-    candidates = {b.label for b in ctx.branches(payload["candidates"])}
+    candidates = {b.label for b in (*hypothesis, *cover)}
     exceptions = {b.label for b in ctx.branches(payload["exceptions"])}
     if not exceptions <= candidates:
-        ctx.report.fail("exceptions stray outside the candidate set")
+        ctx.report.fail("exceptions stray outside the hypothesis group and cover")
     member_labels = {m["beta"] for m in payload["members"]}
     expected_members = (
         {e.label for e in ctx.registry} - exceptions - {payload["alpha"]}
@@ -245,13 +251,12 @@ def _check_exception_list(ctx: _Context) -> None:
     for m in payload["members"]:
         beta = ctx.branch(m["beta"])
         through = ctx.branches(m["via_pairs"])
+        if beta in through:
+            ctx.report.fail(f"pair inclusion for {m['beta']} runs through {m['beta']} itself")
         lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
-        rhs = Union((zset, Atom(beta)))
-        bad = containment_counterexample(lhs, rhs, trunc, ctx.ambient)
+        bad = exact_counterexample(lhs, Union((zset, Atom(beta))), ctx.ambient)
         if bad is not None:
-            ctx.report.fail(
-                f"pair inclusion for {m['beta']} fails at {bad.literal()}"
-            )
+            ctx.report.fail(f"pair inclusion for {m['beta']} fails at {bad.literal()}")
 
 
 def _check_inclusion_chain(ctx: _Context) -> None:
@@ -301,21 +306,21 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
 
 def _check_absorption_failure(ctx: _Context) -> None:
     (af,) = parse_afailures([ctx.cert.payload["afailure"]], ctx.registry, ctx.ambient)
-    _replay_afailure(ctx, af, ctx.need_trunc())
+    _replay_afailure(ctx, af, None)
 
 
-def _replay_afailure(ctx: _Context, af: AFailureParts, trunc: Truncation) -> AFailureParts:
-    """Check a parsed absorption failure ``zset ∩ ⋂constraining ⊆
-    ∪absorbing`` for its rank shape, replay its inclusion on the truncation,
-    and return it."""
+def _replay_afailure(ctx: _Context, af: AFailureParts, trunc: Truncation | None) -> AFailureParts:
+    """Check a parsed absorption failure ``zset ∩ ⋂constraining ⊆ ∪absorbing``
+    for its rank shape and inclusion (exact without ``trunc``); return it."""
     zset, constraining, absorbing = af
     max_f = max((b.rank for b in constraining), default=-1)
     if absorbing and max_f >= min(b.rank for b in absorbing):
         ctx.report.fail("constraining ranks must stay below absorbing ranks")
-    lhs = Inter((zset, inter_atoms(constraining)))
-    bad = containment_counterexample(lhs, union_atoms(absorbing), trunc, ctx.ambient)
+    lhs, rhs = Inter((zset, inter_atoms(constraining))), union_atoms(absorbing)
+    bad = (exact_counterexample(lhs, rhs, ctx.ambient) if trunc is None
+           else containment_counterexample(lhs, rhs, trunc, ctx.ambient))
     if bad is not None:
-        ctx.report.fail(f"absorption inclusion breaks at {bad.literal()} on the truncation")
+        ctx.report.fail(f"absorption inclusion breaks at {bad.literal()}")
     return af
 
 

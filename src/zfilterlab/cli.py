@@ -9,8 +9,8 @@ Three command groups:
 * ``oracle`` - exhaustively evaluate a containment/emptiness/equality claim
   over the truncated point universe.
 
-Exit codes: 0 verified/holds, 1 refuted/failed, 2 unknown, 3 usage error,
-4 resource cap exceeded.  Certificates are written atomically and carry no
+Exit codes: 0 verified/holds, 1 refuted/failed, 3 usage error, 4 resource
+cap or term bound exceeded.  Certificates are written atomically and carry no
 timestamps, so identical configurations reproduce identical bytes.
 """
 
@@ -29,7 +29,6 @@ from .checking import CheckReport, check_certificate, check_certificate_text
 from .engines import (
     AFailure,
     EngineError,
-    UnknownHypothesisError,
     check_extendibility_a,
     check_extendibility_b,
     containment_decreasing,
@@ -50,6 +49,7 @@ from .formats import (
 from .space import (
     PI,
     SpaceError,
+    TermBoundError,
     Truncation,
     XI,
     containment_violations,
@@ -66,7 +66,6 @@ from .branches import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_RESOURCE = 4
 
@@ -124,12 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, FormatError, BranchError, SpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceCap as exc:
+    except (ResourceCap, TermBoundError) as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except UnknownHypothesisError as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except (EngineError, CertificateError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -385,9 +381,9 @@ def _check_file(args) -> CheckReport:
 
 
 def _run_engine(args, reg: Registry) -> Certificate:
-    """Run the lemma's engine.  Only extendibility-b, property-a and
-    property-b search a truncation, so only they read ``--T/--V`` and meet
-    the caps; the other lemmas are exact and ignore those options."""
+    """Run the lemma's engine.  Only property-b searches a truncation, so
+    only it reads ``--T/--V`` and meets the caps; the other lemmas are exact
+    and ignore those options."""
     lemma = args.lemma
     ambient = LEMMAS[lemma]
     if args.ambient not in (None, ambient):
@@ -399,7 +395,7 @@ def _run_engine(args, reg: Registry) -> Certificate:
             raise UsageError("extendibility-b needs --zset and --alpha")
         zset = parse_setexpr(args.zset, reg, ambient)
         alpha = _resolve_branch(reg, args.alpha)
-        return check_extendibility_b(zset, alpha, reg, _truncation(args))
+        return check_extendibility_b(zset, alpha, reg)
     if lemma == "containment-dec":
         subtracted = [_resolve_branch(reg, b) for b in args.F]
         kept = [_resolve_branch(reg, b) for b in args.G]
@@ -412,7 +408,7 @@ def _run_engine(args, reg: Registry) -> Certificate:
         if not args.zset:
             raise UsageError("property-a needs --zset")
         zset = parse_setexpr(args.zset, reg, ambient)
-        return property_a_check(zset, reg, _truncation(args)).certificate
+        return property_a_check(zset, reg).certificate
     if lemma == "property-b":
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")

@@ -11,14 +11,15 @@ branch by the label of its registry entry, with lists in rank order.
 The engines never trust themselves: exact branch-word reasoning or an
 exhaustive search of a truncation ``(T, V)`` backs every claim, and any
 residual transfinite step is replaced by a concrete eval-verified witness
-point.  Only the engines that search a truncation take one and record it in
-their certificates: `check_extendibility_b`, `property_a_check` (for a
-failure) and `property_b_refute`.  The separator claims (`extendibility-a`,
-the two chains, property (A) when it holds) are shown by one eval-checked
-point per entry, and the two closure containments by the separators (and,
-with a rank floor, the cover and its depth) from which the paper's
-coordinate-pushing step gives every point of the shrunken intersection an
-escape sequence, so none of them reads or records a truncation.
+point.  Only `property_b_refute` searches a truncation, takes one and
+records it: its inputs are claims that hold on a truncation and break past
+it.  The separator claims (`extendibility-a`, the two chains, property (A)
+when it holds) are shown by one eval-checked point per entry, and the two
+closure containments by the separators (and, with a rank floor, the cover
+and its depth) from which the paper's coordinate-pushing step gives every
+point of the shrunken intersection an escape sequence.  The containments
+of `check_extendibility_b` and a failing `property_a_check` are decided
+over the whole space by `space.exact_counterexample`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .space import (
     XiPoint,
     containment_counterexample,
     eval_setexpr,
+    exact_counterexample,
     inter_atoms,
     union_atoms,
 )
@@ -61,12 +63,8 @@ class EngineError(ValueError):
     """Umbrella for engine precondition and certification failures."""
 
 
-class UnknownHypothesisError(EngineError):
-    """The required hypothesis could not be certified within the truncation."""
-
-
 class CertificationError(EngineError):
-    """A derived inclusion failed its exhaustive re-check."""
+    """A required inclusion fails at the point named, or a witness its own check."""
 
 
 class AFailureVerificationError(EngineError):
@@ -149,29 +147,31 @@ def check_extendibility_b(
     zset: SetExpr,
     alpha0: BranchIndex,
     registry: Registry,
-    trunc: Truncation,
 ) -> Certificate:
     """Finite exception set outside which gluing any entry keeps membership.
 
-    Starting from a certified hypothesis (the queried set joined with the
-    distinguished entry contains some group intersection), the separator and
-    cover machinery bounds the possible exceptions; each candidate is then
-    retested and kept only if membership genuinely fails, and every remaining
-    entry gets an exhaustively checked inclusion through pair generators.
+    The hypothesis is the first group of other entries, by size and then
+    rank, whose intersection lies in the set joined with the distinguished
+    entry; when the group of all of them fails, the run is refused with a
+    point of its intersection outside that set.  Separator and cover bound the exceptions to the candidates (the
+    group and the cover): a candidate is one only if its inclusion through
+    the pair generators fails, and every other entry's must hold.  Each
+    containment is decided exactly over the whole space.
     """
     (alpha0,) = _registered(registry, [alpha0])
     others = [b for b in registry if b != alpha0]
 
     target = Union((zset, Atom(alpha0)))
-    groups = (g for size in range(len(others) + 1) for g in itertools.combinations(others, size))
-    hypothesis = next((
-        g for g in groups if containment_counterexample(inter_atoms(g), target, trunc, XI) is None
-    ), None)
-    if hypothesis is None:
-        raise UnknownHypothesisError(
-            "the set joined with the entry contains no group intersection "
-            f"within truncation {trunc.to_payload()}"
+    # the group of all the others has the least intersection: if it fails, all do
+    bad = exact_counterexample(inter_atoms(others), target, XI)
+    if bad is not None:
+        raise CertificationError(
+            f"no group intersection lies in the set joined with {alpha0.label}: "
+            f"{bad.literal()} lies in the zero set of every entry but {alpha0.label}, "
+            "and outside that set"
         )
+    groups = (g for size in range(len(others) + 1) for g in itertools.combinations(others, size))
+    hypothesis = next(g for g in groups if exact_counterexample(inter_atoms(g), target, XI) is None)
 
     l = find_separator(alpha0, hypothesis)
     cover = find_cover(l, 0, registry, base=hypothesis)
@@ -179,50 +179,34 @@ def check_extendibility_b(
 
     exceptions: list[BranchIndex] = []
     members: list[dict] = []
-    for beta in candidates:
+    for beta in registry:
         if beta == alpha0:
             continue  # its membership is the hypothesis itself
-        rest = [c for c in candidates if c != beta]
-        entry = _pair_inclusion_entry(zset, beta, rest, trunc)
-        if entry is None:
+        through = [c for c in candidates if c != beta]
+        lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
+        bad = exact_counterexample(lhs, Union((zset, Atom(beta))), XI)
+        if bad is None:
+            members.append({"beta": beta.label, "via_pairs": [c.label for c in through]})
+        elif beta in candidates:
             exceptions.append(beta)
         else:
-            members.append(entry)
-    for beta in registry:
-        if beta == alpha0 or beta in candidates:
-            continue
-        entry = _pair_inclusion_entry(zset, beta, candidates, trunc)
-        if entry is None:
             raise CertificationError(
-                f"inclusion for remaining entry {beta.label} failed its exhaustive check"
+                f"inclusion for remaining entry {beta.label} fails at {bad.literal()}"
             )
-        members.append(entry)
 
     return Certificate(
         "ExceptionList",
-        params=_params(registry, XI, truncation=trunc.to_payload()),
+        params=_params(registry, XI),
         payload={
             "zset": setexpr_text(zset),
             "alpha": alpha0.label,
             "hypothesis_group": [b.label for b in hypothesis],
             "separator": l,
             "cover": _labels(cover),
-            "candidates": [b.label for b in candidates],
             "exceptions": [b.label for b in exceptions],
             "members": members,
         },
     )
-
-
-def _pair_inclusion_entry(
-    zset: SetExpr, beta: BranchIndex, through: Sequence[BranchIndex], trunc: Truncation
-) -> dict | None:
-    """Exhaustively check that the pair-generator intersection lands in the glued set."""
-    lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
-    rhs = Union((zset, Atom(beta)))
-    if containment_counterexample(lhs, rhs, trunc, XI) is not None:
-        return None
-    return {"beta": beta.label, "via_pairs": [c.label for c in through]}
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +360,29 @@ class PropertyAReport:
     certificate: Certificate
 
 
-def property_a_check(
-    zset: SetExpr, registry: Registry, trunc: Truncation
-) -> PropertyAReport:
+def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
     """Non-absorption relative to the registry: every constraint set F and
     every entry beta ranked above F need a point of ``zset ∩ ⋂F`` escaping
-    beta.  Ranks strictly increase, so the constraint sets below entry j are
-    the subsets of the entries before it, and one point of the largest,
-    ``zset ∩ ⋂entries[:j]``, outside Z(e_j) serves them all: the certificate
-    lists one ``{alpha, point}`` per entry.  The first entry without such a
-    point is reported with a constraint set shrunk, in rank order, to the
-    members it cannot do without, and its inclusion is verified exhaustively
-    on the truncation, which only that certificate records."""
+    beta.  Ranks strictly increase, so one point of ``zset ∩ ⋂entries[:j]``
+    outside Z(e_j) serves every F below entry j: the certificate lists one
+    ``{alpha, point}`` per entry.  The first entry without one, decided
+    exactly, is reported with F shrunk, in rank order, to what it needs."""
     entries = list(registry)
     listed: list[dict] = []
     for j, beta in enumerate(entries):
-        point = _property_a_witness(zset, entries[:j], beta, trunc)
+        point = _property_a_witness(zset, entries[:j], beta)
         if point is None:
             f_set = entries[:j]
             for b in entries[:j]:
                 smaller = [c for c in f_set if c != b]
-                if _property_a_witness(zset, smaller, beta, trunc) is None:
+                if _property_a_witness(zset, smaller, beta) is None:
                     f_set = smaller
             failure = AFailure(zset, tuple(f_set), (beta,))
-            cert = Certificate(
+            return PropertyAReport(False, listed, failure, Certificate(
                 "InclusionChain",
-                params=_params(registry, XI, truncation=trunc.to_payload()),
+                params=_params(registry, XI),
                 payload={"claim": "absorption-failure", "afailure": failure.to_payload()},
-            )
-            return PropertyAReport(False, listed, failure, cert)
+            ))
         listed.append({"alpha": beta.label, "point": point.literal()})
     cert = Certificate(
         "SeparatorWitness",
@@ -419,22 +397,19 @@ def property_a_check(
 
 
 def _property_a_witness(
-    zset: SetExpr,
-    f_set: Sequence[BranchIndex],
-    beta: BranchIndex,
-    trunc: Truncation,
+    zset: SetExpr, f_set: Sequence[BranchIndex], beta: BranchIndex
 ) -> XiPoint | None:
     """Point of the constrained set escaping the target entry, if any.
 
     The separator point is tried first (it settles every atom-only case);
-    value-sensitive sets fall back to the truncated enumeration.
+    value-sensitive sets fall back to the exact containment rule.
     """
     l = find_separator(beta, f_set)
     candidate = XiPoint.of({l: l})
     constraint = inter_atoms(f_set)
     if eval_setexpr(candidate, zset) and eval_setexpr(candidate, constraint):
         return candidate
-    return containment_counterexample(Inter((zset, constraint)), Atom(beta), trunc, XI)
+    return exact_counterexample(Inter((zset, constraint)), Atom(beta), XI)
 
 
 # ---------------------------------------------------------------------------

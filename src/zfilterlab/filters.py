@@ -3,9 +3,9 @@
 A filter base is a finite generator list; a set belongs to the generated
 filter iff it contains the intersection of some finite generator subset.
 Membership verdicts are three-valued: pure intersection forms are decided
-exactly (``exact`` is set), everything else is settled by exhaustive
-evaluation on the truncated sub-universe the caller passes, and with no
-truncation at hand the query stays unknown.  Refutations always carry a
+exactly over the whole ambient (``exact`` is set); everything else,
+properness included, is settled on the truncation the caller passes, and
+with none at hand the query stays unknown.  Refutations always carry a
 concrete point in the intersection of all generators that misses the queried
 set, which rules out every generator subset at once.
 """
@@ -28,10 +28,9 @@ from .space import (
     Union,
     Whole,
     XiPoint,
-    a_form_contained,
-    a_form_witness,
     containment_counterexample,
     empty_expr,
+    exact_counterexample,
     inter_of,
 )
 
@@ -102,60 +101,38 @@ class MemberVerdict:
         return self.status == "refuted"
 
 
-def _atoms_if_pure_intersection(expr: SetExpr) -> list[BranchIndex] | None:
-    """Branch list when the expression is an intersection of atoms (or Whole)."""
-    if isinstance(expr, Whole):
-        return []
-    if isinstance(expr, Atom):
-        return [expr.branch]
-    if isinstance(expr, Inter):
-        out: list[BranchIndex] = []
-        for part in expr.parts:
-            sub = _atoms_if_pure_intersection(part)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
+def _pure_intersection(expr: SetExpr) -> bool:
+    """Whether the expression is an intersection of atoms (or Whole)."""
+    kind = type(expr)
+    if kind is Inter:
+        return all(_pure_intersection(part) for part in expr.parts)
+    return kind is Atom or kind is Whole
 
 
 def filter_member(
     base: FilterBase, zset: SetExpr, trunc: Truncation | None = None
 ) -> MemberVerdict:
-    """Decide membership of ``zset`` in the filter generated by ``base``.
-
-    Exact route: when the query and all generators are pure intersections of
-    atoms, containment reduces to branch-set inclusion.  Truncated route: a
-    point in the core outside the query refutes every subset at once;
-    otherwise the smallest working generator subset is reported.
-    """
+    """Decide membership of ``zset`` in the filter generated by ``base``,
+    exactly or on ``trunc`` (see the module docstring).  A point in the core
+    outside the query refutes every subset at once; otherwise the smallest
+    working generator subset is reported."""
     gens = base.generators
-    gen_atoms = [_atoms_if_pure_intersection(g) for g in gens]
-    z_atoms = _atoms_if_pure_intersection(zset)
-
-    if z_atoms is not None and all(a is not None for a in gen_atoms):
-        all_atoms = [a for sub in gen_atoms for a in sub]  # type: ignore[union-attr]
-        if not a_form_contained(all_atoms, z_atoms):
-            witness = a_form_witness(all_atoms, z_atoms, base.ambient)
-            return MemberVerdict("refuted", witness=witness, exact=True)
-        for size in range(0, len(gens) + 1):
-            for combo in itertools.combinations(range(len(gens)), size):
-                chosen = [a for i in combo for a in gen_atoms[i]]  # type: ignore[index]
-                if a_form_contained(chosen, z_atoms):
-                    return MemberVerdict("proven", subset=combo, exact=True)
-        raise AssertionError("full subset must succeed when the whole family does")
-
-    if trunc is None:
+    exact = all(_pure_intersection(e) for e in (*gens, zset))
+    if not exact and trunc is None:
         return MemberVerdict("unknown")
 
-    witness = containment_counterexample(base.core(), zset, trunc, base.ambient)
+    def counterexample(lhs: SetExpr) -> XiPoint | None:
+        if exact:
+            return exact_counterexample(lhs, zset, base.ambient)
+        return containment_counterexample(lhs, zset, trunc, base.ambient)
+
+    witness = counterexample(base.core())
     if witness is not None:
-        return MemberVerdict("refuted", witness=witness)
+        return MemberVerdict("refuted", witness=witness, exact=exact)
     for size in range(0, len(gens) + 1):
         for combo in itertools.combinations(range(len(gens)), size):
-            lhs = inter_of(gens[i] for i in combo)
-            if containment_counterexample(lhs, zset, trunc, base.ambient) is None:
-                return MemberVerdict("proven", subset=combo)
+            if counterexample(inter_of(gens[i] for i in combo)) is None:
+                return MemberVerdict("proven", subset=combo, exact=exact)
     raise AssertionError("the full generator subset must succeed here")
 
 

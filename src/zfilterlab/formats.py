@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .branches import BranchError, BranchIndex, Registry
+from .branches import BranchError, BranchIndex, Registry, default_label
 from .space import (
     Ambient,
     Atom,
@@ -60,23 +60,22 @@ _ENTRY_RE = re.compile(
 )
 
 
-def parse_registry_entry(text: str, default_rank: int) -> BranchIndex:
-    """Parse ``label=pre:period@rank`` with optional label and rank."""
-    m = _ENTRY_RE.match(text.strip())
-    if not m:
-        raise FormatError(f"bad registry entry {text!r}; expected label=pre:period@rank")
-    rank = int(m.group("rank")) if m.group("rank") else default_rank
-    return parse_branch_literal(m.group("lit"), rank, m.group("label") or "")
-
-
 def parse_registry(entries: list[str]) -> Registry:
-    """Build a registry from entry strings; unranked entries get 0,1,2,..."""
-    branches = []
-    next_rank = 0
-    for text in entries:
-        b = parse_registry_entry(text, next_rank)
-        next_rank = b.rank + 1
-        branches.append(b)
+    """Build a registry from ``label=pre:period@rank`` strings, label and rank
+    optional.  Unranked entries get 0,1,2,...; explicit labels are kept, and
+    each unlabelled entry takes `default_label`'s label against them and the
+    labels before it."""
+    matches = [_ENTRY_RE.match(text.strip()) for text in entries]
+    for text, m in zip(entries, matches):
+        if not m:
+            raise FormatError(f"bad registry entry {text!r}; expected label=pre:period@rank")
+    taken = {m["label"] for m in matches if m["label"]}
+    branches: list[BranchIndex] = []
+    for m in matches:
+        rank = int(m["rank"]) if m["rank"] else branches[-1].rank + 1 if branches else 0
+        label = m["label"] or default_label(rank, taken)
+        taken.add(label)
+        branches.append(parse_branch_literal(m["lit"], rank, label))
     try:
         return Registry(branches)
     except BranchError as exc:

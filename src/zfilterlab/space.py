@@ -20,7 +20,7 @@ truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
 finite values, and the callers that reason from supports alone (the
-containment loop and `closure_member`) compile their expressions once with
+truncated containment loop and `closure_member`) compile their expressions once with
 `support_evaluator` (`closure_member`, exact and two-valued, reads one
 support per reachable hit pattern).  A support is a frozenset of positions;
 an atom compiles to the set of its branch's elements up to ``T`` and holds
@@ -31,27 +31,18 @@ no set is sized by a position's value.  The closure containments need no
 support walk: coordinate pushing decides them exactly from separators and a
 cover (see `engines.ContainmentReport`).
 
-Every finite containment claim (the oracle, the checker, filter membership,
-the engines) runs through one truncated-containment loop,
-`containment_violations`.  On a nonempty support that is no singleton's
-support every singleton is false, so each side's verdict there depends only
-on which atoms the support hits, its hit pattern.  A branch owns at most
-``T.bit_length()`` positions up to ``T``, so few patterns are reachable.
-Before it walks, the loop probes each pattern once, on one representative
-support plus the sentinel position 0: position 0 lies in no branch and in
-no singleton's support, so it reads every singleton false and leaves the
-pattern as it is.  When no probe has lhs true and rhs false, no other
-support can violate, and only the empty support and the singletons'
-supports within ``T`` are visited; otherwise every support class is.
-Either way the classes come in the same order.  Each distinct atom's
-element set is built once per call and shared by both sides and the probes.
-A support class on which both sides are decided by the support alone is
-settled at once.  In any other class only singletons read values, and a
-singleton holds at exactly one point, so every other point of the class
-gets the sides' verdict on the support plus position 0, with no point
-built.  The loop evaluates only the k singletons lying in the class (their
-values within the class's value range), k points instead of every point of
-the class.  `eval_setexpr` is the reference the loop is tested against.
+`exact_counterexample` decides containment over the whole ambient.  A point
+neither empty nor a singleton's reads every singleton false, so its verdict
+follows from the atoms its support hits.  Distinct branches share only their
+common prefix's elements, so every hit/miss assignment of the atoms is the
+pattern of some point valued past every singleton.  So ``lhs ⊆ rhs`` iff no
+valid one of the empty and singleton points violates it and ``lhs ∧ ¬rhs``
+is unsatisfiable in independent atom variables (singletons false, `Whole`
+true), which a DNF of (miss, hit) masks decides.  `containment_violations`
+lists the violations within a truncation, for the oracle, the property-(B)
+refuter and the truncated filter helpers, walking only the support classes
+the hit patterns and singletons leave open.  `eval_setexpr` is the
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -556,6 +547,90 @@ def containment_counterexample(
 
 
 # ---------------------------------------------------------------------------
+# Exact containment
+# ---------------------------------------------------------------------------
+
+# The most terms a claim's DNF may keep; the engines' claims keep one or two.
+MAX_DNF_TERMS = 256
+
+
+class TermBoundError(Exception):
+    """A claim's DNF grew past `MAX_DNF_TERMS` terms, so it was not decided."""
+
+
+def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoint | None:
+    """A point of the whole ambient in ``lhs`` outside ``rhs``, checked by the
+    reference evaluator; None when contained (see the module docstring)."""
+    if ambient not in (XI, PI):
+        raise SpaceError(f"unknown ambient {ambient!r}")
+    atoms, singletons = rhs._leaves(*lhs._leaves([], []))
+
+    def violates(point: XiPoint) -> bool:  # `eval_setexpr`'s walk, validating once
+        pos, support = point.positions(), point.support
+        return validate_point(point) and _eval(pos, support, lhs) and not _eval(pos, support, rhs)
+
+    for support in dict.fromkeys([(), *(q.support for q in singletons)]):
+        point = XiPoint(support, ambient)
+        if violates(point):
+            return point
+    index = {a: i for i, a in enumerate(dict.fromkeys(atoms))}
+    terms = _dnf(Diff(lhs, rhs), True, index)
+    if not terms:
+        return None
+    # one element per hit atom that no other atom holds, or one in no atom
+    hit = [a for a, i in index.items() if terms[0] >> len(index) + i & 1]
+    positions = [find_separator(a, [b for b in index if b != a]) for a in hit] or [
+        next(p for p in itertools.count(1) if not any(branch_member(a, p) for a in index))]
+    value = max([*positions, *(v + 1 for q in singletons for v in q.values())])
+    point = XiPoint.of(dict.fromkeys(positions, value), ambient)
+    if not violates(point):
+        raise AssertionError(f"witness {point.literal()} failed its own check")
+    return point
+
+
+def _dnf(expr: SetExpr, positive: bool, index: dict[BranchIndex, int]) -> list[int]:
+    """``expr``, or its negation, on points that are no singleton, as
+    absorbed DNF terms: bit ``i`` of a term says atom ``i`` is missed, bit
+    ``len(index) + i`` that it is hit; a term with both is dropped."""
+    kind = type(expr)
+    if kind is Atom:
+        return [1 << index[expr.branch] + (0 if positive else len(index))]
+    if kind is Whole or kind is Singleton:
+        return [0] if positive == (kind is Whole) else []
+    if kind is Diff:
+        factors = [_dnf(expr.left, positive, index), _dnf(expr.right, not positive, index)]
+        conjunction = positive
+    elif kind is Inter or kind is Union:
+        factors = [_dnf(part, positive, index) for part in expr.parts]
+        conjunction = (kind is Inter) == positive
+    else:
+        raise SpaceError(f"unknown expression node {expr!r}")
+    if not conjunction:
+        return _absorb([t for factor in factors for t in factor])
+    k, low = len(index), (1 << len(index)) - 1
+    terms = factors[0] if factors else [0]
+    for factor in factors[1:]:
+        terms = _absorb([u for s in terms for t in factor if not (u := s | t) & u >> k & low])
+    return terms
+
+
+def _absorb(terms: list[int]) -> list[int]:
+    """``terms`` without repeats and without a term whose bits hold another's."""
+    if len(terms) < 2:
+        return terms
+    kept: list[int] = []
+    for t in sorted(sorted(set(terms)), key=int.bit_count):
+        for s in kept:
+            if s & t == s:
+                break
+        else:
+            kept.append(t)
+            if len(kept) > MAX_DNF_TERMS:
+                raise TermBoundError(f"a DNF grows past MAX_DNF_TERMS = {MAX_DNF_TERMS} terms")
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # Approximating sequences
 # ---------------------------------------------------------------------------
 
@@ -715,37 +790,3 @@ def _escape_positions(
         if p not in held and not any(branch_member(a, p) for a in atoms)
     ))
     return sorted(p for p in found - held if limit is None or p <= limit)
-
-
-# ---------------------------------------------------------------------------
-# Exact containment for pure intersection forms
-# ---------------------------------------------------------------------------
-
-def a_form_contained(
-    u_generators: Iterable[BranchIndex], v_generators: Iterable[BranchIndex]
-) -> bool:
-    """Exact: is the intersection over ``u_generators`` inside the one over ``v_generators``?
-
-    Intersections of branch zero sets are the sets of points whose support
-    avoids the union of the branches' element sets, so containment holds iff
-    every generator on the right already occurs on the left (after word
-    canonicalization); a missing branch yields a one-coordinate witness point
-    through its separator element.
-    """
-    u = set(u_generators)
-    return set(v_generators) <= u
-
-
-def a_form_witness(
-    u_generators: Iterable[BranchIndex],
-    v_generators: Iterable[BranchIndex],
-    ambient: Ambient = XI,
-) -> XiPoint | None:
-    """A point inside the U-intersection but outside the V-intersection, if any."""
-    u = list(u_generators)
-    missing = [b for b in set(v_generators) if all(b != x for x in u)]
-    if not missing:
-        return None
-    beta = min(missing, key=lambda b: b.rank)
-    l = find_separator(beta, u)
-    return XiPoint.of({l: l}, ambient)

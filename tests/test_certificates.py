@@ -50,7 +50,7 @@ def sample_certificates():
     r = reg()
     certs = [check_extendibility_a(r)]
     r = reg()
-    certs.append(check_extendibility_b(Whole(), r.entries[0], r, TR))
+    certs.append(check_extendibility_b(Whole(), r.entries[0], r))
     r = reg()
     certs.append(
         containment_decreasing([r.entries[0]], [r.entries[1]], 7, r).certificate
@@ -60,7 +60,7 @@ def sample_certificates():
         containment_full_product([r.entries[0]], [r.entries[1]]).certificate
     )
     r = reg()
-    certs.append(property_a_check(Whole(), r, TR).certificate)
+    certs.append(property_a_check(Whole(), r).certificate)
     r = reg()
     certs.append(increasing_chain_engine(r, 3).certificate)
     r = reg()
@@ -68,7 +68,7 @@ def sample_certificates():
     certs.append(whole_cover_refutation().certificate)
     certs.append(zero_set_cover_refutation().certificate)
     r = reg()
-    certs.append(property_a_check(Atom(r.entries[0]), r, TR).certificate)
+    certs.append(property_a_check(Atom(r.entries[0]), r).certificate)
     return certs
 
 
@@ -299,10 +299,11 @@ class TestStructure:
         # property-a certificates one witness per (F, beta) pair, schema 4
         # separator certificates a truncation, schema 5 certificates spell
         # branches out as {label, branch, rank} outside the registry, schema
-        # 6 certificates carry steps and fields no check reads, and schema 7
-        # contradictions repeat their afailure beside its index
+        # 6 certificates carry steps and fields no check reads, schema 7
+        # contradictions repeat their afailure beside its index, and schema 8
+        # exception lists and absorption failures record a truncation
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5, 6, 7):
+        for schema in (1, 2, 3, 4, 5, 6, 7, 8):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -325,14 +326,11 @@ class TestStructure:
     def test_only_truncated_searches_record_a_truncation(self):
         certs = sample_certificates()
         recorded = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" in c.params}
-        assert recorded == {
-            ("ExceptionList", None),
-            ("InclusionChain", "absorption-failure"),
-            ("Contradiction", None),
-            ("CounterexamplePoint", None),
-        }
+        assert recorded == {("Contradiction", None), ("CounterexamplePoint", None)}
         exact = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" not in c.params}
         assert exact == {
+            ("ExceptionList", None),
+            ("InclusionChain", "absorption-failure"),
             ("SeparatorWitness", "no-single-zero-set-in-filter"),
             ("SeparatorWitness", "non-absorption-holds"),
             ("SeparatorWitness", "strictly-increasing-chain"),
@@ -371,7 +369,7 @@ class TestSeparatorWitnessClaims:
             (lambda: check_extendibility_a(reg()), "entries"),
             (lambda: increasing_chain_engine(reg(), 3).certificate, "entries"),
             (lambda: decreasing_chain_engine(reg(), 3).certificate, "entries"),
-            (lambda: property_a_check(Whole(), reg(), TR).certificate, "entries"),
+            (lambda: property_a_check(Whole(), reg()).certificate, "entries"),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
     )
@@ -405,7 +403,7 @@ class TestSeparatorWitnessClaims:
         # b3's point must lie in the zero sets of b0, b1 and b2, not only in
         # those of b0 and b1
         r = reg()
-        cert = property_a_check(Whole(), r, TR).certificate
+        cert = property_a_check(Whole(), r).certificate
         assert len(cert.payload["entries"]) == len(r)
         b0, b1, b2, b3 = r.entries[:4]
         l = find_separator(b3, [b0, b1])
@@ -423,7 +421,7 @@ class TestSeparatorWitnessClaims:
         assert not check_certificate(fresh).ok
 
     def test_property_a_witnesses_must_lie_in_the_recorded_set(self):
-        cert = property_a_check(Whole(), reg(), TR).certificate
+        cert = property_a_check(Whole(), reg()).certificate
         assert cert.payload["zset"] == "W"
         cert.payload["zset"] = "(union)"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
@@ -512,7 +510,7 @@ class TestWrongTypedFields:
         # a fractional or boolean bound is no truncation; it used to reach
         # BranchIndex.elements_upto and raise AttributeError, or pass
         certs = [c for c in sample_certificates() if "truncation" in c.params]
-        assert {c.kind for c in certs} >= {"ExceptionList", "Contradiction", "CounterexamplePoint"}
+        assert {c.kind for c in certs} == {"Contradiction", "CounterexamplePoint"}
         for cert in certs:
             for key, value in itertools.product(("T", "V"), (2.5, 1.0, True)):
                 truncation = dict(cert.params["truncation"], **{key: value})
@@ -583,7 +581,7 @@ class TestBoundedReplay:
         # 24 entries, none of them listed
         words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(24)]
         r = make_registry([(w, "2") for w in words])
-        cert = property_a_check(Whole(), reg(), TR).certificate
+        cert = property_a_check(Whole(), reg()).certificate
         params = dict(cert.params, registry=r.to_payload())
         payload = dict(cert.payload, entries=[])
         start = time.perf_counter()
@@ -678,10 +676,59 @@ class TestClosureObligations:
         assert [problem in p for p in report.problems] == [True], report.problems
 
 
+def exception_list():
+    """An `ExceptionList` for Z(b) joined with Z(a): hypothesis [b],
+    separator 3 (the code of 11, in a = 11:2 and not in b = 12:1), cover
+    [a, c] of 1..3, exception b, and members c and d (d = 1:1 is no
+    candidate)."""
+    r = formats.parse_registry(["a=11:2@0", "b=12:1@1", "c=2:1@2", "d=1:1@3"])
+    return check_extendibility_b(parse_setexpr("N:b", r), r.by_label("a"), r)
+
+
+class TestExceptionListObligations:
+    """Digest-valid forgeries of an exception list, each a claim the
+    certificate's evidence does not back."""
+
+    def test_engine_certificate_holds(self):
+        cert = exception_list()
+        assert cert.payload["separator"] == 3 and cert.payload["cover"] == ["a", "c"]
+        assert cert.payload["exceptions"] == ["b"]
+        assert "candidates" not in cert.payload and "truncation" not in cert.params
+        assert check_certificate_text(cert.to_json()).ok
+
+    @pytest.mark.parametrize(
+        "tamper, problems",
+        [
+            # 1, the code of 1, lies in a and in the hypothesis branch b
+            (_with("payload", separator=1), ["collides with the hypothesis group"]),
+            # 4, the code of 12, lies in b only; the cover still covers 1..4
+            (_with("payload", separator=4),
+             ["is not an element of a", "collides with the hypothesis group"]),
+            # the candidates are the hypothesis group and the cover, whatever
+            # a candidates field says: d is none of them
+            (_with("payload", candidates=["a", "b", "c", "d"], exceptions=["b", "d"],
+                   members=[{"beta": "c", "via_pairs": ["a", "b"]}]),
+             ["exceptions stray outside"]),
+            # Z(d) ∪ Z(d) is no pair generator, and Z(d) lies in the glued set
+            (lambda c: _with("payload", members=[
+                *c.payload["members"][:1], {"beta": "d", "via_pairs": ["d"]}])(c),
+             ["runs through d itself"]),
+        ],
+        ids=["separator-in-hypothesis", "separator-outside-alpha", "exception-past-candidates",
+             "pair-through-itself"],
+    )
+    def test_forgery_rejected(self, tamper, problems):
+        report = check_certificate_text(tamper(exception_list()).to_json())
+        assert not report.ok
+        assert len(report.problems) == len(problems), report.problems
+        for problem, want in zip(report.problems, problems):
+            assert want in problem, report.problems
+
+
 # payload and params fields that name branches by registry label
 LABEL_FIELDS = {
     "alpha", "beta", "kept", "subtracted", "cover", "base", "constraining", "absorbing",
-    "hypothesis_group", "candidates", "exceptions", "via_pairs",
+    "hypothesis_group", "exceptions", "via_pairs",
 }
 
 
@@ -808,7 +855,7 @@ class TestRegistryLabels:
             assert check_certificate(cert).ok
             for section in ("params", "payload"):
                 fields = getattr(cert, section)
-                for key in ("base", "cover", "kept", "subtracted", "candidates", "exceptions",
+                for key in ("base", "cover", "kept", "subtracted", "exceptions",
                             "hypothesis_group", "afailure", "afailures"):
                     if key not in fields:
                         continue
@@ -858,7 +905,7 @@ class TestCheckerIndependence:
         # drop a member entry from an exception-list certificate: the checker
         # must notice the registry is no longer exactly covered
         r = reg()
-        cert = check_extendibility_b(Whole(), r.entries[0], r, TR)
+        cert = check_extendibility_b(Whole(), r.entries[0], r)
         if cert.payload["members"]:
             cert.payload["members"] = cert.payload["members"][:-1]
             fresh = Certificate(cert.kind, cert.params, cert.payload)

@@ -11,7 +11,6 @@ from zfilterlab.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_RESOURCE,
-    EXIT_UNKNOWN,
     EXIT_USAGE,
     main,
 )
@@ -30,6 +29,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuted_cover(capsys, tmp_path) -> Certificate:
+    """A property-b `CounterexamplePoint` made at (4, 6): Z(a) ∪ Z(b) misses
+    a point.  Only property-b certificates record a truncation."""
+    cover_file = tmp_path / "cover.json"
+    cover_file.write_text(json.dumps({"afailures": [
+        {"zset": "N:a", "constraining": [], "absorbing": ["a"]},
+        {"zset": "N:b", "constraining": [], "absorbing": ["b"]},
+    ]}))
+    out_file = tmp_path / "refute.json"
+    code, _, _ = run(
+        capsys,
+        "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+        *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
+    )
+    assert code == EXIT_OK
+    cert = Certificate.read(str(out_file))
+    assert cert.kind == "CounterexamplePoint" and cert.params["truncation"] == {"T": 4, "V": 6}
+    return cert
 
 
 class TestFamily:
@@ -122,20 +141,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("T, V", [(40, 6), (4, 17)], ids=["past-cap-T", "past-cap-V"])
     def test_check_refuses_truncation_past_caps(self, capsys, tmp_path, T, V):
-        # a digest-valid certificate rebuilt at T = 40 would keep the replay
+        # a digest-valid certificate rebuilt at T = 40 could keep the replay
         # busy with 2**40 support classes; the caps stop it before the replay
-        out_file = tmp_path / "exceptions.json"
-        code, _, _ = run(
-            capsys,
-            "verify", "extendibility-b", "--zset", "W", "--alpha", "a",
-            *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
-        )
-        assert code == EXIT_OK
-        cert = Certificate.read(str(out_file))
-        assert cert.kind == "ExceptionList" and cert.payload["members"]
-        # one membership entry short, whatever the truncation
+        cert = _refuted_cover(capsys, tmp_path)
+        out_file = tmp_path / "refute.json"
+        # the all-infinite point lies in every cover set, whatever the truncation
         params = dict(cert.params, truncation={"T": T, "V": V})
-        payload = dict(cert.payload, members=cert.payload["members"][:-1])
+        payload = dict(cert.payload, point="{}")
         out_file.write_text(Certificate(cert.kind, params, payload).to_json())
         code, out, err = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_RESOURCE and out == ""
@@ -144,18 +156,12 @@ class TestVerify:
             # raising the cap lets the replay run, and it rejects the cut
             code, out, err = run(capsys, "verify", "--check", str(out_file), "--cap-V", str(V))
             assert code == EXIT_FAIL and "rejected" in out
-            assert "membership entries" in err
+            assert "the point lies in cover set N:" in err
 
     @pytest.mark.parametrize("T, V", [(2.5, 6), (4, 6.5), (True, 6)], ids=["T-2.5", "V-6.5", "T-true"])
     def test_check_rejects_non_integer_truncation(self, capsys, tmp_path, T, V):
-        out_file = tmp_path / "exceptions.json"
-        code, _, _ = run(
-            capsys,
-            "verify", "extendibility-b", "--zset", "W", "--alpha", "a",
-            *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
-        )
-        assert code == EXIT_OK
-        cert = Certificate.read(str(out_file))
+        cert = _refuted_cover(capsys, tmp_path)
+        out_file = tmp_path / "refute.json"
         params = dict(cert.params, truncation={"T": T, "V": V})
         out_file.write_text(Certificate(cert.kind, params, cert.payload).to_json())
         code, out, err = run(capsys, "verify", "--check", str(out_file))
@@ -261,28 +267,65 @@ class TestVerify:
             assert code == EXIT_OK and out.strip() == "verified"
 
     def test_unknown_hypothesis_exit_code(self, capsys, tmp_path):
-        code, _, err = run(
+        # no group intersection lies in the empty set joined with Z(a), so the
+        # hypothesis is refused exactly, exit 1, naming a point of
+        # Z(b) ∩ Z(c) outside Z(a): 3 is an element of a = :1, and of neither
+        # b = :2 nor c = 1:2
+        code, out, err = run(
             capsys,
             "verify", "extendibility-b", "--zset", "(union)", "--alpha", "a",
-            *_reg_flags(), "--T", "4", "--V", "6",
+            *_reg_flags(), "--out", str(tmp_path / "x.json"),
+        )
+        assert code == EXIT_FAIL and out == ""
+        assert err.startswith("failed: no group intersection") and "{3:3}" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_eight_word_refusal_names_a_point_past_the_truncation(self, capsys, tmp_path):
+        # at (8,10) no point of Z(e1) lies outside (pt {1:5}) ∪ Z(e0), so a
+        # truncated search would take [e1] as the hypothesis; {15:15} is one
+        words = ["1111:2", "1112:1", "1121:2", "1122:1", "1211:2", "1212:1", "1221:2", "1222:1"]
+        flags = [x for i, w in enumerate(words) for x in ("-r", f"e{i}={w}@{i}")]
+        code, out, err = run(
+            capsys,
+            "verify", "extendibility-b", "--zset", "(pt {1:5})", "--alpha", "e0", *flags,
             "--out", str(tmp_path / "x.json"),
         )
-        assert code == EXIT_UNKNOWN
+        assert code == EXIT_FAIL and out == ""
+        assert "{15:15}" in err
+
+    def test_term_bound_exit_code(self, capsys, tmp_path):
+        # ¬zset is a product of nine two-term factors over distinct atoms, so
+        # its DNF outgrows MAX_DNF_TERMS = 256 before it is absorbed
+        words = [f"{format(i, '05b').translate(str.maketrans('01', '12'))}:1" for i in range(18)]
+        pairs = " ".join(f"(inter N:{a} N:{b})" for a, b in zip(words[::2], words[1::2]))
+        code, out, err = run(
+            capsys,
+            "verify", "extendibility-b", "--zset", f"(union {pairs})", "--alpha", "a",
+            *_reg_flags(), "--out", str(tmp_path / "x.json"),
+        )
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("error: resource cap:") and "MAX_DNF_TERMS = 256" in err
 
     def test_resource_cap(self, capsys, tmp_path):
+        cover_file = tmp_path / "cover.json"
+        cover_file.write_text(json.dumps({"afailures": [
+            {"zset": "N:a", "constraining": [], "absorbing": ["a"]}]}))
         code, _, err = run(
             capsys,
-            "verify", "property-a", "--zset", "W", *_reg_flags(),
-            "--T", "20", "--out", str(tmp_path / "x.json"),
+            "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+            *_reg_flags(), "--T", "20", "--out", str(tmp_path / "x.json"),
         )
         assert code == EXIT_RESOURCE and "cap" in err
 
     def test_cap_override(self, capsys, tmp_path):
+        cover_file = tmp_path / "cover.json"
+        cover_file.write_text(json.dumps({"afailures": [
+            {"zset": "N:a", "constraining": [], "absorbing": ["a"]}]}))
         out_file = tmp_path / "x.json"
         code, _, _ = run(
             capsys,
-            "verify", "extendibility-b", "--zset", "W", "--alpha", "a", *_reg_flags(),
-            "--T", "13", "--V", "4", "--cap-T", "13", "--out", str(out_file),
+            "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+            *_reg_flags(), "--T", "13", "--V", "4", "--cap-T", "13", "--out", str(out_file),
         )
         assert code == EXIT_OK
         assert Certificate.read(str(out_file)).params["truncation"] == {"T": 13, "V": 4}
@@ -292,6 +335,8 @@ class TestVerify:
         ("extendibility-a", []),
         ("containment-dec", ["--F", "a", "--G", "b"]),
         ("containment-full", ["--F", "a", "--G", "b"]),
+        ("extendibility-b", ["--zset", "W", "--alpha", "a"]),
+        ("property-a", ["--zset", "W"]),
     ])
     def test_exact_lemmas_ignore_the_truncation(self, capsys, tmp_path, lemma, extra):
         # these engines read no truncation, so --T/--V and the caps are
@@ -311,20 +356,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_OK and out.strip() == "verified"
 
-    @pytest.mark.parametrize("lemma, extra", [
-        ("extendibility-b", ["--zset", "W", "--alpha", "a"]),
-        ("property-a", ["--zset", "W"]),
-        ("property-b", ["--cover", "COVER", "--gamma", "50"]),
-    ])
-    def test_truncated_lemmas_meet_the_caps(self, capsys, tmp_path, lemma, extra):
+    def test_property_b_meets_the_caps(self, capsys, tmp_path):
+        # the one lemma that searches a truncation
         cover_file = tmp_path / "cover.json"
         cover_file.write_text(json.dumps({"afailures": [
             {"zset": "N:a", "constraining": [], "absorbing": ["a"]}]}))
-        extra = [str(cover_file) if x == "COVER" else x for x in extra]
         out_file = tmp_path / "x.json"
         code, out, err = run(
-            capsys, "verify", lemma, *extra, *_reg_flags(), "--T", "13",
-            "--out", str(out_file),
+            capsys, "verify", "property-b", "--cover", str(cover_file), "--gamma", "50",
+            *_reg_flags(), "--T", "13", "--out", str(out_file),
         )
         assert code == EXIT_RESOURCE and out == ""
         assert "truncation (13,10) exceeds caps (12,16)" in err
@@ -351,6 +391,21 @@ class TestVerify:
         cert = Certificate.read(str(out_file))
         assert [e["label"] for e in cert.params["registry"]] == ["b1", "b1_2", "b2"]
         assert cert.payload["subtracted"] == ["b1_2"] and cert.payload["kept"] == ["b2"]
+
+    @pytest.mark.parametrize("flags, labels", [
+        (["-r", "b1=1:2@0", "-r", "2:1@1"], ["b1", "b1_2"]),
+        (["-r", "1:2@0", "-r", "b0=2:1@1"], ["b0_2", "b0"]),
+        (["-r", "1:2@0", "-r", "2:1@1"], ["b0", "b1"]),
+    ], ids=["explicit-first", "explicit-later", "no-collision"])
+    def test_explicit_registry_labels_win(self, capsys, tmp_path, flags, labels):
+        # an unlabelled entry takes b<rank>, or b<rank>_2 when an explicit
+        # label, before or after it, holds b<rank>
+        out_file = tmp_path / "chain.json"
+        code, out, err = run(capsys, "verify", "chain-inc", "--steps", "2", *flags,
+                             "--out", str(out_file))
+        assert code == EXIT_OK and "verified" in out, err
+        cert = Certificate.read(str(out_file))
+        assert [e["label"] for e in cert.params["registry"]] == labels
 
     def test_output_dir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ZFILTERLAB_OUT", str(tmp_path))

@@ -11,8 +11,8 @@ from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separ
 from zfilterlab.engines import (
     AFailure,
     AFailureVerificationError,
+    CertificationError,
     EngineError,
-    UnknownHypothesisError,
     check_extendibility_a,
     check_extendibility_b,
     containment_decreasing,
@@ -40,6 +40,7 @@ from zfilterlab.space import (
     containment_counterexample,
     enumerate_truncated,
     eval_setexpr,
+    exact_counterexample,
     inter_atoms,
     multi_escape_sequence,
 )
@@ -80,21 +81,36 @@ class TestExtendibilityB:
     def test_zero_set_hypothesis(self):
         reg = reg3()
         alpha0, gamma_b, delta = reg.entries
-        cert = check_extendibility_b(Atom(gamma_b), alpha0, reg, TR)
-        candidates = set(cert.payload["candidates"])
+        cert = check_extendibility_b(Atom(gamma_b), alpha0, reg)
+        candidates = {*cert.payload["hypothesis_group"], *cert.payload["cover"]}
         assert set(cert.payload["exceptions"]) <= candidates
         member_labels = {m["beta"] for m in cert.payload["members"]}
         assert delta.label in member_labels
 
     def test_whole_has_empty_exception_set(self):
         reg = reg3()
-        cert = check_extendibility_b(Whole(), reg.entries[0], reg, TR)
+        cert = check_extendibility_b(Whole(), reg.entries[0], reg)
         assert cert.payload["exceptions"] == []
+
+    def test_eight_words_refused_past_the_truncation(self):
+        # at (8,10) Z(e1) lies in (pt {1:5}) ∪ Z(e0), so a truncated search
+        # would take [e1] as the hypothesis; 15, the code of 1112, lies in e1
+        # and in no other entry, and {15:15} lies outside the joined set
+        words = ["1111", "1112", "1121", "1122", "1211", "1212", "1221", "1222"]
+        reg = make_registry([(w, "2" if w.endswith("1") else "1") for w in words])
+        e0, e1 = reg.entries[:2]
+        zset = parse_setexpr("(pt {1:5})", reg)
+        target = Union((zset, Atom(e0)))
+        assert containment_counterexample(Atom(e1), target, Truncation(8, 10), XI) is None
+        assert exact_counterexample(Atom(e1), target, XI) == XiPoint.of({15: 15})
+        with pytest.raises(CertificationError, match=r"\{15:15\}"):
+            check_extendibility_b(zset, e0, reg)
 
     def test_uncertifiable_hypothesis_errors(self):
         reg = reg3()
-        with pytest.raises(UnknownHypothesisError):
-            check_extendibility_b(Union(()), reg.entries[0], reg, TR)
+        # {3:3} lies in Z(b1) ∩ Z(b2), outside Z(b0): 3 is the code of 11
+        with pytest.raises(CertificationError, match=r"\{3:3\}"):
+            check_extendibility_b(Union(()), reg.entries[0], reg)
 
 
 class TestContainmentDecreasing:
@@ -254,9 +270,9 @@ class TestExactClosureRule:
 
 @st.composite
 def property_a_setups(draw):
-    """A registry of at most 5 entries (2 to 5 draws, repeats dropped), a
+    """A registry of at most 5 entries (2 to 5 draws, repeats dropped) and a
     zset built from some of its atoms and one singleton by union or
-    intersection, and a small truncation."""
+    intersection."""
     branches: list[BranchIndex] = []
     for pre, period in draw(st.lists(
         st.tuples(st.text(alphabet="12", max_size=3), st.text(alphabet="12", min_size=1, max_size=2)),
@@ -270,23 +286,19 @@ def property_a_setups(draw):
     top = max(positions, default=0)
     point = XiPoint.of({p: top + draw(st.integers(0, 3)) for p in positions})
     combine = draw(st.sampled_from((Union, Inter)))
-    trunc = Truncation(draw(st.integers(3, 5)), draw(st.integers(2, 6)))
-    return Registry(branches), combine((*atoms, Singleton(point))), trunc
+    return Registry(branches), combine((*atoms, Singleton(point)))
 
 
-def has_point(zset, f_set, beta, trunc) -> bool:
-    """The separator point against ``f_set``, or a truncated point, lies in
-    ``zset ∩ ⋂f_set`` outside Z(beta)."""
+def has_point(zset, f_set, beta) -> bool:
+    """Some point of the space lies in ``zset ∩ ⋂f_set`` outside Z(beta)."""
     lhs = Inter((zset, inter_atoms(f_set)))
-    l = find_separator(beta, f_set)
-    return (eval_setexpr(XiPoint.of({l: l}), Diff(lhs, Atom(beta)))
-            or containment_counterexample(lhs, Atom(beta), trunc, XI) is not None)
+    return exact_counterexample(lhs, Atom(beta), XI) is not None
 
 
 class TestPropertyA:
     def test_whole_has_property(self):
         reg = make_registry([("", "1"), ("", "2")])
-        report = property_a_check(Whole(), reg, TR)
+        report = property_a_check(Whole(), reg)
         assert report.holds
         assert [e["alpha"] for e in report.entries] == ["b0", "b1"]
         for j, e in enumerate(report.entries):
@@ -297,13 +309,13 @@ class TestPropertyA:
     def test_top_zero_set_fails_reflexively(self):
         reg = reg3()
         top = reg.entries[-1]
-        report = property_a_check(Atom(top), reg, TR)
+        report = property_a_check(Atom(top), reg)
         assert not report.holds
         assert report.failure.absorbing == (top,)
 
     def test_empty_set_fails_immediately(self):
         reg = reg3()
-        report = property_a_check(Union(()), reg, TR)
+        report = property_a_check(Union(()), reg)
         assert not report.holds
         assert report.failure.constraining == ()
         assert report.failure.absorbing == (reg.entries[0],)
@@ -311,8 +323,8 @@ class TestPropertyA:
     @given(property_a_setups())
     @settings(max_examples=300, deadline=None)
     def test_one_point_per_entry_serves_every_constraint_set(self, setup):
-        reg, zset, trunc = setup
-        report = property_a_check(zset, reg, trunc)
+        reg, zset = setup
+        report = property_a_check(zset, reg)
         assert check_certificate(report.certificate).ok
         entries = list(reg)
         if report.holds:
@@ -332,16 +344,20 @@ class TestPropertyA:
                     assert eval_setexpr(point, target), (e, f_set)
         if not report.holds:
             failure = report.failure
-            assert containment_counterexample(failure.lhs(), failure.rhs(), trunc, XI) is None
+            # the failure holds over the whole space, and its points at
+            # three truncations agree
+            assert exact_counterexample(failure.lhs(), failure.rhs(), XI) is None
+            for trunc in (Truncation(3, 4), Truncation(5, 6)):
+                assert containment_counterexample(failure.lhs(), failure.rhs(), trunc, XI) is None
             # the reported constraint set keeps only members it cannot do without
             for b in failure.constraining:
                 smaller = [c for c in failure.constraining if c != b]
-                assert has_point(zset, smaller, beta, trunc), (b, failure)
+                assert has_point(zset, smaller, beta), (b, failure)
 
     def test_separator_past_the_truncation_serves_the_smaller_sets(self):
-        # (F = {b1}, b2) on its own has no point: its separator point {4:4}
-        # misses the zset and the truncation holds none of zset ∩ Z(b1)
-        # outside Z(b2).  The separator point {10:10} against the largest
+        # (F = {b1}, b2) has no point on the truncation (4, 2): its separator
+        # point {4:4} misses the zset and the truncation holds none of
+        # zset ∩ Z(b1) outside Z(b2).  The separator point {10:10} against the largest
         # set {b0, b1} lies past T, in the zset, so it serves {b1} too and
         # the property holds relative to the registry.
         reg = make_registry([("", "12"), ("11", "2"), ("122", "21")])
@@ -351,7 +367,7 @@ class TestPropertyA:
         assert find_separator(b2, [b1]) == 4
         assert containment_counterexample(
             Inter((zset, Atom(b1))), Atom(b2), trunc, XI) is None
-        report = property_a_check(zset, reg, trunc)
+        report = property_a_check(zset, reg)
         assert report.holds
         assert report.entries[2] == {"alpha": "b2", "point": "{10:10}"}
         assert eval_setexpr(XiPoint.of({10: 10}), Diff(Inter((zset, Atom(b1))), Atom(b2)))
@@ -379,6 +395,20 @@ def cover_registry() -> Registry:
     return make_registry(
         [("11", "1"), ("12", "1"), ("2", "1"), ("21", "2"), ("", "2", 9)]
     )
+
+
+def test_demo_05_whole_space_failure_breaks_at_14():
+    # demo 05's failure holds on its truncation (6, 8), where the refuter
+    # takes it as input; 14, the code of 222, lies in :2 and in none of the
+    # constraining branches, so {14:14} breaks it in the whole space
+    reg = make_registry(
+        [("", "1"), ("112", "1"), ("12", "1"), ("21", "1"), ("22", "1"), ("", "2", 9)]
+    )
+    failure = AFailure(Whole(), tuple(e for e in reg if e.rank <= 4), (reg.by_label("b9"),))
+    assert containment_counterexample(failure.lhs(), failure.rhs(), Truncation(6, 8), XI) is None
+    assert exact_counterexample(failure.lhs(), failure.rhs(), XI) == XiPoint.of({14: 14})
+    cert = property_b_refute([failure], 50, reg, Truncation(6, 8)).certificate
+    assert cert.kind == "Contradiction" and check_certificate(cert).ok
 
 
 class TestPropertyBRefute:

@@ -23,9 +23,8 @@ from zfilterlab.space import (
     Truncation,
     Union,
     Whole,
+    TermBoundError,
     XiPoint,
-    a_form_contained,
-    a_form_witness,
     approx_sequence,
     class_point_count,
     class_points,
@@ -36,6 +35,7 @@ from zfilterlab.space import (
     escape_terms_valid,
     eval_on_support,
     eval_setexpr,
+    exact_counterexample,
     in_zero_set,
     inter_atoms,
     multi_escape_sequence,
@@ -224,16 +224,25 @@ class TestApproxSequence:
 
 
 class TestAFormContainment:
+    """Pure intersection forms through the exact rule: ⋂U ⊆ ⋂V exactly when
+    every branch of V occurs in U."""
+
+    @staticmethod
+    def witness(u, v, ambient=XI):
+        return exact_counterexample(inter_atoms(u), inter_atoms(v), ambient)
+
     def test_examples(self):
-        assert a_form_contained([ALL1, ALL2], [ALL1])
-        assert not a_form_contained([ALL1], [ALL2])
-        assert a_form_contained([ALL1, ONE_THEN_2], [ALL1, ONE_THEN_2])
+        assert self.witness([ALL1, ALL2], [ALL1]) is None
+        assert self.witness([ALL1], [ALL2]) is not None
+        assert self.witness([ALL1, ONE_THEN_2], [ALL1, ONE_THEN_2]) is None
 
     def test_witness_point(self):
-        w = a_form_witness([ALL1], [ALL2])
-        assert w == XiPoint.of({2: 2})
-        assert eval_setexpr(w, inter_atoms([ALL1]))
-        assert not eval_setexpr(w, inter_atoms([ALL2]))
+        # 2, the code of the word 2, is an element of :2 and not of :1
+        for ambient in (XI, PI):
+            w = self.witness([ALL1], [ALL2], ambient)
+            assert w == XiPoint.of({2: 2}, ambient)
+            assert eval_setexpr(w, inter_atoms([ALL1]))
+            assert not eval_setexpr(w, inter_atoms([ALL2]))
 
     def test_agrees_with_exhaustive_oracle_small(self):
         branches = [ALL1, ALL2, ONE_THEN_2]
@@ -249,13 +258,129 @@ class TestAFormContainment:
                     for p in pts
                     if eval_setexpr(p, inter_atoms(u))
                 )
-                exact = a_form_contained(u, v)
-                if exact:
+                w = self.witness(u, v)
+                assert (w is None) == (set(v) <= set(u))
+                if w is None:
                     assert brute
                 else:
-                    w = a_form_witness(u, v)
                     assert eval_setexpr(w, inter_atoms(u))
                     assert not eval_setexpr(w, inter_atoms(v))
+
+
+# words sharing prefixes of up to four letters, so that some atoms' private
+# elements lie past every truncation the differential below reads
+_EXACT_BRANCHES = [
+    BranchIndex(pre, period, rank)
+    for rank, (pre, period) in enumerate([
+        ("", "1"), ("", "2"), ("1", "2"), ("12", "1"), ("2", "1"), ("11", "2"),
+        ("121", "2"), ("1111", "2"), ("1111", "12"), ("22", "1"), ("212", "1"), ("1112", "1"),
+    ])
+]
+
+
+def _exact_setexprs(ambient):
+    points = st.dictionaries(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=8),
+        max_size=2,
+    ).map(lambda m: XiPoint.of(m, ambient))
+    leaves = st.one_of(
+        st.sampled_from(_EXACT_BRANCHES).map(Atom),
+        st.sampled_from(_EXACT_BRANCHES).map(Atom),
+        points.map(Singleton),
+        st.just(Whole()),
+    )
+
+    def nodes(kids):
+        parts = st.lists(kids, max_size=3).map(tuple)
+        return st.one_of(parts.map(Union), parts.map(Inter), st.builds(Diff, kids, kids))
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+_EXACT_CLAIMS = st.sampled_from([XI, PI]).flatmap(
+    lambda ambient: st.tuples(st.just(ambient), _exact_setexprs(ambient), _exact_setexprs(ambient))
+)
+
+
+def _truth_table(expr, index, full):
+    """``expr`` on points that are no singleton, as a 2**k-bit integer: bit j
+    is the verdict under the assignment that misses atom i exactly when bit
+    i of j is set."""
+    kind = type(expr)
+    if kind is Atom:
+        i = index[expr.branch]
+        return sum(1 << j for j in range(full.bit_length()) if j >> i & 1)
+    if kind is Whole:
+        return full
+    if kind is Singleton:
+        return 0
+    if kind is Union:
+        out = 0
+        for part in expr.parts:
+            out |= _truth_table(part, index, full)
+        return out
+    if kind is Inter:
+        out = full
+        for part in expr.parts:
+            out &= _truth_table(part, index, full)
+        return out
+    return _truth_table(expr.left, index, full) & ~_truth_table(expr.right, index, full)
+
+
+def _truth_table_holds(lhs, rhs, ambient) -> bool:
+    """A second exact decision: the empty and singleton points, then one
+    truth table per side over independent atoms."""
+    atoms = dict.fromkeys(lhs.atoms() + rhs.atoms())
+    assert len(atoms) <= 12
+    points = [XiPoint.of({}, ambient)]
+    points += [XiPoint(q.support, ambient) for q in lhs.singleton_points() + rhs.singleton_points()]
+    for p in points:
+        if validate_point(p) and eval_setexpr(p, lhs) and not eval_setexpr(p, rhs):
+            return False
+    index = {a: i for i, a in enumerate(atoms)}
+    full = (1 << (1 << len(atoms))) - 1
+    return not _truth_table(lhs, index, full) & ~_truth_table(rhs, index, full) & full
+
+
+class TestExactContainment:
+    @given(_EXACT_CLAIMS)
+    @settings(max_examples=200, deadline=None)
+    # a singleton on both sides and a difference, in pi
+    @example((PI, Diff(Whole(), Singleton(XiPoint.of({1: 3}, PI))), Atom(ALL1)))
+    # a singleton that is no point of xi
+    @example((XI, Union((Singleton(XiPoint.of({2: 1})), Atom(ALL2))), empty_expr()))
+    def test_matches_truth_tables_and_truncations(self, claim):
+        ambient, lhs, rhs = claim
+        witness = exact_counterexample(lhs, rhs, ambient)
+        assert (witness is None) == _truth_table_holds(lhs, rhs, ambient)
+        if witness is not None:
+            assert witness.ambient == ambient and validate_point(witness)
+            assert eval_setexpr(witness, lhs) and not eval_setexpr(witness, rhs)
+            return
+        for tv in ((4, 6), (8, 10), (12, 16)):
+            assert next(containment_violations(lhs, rhs, Truncation(*tv), ambient), None) is None
+
+    def test_finds_a_failure_past_every_truncation(self):
+        # 1111:2 and 1111:12 share the elements 1, 3, 7 and 15, the codes of
+        # 1, 11, 111 and 1111, so Z(1111:2) ⊆ Z(1111:12) holds up to position
+        # 30; 31, the code of 11111, is the first element of 1111:12 only
+        a, b = _EXACT_BRANCHES[7], _EXACT_BRANCHES[8]
+        assert next(containment_violations(Atom(a), Atom(b), Truncation(12, 16), XI), None) is None
+        assert exact_counterexample(Atom(a), Atom(b), XI) == XiPoint.of({31: 31})
+
+    def test_unknown_ambient(self):
+        with pytest.raises(SpaceError):
+            exact_counterexample(Whole(), Whole(), "zz")
+
+    def test_term_bound(self):
+        # nine two-term factors over distinct atoms: 512 terms before absorption
+        words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(18)]
+        atoms = [Atom(BranchIndex(w, "1", i)) for i, w in enumerate(words)]
+        lhs = Inter(tuple(Union(pair) for pair in zip(atoms[::2], atoms[1::2])))
+        with pytest.raises(TermBoundError, match="MAX_DNF_TERMS = 256"):
+            exact_counterexample(lhs, Whole(), XI)
+        assert exact_counterexample(Inter(lhs.parts[:8]), Whole(), XI) is None
 
 
 @given(
