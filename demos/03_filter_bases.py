@@ -1,14 +1,13 @@
 """Filter bases over zero sets: membership verdicts, shifts, pseudo-finiteness.
 
 A finite generator list presents the filter of all supersets of finite
-generator intersections.  Pure intersection forms are decided exactly over
-the whole space; everything else is settled exhaustively on a truncation.
+generator intersections.  Every query is decided exactly over the whole
+space, with no truncation.
 """
 
 from zfilterlab import (
     Atom,
     FilterBase,
-    Truncation,
     Union,
     combine_nonredundancy_witnesses,
     filter_member,
@@ -21,7 +20,6 @@ from zfilterlab import (
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 a, b, c = reg.entries
-trunc = Truncation(4, 6)
 
 # --- the pairwise-union filter base ---------------------------------------
 
@@ -30,14 +28,14 @@ trunc = Truncation(4, 6)
 base = pairwise_union_base([a, b, c])
 print("generators:", len(base.generators), "pairwise unions")
 
-v = filter_member(base, Union((Atom(a), Atom(b))), trunc)
+v = filter_member(base, Union((Atom(a), Atom(b))))
 print("union of N_a and N_b:", v.status, "(it is a generator)")
 
-v = filter_member(base, Atom(a), trunc)
+v = filter_member(base, Atom(a))
 print("N_a alone:", v.status, "- witness point", v.witness.literal())
 # the witness sits in every generator but escapes N_a
 
-# --- exact route on intersection forms --------------------------------------
+# --- intersection bases --------------------------------------------------
 
 atoms_base = FilterBase.of([Atom(a), Atom(b)])
 v = filter_member(atoms_base, Atom(a))
@@ -51,15 +49,15 @@ print("N_c against {N_a, N_b}:", v.status, "- exact witness", v.witness.literal(
 # pseudo-finite family; shaving the generators implements it
 shifted = shifted_filter(base, a)
 print("\nafter shifting by a, N_b is a member:",
-      filter_member(shifted, Atom(b), trunc).status)
+      filter_member(shifted, Atom(b)).status)
 print("consistency: same verdict as querying the union directly:",
-      filter_member(base, Union((Atom(b), Atom(a))), trunc).status)
+      filter_member(base, Union((Atom(b), Atom(a)))).status)
 
 # --- pseudo-finite exceptions ---------------------------------------------------
 
 family = [shifted_filter(base, x) for x in (a, b, c)]
 zset = Union((Atom(b), Atom(c)))
-exceptions, verdicts = pseudo_finite_exceptions(family, zset, trunc)
+exceptions, verdicts = pseudo_finite_exceptions(family, zset)
 print("\nunion of N_b, N_c across the shifted family:")
 for i, verdict in enumerate(verdicts):
     print(f"  index {i} ({reg.entries[i].label}): {verdict.status}")
@@ -71,7 +69,7 @@ print("exception indices:", exceptions)
 # by monotonicity and a concrete point refutes it at the target
 tails = [FilterBase.of([Atom(x)]) for x in (a, b, c)]
 report = combine_nonredundancy_witnesses(
-    {1: union_atoms([b]), 2: union_atoms([c])}, 0, tails, trunc
+    {1: union_atoms([b]), 2: union_atoms([c])}, 0, tails
 )
 print("\ncombined witness union proven in 1:", report.per_base[1].status,
       "and 2:", report.per_base[2].status)

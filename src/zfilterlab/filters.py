@@ -2,12 +2,12 @@
 
 A filter base is a finite generator list; a set belongs to the generated
 filter iff it contains the intersection of some finite generator subset.
-Membership verdicts are three-valued: pure intersection forms are decided
-exactly over the whole ambient (``exact`` is set); everything else,
-properness included, is settled on the truncation the caller passes, and
-with none at hand the query stays unknown.  Refutations always carry a
-concrete point in the intersection of all generators that misses the queried
-set, which rules out every generator subset at once.
+Every query, properness included, is decided over the whole ambient by
+`space.exact_counterexample`, so a verdict is proven or refuted; a claim
+whose DNF grows past `space.MAX_DNF_TERMS` raises `space.TermBoundError`.
+Refutations always carry a concrete point in the intersection of all
+generators that misses the queried set, which rules out every generator
+subset at once.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from .space import (
     XI,
     Atom,
     Diff,
-    Inter,
     SetExpr,
-    Truncation,
     Union,
     Whole,
     XiPoint,
-    containment_counterexample,
     empty_expr,
     exact_counterexample,
     inter_of,
@@ -64,10 +61,9 @@ class FilterBase:
         """Intersection of every generator: the smallest set in the filter."""
         return inter_of(self.generators)
 
-    def is_proper(self, trunc: Truncation) -> bool:
-        """Empirical properness: the core is nonempty on the truncation."""
-        core = self.core()
-        return containment_counterexample(core, empty_expr(), trunc, self.ambient) is not None
+    def is_proper(self) -> bool:
+        """Properness: the core is nonempty."""
+        return exact_counterexample(self.core(), empty_expr(), self.ambient) is not None
 
 
 def pairwise_union_base(branches: Sequence[BranchIndex], ambient: str = "xi") -> FilterBase:
@@ -87,10 +83,10 @@ def pairwise_union_base(branches: Sequence[BranchIndex], ambient: str = "xi") ->
 
 @dataclass(frozen=True)
 class MemberVerdict:
-    status: Literal["proven", "refuted", "unknown"]
+    status: Literal["proven", "refuted"]
     subset: tuple[int, ...] | None = None  # generator indices whose intersection works
     witness: XiPoint | None = None  # point in every generator but outside the query
-    exact: bool = False
+    exact = True  # every verdict is; perfbench/run.py reads the field
 
     @property
     def proven(self) -> bool:
@@ -101,38 +97,20 @@ class MemberVerdict:
         return self.status == "refuted"
 
 
-def _pure_intersection(expr: SetExpr) -> bool:
-    """Whether the expression is an intersection of atoms (or Whole)."""
-    kind = type(expr)
-    if kind is Inter:
-        return all(_pure_intersection(part) for part in expr.parts)
-    return kind is Atom or kind is Whole
-
-
-def filter_member(
-    base: FilterBase, zset: SetExpr, trunc: Truncation | None = None
-) -> MemberVerdict:
-    """Decide membership of ``zset`` in the filter generated by ``base``,
-    exactly or on ``trunc`` (see the module docstring).  A point in the core
-    outside the query refutes every subset at once; otherwise the smallest
-    working generator subset is reported."""
+def filter_member(base: FilterBase, zset: SetExpr, trunc: object = None) -> MemberVerdict:
+    """Decide membership of ``zset`` in the filter generated by ``base``
+    over the whole ambient; ``trunc`` is accepted and ignored, as
+    perfbench/run.py passes one.  A point in the core outside the query
+    refutes every subset at once; otherwise the smallest working generator
+    subset is reported."""
     gens = base.generators
-    exact = all(_pure_intersection(e) for e in (*gens, zset))
-    if not exact and trunc is None:
-        return MemberVerdict("unknown")
-
-    def counterexample(lhs: SetExpr) -> XiPoint | None:
-        if exact:
-            return exact_counterexample(lhs, zset, base.ambient)
-        return containment_counterexample(lhs, zset, trunc, base.ambient)
-
-    witness = counterexample(base.core())
+    witness = exact_counterexample(base.core(), zset, base.ambient)
     if witness is not None:
-        return MemberVerdict("refuted", witness=witness, exact=exact)
+        return MemberVerdict("refuted", witness=witness)
     for size in range(0, len(gens) + 1):
         for combo in itertools.combinations(range(len(gens)), size):
-            if counterexample(inter_of(gens[i] for i in combo)) is None:
-                return MemberVerdict("proven", subset=combo, exact=exact)
+            if exact_counterexample(inter_of(gens[i] for i in combo), zset, base.ambient) is None:
+                return MemberVerdict("proven", subset=combo)
     raise AssertionError("the full generator subset must succeed here")
 
 
@@ -150,7 +128,7 @@ def shifted_filter(base: FilterBase, alpha: BranchIndex) -> FilterBase:
 
 
 def pseudo_finite_exceptions(
-    family: Sequence[FilterBase], zset: SetExpr, trunc: Truncation
+    family: Sequence[FilterBase], zset: SetExpr
 ) -> tuple[list[int], list[MemberVerdict]]:
     """Indices of family members whose filter misses ``zset``.
 
@@ -158,7 +136,7 @@ def pseudo_finite_exceptions(
     belong to all but finitely many members; this reports exactly the
     exceptional indices together with every per-index verdict.
     """
-    verdicts = [filter_member(b, zset, trunc) for b in family]
+    verdicts = [filter_member(b, zset) for b in family]
     if not any(v.proven for v in verdicts):
         raise FilterError("the set belongs to no family member; nothing to except")
     exceptions = [i for i, v in enumerate(verdicts) if not v.proven]
@@ -176,25 +154,24 @@ def combine_nonredundancy_witnesses(
     witnesses: Mapping[int, SetExpr],
     target: int,
     family: Sequence[FilterBase],
-    trunc: Truncation,
 ) -> CombineReport:
     """Union the per-member witnesses into one set separating the target.
 
     Each witness lives in its own member filter, so the union does too by
-    monotonicity (the same generator subset still works).  Against the target
-    the union is refuted by a direct point check: a truncated point in the
-    target's core avoiding every witness; if none shows up within the
-    truncation the target verdict stays unknown.
+    monotonicity (the same generator subset still works).  The target
+    verdict is the union's own membership query at the target: refuted, by
+    a point of the target's core avoiding every witness, when the union
+    separates it, and proven when the witnesses together cover that core.
     """
     if not witnesses:
         raise FilterError("no witnesses to combine")
     if target in witnesses:
         raise FilterError("the target index cannot carry a witness")
     for idx, w in witnesses.items():
-        own = filter_member(family[idx], w, trunc)
+        own = filter_member(family[idx], w)
         if not own.proven:
             raise FilterError(f"witness for index {idx} is not in its own filter")
-        against = filter_member(family[target], w, trunc)
+        against = filter_member(family[target], w)
         if not against.refuted:
             raise FilterError(f"witness for index {idx} is not refuted at the target")
 
@@ -205,14 +182,7 @@ def combine_nonredundancy_witnesses(
     for i, base in enumerate(family):
         if i == target:
             continue
-        per_base[i] = filter_member(base, combined, trunc)
+        per_base[i] = filter_member(base, combined)
 
-    target_base = family[target]
-    point = containment_counterexample(
-        target_base.core(), Union(tuple(ordered)), trunc, target_base.ambient
-    )
-    if point is None:
-        target_verdict = MemberVerdict("unknown")
-    else:
-        target_verdict = MemberVerdict("refuted", witness=point)
+    target_verdict = filter_member(family[target], combined)
     return CombineReport(combined, per_base, target_verdict)

@@ -39,10 +39,10 @@ pattern of some point valued past every singleton.  So ``lhs ⊆ rhs`` iff no
 valid one of the empty and singleton points violates it and ``lhs ∧ ¬rhs``
 is unsatisfiable in independent atom variables (singletons false, `Whole`
 true), which a DNF of (miss, hit) masks decides.  `containment_violations`
-lists the violations within a truncation, for the oracle, the property-(B)
-refuter and the truncated filter helpers, walking only the support classes
-the hit patterns and singletons leave open.  `eval_setexpr` is the
-reference both are tested against.
+lists the violations within a truncation, for the oracle and the
+property-(B) refuter, walking only the support classes the hit patterns and
+singletons leave open.  `eval_setexpr` is the reference both are tested
+against.
 """
 
 from __future__ import annotations

@@ -489,7 +489,7 @@ def test_criterion_oracle_equivalence():
     ]
     core = base.core()
     for z in corpus:
-        verdict = filter_member(base, z, trunc)
+        verdict = filter_member(base, z)
         oracle = all(
             eval_setexpr(p, z) for p in points if eval_setexpr(p, core)
         )

@@ -482,7 +482,7 @@ class TestChains:
         report = increasing_chain_engine(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries[:steps]):
-                verdict = filter_member(report.bases[k], Atom(entry), TR)
+                verdict = filter_member(report.bases[k], Atom(entry))
                 assert verdict.proven == (j < k)
 
     def test_decreasing_membership_biconditional(self):
@@ -491,7 +491,7 @@ class TestChains:
         report = decreasing_chain_engine(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries):
-                verdict = filter_member(report.bases[k], Atom(entry), TR)
+                verdict = filter_member(report.bases[k], Atom(entry))
                 assert verdict.proven == (j >= k)
 
     def test_pair_witness_points_verify(self):
