@@ -22,47 +22,20 @@ import itertools
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .branches import BranchError, BranchIndex, Registry
-from .certificates import Certificate, CertificateError
-from .checking import CheckReport, check_certificate, check_certificate_text
-from .engines import (
-    AFailure,
-    EngineError,
-    check_extendibility_a,
-    check_extendibility_b,
-    containment_decreasing,
-    containment_full_product,
-    cover_certificate,
-    decreasing_chain_engine,
-    increasing_chain_engine,
-    property_a_check,
-    property_b_refute,
-)
-from .formats import (
-    FormatError,
-    parse_afailures,
-    parse_branch_literal,
-    parse_registry,
-    parse_setexpr,
-)
-from .space import (
-    PI,
-    SpaceError,
-    TermBoundError,
-    Truncation,
-    XI,
-    containment_violations,
-    empty_expr,
-)
-from .branches import (
-    branch_elements,
-    decode_code,
-    density_count,
-    encode_string,
-    find_separator,
-    intersection_exact,
-)
+import zfilterlab
+
+# the handlers reach the package's modules as attributes of the package, which
+# imports each on first use: a command loads only the modules it runs, and
+# ``import zfilterlab.cli`` loads none.  (An import statement in each handler
+# would load as little, but costs microseconds on every call.)
+if TYPE_CHECKING:
+    from .branches import BranchIndex, Registry
+    from .certificates import Certificate
+    from .checking import CheckReport
+    from .engines import AFailure
+    from .space import Truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,6 +48,10 @@ CAP_T = 12
 CAP_V = 16
 
 OUTPUT_DIR_ENV = "ZFILTERLAB_OUT"
+
+# the ambients as `space` names them; written out, so that the parser is built
+# without loading `space`
+XI, PI = "xi", "pi"
 
 # each lemma's engine decides, and records, this one ambient
 LEMMAS = {
@@ -118,17 +95,30 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # an except clause's classes are looked up only when an exception reaches it
     try:
         return args.func(args)
-    except (UsageError, FormatError, BranchError, SpaceError) as exc:
+    except (UsageError, *_loaded("formats.FormatError", "branches.BranchError",
+                                 "space.SpaceError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceCap, TermBoundError) as exc:
+    except (ResourceCap, *_loaded("space.TermBoundError")) as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (EngineError, CertificateError) as exc:
+    except _loaded("engines.EngineError", "certificates.CertificateError") as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The classes named ``module.Class`` whose package module is loaded.  A
+    module not loaded raised nothing, so looking its classes up loads none."""
+    classes = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        if f"{__package__}.{module}" in sys.modules:
+            classes.append(getattr(sys.modules[f"{__package__}.{module}"], cls))
+    return tuple(classes)
 
 
 @functools.cache
@@ -239,12 +229,12 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 
 
 def _registry(args) -> Registry:
-    return parse_registry(args.registry)
+    return zfilterlab.formats.parse_registry(args.registry)
 
 
 def _truncation(args) -> Truncation:
     _require_within_caps(args, args.T, args.V, "truncation")
-    return Truncation(args.T, args.V)
+    return zfilterlab.space.Truncation(args.T, args.V)
 
 
 def _require_within_caps(args, T: int, V: int, what: str) -> None:
@@ -274,11 +264,11 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
     """Label lookup first, then branch literal; unseen literals get registered."""
     try:
         return reg.by_label(text)
-    except BranchError:
+    except zfilterlab.branches.BranchError:
         pass
     if ":" not in text:
         raise UsageError(f"{text!r} is not a registry label, and literals need a colon")
-    branch = parse_branch_literal(text)
+    branch = zfilterlab.formats.parse_branch_literal(text)
     if branch in reg:
         return reg.entry(branch)
     return reg.add_unlabelled(branch.pre, branch.period, reg.max_rank() + 1)
@@ -289,51 +279,52 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
 # ---------------------------------------------------------------------------
 
 def _cmd_family_elements(args) -> int:
-    branch = parse_branch_literal(args.branch)
-    print(",".join(str(x) for x in branch_elements(branch, args.count)))
+    branch = zfilterlab.formats.parse_branch_literal(args.branch)
+    print(",".join(str(x) for x in zfilterlab.branches.branch_elements(branch, args.count)))
     return EXIT_OK
 
 
 def _cmd_family_intersect(args) -> int:
-    a = parse_branch_literal(args.first)
-    b = parse_branch_literal(args.second, rank=1)
-    inter = sorted(intersection_exact(a, b))
+    a = zfilterlab.formats.parse_branch_literal(args.first)
+    b = zfilterlab.formats.parse_branch_literal(args.second, rank=1)
+    inter = sorted(zfilterlab.branches.intersection_exact(a, b))
     print("{" + ",".join(str(x) for x in inter) + "}")
     return EXIT_OK
 
 
 def _cmd_family_separator(args) -> int:
-    branch = parse_branch_literal(args.branch)
-    group = [parse_branch_literal(g, rank=i + 1) for i, g in enumerate(args.group)]
-    print(find_separator(branch, group))
+    parse = zfilterlab.formats.parse_branch_literal
+    branch = parse(args.branch)
+    group = [parse(g, rank=i + 1) for i, g in enumerate(args.group)]
+    print(zfilterlab.branches.find_separator(branch, group))
     return EXIT_OK
 
 
 def _cmd_family_cover(args) -> int:
     reg = _registry(args)
     base = [_resolve_branch(reg, b) for b in args.base]
-    cover, cert = cover_certificate(args.l, args.gamma, reg, base)
+    cover, cert = zfilterlab.engines.cover_certificate(args.l, args.gamma, reg, base)
     path = _output_path(args, "cover.cert.json")
     _write_certificate(cert, path)
     for c in cover:
         print(f"{c.label} {c.literal()} rank={c.rank}")
     print(f"certificate: {path}")
-    report = check_certificate(cert)
+    report = zfilterlab.checking.check_certificate(cert)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _cmd_family_density(args) -> int:
-    print(density_count(args.n, args.depth))
+    print(zfilterlab.branches.density_count(args.n, args.depth))
     return EXIT_OK
 
 
 def _cmd_family_encode(args) -> int:
-    print(encode_string(args.word))
+    print(zfilterlab.branches.encode_string(args.word))
     return EXIT_OK
 
 
 def _cmd_family_decode(args) -> int:
-    print(decode_code(args.code))
+    print(zfilterlab.branches.decode_code(args.code))
     return EXIT_OK
 
 
@@ -354,7 +345,7 @@ def _cmd_verify(args) -> int:
     cert = _run_engine(args, _registry(args))
     path = _output_path(args, f"{args.lemma}.cert.json")
     _write_certificate(cert, path)
-    report = check_certificate(cert)
+    report = zfilterlab.checking.check_certificate(cert)
     for problem in report.problems:
         print(f"problem: {problem}", file=sys.stderr)
     print(f"{cert.kind}: {'verified' if report.ok else 'rejected'} -> {path}")
@@ -365,59 +356,61 @@ def _check_file(args) -> CheckReport:
     """Replay a certificate file, refusing an ``--ambient`` other than the
     recorded one, and truncations past the caps: in the worst case the replay
     enumerates every support class up to the certificate's T."""
+    certificates, checking = zfilterlab.certificates, zfilterlab.checking
     text = _read_file(args.check, "certificate")
     try:
-        cert = Certificate.from_json(text)
-    except CertificateError:
+        cert = certificates.Certificate.from_json(text)
+    except certificates.CertificateError:
         # the checker reports why the document does not parse
-        return check_certificate_text(text)
+        return checking.check_certificate_text(text)
     recorded = cert.params.get("ambient", XI)
     if args.ambient not in (None, recorded):
         raise UsageError(f"the certificate is made in {recorded}, not in {args.ambient}")
     trunc = cert.params.get("truncation")
     if isinstance(trunc, dict) and all(isinstance(trunc.get(k), int) for k in ("T", "V")):
         _require_within_caps(args, trunc["T"], trunc["V"], "certificate truncation")
-    return check_certificate(cert)
+    return checking.check_certificate(cert)
 
 
 def _run_engine(args, reg: Registry) -> Certificate:
     """Run the lemma's engine.  Only property-b searches a truncation, so
     only it reads ``--T/--V`` and meets the caps; the other lemmas are exact
     and ignore those options."""
+    engines, parse_setexpr = zfilterlab.engines, zfilterlab.formats.parse_setexpr
     lemma = args.lemma
     ambient = LEMMAS[lemma]
     if args.ambient not in (None, ambient):
         raise UsageError(f"{lemma} decides in {ambient} only, not in {args.ambient}")
     if lemma == "extendibility-a":
-        return check_extendibility_a(reg)
+        return engines.check_extendibility_a(reg)
     if lemma == "extendibility-b":
         if not args.zset or not args.alpha:
             raise UsageError("extendibility-b needs --zset and --alpha")
         zset = parse_setexpr(args.zset, reg, ambient)
         alpha = _resolve_branch(reg, args.alpha)
-        return check_extendibility_b(zset, alpha, reg)
+        return engines.check_extendibility_b(zset, alpha, reg)
     if lemma == "containment-dec":
         subtracted = [_resolve_branch(reg, b) for b in args.F]
         kept = [_resolve_branch(reg, b) for b in args.G]
-        return containment_decreasing(subtracted, kept, args.gamma, reg).certificate
+        return engines.containment_decreasing(subtracted, kept, args.gamma, reg).certificate
     if lemma == "containment-full":
         kept = [_resolve_branch(reg, b) for b in args.F]
         subtracted = [_resolve_branch(reg, b) for b in args.G]
-        return containment_full_product(kept, subtracted).certificate
+        return engines.containment_full_product(kept, subtracted).certificate
     if lemma == "property-a":
         if not args.zset:
             raise UsageError("property-a needs --zset")
         zset = parse_setexpr(args.zset, reg, ambient)
-        return property_a_check(zset, reg).certificate
+        return engines.property_a_check(zset, reg).certificate
     if lemma == "property-b":
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")
         failures = _load_afailures(args.cover, reg, ambient)
-        return property_b_refute(failures, args.gamma, reg, _truncation(args)).certificate
+        return engines.property_b_refute(failures, args.gamma, reg, _truncation(args)).certificate
     if lemma == "chain-inc":
-        return increasing_chain_engine(reg, args.steps).certificate
+        return engines.increasing_chain_engine(reg, args.steps).certificate
     if lemma == "chain-dec":
-        return decreasing_chain_engine(reg, args.steps).certificate
+        return engines.decreasing_chain_engine(reg, args.steps).certificate
     raise UsageError(f"unknown lemma {lemma!r}")
 
 
@@ -443,15 +436,16 @@ def _expr_field(doc: dict, key: str, what: str, reg: Registry, ambient: str):
     text = doc.get(key)
     if not isinstance(text, str):
         raise UsageError(f"{what} needs a set expression string under {key!r}")
-    return parse_setexpr(text, reg, ambient)
+    return zfilterlab.formats.parse_setexpr(text, reg, ambient)
 
 
 def _load_afailures(path: str, reg: Registry, ambient: str) -> list[AFailure]:
     """A cover file's ``afailures``, in the shape a certificate records them."""
     doc = _load_json_object(path, "cover file")
+    afailures = zfilterlab.formats.parse_afailures(doc.get("afailures", []), reg, ambient)
     return [
-        AFailure(zset, tuple(constraining), tuple(absorbing))
-        for zset, constraining, absorbing in parse_afailures(doc.get("afailures", []), reg, ambient)
+        zfilterlab.engines.AFailure(zset, tuple(constraining), tuple(absorbing))
+        for zset, constraining, absorbing in afailures
     ]
 
 
@@ -471,7 +465,8 @@ def _cmd_oracle(args) -> int:
     limit = max(args.max_counterexamples, 1)
 
     def violations(left, right):
-        return list(itertools.islice(containment_violations(left, right, trunc, ambient), limit))
+        found = zfilterlab.space.containment_violations(left, right, trunc, ambient)
+        return list(itertools.islice(found, limit))
 
     if kind == "containment":
         if rhs is None:
@@ -482,7 +477,7 @@ def _cmd_oracle(args) -> int:
             raise UsageError("equality claims need lhs and rhs")
         bad = violations(lhs, rhs) + violations(rhs, lhs)
     elif kind == "emptiness":
-        bad = violations(lhs, empty_expr())
+        bad = violations(lhs, zfilterlab.space.empty_expr())
     else:
         raise UsageError(f"unknown claim kind {kind!r}")
 

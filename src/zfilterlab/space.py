@@ -20,9 +20,11 @@ truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
 finite values, and the callers that reason from supports alone (the
-truncated containment loop and `closure_member`) compile their expressions once with
-`support_evaluator` (`closure_member`, exact and two-valued, reads one
-support per reachable hit pattern).  A support is a frozenset of positions;
+truncated containment loop and `closure_member`) compile their expressions
+once with `_compile` (`closure_member`, exact and two-valued, reads one
+support per reachable hit pattern).  `support_evaluator` and
+`eval_on_support` wrap the same rule for library callers and the tests; no
+module of the package calls them.  A support is a frozenset of positions;
 an atom compiles to the set of its branch's elements up to ``T`` and holds
 exactly when the support misses that set.  Supports may also hold positions
 past ``T``, listed up front as ``extra`` (`eval_on_support` lists a whole

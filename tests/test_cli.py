@@ -1,11 +1,17 @@
-"""Command-line behavior: outputs, exit codes, certificate files, oracle claims."""
+"""Command-line behavior: outputs, exit codes, certificate files, oracle claims;
+and what a command, or an import of the package, loads."""
 
 import argparse
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from zfilterlab import cli
+import zfilterlab
+from zfilterlab import cli, space
 from zfilterlab.certificates import Certificate
 from zfilterlab.cli import (
     EXIT_FAIL,
@@ -693,3 +699,149 @@ class TestInputErrors:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: cannot write certificate: ")
         assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
+# every name the package re-exports, by the module that defines it
+EXPORTS = {
+    "branches": [
+        "BranchError", "BranchIndex", "Registry", "branch_elements", "branch_member",
+        "decode_code", "density_count", "encode_string", "find_cover", "find_separator",
+        "intersection_exact", "make_registry",
+    ],
+    "certificates": ["Certificate", "CertificateError"],
+    "checking": ["CheckReport", "check_certificate", "check_certificate_text"],
+    "engines": [
+        "AFailure", "AFailureVerificationError", "CertificationError", "EngineError",
+        "check_extendibility_a", "check_extendibility_b", "containment_decreasing",
+        "containment_full_product", "cover_certificate", "decreasing_chain_engine",
+        "increasing_chain_engine", "property_a_check", "property_b_refute",
+    ],
+    "filters": [
+        "FilterBase", "FilterError", "MemberVerdict", "combine_nonredundancy_witnesses",
+        "filter_member", "pairwise_union_base", "pseudo_finite_exceptions", "shifted_filter",
+    ],
+    "formats": [
+        "FormatError", "parse_branch_literal", "parse_point_literal", "parse_registry",
+        "parse_setexpr", "setexpr_text",
+    ],
+    "space": [
+        "ApproxSequence", "Atom", "Diff", "Inter", "PI", "SetExpr", "Singleton", "SpaceError",
+        "Truncation", "Union", "Whole", "XI", "XiPoint", "approx_sequence", "closure_member",
+        "enumerate_truncated", "eval_setexpr", "exact_counterexample", "in_zero_set",
+        "inter_atoms", "multi_escape_sequence", "union_atoms", "validate_point",
+    ],
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+class TestPackageExports:
+    """`zfilterlab` re-exports its modules' names, each looked up on first use."""
+
+    def test_all_lists_every_export(self):
+        assert len(EXPORTED) == 67
+        assert sorted(zfilterlab.__all__) == sorted(name for _, name in EXPORTED)
+
+    def test_each_export_is_its_modules_object(self):
+        def source(module):
+            return importlib.import_module(f"zfilterlab.{module}")
+
+        wrong = [n for m, n in EXPORTED if getattr(zfilterlab, n) is not getattr(source(m), n)]
+        assert wrong == []
+        assert set(zfilterlab.__all__) <= set(dir(zfilterlab))
+
+    def test_each_module_is_an_attribute(self):
+        for module in EXPORTS:
+            assert getattr(zfilterlab, module) is importlib.import_module(f"zfilterlab.{module}")
+        assert set(EXPORTS) <= set(dir(zfilterlab))
+
+    def test_export_reads_the_current_binding(self, monkeypatch):
+        # a tracer rebinds names in the modules; the package must not keep
+        # the object it read first
+        original = zfilterlab.check_certificate
+        monkeypatch.setattr("zfilterlab.checking.check_certificate", len)
+        assert zfilterlab.check_certificate is len
+        monkeypatch.undo()
+        assert zfilterlab.check_certificate is original
+        assert "check_certificate" not in vars(zfilterlab)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            zfilterlab.no_such_name
+        assert not hasattr(zfilterlab, "parse_afailures")
+
+    def test_from_imports(self):
+        namespace = {}
+        exec("from zfilterlab import cli as c\nfrom zfilterlab import *", namespace)
+        assert namespace["c"] is cli
+        assert set(namespace) - {"__builtins__", "c"} == set(zfilterlab.__all__)
+
+    def test_cli_ambient_names_are_the_spaces(self):
+        assert (cli.XI, cli.PI) == (space.XI, space.PI)
+        assert set(cli.LEMMAS.values()) == {space.XI, space.PI}
+
+
+# runs `main` on argv in a fresh interpreter, then prints its exit code and
+# the package modules loaded
+FOOTPRINT = """
+import sys
+from zfilterlab import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("zfilterlab")))
+"""
+
+
+def _fresh(tmp_path, *args: str) -> tuple[list[str], str]:
+    src = os.path.dirname(os.path.dirname(zfilterlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.stdout.splitlines()[-1].split(), proc.stderr
+
+
+class TestImportFootprint:
+    """Each command loads only the package modules it runs."""
+
+    def test_package_import_loads_no_module(self, tmp_path):
+        code = 'import sys, zfilterlab; print(*sorted(m for m in sys.modules if "zfilterlab" in m))'
+        assert _fresh(tmp_path, "-c", code)[0] == ["zfilterlab"]
+        # a module loads on first use as an attribute of the package
+        code = "import sys, zfilterlab; zfilterlab.formats; print(*sorted(sys.modules))"
+        loaded = _fresh(tmp_path, "-c", code)[0]
+        assert "zfilterlab.formats" in loaded and "zfilterlab.engines" not in loaded
+
+    def test_cli_import_loads_only_cli(self, tmp_path):
+        code = 'import sys, zfilterlab.cli; print(*sorted(m for m in sys.modules if "zfilterlab" in m))'
+        assert _fresh(tmp_path, "-c", code)[0] == ["zfilterlab", "zfilterlab.cli"]
+
+    @pytest.mark.parametrize(
+        "argv, want_code, unloaded",
+        [
+            (["oracle", "claim.json", *_reg_flags()], EXIT_OK,
+             {"engines", "checking", "certificates", "filters"}),
+            (["verify", "--check", "cert.json"], EXIT_OK, {"engines", "filters"}),
+            # each error's exit code, its class looked up only once raised:
+            # BranchError with `space` and `formats` not loaded, FormatError,
+            # ResourceCap and EngineError
+            (["family", "encode", "3"], EXIT_USAGE,
+             {"engines", "checking", "certificates", "filters", "formats", "space"}),
+            (["oracle", "bad.json", *_reg_flags()], EXIT_USAGE,
+             {"engines", "checking", "certificates", "filters"}),
+            (["oracle", "claim.json", "--T", "13"], EXIT_RESOURCE,
+             {"engines", "checking", "certificates", "filters"}),
+            (["verify", "extendibility-a", "-r", "a=1:2@0"], EXIT_FAIL, set()),
+        ],
+        ids=["oracle", "verify-check", "family-branch-error", "oracle-format-error",
+             "oracle-resource-cap", "verify-engine-error"],
+    )
+    def test_command_loads(self, capsys, tmp_path, argv, want_code, unloaded):
+        claim = {"claim": "equality", "lhs": "(inter N:a N:b)", "rhs": "(inter N:b N:a)"}
+        (tmp_path / "claim.json").write_text(json.dumps(claim))
+        (tmp_path / "bad.json").write_text(json.dumps({**claim, "lhs": "(inter N:a"}))
+        run(capsys, "verify", "chain-inc", *_reg_flags(), "--out", str(tmp_path / "cert.json"))
+        (code, *loaded), err = _fresh(tmp_path, "-c", FOOTPRINT, *argv)
+        assert int(code) == want_code
+        assert err.startswith({EXIT_OK: "", EXIT_FAIL: "failed: "}.get(want_code, "error: "))
+        assert not {f"zfilterlab.{m}" for m in unloaded} & set(loaded)
