@@ -28,6 +28,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+# the chain engines reach `filters` as an attribute of the package, which
+# imports it on first use, so the other engines do not load it
+import zfilterlab
+
 from .branches import (
     BranchError,
     BranchIndex,
@@ -37,7 +41,6 @@ from .branches import (
     find_separator,
 )
 from .certificates import Certificate
-from .filters import FilterBase
 from .formats import setexpr_text
 from .space import (
     Ambient,
@@ -592,7 +595,7 @@ def _escape(
 
 @dataclass
 class ChainReport:
-    bases: list[FilterBase]
+    bases: list[zfilterlab.filters.FilterBase]
     certificate: Certificate
 
 
@@ -607,7 +610,7 @@ def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     """
     entries = _chain_entries(registry, steps)
     bases = [
-        FilterBase.of([Whole()] + [Atom(e) for e in entries[:k]])
+        zfilterlab.filters.FilterBase.of([Whole()] + [Atom(e) for e in entries[:k]])
         for k in range(steps)
     ]
     cert = Certificate(
@@ -634,7 +637,7 @@ def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     entries = _chain_entries(registry, steps)
     all_entries = list(registry)
     bases = [
-        FilterBase.of([Atom(e) for e in all_entries[k:]])
+        zfilterlab.filters.FilterBase.of([Atom(e) for e in all_entries[k:]])
         for k in range(steps)
     ]
     cert = Certificate(

@@ -19,19 +19,18 @@ algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
-finite values, and the callers that reason from supports alone (the
-truncated containment loop and `closure_member`) compile their expressions
-once with `_compile` (`closure_member`, exact and two-valued, reads one
-support per reachable hit pattern).  `support_evaluator` and
-`eval_on_support` wrap the same rule for library callers and the tests; no
-module of the package calls them.  A support is a frozenset of positions;
-an atom compiles to the set of its branch's elements up to ``T`` and holds
-exactly when the support misses that set.  Supports may also hold positions
-past ``T``, listed up front as ``extra`` (`eval_on_support` lists a whole
-support that way); each atom adds the extra positions its branch owns, so
-no set is sized by a position's value.  The closure containments need no
-support walk: coordinate pushing decides them exactly from separators and a
-cover (see `engines.ContainmentReport`).
+finite values; singletons are the only value-sensitive sets.  `_compile`
+turns an expression into a two-valued function of a support that gives the
+verdict at its generic points, those that are none of the expression's
+singletons: every singleton reads false, as in `_dnf`.  The truncated
+containment loop and `closure_member` compile once and evaluate singleton
+points with `eval_setexpr`.  A support is a frozenset of positions; an atom
+is the set of its branch's elements up to ``T`` plus the ``extra``
+positions it owns (so no set is sized by a value), and holds exactly when
+the support misses that set.  `eval_on_support` is the one-shot form; no
+module calls it, but the benchmark's tracer binds it.  The closure
+containments need no support walk: coordinate pushing decides them exactly
+from separators and a cover (see `engines.ContainmentReport`).
 
 `exact_counterexample` decides containment over the whole ambient.  A point
 neither empty nor a singleton's reads every singleton false, so its verdict
@@ -278,8 +277,14 @@ def _eval(
 
 
 def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
-    """One-shot `support_evaluator` on a single support of any positions."""
-    return support_evaluator(expr, 0, support)(support)
+    """Membership of the points with exactly this support, of any positions:
+    None when one of ``expr``'s nonempty singletons lies on the support,
+    else the generic verdict, which every such point shares."""
+    if not support:
+        return eval_setexpr(XiPoint.of({}), expr)
+    if any(frozenset(q.positions()) == support for q in expr.singleton_points()):
+        return None
+    return _compile(expr, _atom_sets(expr.atoms(), 0, support))(support)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +355,6 @@ def enumerate_truncated(trunc: Truncation, ambient: Ambient = XI) -> list[XiPoin
     return out
 
 
-def support_evaluator(
-    expr: SetExpr, T: int, extra: Iterable[int] = ()
-) -> Callable[[frozenset[int]], bool | None]:
-    """Compile ``expr`` into a tri-valued function of a support.
-
-    The verdict is exact on every support whose positions are at most ``T``
-    or among ``extra``; ``None`` means it depends on the values (a nonempty
-    singleton on exactly that support).  An atom becomes the set of its
-    branch's elements up to ``T`` plus the extra positions in the branch,
-    built once per distinct atom, and holds exactly when the support misses
-    that set.
-    """
-    return _compile(expr, _atom_sets(expr.atoms(), T, extra))
-
-
 def _atom_sets(
     atoms: Iterable[BranchIndex], T: int, extra: Iterable[int] = ()
 ) -> dict[BranchIndex, frozenset[int]]:
@@ -379,48 +369,33 @@ def _atom_sets(
 
 def _compile(
     expr: SetExpr, sets: dict[BranchIndex, frozenset[int]]
-) -> Callable[[frozenset[int]], bool | None]:
-    """`support_evaluator` over atom sets already built, told apart by class."""
+) -> Callable[[frozenset[int]], bool]:
+    """``expr`` as a function of a support, exact at the support's generic
+    points (none of the expression's singletons), where every singleton
+    reads False; an atom holds when the support misses its set in ``sets``."""
     kind = type(expr)
     if kind is Atom:
         return sets[expr.branch].isdisjoint
     if kind is Inter or kind is Union:
         parts = [_compile(p, sets) for p in expr.parts]
-        # one part with this verdict settles the node: True for a union,
-        # False for an intersection
+        # one part reading True settles a union, one reading False an intersection
         settles = kind is Union
 
-        def combined(support: frozenset[int]) -> bool | None:
-            unsure = False
+        def combined(support: frozenset[int]) -> bool:
             for part in parts:
-                verdict = part(support)
-                if verdict is settles:
+                if part(support) is settles:
                     return settles
-                unsure = unsure or verdict is None
-            return None if unsure else not settles
+            return not settles
 
         return combined
     if kind is Diff:
         left = _compile(expr.left, sets)
         right = _compile(expr.right, sets)
-
-        def difference(support: frozenset[int]) -> bool | None:
-            lv = left(support)
-            if lv is False:
-                return False
-            rv = right(support)
-            if rv is True:
-                return False
-            return True if lv is True and rv is False else None
-
-        return difference
+        return lambda support: left(support) and not right(support)
     if kind is Whole:
         return lambda support: True
     if kind is Singleton:
-        target = frozenset(expr.point.positions())
-        if not target:
-            return lambda support: not support
-        return lambda support: None if support == target else False
+        return lambda support: False
     raise SpaceError(f"unknown expression node {expr!r}")
 
 
@@ -430,15 +405,14 @@ def containment_violations(
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
     Both sides are compiled once against one shared set of atom element sets
-    (see `support_evaluator`).  Off the empty support and the singletons' own
-    supports every singleton is false, so a support's verdict there follows
-    from its hit pattern (`_hit_patterns`).  When no pattern violates, only
-    the empty support and the singletons' supports within ``T`` are
-    visited, in `support_classes` order; otherwise every support class is.
-    A class is settled at once when both sides are support-determined
-    there; in the other classes only the sides' singleton points are
-    evaluated (see the module docstring).  Raises `SpaceError` for an
-    unknown ambient before visiting any class.
+    (see `_compile`), which gives each support's generic verdict; it follows
+    from the support's hit pattern (`_hit_patterns`).  When no pattern
+    violates, only the empty support and the singletons' supports within
+    ``T`` are visited, in `support_classes` order; otherwise every support
+    class is.  A class that holds no singleton takes its generic verdict;
+    in the others the singleton points are evaluated (see
+    `_value_sensitive_violations`).  Raises `SpaceError` for an unknown
+    ambient before visiting any class.
     """
     if ambient not in (XI, PI):
         raise SpaceError(f"unknown ambient {ambient!r}")
@@ -449,11 +423,8 @@ def containment_violations(
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
     for q in points:
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
-    # position 0 lies in no branch and in no singleton's support, so every
-    # singleton reads False on a representative plus 0
     patterns = _hit_patterns(sets.values(), range(1, trunc.T + 1))
-    probes = (rep | {0} for rep in patterns)
-    if any(in_lhs(s) is True and in_rhs(s) is False for s in probes):
+    if any(in_lhs(s) and not in_rhs(s) for s in patterns):
         supports: Iterable[frozenset[int]] = support_classes(trunc)
     else:
         supports = sorted(
@@ -461,19 +432,13 @@ def containment_violations(
             key=lambda s: (len(s), sorted(s)),
         )
     for support in supports:
-        lv = in_lhs(support)
-        if lv is False:
-            continue
-        rv = in_rhs(support)
-        if rv is True:
-            continue
-        if lv is True and rv is False:
+        generic = in_lhs(support) and not in_rhs(support)
+        if support in singletons:
+            yield from _value_sensitive_violations(
+                support, singletons[support], lhs, rhs, generic, trunc, ambient
+            )
+        elif generic:
             yield from class_points(support, trunc, ambient)
-            continue
-        generic = in_lhs(support | {0}) and not in_rhs(support | {0})
-        yield from _value_sensitive_violations(
-            support, singletons.get(support, ()), lhs, rhs, lv, rv, generic, trunc, ambient
-        )
 
 
 def _hit_patterns(sets: Iterable[frozenset[int]], positions: Sequence[int]) -> list[frozenset[int]]:
@@ -506,33 +471,22 @@ def _value_sensitive_violations(
     singleton_values: Iterable[tuple[int, ...]],
     lhs: SetExpr,
     rhs: SetExpr,
-    lv: bool | None,
-    rv: bool | None,
     generic: bool,
     trunc: Truncation,
     ambient: Ambient,
 ) -> Iterator[XiPoint]:
-    """The violations in one support class the support alone does not settle.
-
-    ``singleton_values`` are the value tuples of the sides' singletons on this
-    support; a side with a support verdict (``lv`` True, ``rv`` False) is not
-    evaluated again.  ``generic`` tells whether the class's other points violate.
-    """
+    """The violations in one support class: the sides' singleton points on
+    it (``singleton_values``, those within the truncation) are evaluated,
+    and every other point violates exactly when ``generic`` says so."""
     pos = sorted(support)
-    values = _value_range(ambient, pos[-1], trunc.V)
-
-    def violates(p: XiPoint) -> bool:
-        return (lv is True or eval_setexpr(p, lhs)) and (
-            rv is False or not eval_setexpr(p, rhs)
-        )
-
+    values = _value_range(ambient, max(pos, default=0), trunc.V)
     # the singletons that are points of this class, in value order
     inside = [
         XiPoint(tuple(zip(pos, vals)), ambient)
         for vals in sorted(singleton_values)
         if all(v in values for v in vals)
     ]
-    verdicts = {p.values(): violates(p) for p in inside}
+    verdicts = {p.values(): eval_setexpr(p, lhs) and not eval_setexpr(p, rhs) for p in inside}
     if generic and class_point_count(support, trunc, ambient) > len(inside):
         for p in class_points(support, trunc, ambient):
             if verdicts.get(p.values(), True):
@@ -742,12 +696,13 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
 
     Near ``point``, any other point keeps its coordinates and adds a nonempty
     finite set R of positions (within ``1..min(point.values())`` in ``xi``
-    with a nonempty support).  With values past every singleton's, it is no
-    singleton, so ``supp(point) | R | {0}`` settles it and only R's atom hit
-    pattern matters; one R per reachable pattern is read.  A True one gives
-    the escape sequence.  Otherwise the neighborhood ``(held, m, N)``, with
-    ``m`` and ``N`` the largest singleton position and value (0 without
-    any), holds no point of ``expr``.
+    with a nonempty support).  With values past every singleton's, it is a
+    generic point of ``supp(point) | R``, so `_compile`'s verdict there
+    settles it and only R's atom hit pattern matters; one R per reachable
+    pattern is read.  A True one gives the escape sequence.  Otherwise the
+    neighborhood ``(held, m, N)``, with ``m`` and ``N`` the largest
+    singleton position and value (0 without any), holds no point of
+    ``expr``.
     """
     _require_valid(point)
     if eval_setexpr(point, expr):
@@ -761,7 +716,7 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     sets = _atom_sets(atoms, 0, held.union(positions))
     in_expr = _compile(expr, sets)
     for rep in _hit_patterns(sets.values(), positions):
-        if in_expr(held | rep | {0}):
+        if in_expr(held | rep):
             varied = tuple(sorted(rep))
             start = max(sequence_start(point, varied), N)
             return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))

@@ -9,6 +9,7 @@ the shrunken intersection, and one verdict per truncated point in it.
 
 from dataclasses import dataclass
 
+from zfilterlab import space
 from zfilterlab.space import (
     XI,
     Atom,
@@ -17,7 +18,6 @@ from zfilterlab.space import (
     inter_atoms,
     multi_escape_sequence,
     support_classes,
-    support_evaluator,
 )
 
 
@@ -36,8 +36,10 @@ def classes(report, trunc) -> list[ClassWitness]:
     and cover branches: the separators of the subtracted branches it misses.
     Classes without truncated points are dropped in ``xi`` and kept in
     ``pi``."""
-    in_shrunken = support_evaluator(inter_atoms([*report.kept, *report.cover]), trunc.T)
-    misses = [(a, support_evaluator(Atom(a), trunc.T)) for a in report.subtracted]
+    shrunken = inter_atoms([*report.kept, *report.cover])
+    in_shrunken = space._compile(shrunken, space._atom_sets(shrunken.atoms(), trunc.T))
+    misses = [(a, space._compile(Atom(a), space._atom_sets([a], trunc.T)))
+              for a in report.subtracted]
     out: list[ClassWitness] = []
     for support in support_classes(trunc):
         if not in_shrunken(support):

@@ -831,7 +831,8 @@ class TestImportFootprint:
              {"engines", "checking", "certificates", "filters"}),
             (["oracle", "claim.json", "--T", "13"], EXIT_RESOURCE,
              {"engines", "checking", "certificates", "filters"}),
-            (["verify", "extendibility-a", "-r", "a=1:2@0"], EXIT_FAIL, set()),
+            # only the chain engines build a filter base
+            (["verify", "extendibility-a", "-r", "a=1:2@0"], EXIT_FAIL, {"filters"}),
         ],
         ids=["oracle", "verify-check", "family-branch-error", "oracle-format-error",
              "oracle-resource-cap", "verify-engine-error"],

@@ -40,7 +40,6 @@ from zfilterlab.space import (
     inter_atoms,
     multi_escape_sequence,
     support_classes,
-    support_evaluator,
     union_atoms,
     validate_point,
 )
@@ -502,17 +501,28 @@ def test_containment_violations_match_reference_evaluator(claim):
           frozenset({14})))
 # a singleton whose support holds an extra position
 @example((XI, Diff(Atom(ALL1), Singleton(XiPoint.of({2: 4, 4: 4}))), 2, frozenset({4, 15})))
+# the empty-point singleton, where the generic verdict and the empty point's differ
+@example((PI, Union((Singleton(XiPoint.of({}, PI)), Diff(Whole(), Atom(ALL1)))), 2,
+          frozenset({7})))
 @settings(max_examples=150, deadline=None)
-def test_support_evaluator_matches_reference_evaluator(case):
+def test_eval_on_support_matches_reference_evaluator(case):
     ambient, expr, T, extra = case
     trunc = Truncation(T, T + 1)
-    evaluate = support_evaluator(expr, T, extra)
-    value_sensitive = {frozenset(q.positions()) for q in expr.singleton_points()} - {frozenset()}
+    generic = space._compile(expr, space._atom_sets(expr.atoms(), T, extra))
+    singletons = {q.support for q in expr.singleton_points()}
+    value_sensitive = {frozenset(p for p, _ in s) for s in singletons} - {frozenset()}
+    above = 1 + max((v for s in singletons for _, v in s), default=0)
     positions = [*range(1, T + 1), *sorted(extra)]
     for support in map(frozenset, itertools.chain.from_iterable(
         itertools.combinations(positions, n) for n in range(len(positions) + 1)
     )):
-        verdict = evaluate(support)
+        # the compiled rule is the verdict at a point of the support that is
+        # no singleton: every value at least every position and above every
+        # singleton value (only the empty point can still be a singleton)
+        point = XiPoint.of(dict.fromkeys(support, max([above, *support])), ambient)
+        if point.support not in singletons:
+            assert generic(support) == eval_setexpr(point, expr)
+        verdict = eval_on_support(support, expr)
         if verdict is None:
             assert support in value_sensitive
             continue
