@@ -17,12 +17,12 @@ from zfilterlab import (
     Union,
     Whole,
     XiPoint,
-    approx_sequence,
     closure_member,
     enumerate_truncated,
     eval_setexpr,
     in_zero_set,
     inter_atoms,
+    multi_escape_sequence,
     validate_point,
 )
 
@@ -69,11 +69,11 @@ print(" ", ", ".join(p.literal() for p in pts))
 
 # pushing one off-support coordinate through ever larger finite values walks
 # into the point coordinatewise
-seq = approx_sequence(p_inf, 1, 4)
+seq = multi_escape_sequence(p_inf, (1,), 4)
 print("\napproximating the all-infinite point through position 1:")
 print(" ", ", ".join(t.literal() for t in seq.terms()))
 
-seq2 = approx_sequence(XiPoint.of({2: 3}), 1, 3)
+seq2 = multi_escape_sequence(XiPoint.of({2: 3}), (1,), 3)
 print("approximating {2:3} through position 1 (start forced to 3):")
 print(" ", ", ".join(t.literal() for t in seq2.terms()))
 

@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "space": (
         "ApproxSequence", "Atom", "Diff", "Inter", "PI", "SetExpr", "Singleton", "SpaceError",
-        "Truncation", "Union", "Whole", "XI", "XiPoint", "approx_sequence", "closure_member",
+        "Truncation", "Union", "Whole", "XI", "XiPoint", "closure_member",
         "enumerate_truncated", "eval_setexpr", "exact_counterexample", "in_zero_set",
         "inter_atoms", "multi_escape_sequence", "union_atoms", "validate_point",
     ),

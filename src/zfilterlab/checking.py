@@ -107,6 +107,8 @@ class _Context:
             for e in cert.params.get("registry", [])
         ])
         self.ambient: Ambient = cert.params.get("ambient", XI)
+        if self.ambient not in (XI, PI):
+            raise CertificateError(f"unknown ambient {self.ambient!r}")
 
     def branch(self, label: str) -> BranchIndex:
         return self.registry.by_label(label)

@@ -255,9 +255,24 @@ def _output_path(args, default_name: str) -> str:
 
 def _write_certificate(cert: Certificate, path: str) -> None:
     try:
-        cert.write(path)
+        _decimal(cert.write, path)
     except OSError as exc:
         raise UsageError(f"cannot write certificate: {path}: {exc.strerror or exc}") from exc
+
+
+def _decimal(convert, *args):
+    """``convert(*args)``, which writes integers in decimal.  Python refuses
+    to write an integer past its limit on decimal digits, with a ValueError,
+    and that one ends the command as a resource cap; any other propagates."""
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ResourceCap(
+            f"an output integer has more than {sys.get_int_max_str_digits()} decimal digits,"
+            " the interpreter's limit for writing one"
+        ) from exc
 
 
 def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
@@ -280,7 +295,7 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
 
 def _cmd_family_elements(args) -> int:
     branch = zfilterlab.formats.parse_branch_literal(args.branch)
-    print(",".join(str(x) for x in zfilterlab.branches.branch_elements(branch, args.count)))
+    print(_decimal(",".join, map(str, zfilterlab.branches.branch_elements(branch, args.count))))
     return EXIT_OK
 
 
@@ -288,7 +303,7 @@ def _cmd_family_intersect(args) -> int:
     a = zfilterlab.formats.parse_branch_literal(args.first)
     b = zfilterlab.formats.parse_branch_literal(args.second, rank=1)
     inter = sorted(zfilterlab.branches.intersection_exact(a, b))
-    print("{" + ",".join(str(x) for x in inter) + "}")
+    print("{" + _decimal(",".join, map(str, inter)) + "}")
     return EXIT_OK
 
 
@@ -296,7 +311,7 @@ def _cmd_family_separator(args) -> int:
     parse = zfilterlab.formats.parse_branch_literal
     branch = parse(args.branch)
     group = [parse(g, rank=i + 1) for i, g in enumerate(args.group)]
-    print(zfilterlab.branches.find_separator(branch, group))
+    print(_decimal(str, zfilterlab.branches.find_separator(branch, group)))
     return EXIT_OK
 
 
@@ -314,12 +329,12 @@ def _cmd_family_cover(args) -> int:
 
 
 def _cmd_family_density(args) -> int:
-    print(zfilterlab.branches.density_count(args.n, args.depth))
+    print(_decimal(str, zfilterlab.branches.density_count(args.n, args.depth)))
     return EXIT_OK
 
 
 def _cmd_family_encode(args) -> int:
-    print(zfilterlab.branches.encode_string(args.word))
+    print(_decimal(str, zfilterlab.branches.encode_string(args.word)))
     return EXIT_OK
 
 

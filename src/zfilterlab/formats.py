@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 from .branches import BranchError, BranchIndex, Registry, default_label
 from .space import (
@@ -72,7 +73,11 @@ def parse_registry(entries: list[str]) -> Registry:
     taken = {m["label"] for m in matches if m["label"]}
     branches: list[BranchIndex] = []
     for m in matches:
-        rank = int(m["rank"]) if m["rank"] else branches[-1].rank + 1 if branches else 0
+        try:
+            rank = int(m["rank"]) if m["rank"] else branches[-1].rank + 1 if branches else 0
+        except ValueError as exc:  # the rank's digits run past Python's limit
+            limit = sys.get_int_max_str_digits()
+            raise FormatError(f"a registry rank has more than {limit} digits") from exc
         label = m["label"] or default_label(rank, taken)
         taken.add(label)
         branches.append(parse_branch_literal(m["lit"], rank, label))

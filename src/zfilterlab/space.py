@@ -19,18 +19,17 @@ algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
-finite values; singletons are the only value-sensitive sets.  `_compile`
-turns an expression into a two-valued function of a support that gives the
-verdict at its generic points, those that are none of the expression's
-singletons: every singleton reads false, as in `_dnf`.  The truncated
-containment loop and `closure_member` compile once and evaluate singleton
-points with `eval_setexpr`.  A support is a frozenset of positions; an atom
-is the set of its branch's elements up to ``T`` plus the ``extra``
-positions it owns (so no set is sized by a value), and holds exactly when
-the support misses that set.  `eval_on_support` is the one-shot form; no
-module calls it, but the benchmark's tracer binds it.  The closure
-containments need no support walk: coordinate pushing decides them exactly
-from separators and a cover (see `engines.ContainmentReport`).
+finite values; singletons are the only value-sensitive sets.  Every support
+rule uses `_dnf`'s bit layout, atom ``a`` at bit ``index[a]``: a support
+hits the union of its positions' masks (`_owners`, `_hits`), and `_generic`
+reads an expression at a hit mask, giving the verdict at the support's
+generic points (none of its singletons): an atom holds when its bit is
+clear, and every singleton reads false.  The truncated containment loop and
+`closure_member` evaluate singleton points with `eval_setexpr`.
+`eval_on_support` is the one-shot form; no module calls it, but the
+benchmark's tracer binds it.  The closure containments need no support
+walk: coordinate pushing decides them exactly from separators and a cover
+(see `engines.ContainmentReport`).
 
 `exact_counterexample` decides containment over the whole ambient.  A point
 neither empty nor a singleton's reads every singleton false, so its verdict
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .branches import BranchIndex, branch_member, find_separator
 
@@ -284,7 +283,8 @@ def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
         return eval_setexpr(XiPoint.of({}), expr)
     if any(frozenset(q.positions()) == support for q in expr.singleton_points()):
         return None
-    return _compile(expr, _atom_sets(expr.atoms(), 0, support))(support)
+    index = _index(expr.atoms())
+    return _generic(expr, _hits(_owners(index, 0, support), support), index)
 
 
 # ---------------------------------------------------------------------------
@@ -355,47 +355,48 @@ def enumerate_truncated(trunc: Truncation, ambient: Ambient = XI) -> list[XiPoin
     return out
 
 
-def _atom_sets(
-    atoms: Iterable[BranchIndex], T: int, extra: Iterable[int] = ()
-) -> dict[BranchIndex, frozenset[int]]:
-    """Each distinct atom's elements up to ``T`` plus the ``extra`` positions
-    its branch owns, in first-occurrence order."""
-    extra = tuple(extra)
-    return {
-        a: frozenset(a.elements_upto(T) + [p for p in extra if branch_member(a, p)])
-        for a in dict.fromkeys(atoms)
-    }
+def _index(atoms: Iterable[BranchIndex]) -> dict[BranchIndex, int]:
+    """The one bit layout: atom ``a``, once each in order, at bit ``index[a]``."""
+    return {a: i for i, a in enumerate(dict.fromkeys(atoms))}
 
 
-def _compile(
-    expr: SetExpr, sets: dict[BranchIndex, frozenset[int]]
-) -> Callable[[frozenset[int]], bool]:
-    """``expr`` as a function of a support, exact at the support's generic
-    points (none of the expression's singletons), where every singleton
-    reads False; an atom holds when the support misses its set in ``sets``."""
+def _owners(
+    index: dict[BranchIndex, int], T: int, extra: frozenset[int] = frozenset()
+) -> dict[int, int]:
+    """Each position an atom of ``index`` holds, among its elements up to
+    ``T`` and the ``extra`` positions, mapped to the mask of those atoms."""
+    owners: dict[int, int] = {}
+    for a, i in index.items():
+        for p in a.elements_upto(T) + [q for q in extra if branch_member(a, q)]:
+            owners[p] = owners.get(p, 0) | 1 << i
+    return owners
+
+
+def _hits(owners: dict[int, int], support: Iterable[int]) -> int:
+    """The mask of the atoms a support hits."""
+    hit = 0
+    for p in support:
+        hit |= owners.get(p, 0)
+    return hit
+
+
+def _generic(expr: SetExpr, hit: int, index: dict[BranchIndex, int]) -> bool:
+    """``expr`` at the generic points of a support hitting the atoms in mask
+    ``hit`` (none of the expression's singletons): an atom holds when its
+    bit is clear, and every singleton reads False."""
     kind = type(expr)
     if kind is Atom:
-        return sets[expr.branch].isdisjoint
-    if kind is Inter or kind is Union:
-        parts = [_compile(p, sets) for p in expr.parts]
-        # one part reading True settles a union, one reading False an intersection
-        settles = kind is Union
-
-        def combined(support: frozenset[int]) -> bool:
-            for part in parts:
-                if part(support) is settles:
-                    return settles
-            return not settles
-
-        return combined
+        return not hit >> index[expr.branch] & 1
+    if kind is Inter:
+        return all(_generic(part, hit, index) for part in expr.parts)
+    if kind is Union:
+        return any(_generic(part, hit, index) for part in expr.parts)
     if kind is Diff:
-        left = _compile(expr.left, sets)
-        right = _compile(expr.right, sets)
-        return lambda support: left(support) and not right(support)
+        return _generic(expr.left, hit, index) and not _generic(expr.right, hit, index)
     if kind is Whole:
-        return lambda support: True
+        return True
     if kind is Singleton:
-        return lambda support: False
+        return False
     raise SpaceError(f"unknown expression node {expr!r}")
 
 
@@ -404,27 +405,30 @@ def containment_violations(
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    Both sides are compiled once against one shared set of atom element sets
-    (see `_compile`), which gives each support's generic verdict; it follows
-    from the support's hit pattern (`_hit_patterns`).  When no pattern
-    violates, only the empty support and the singletons' supports within
-    ``T`` are visited, in `support_classes` order; otherwise every support
-    class is.  A class that holds no singleton takes its generic verdict;
-    in the others the singleton points are evaluated (see
-    `_value_sensitive_violations`).  Raises `SpaceError` for an unknown
-    ambient before visiting any class.
+    A support's generic verdict follows from its hit mask (`_generic`), read
+    once per mask.  When no reachable mask violates (`_hit_patterns`), only
+    the empty support and the singletons' supports within ``T`` are
+    visited, in `support_classes` order; otherwise every support class is.
+    A class that holds no singleton takes its generic verdict; in the others
+    the singleton points are evaluated (see `_value_sensitive_violations`).
+    Raises `SpaceError` for an unknown ambient before visiting any class.
     """
     if ambient not in (XI, PI):
         raise SpaceError(f"unknown ambient {ambient!r}")
     atoms, points = rhs._leaves(*lhs._leaves([], []))
-    sets = _atom_sets(atoms, trunc.T)
-    in_lhs = _compile(lhs, sets)
-    in_rhs = _compile(rhs, sets)
+    index = _index(atoms)
+    owners = _owners(index, trunc.T)
+    verdicts: dict[int, bool] = {}
+
+    def violates(hit: int) -> bool:
+        if hit not in verdicts:
+            verdicts[hit] = _generic(lhs, hit, index) and not _generic(rhs, hit, index)
+        return verdicts[hit]
+
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
     for q in points:
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
-    patterns = _hit_patterns(sets.values(), range(1, trunc.T + 1))
-    if any(in_lhs(s) and not in_rhs(s) for s in patterns):
+    if any(map(violates, _hit_patterns(owners, range(1, trunc.T + 1)))):
         supports: Iterable[frozenset[int]] = support_classes(trunc)
     else:
         supports = sorted(
@@ -432,7 +436,7 @@ def containment_violations(
             key=lambda s: (len(s), sorted(s)),
         )
     for support in supports:
-        generic = in_lhs(support) and not in_rhs(support)
+        generic = violates(_hits(owners, support))
         if support in singletons:
             yield from _value_sensitive_violations(
                 support, singletons[support], lhs, rhs, generic, trunc, ambient
@@ -441,20 +445,14 @@ def containment_violations(
             yield from class_points(support, trunc, ambient)
 
 
-def _hit_patterns(sets: Iterable[frozenset[int]], positions: Sequence[int]) -> list[frozenset[int]]:
-    """One representative support for each set of atoms a nonempty support
-    drawn from ``positions`` can hit, the earliest positions first.
+def _hit_patterns(owners: dict[int, int], positions: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Each mask a nonempty support drawn from ``positions`` can hit, mapped
+    to one such support, the earliest positions first.
 
-    ``sets`` holds one element set per distinct atom, exact on ``positions``.
-    A position's pattern is the mask of the atoms whose set holds it, and a
-    support hits the union of its positions' patterns; positions in no atom
-    count too, as they make the empty pattern reachable.  Only a new mask
-    gets a representative.
+    ``owners`` (see `_owners`) must be exact on ``positions``.  Positions
+    in no atom count too, as they make the empty mask reachable.  Only a
+    new mask gets a representative.
     """
-    owners: dict[int, int] = {}
-    for i, elements in enumerate(sets):
-        for p in elements:
-            owners[p] = owners.get(p, 0) | 1 << i
     first: dict[int, int] = {}
     for p in positions:
         first.setdefault(owners.get(p, 0), p)
@@ -463,7 +461,7 @@ def _hit_patterns(sets: Iterable[frozenset[int]], positions: Sequence[int]) -> l
         for m, rep in [(0, ()), *reps.items()]:
             if m | mask not in reps:
                 reps[m | mask] = (*rep, p)
-    return [frozenset(rep) for rep in reps.values()]
+    return reps
 
 
 def _value_sensitive_violations(
@@ -529,7 +527,7 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
         point = XiPoint(support, ambient)
         if violates(point):
             return point
-    index = {a: i for i, a in enumerate(dict.fromkeys(atoms))}
+    index = _index(atoms)
     terms = _dnf(Diff(lhs, rhs), True, index)
     if not terms:
         return None
@@ -615,6 +613,11 @@ class ApproxSequence:
             raise SpaceError("varied positions must be off the base support")
         if self.count < 1:
             raise SpaceError("a sequence needs at least one term")
+        # later terms only raise the varied values, so they are valid too
+        if not validate_point(self.term(1)):
+            raise SpaceError(
+                f"varying {sorted(self.varied)} on {self.base.literal()} leaves the space"
+            )
 
     def term(self, r: int) -> XiPoint:
         if not 1 <= r <= self.count:
@@ -625,14 +628,6 @@ class ApproxSequence:
     def terms(self) -> list[XiPoint]:
         return [self.term(r) for r in range(1, self.count + 1)]
 
-    def to_payload(self) -> dict:
-        return {
-            "base": self.base.literal(),
-            "varied": sorted(self.varied),
-            "start": self.start,
-            "count": self.count,
-        }
-
 
 def sequence_start(base: XiPoint, varied: Sequence[int]) -> int:
     """Value offset making every term valid: at least every varied position,
@@ -641,32 +636,8 @@ def sequence_start(base: XiPoint, varied: Sequence[int]) -> int:
     return max(candidates) if candidates else 1
 
 
-def approx_sequence(point: XiPoint, position: int, count: int) -> ApproxSequence:
-    """Single-position approximation of ``point`` varying ``position``."""
-    return multi_escape_sequence(point, (position,), count)
-
-
-def escape_terms_valid(point: XiPoint, positions: Sequence[int]) -> bool:
-    """Whether varying these positions keeps every term ambient-valid.
-
-    The varied coordinates get values above everything in sight, so only the
-    base's existing finite values can fall below the widened support.
-    """
-    if point.ambient == PI:
-        return True
-    new_max = max([point.max_position(), *positions])
-    return all(v >= new_max for v in point.values())
-
-
-def multi_escape_sequence(
-    point: XiPoint, positions: Sequence[int], count: int
-) -> ApproxSequence:
+def multi_escape_sequence(point: XiPoint, positions: Sequence[int], count: int) -> ApproxSequence:
     """Approximation varying several positions at once (one per set to escape)."""
-    _require_valid(point)
-    if not escape_terms_valid(point, positions):
-        raise SpaceError(
-            f"varying {sorted(positions)} on {point.literal()} leaves the space"
-        )
     return ApproxSequence(point, tuple(positions), sequence_start(point, positions), count)
 
 
@@ -697,9 +668,9 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     Near ``point``, any other point keeps its coordinates and adds a nonempty
     finite set R of positions (within ``1..min(point.values())`` in ``xi``
     with a nonempty support).  With values past every singleton's, it is a
-    generic point of ``supp(point) | R``, so `_compile`'s verdict there
-    settles it and only R's atom hit pattern matters; one R per reachable
-    pattern is read.  A True one gives the escape sequence.  Otherwise the
+    generic point of ``supp(point) | R``, so `_generic` at the mask that
+    support hits settles it, and only R's mask matters; one R per reachable
+    mask is read.  A True one gives the escape sequence.  Otherwise the
     neighborhood ``(held, m, N)``, with ``m`` and ``N`` the largest
     singleton position and value (0 without any), holds no point of
     ``expr``.
@@ -712,11 +683,12 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     N = max((v for q in singletons for v in q.values()), default=0)
     held = frozenset(point.positions())
     limit = min(point.values()) if point.ambient == XI and held else None
-    positions = _escape_positions(atoms, held, limit)
-    sets = _atom_sets(atoms, 0, held.union(positions))
-    in_expr = _compile(expr, sets)
-    for rep in _hit_patterns(sets.values(), positions):
-        if in_expr(held | rep):
+    index = _index(atoms)
+    positions = _escape_positions(index, held, limit)
+    owners = _owners(index, 0, held.union(positions))
+    held_hit = _hits(owners, held)
+    for hit, rep in _hit_patterns(owners, positions).items():
+        if _generic(expr, held_hit | hit, index):
             varied = tuple(sorted(rep))
             start = max(sequence_start(point, varied), N)
             return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))
@@ -724,7 +696,7 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
 
 
 def _escape_positions(
-    atoms: Iterable[BranchIndex], held: frozenset[int], limit: int | None
+    index: dict[BranchIndex, int], held: frozenset[int], limit: int | None
 ) -> list[int]:
     """Positions off ``held`` and at most ``limit`` (None: no limit) that
     show every hit pattern one such position can have: past B, the deepest
@@ -733,17 +705,16 @@ def _escape_positions(
     position in no atom suffice.  Both searches step only over held
     positions and atoms' elements, never up to a value.
     """
-    atoms = list(dict.fromkeys(atoms))
     B = max(
-        (a.element(d) for a, b in itertools.combinations(atoms, 2) if (d := a.lcp(b))),
+        (a.element(d) for a, b in itertools.combinations(index, 2) if (d := a.lcp(b))),
         default=0,
     )
-    found = {p for a in atoms for p in a.elements_upto(B)}
-    for a in atoms:
+    found = {p for a in index for p in a.elements_upto(B)}
+    for a in index:
         past = (a.element(n) for n in itertools.count(len(a.elements_upto(B)) + 1))
         found.add(next(p for p in past if p not in held))
     found.add(next(
         p for p in itertools.count(1)
-        if p not in held and not any(branch_member(a, p) for a in atoms)
+        if p not in held and not any(branch_member(a, p) for a in index)
     ))
     return sorted(p for p in found - held if limit is None or p <= limit)

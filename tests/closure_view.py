@@ -37,17 +37,17 @@ def classes(report, trunc) -> list[ClassWitness]:
     Classes without truncated points are dropped in ``xi`` and kept in
     ``pi``."""
     shrunken = inter_atoms([*report.kept, *report.cover])
-    in_shrunken = space._compile(shrunken, space._atom_sets(shrunken.atoms(), trunc.T))
-    misses = [(a, space._compile(Atom(a), space._atom_sets([a], trunc.T)))
-              for a in report.subtracted]
+    index = space._index([*shrunken.atoms(), *report.subtracted])
+    owners = space._owners(index, trunc.T)
     out: list[ClassWitness] = []
     for support in support_classes(trunc):
-        if not in_shrunken(support):
+        hit = space._hits(owners, support)
+        if not space._generic(shrunken, hit, index):
             continue
         count = class_point_count(support, trunc, report.ambient)
         if report.ambient == XI and count == 0:
             continue
-        missing = [a for a, avoided in misses if avoided(support)]
+        missing = [a for a in report.subtracted if space._generic(Atom(a), hit, index)]
         escapes = tuple(sorted({report.separators[a.label] for a in missing}))
         out.append(ClassWitness(support, escapes, not missing, count))
     return out

@@ -764,6 +764,32 @@ B0, B1 = {"label": "b0", "branch": ":1", "rank": 0}, {"label": "b1", "branch": "
 TRUNCATION = {"T": 4, "V": 6}
 
 
+class TestAmbient:
+    """The checker reads a recorded ambient as ``xi`` or ``pi`` only; a
+    certificate that records none is read in ``xi``."""
+
+    @staticmethod
+    def certificates():
+        r = reg()
+        return [cover_certificate(12, 5, r, [r.entries[0]])[1], check_extendibility_a(reg())]
+
+    @pytest.mark.parametrize("ambient", ["zz", ["xi"], None, 5], ids=["zz", "list", "null", "int"])
+    def test_an_unknown_ambient_is_refused(self, ambient):
+        for cert in self.certificates():
+            assert check_certificate_text(cert.to_json()).ok
+            forged = Certificate(cert.kind, dict(cert.params, ambient=ambient), cert.payload)
+            report = check_certificate_text(forged.to_json())
+            assert not report.ok, cert.kind
+            assert report.problems == [
+                f"malformed payload: CertificateError({f'unknown ambient {ambient!r}'!r})"
+            ]
+
+    def test_a_missing_ambient_reads_as_xi(self):
+        for cert in self.certificates():
+            params = {k: v for k, v in cert.params.items() if k != "ambient"}
+            assert check_certificate_text(Certificate(cert.kind, params, cert.payload).to_json()).ok
+
+
 class TestRegistryLabels:
     """The registry alone spells out a branch's word and rank (schema 6)."""
 

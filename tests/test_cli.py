@@ -57,6 +57,26 @@ def _refuted_cover(capsys, tmp_path) -> Certificate:
     return cert
 
 
+# Python's lowest limit on the decimal digits of an int-to-str conversion
+# (4,300 by default), and a word whose codes and elements run past it
+DIGITS = 640
+LONG = "1" * 2200
+DIGIT_LIMIT_MESSAGE = (
+    f"an output integer has more than {DIGITS} decimal digits,"
+    " the interpreter's limit for writing one"
+)
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    """Python's limit on decimal digits lowered to `DIGITS`, so that the
+    integers past it stay quick to make."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGITS)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 class TestFamily:
     def test_elements(self, capsys):
         code, out, _ = run(capsys, "family", "elements", ":1", "--count", "4")
@@ -102,6 +122,30 @@ class TestFamily:
         assert run(capsys, "family", "encode", "22")[1].strip() == "6"
         assert run(capsys, "family", "decode", "7")[1].strip() == "111"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--n", "1", "--depth", "2200"],
+            ["elements", ":1", "--count", "2200"],
+            ["encode", LONG],
+            ["separator", f"{LONG}:2", "--group", f"{LONG}:1"],
+            ["intersect", f"{LONG}:2", f"{LONG}:1"],
+        ],
+        ids=["density", "elements", "encode", "separator", "intersect"],
+    )
+    @pytest.mark.usefixtures("lowest_digit_limit")
+    def test_an_output_past_the_digit_limit_is_a_resource_cap(self, capsys, argv):
+        code, out, err = run(capsys, "family", *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
+
+    def test_only_the_digit_limit_is_a_resource_cap(self):
+        # a ValueError with any other cause is a fault, and stays one
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            cli._decimal(json.dumps, loop)
+
     def test_bad_literal_is_usage_error(self, capsys):
         code, _, err = run(capsys, "family", "elements", "13:")
         assert code == EXIT_USAGE and "error" in err
@@ -119,6 +163,27 @@ class TestVerify:
         assert code == EXIT_OK
         assert "verified" in out
         assert Certificate.read(str(out_file)).kind == "InclusionChain"
+
+    @pytest.mark.usefixtures("lowest_digit_limit")
+    def test_a_certificate_past_the_digit_limit_is_a_resource_cap(self, capsys, tmp_path):
+        # b's separator lies past its long prefix
+        out_file = tmp_path / "full.json"
+        code, out, err = run(
+            capsys, "verify", "containment-full", "--F", "a", "--G", "b",
+            "-r", "a=:1@0", "-r", f"b={LONG}:2@1", "--out", str(out_file),
+        )
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.usefixtures("lowest_digit_limit")
+    def test_a_rank_past_the_digit_limit_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "verify", "chain-inc", "--steps", "1", "-r", f"a=1:2@{'9' * (DIGITS + 1)}",
+            "--out", str(tmp_path / "chain.json"),
+        )
+        assert code == EXIT_USAGE
+        assert err == f"error: a registry rank has more than {DIGITS} digits\n"
 
     def test_check_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "chain.json"
@@ -726,7 +791,7 @@ EXPORTS = {
     ],
     "space": [
         "ApproxSequence", "Atom", "Diff", "Inter", "PI", "SetExpr", "Singleton", "SpaceError",
-        "Truncation", "Union", "Whole", "XI", "XiPoint", "approx_sequence", "closure_member",
+        "Truncation", "Union", "Whole", "XI", "XiPoint", "closure_member",
         "enumerate_truncated", "eval_setexpr", "exact_counterexample", "in_zero_set",
         "inter_atoms", "multi_escape_sequence", "union_atoms", "validate_point",
     ],
@@ -738,7 +803,7 @@ class TestPackageExports:
     """`zfilterlab` re-exports its modules' names, each looked up on first use."""
 
     def test_all_lists_every_export(self):
-        assert len(EXPORTED) == 67
+        assert len(EXPORTED) == 66
         assert sorted(zfilterlab.__all__) == sorted(name for _, name in EXPORTED)
 
     def test_each_export_is_its_modules_object(self):

@@ -25,14 +25,12 @@ from zfilterlab.space import (
     Whole,
     TermBoundError,
     XiPoint,
-    approx_sequence,
     class_point_count,
     class_points,
     closure_member,
     containment_violations,
     empty_expr,
     enumerate_truncated,
-    escape_terms_valid,
     eval_on_support,
     eval_setexpr,
     exact_counterexample,
@@ -179,7 +177,7 @@ class TestEnumeration:
 
 class TestApproxSequence:
     def test_minimal_start_from_infinity(self):
-        seq = approx_sequence(P_INF, 1, 3)
+        seq = multi_escape_sequence(P_INF, (1,), 3)
         assert seq.start == 1
         assert seq.terms() == [
             XiPoint.of({1: 2}),
@@ -188,17 +186,17 @@ class TestApproxSequence:
         ]
 
     def test_start_forced_by_existing_values(self):
-        seq = approx_sequence(XiPoint.of({2: 3}), 1, 2)
+        seq = multi_escape_sequence(XiPoint.of({2: 3}), (1,), 2)
         assert seq.start == 3
         assert seq.terms() == [XiPoint.of({1: 4, 2: 3}), XiPoint.of({1: 5, 2: 3})]
 
     def test_position_in_support_rejected(self):
         with pytest.raises(SpaceError):
-            approx_sequence(XiPoint.of({2: 3}), 2, 2)
+            multi_escape_sequence(XiPoint.of({2: 3}), (2,), 2)
 
     def test_terms_valid_and_single_coordinate_change(self):
         base = XiPoint.of({3: 7})
-        seq = approx_sequence(base, 2, 5)
+        seq = multi_escape_sequence(base, (2,), 5)
         for t in seq.terms():
             assert validate_point(t)
             changed = [
@@ -212,14 +210,26 @@ class TestApproxSequence:
         # on any fixed prefix, far-out terms agree with the base off the
         # varied position only by carrying ever larger values there
         base = XiPoint.of({4: 9})
-        seq = approx_sequence(base, 2, 10)
+        seq = multi_escape_sequence(base, (2,), 10)
         last = seq.term(10)
         assert last.coordinate(2) == seq.start + 10
         assert last.coordinate(4) == 9
 
     def test_multi_escape_validity_guard(self):
-        with pytest.raises(SpaceError):
+        with pytest.raises(SpaceError, match="leaves the space"):
             multi_escape_sequence(XiPoint.of({2: 3}), [5], 2)
+
+    def test_a_sequence_checks_its_own_terms(self):
+        # built directly, with a start of its own: the first term {2:3, 5:6}
+        # has a value below its width 5
+        with pytest.raises(SpaceError, match="leaves the space"):
+            ApproxSequence(XiPoint.of({2: 3}), (5,), 5, 2)
+        # a base that is no point of xi leaves it at every term
+        with pytest.raises(SpaceError, match="leaves the space"):
+            ApproxSequence(XiPoint.of({3: 2}), (1,), 5, 2)
+        # in pi every finite-support point is valid
+        pi_base = XiPoint.of({3: 2}, PI)
+        assert ApproxSequence(pi_base, (1,), 5, 2).term(2) == XiPoint.of({1: 7, 3: 2}, PI)
 
 
 class TestAFormContainment:
@@ -508,7 +518,8 @@ def test_containment_violations_match_reference_evaluator(claim):
 def test_eval_on_support_matches_reference_evaluator(case):
     ambient, expr, T, extra = case
     trunc = Truncation(T, T + 1)
-    generic = space._compile(expr, space._atom_sets(expr.atoms(), T, extra))
+    index = space._index(expr.atoms())
+    owners = space._owners(index, T, extra)
     singletons = {q.support for q in expr.singleton_points()}
     value_sensitive = {frozenset(p for p, _ in s) for s in singletons} - {frozenset()}
     above = 1 + max((v for s in singletons for _, v in s), default=0)
@@ -516,12 +527,13 @@ def test_eval_on_support_matches_reference_evaluator(case):
     for support in map(frozenset, itertools.chain.from_iterable(
         itertools.combinations(positions, n) for n in range(len(positions) + 1)
     )):
-        # the compiled rule is the verdict at a point of the support that is
-        # no singleton: every value at least every position and above every
+        # the mask rule is the verdict at a point of the support that is no
+        # singleton: every value at least every position and above every
         # singleton value (only the empty point can still be a singleton)
         point = XiPoint.of(dict.fromkeys(support, max([above, *support])), ambient)
         if point.support not in singletons:
-            assert generic(support) == eval_setexpr(point, expr)
+            generic = space._generic(expr, space._hits(owners, support), index)
+            assert generic == eval_setexpr(point, expr)
         verdict = eval_on_support(support, expr)
         if verdict is None:
             assert support in value_sensitive
@@ -541,19 +553,42 @@ def test_eval_on_support_matches_reference_evaluator(case):
 )
 @settings(max_examples=200, deadline=None)
 def test_hit_patterns_match_brute_force(element_sets, positions):
+    owners = {}
+    for i, elements in enumerate(element_sets):
+        for p in elements:
+            owners[p] = owners.get(p, 0) | 1 << i
+
     def hits(support):
         return sum(1 << i for i, s in enumerate(element_sets) if not s.isdisjoint(support))
 
-    reps = space._hit_patterns(element_sets, positions)
+    reps = space._hit_patterns(owners, positions)
     every = {
         hits(combo)
         for n in range(1, len(positions) + 1)
         for combo in itertools.combinations(positions, n)
     }
-    # one representative per reachable pattern, each a nonempty support
-    # drawn from the positions
-    assert sorted(map(hits, reps)) == sorted(every)
-    assert all(rep and rep <= set(positions) for rep in reps)
+    # one representative per reachable mask, each a nonempty support drawn
+    # from the positions that hits exactly its mask
+    assert sorted(reps) == sorted(every)
+    assert all(rep and set(rep) <= set(positions) for rep in reps.values())
+    assert all(hits(rep) == mask == space._hits(owners, rep) for mask, rep in reps.items())
+
+
+@given(st.sampled_from([XI, PI]).flatmap(_setexprs))
+@settings(max_examples=200, deadline=None)
+def test_generic_verdict_matches_the_dnf(expr):
+    # both read the same bit layout: at every hit mask h, the mask rule
+    # agrees with the DNF term a point of that mask satisfies, one whose
+    # missed atoms h clears and whose hit atoms h sets
+    index = space._index(expr.atoms())
+    k, low = len(index), (1 << len(index)) - 1
+    try:
+        terms = space._dnf(expr, True, index)
+    except TermBoundError:
+        return
+    for h in range(1 << k):
+        reading = any(t & low & h == 0 and (t >> k) & low & ~h == 0 for t in terms)
+        assert space._generic(expr, h, index) == reading
 
 
 def _recursive_eval(point, expr):
@@ -678,9 +713,10 @@ def _closure_member_reference(point, expr, trunc):
     free = [p for p in range(1, limit + 1) if point.coordinate(p) is None]
     for size in range(1, 3):
         for combo in itertools.combinations(free, size):
-            if not escape_terms_valid(point, combo):
+            try:
+                seq = multi_escape_sequence(point, combo, 3)
+            except SpaceError:  # the terms leave the space
                 continue
-            seq = multi_escape_sequence(point, combo, 3)
             if all(eval_setexpr(t, expr) for t in seq.terms()):
                 return "proven"
 
