@@ -26,9 +26,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Container, Iterable, Iterator, Sequence
 
-ALPHABET = ("1", "2")
-
-
 class BranchError(ValueError):
     """Raised for malformed words, duplicate branches, or bad arguments."""
 
@@ -37,9 +34,15 @@ class BranchError(ValueError):
 # Word codec
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = frozenset(ALPHABET)
+_SYMBOLS = frozenset("12")
 _TO_BITS = str.maketrans("12", "01")
 _TO_WORD = str.maketrans("01", "12")
+
+
+def _check_word(word: str, what: str) -> None:
+    if not _SYMBOLS.issuperset(word):
+        ch = next(ch for ch in word if ch not in _SYMBOLS)
+        raise BranchError(f"bad symbol {ch!r} in {what}; alphabet is {{1,2}}")
 
 
 def encode_string(word: str) -> int:
@@ -51,9 +54,7 @@ def encode_string(word: str) -> int:
     """
     if not word:
         raise BranchError("cannot encode the empty word")
-    if not _SYMBOLS.issuperset(word):
-        ch = next(ch for ch in word if ch not in _SYMBOLS)
-        raise BranchError(f"bad symbol {ch!r}; alphabet is {{1,2}}")
+    _check_word(word, "word")
     return (1 << len(word)) - 1 + int(word.translate(_TO_BITS), 2)
 
 
@@ -91,12 +92,6 @@ def _canonicalize(pre: str, period: str) -> tuple[str, str]:
         pre = pre[:-1]
         period = period[-1] + period[:-1]
     return pre, period
-
-
-def _check_word(word: str, what: str) -> None:
-    for ch in word:
-        if ch not in ALPHABET:
-            raise BranchError(f"bad symbol {ch!r} in {what}; alphabet is {{1,2}}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,28 +263,22 @@ def density_count(n: int, depth: int) -> int:
 class Registry:
     """Finite ordered stand-in for the transfinite branch index set.
 
-    Entries keep strictly increasing ranks and pairwise distinct expanded
-    words.  Fresh branches can always be minted through any requested word,
-    which is the finite shadow of the fact that continuum-many branches pass
-    through every tree node.
+    Entries keep strictly increasing ranks, pairwise distinct expanded words
+    and pairwise distinct labels; `add` holds these rules, and the
+    constructor adds its entries through it.  Fresh branches can always be
+    minted through any requested word, which is the finite shadow of the
+    fact that continuum-many branches pass through every tree node.
     """
 
     entries: list[BranchIndex] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen_words: set[BranchIndex] = set()
-        seen_labels: set[str] = set()
-        prev_rank = -1
-        for e in self.entries:
-            if e.rank <= prev_rank:
-                raise BranchError("registry ranks must be strictly increasing")
-            if e in seen_words:
-                raise BranchError(f"duplicate branch word {e.literal()}")
-            if e.label in seen_labels:
-                raise BranchError(f"duplicate label {e.label!r}")
-            prev_rank = e.rank
-            seen_words.add(e)
-            seen_labels.add(e.label)
+        entries, self.entries = self.entries, []
+        # each entry under its word and under its label
+        self._by_word: dict[BranchIndex, BranchIndex] = {}
+        self._by_label: dict[str, BranchIndex] = {}
+        for e in entries:
+            self.add(e)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -298,38 +287,38 @@ class Registry:
         return iter(self.entries)
 
     def __contains__(self, branch: BranchIndex) -> bool:
-        return any(e == branch for e in self.entries)
+        return branch in self._by_word
 
     def max_rank(self) -> int:
         return self.entries[-1].rank if self.entries else -1
 
     def by_label(self, label: str) -> BranchIndex:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise BranchError(f"no branch labelled {label!r}")
+        try:
+            return self._by_label[label]
+        except (KeyError, TypeError):  # a certificate may give a label of any JSON type
+            raise BranchError(f"no branch labelled {label!r}") from None
 
     def entry(self, branch: BranchIndex) -> BranchIndex:
         """The entry with ``branch``'s word, whatever its rank and label."""
-        for e in self.entries:
-            if e == branch:
-                return e
-        raise BranchError(f"branch {branch.literal()} is not a registry entry")
+        try:
+            return self._by_word[branch]
+        except KeyError:
+            raise BranchError(f"branch {branch.literal()} is not a registry entry") from None
 
     def add(self, branch: BranchIndex) -> BranchIndex:
-        if branch.rank <= self.max_rank():
-            raise BranchError("new entries must carry a rank above all existing ranks")
-        if branch in self:
-            raise BranchError(f"branch word {branch.literal()} already registered")
-        if any(e.label == branch.label for e in self.entries):
-            raise BranchError(f"label {branch.label!r} already registered")
+        if self.entries and branch.rank <= self.entries[-1].rank:
+            raise BranchError("registry ranks must be strictly increasing")
+        if branch in self._by_word:
+            raise BranchError(f"duplicate branch word {branch.literal()}")
+        if branch.label in self._by_label:
+            raise BranchError(f"duplicate label {branch.label!r}")
         self.entries.append(branch)
+        self._by_word[branch] = self._by_label[branch.label] = branch
         return branch
 
     def add_unlabelled(self, pre: str, period: str, rank: int) -> BranchIndex:
         """Register a new word at ``rank`` under `default_label`'s label."""
-        label = default_label(rank, {e.label for e in self.entries})
-        return self.add(BranchIndex(pre, period, rank, label))
+        return self.add(BranchIndex(pre, period, rank, default_label(rank, self._by_label)))
 
     def mint_through(self, word: str, min_rank: int) -> BranchIndex:
         """Register a fresh branch extending ``word`` with rank >= ``min_rank``.
@@ -396,12 +385,21 @@ def find_cover(
     return cover
 
 
-def make_registry(specs: Sequence[tuple[str, str] | tuple[str, str, int] | tuple[str, str, int, str]]) -> Registry:
-    """Build a registry from (pre, period[, rank[, label]]) tuples; ranks default to 0,1,2,..."""
-    entries = []
-    for i, spec in enumerate(specs):
-        pre, period = spec[0], spec[1]
-        rank = spec[2] if len(spec) > 2 else i
-        label = spec[3] if len(spec) > 3 else ""
-        entries.append(BranchIndex(pre, period, rank, label))
-    return Registry(entries)
+def make_registry(
+    specs: Sequence[tuple[str, str] | tuple[str, str, int | None] | tuple[str, str, int | None, str]],
+) -> Registry:
+    """Build a registry from (pre, period[, rank[, label]]) tuples.
+
+    A missing (or ``None``) rank is one above the previous entry's, 0 for the
+    first.  Explicit labels are kept, and each unlabelled entry (a missing
+    or empty label) takes `default_label`'s label against them and the
+    labels before it.
+    """
+    taken = {spec[3] for spec in specs if len(spec) > 3}
+    registry = Registry()
+    for pre, period, *rest in specs:
+        rank = rest[0] if rest and rest[0] is not None else registry.max_rank() + 1
+        label = (rest[1] if len(rest) > 1 else "") or default_label(rank, taken)
+        taken.add(label)
+        registry.add(BranchIndex(pre, period, rank, label))
+    return registry

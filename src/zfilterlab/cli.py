@@ -108,6 +108,17 @@ def main(argv: list[str] | None = None) -> int:
     except _loaded("engines.EngineError", "certificates.CertificateError") as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except ValueError as exc:
+        # Python refuses to write an integer past its limit on decimal digits.
+        # Every input is converted where it is parsed, so such an integer is
+        # an output, printed, in a certificate or in an engine's witness: a
+        # resource cap.  Any other ValueError is a fault, and stays one.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: resource cap: an output integer has more than {limit} decimal digits,"
+              " the interpreter's limit for writing one", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def _loaded(*names: str) -> tuple[type, ...]:
@@ -238,54 +249,32 @@ def _truncation(args) -> Truncation:
 
 
 def _require_within_caps(args, T: int, V: int, what: str) -> None:
-    cap_t = getattr(args, "cap_T", CAP_T)
-    cap_v = getattr(args, "cap_V", CAP_V)
-    if T > cap_t or V > cap_v:
+    if T > args.cap_T or V > args.cap_V:
         raise ResourceCap(
-            f"{what} ({T},{V}) exceeds caps ({cap_t},{cap_v}); "
+            f"{what} ({T},{V}) exceeds caps ({args.cap_T},{args.cap_V}); "
             "raise --cap-T/--cap-V explicitly if you mean it"
         )
 
 
 def _output_path(args, default_name: str) -> str:
-    if getattr(args, "out", None):
+    if args.out:
         return args.out
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
 
 
 def _write_certificate(cert: Certificate, path: str) -> None:
     try:
-        _decimal(cert.write, path)
+        cert.write(path)
     except OSError as exc:
         raise UsageError(f"cannot write certificate: {path}: {exc.strerror or exc}") from exc
 
 
-def _decimal(convert, *args):
-    """``convert(*args)``, which writes integers in decimal.  Python refuses
-    to write an integer past its limit on decimal digits, with a ValueError,
-    and that one ends the command as a resource cap; any other propagates."""
-    try:
-        return convert(*args)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise ResourceCap(
-            f"an output integer has more than {sys.get_int_max_str_digits()} decimal digits,"
-            " the interpreter's limit for writing one"
-        ) from exc
-
-
 def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
-    """Label lookup first, then branch literal; unseen literals get registered."""
-    try:
-        return reg.by_label(text)
-    except zfilterlab.branches.BranchError:
-        pass
-    if ":" not in text:
-        raise UsageError(f"{text!r} is not a registry label, and literals need a colon")
-    branch = zfilterlab.formats.parse_branch_literal(text)
+    """The branch `formats.resolve_branch` reads; an unseen literal is
+    registered one rank above every entry."""
+    branch = zfilterlab.formats.resolve_branch(text, reg)
     if branch in reg:
-        return reg.entry(branch)
+        return branch
     return reg.add_unlabelled(branch.pre, branch.period, reg.max_rank() + 1)
 
 
@@ -295,7 +284,7 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
 
 def _cmd_family_elements(args) -> int:
     branch = zfilterlab.formats.parse_branch_literal(args.branch)
-    print(_decimal(",".join, map(str, zfilterlab.branches.branch_elements(branch, args.count))))
+    print(",".join(map(str, zfilterlab.branches.branch_elements(branch, args.count))))
     return EXIT_OK
 
 
@@ -303,7 +292,7 @@ def _cmd_family_intersect(args) -> int:
     a = zfilterlab.formats.parse_branch_literal(args.first)
     b = zfilterlab.formats.parse_branch_literal(args.second, rank=1)
     inter = sorted(zfilterlab.branches.intersection_exact(a, b))
-    print("{" + _decimal(",".join, map(str, inter)) + "}")
+    print("{" + ",".join(map(str, inter)) + "}")
     return EXIT_OK
 
 
@@ -311,7 +300,7 @@ def _cmd_family_separator(args) -> int:
     parse = zfilterlab.formats.parse_branch_literal
     branch = parse(args.branch)
     group = [parse(g, rank=i + 1) for i, g in enumerate(args.group)]
-    print(_decimal(str, zfilterlab.branches.find_separator(branch, group)))
+    print(zfilterlab.branches.find_separator(branch, group))
     return EXIT_OK
 
 
@@ -329,12 +318,12 @@ def _cmd_family_cover(args) -> int:
 
 
 def _cmd_family_density(args) -> int:
-    print(_decimal(str, zfilterlab.branches.density_count(args.n, args.depth)))
+    print(zfilterlab.branches.density_count(args.n, args.depth))
     return EXIT_OK
 
 
 def _cmd_family_encode(args) -> int:
-    print(_decimal(str, zfilterlab.branches.encode_string(args.word)))
+    print(zfilterlab.branches.encode_string(args.word))
     return EXIT_OK
 
 

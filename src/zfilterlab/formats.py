@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .branches import BranchError, BranchIndex, Registry, default_label
+from .branches import BranchError, BranchIndex, Registry, make_registry
 from .space import (
     Ambient,
     Atom,
@@ -63,26 +63,22 @@ _ENTRY_RE = re.compile(
 
 def parse_registry(entries: list[str]) -> Registry:
     """Build a registry from ``label=pre:period@rank`` strings, label and rank
-    optional.  Unranked entries get 0,1,2,...; explicit labels are kept, and
-    each unlabelled entry takes `default_label`'s label against them and the
-    labels before it."""
+    optional; `make_registry` defaults them (an unranked entry is ranked one
+    above the entry before it, 0 for the first)."""
     matches = [_ENTRY_RE.match(text.strip()) for text in entries]
     for text, m in zip(entries, matches):
         if not m:
             raise FormatError(f"bad registry entry {text!r}; expected label=pre:period@rank")
-    taken = {m["label"] for m in matches if m["label"]}
-    branches: list[BranchIndex] = []
-    for m in matches:
-        try:
-            rank = int(m["rank"]) if m["rank"] else branches[-1].rank + 1 if branches else 0
-        except ValueError as exc:  # the rank's digits run past Python's limit
-            limit = sys.get_int_max_str_digits()
-            raise FormatError(f"a registry rank has more than {limit} digits") from exc
-        label = m["label"] or default_label(rank, taken)
-        taken.add(label)
-        branches.append(parse_branch_literal(m["lit"], rank, label))
     try:
-        return Registry(branches)
+        specs = [
+            (*m["lit"].split(":"), int(m["rank"]) if m["rank"] else None, m["label"] or "")
+            for m in matches
+        ]
+    except ValueError as exc:  # a rank's digits run past Python's limit
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"a registry rank has more than {limit} digits") from exc
+    try:
+        return make_registry(specs)
     except BranchError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -134,7 +130,9 @@ _TOKEN_RE = re.compile(r"\(|\)|\{[^{}]*\}|[^\s()]+")
 MAX_SETEXPR_DEPTH = 200
 
 
-def _resolve_atom(ref: str, registry: Registry | None) -> BranchIndex:
+def resolve_branch(ref: str, registry: Registry | None) -> BranchIndex:
+    """The branch a reference names: the registry entry labelled ``ref``, else
+    the branch literal ``ref`` (the registry's entry if it has that word)."""
     if registry is not None:
         try:
             return registry.by_label(ref)
@@ -191,7 +189,7 @@ def parse_setexpr(text: str, registry: Registry | None = None, ambient: Ambient 
         if tok == "W":
             return Whole()
         if tok.startswith("N:"):
-            return Atom(_resolve_atom(tok[2:], registry))
+            return Atom(resolve_branch(tok[2:], registry))
         raise FormatError(f"unknown token {tok!r}")
 
     def _expect_close() -> None:

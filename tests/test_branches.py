@@ -20,6 +20,7 @@ from zfilterlab.branches import (
     intersection_exact,
     make_registry,
 )
+from zfilterlab.formats import FormatError, parse_registry
 
 ALL1 = BranchIndex("", "1", 0, "a1")
 ALL2 = BranchIndex("", "2", 1, "a2")
@@ -244,6 +245,56 @@ class TestRegistry:
         with pytest.raises(BranchError):
             Registry([ALL1, BranchIndex("1", "1", 9)])
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (BranchIndex("2", "1", 0), "registry ranks must be strictly increasing"),
+            (BranchIndex("1", "1", 9), "duplicate branch word :1"),
+            (BranchIndex("", "2", 1, "a1"), "duplicate label 'a1'"),
+        ],
+        ids=["rank", "word", "label"],
+    )
+    def test_constructor_and_add_refuse_alike(self, second, message):
+        with pytest.raises(BranchError) as built:
+            Registry([ALL1, second])
+        reg = Registry([ALL1])
+        with pytest.raises(BranchError) as added:
+            reg.add(second)
+        assert str(built.value) == str(added.value) == message
+        # a refused entry leaves no trace
+        assert reg.to_payload() == Registry([ALL1]).to_payload()
+        assert (second in reg) == (second == ALL1)
+        assert reg.by_label("a1") is ALL1
+
+    def test_a_label_of_any_type_is_looked_up(self):
+        # a certificate may name a branch by any JSON value
+        with pytest.raises(BranchError, match="no branch labelled"):
+            Registry([ALL1]).by_label(["a1"])
+
+    def test_added_entries_are_found(self):
+        reg = Registry([ALL1])
+        made = [reg.add_unlabelled("12", "1", 3), reg.mint_through("2", 5)]
+        assert [e.label for e in reg] == ["a1", "b3", "b5"]
+        for e in made:
+            assert e in reg and reg.by_label(e.label) is e
+            assert reg.entry(BranchIndex(e.pre, e.period, 0)) is e
+
+    @pytest.mark.parametrize(
+        "specs, texts, payload",
+        [
+            # a rank after an explicit one, and a default label taken by an
+            # explicit one
+            ([("1", "2", 5), ("2", "1")], ["1:2@5", "2:1"],
+             [{"label": "b5", "branch": "1:2", "rank": 5},
+              {"label": "b6", "branch": "2:1", "rank": 6}]),
+            ([("1", "2", 0, "b1"), ("2", "1")], ["b1=1:2@0", "2:1"],
+             [{"label": "b1", "branch": "1:2", "rank": 0},
+              {"label": "b1_2", "branch": "2:1", "rank": 1}]),
+        ],
+    )
+    def test_make_registry_defaults_as_parse_registry(self, specs, texts, payload):
+        assert make_registry(specs).to_payload() == parse_registry(texts).to_payload() == payload
+
     def test_covering_property_of_depth_d_branches(self):
         # branches through all depth-d words jointly cover 1..2^(d+1)-2
         d = 4
@@ -257,7 +308,8 @@ class TestRegistry:
 
 # ---------------------------------------------------------------------------
 # Differential tests: stored prefix codes and the registry's indexes against
-# the codec and linear scans, which stay the reference
+# the codec and linear scans, which stay the reference; and the registry's
+# two builders against each other
 # ---------------------------------------------------------------------------
 
 pres = st.text(alphabet="12", max_size=6)
@@ -361,3 +413,52 @@ class TestStoredCodes:
         ]
         assert ours.to_payload() == theirs.to_payload()
 
+
+
+def _built(build, specs):
+    """``build(specs)``'s entries, or the message it refuses them with."""
+    try:
+        return build(specs).to_payload()
+    except (BranchError, FormatError) as exc:
+        return str(exc)
+
+
+specs = st.tuples(
+    pres, periods, st.one_of(st.none(), st.integers(0, 6)),
+    st.sampled_from(["", "x", "b0", "b1", "b1_2", "b3"]),
+)
+
+
+class TestRegistryIndexes:
+    @given(st.lists(st.tuples(branches, st.integers(0, 3), st.sampled_from(["", "x", "b2"]))))
+    @settings(max_examples=120)
+    def test_lookups_match_a_scan(self, adds):
+        reg, rank = Registry(), 0
+        for branch, step, label in adds:
+            rank += step
+            try:
+                reg.add(BranchIndex(branch.pre, branch.period, rank, label))
+            except BranchError:
+                pass
+        entries = list(reg)
+        for branch, _, _ in adds:
+            found = [e for e in entries if e == branch]
+            assert (branch in reg) == bool(found)
+            if found:
+                assert reg.entry(branch) is found[0]
+        for label in ["x", "b2", *(e.label for e in entries)]:
+            found = [e for e in entries if e.label == label]
+            if found:
+                assert reg.by_label(label) is found[0]
+            else:
+                with pytest.raises(BranchError, match="no branch labelled"):
+                    reg.by_label(label)
+
+    @given(st.lists(specs, max_size=6))
+    @settings(max_examples=200)
+    def test_make_registry_matches_parse_registry(self, drawn):
+        texts = [
+            f"{label + '=' if label else ''}{pre}:{period}{'' if rank is None else f'@{rank}'}"
+            for pre, period, rank, label in drawn
+        ]
+        assert _built(make_registry, drawn) == _built(parse_registry, texts)

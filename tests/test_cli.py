@@ -139,12 +139,14 @@ class TestFamily:
         assert code == EXIT_RESOURCE and out == ""
         assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
 
-    def test_only_the_digit_limit_is_a_resource_cap(self):
+    def test_only_the_digit_limit_is_a_resource_cap(self, monkeypatch):
         # a ValueError with any other cause is a fault, and stays one
-        loop: list = []
-        loop.append(loop)
+        def fail(word):
+            raise ValueError("Circular reference detected")
+
+        monkeypatch.setattr(zfilterlab.branches, "encode_string", fail)
         with pytest.raises(ValueError, match="Circular reference"):
-            cli._decimal(json.dumps, loop)
+            main(["family", "encode", "22"])
 
     def test_bad_literal_is_usage_error(self, capsys):
         code, _, err = run(capsys, "family", "elements", "13:")
@@ -171,6 +173,26 @@ class TestVerify:
         code, out, err = run(
             capsys, "verify", "containment-full", "--F", "a", "--G", "b",
             "-r", "a=:1@0", "-r", f"b={LONG}:2@1", "--out", str(out_file),
+        )
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "lemma",
+        [["extendibility-a"], ["chain-inc", "--steps", "2"], ["chain-dec", "--steps", "2"],
+         ["property-a", "--zset", "W"]],
+        ids=["extendibility-a", "chain-inc", "chain-dec", "property-a"],
+    )
+    @pytest.mark.usefixtures("lowest_digit_limit")
+    def test_an_engine_witness_past_the_digit_limit_is_a_resource_cap(
+        self, capsys, tmp_path, lemma
+    ):
+        # the two words part past a's long prefix, so the engine's witness
+        # points carry positions past the limit
+        code, out, err = run(
+            capsys, "verify", *lemma, "-r", f"a={LONG}:2@0", "-r", "b=:1@1",
+            "--out", str(tmp_path / "cert.json"),
         )
         assert code == EXIT_RESOURCE and out == ""
         assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
