@@ -260,14 +260,9 @@ def containment_decreasing(
     if any(a == b for a in subtracted for b in kept):
         raise EngineError("the subtracted and kept branch sets must be disjoint")
 
-    separators: dict[str, int] = {}
-    cover: list[BranchIndex] = []
-    depth = 0
-    if subtracted:
-        for alpha in subtracted:
-            separators[alpha.label] = find_separator(alpha, kept)
-        depth = max(separators.values())
-        cover = find_cover(depth, gamma, registry, base=kept)
+    separators = {alpha.label: find_separator(alpha, kept) for alpha in subtracted}
+    depth = max(separators.values(), default=0)
+    cover = find_cover(depth, gamma, registry, base=kept) if depth else []
 
     cert = Certificate(
         "InclusionChain",
@@ -440,12 +435,14 @@ def property_b_refute(
 
     Inputs are absorption-failure claims whose union is said to cover the
     space.  The replay verifies every claim exhaustively on the truncation,
-    rebuilds the rank-floored covers step by step, and ends either with a
-    point the cover misses (a counterexample, possibly found already on the
-    truncation) or with an eval-verified point at which one claimed inclusion
-    breaks beyond the truncation (the contradiction).  Exactly one of the two
-    always emerges: the all-infinite point lies in every zero-set
-    intersection, so the final empty-intersection claim can never survive.
+    then walks the chain: step k asks, on the truncation, whether the first
+    k rank-floored covers' intersection (the whole space at step 0) lies in
+    the union of the claims from k on.  A violating point is chased down
+    the chain to a point the cover misses (a counterexample; at step 0, the
+    violating point itself) or to an eval-verified point at which one
+    claimed inclusion breaks beyond the truncation (the contradiction).  The
+    step after the last always breaks: its union is empty, and the
+    all-infinite point lies in every zero-set intersection.
     """
     failures = list(failures)
     if not failures:
@@ -469,44 +466,35 @@ def property_b_refute(
                 f"claimed inclusion {idx} fails at {bad.literal()} on the truncation"
             )
 
-    order = sorted(range(len(failures)), key=lambda i: failures[i].max_constraining_rank())
-    failures = [failures[i] for i in order]
-    n = len(failures)
+    failures.sort(key=AFailure.max_constraining_rank)
     zsets = [f.zset for f in failures]
     # the params are built with each certificate, after the covers are minted,
     # so that the registry they record holds every branch the chain names
     extra = dict(truncation=trunc.to_payload(), gamma=gamma,
                  afailures=[f.to_payload() for f in failures])
 
-    missed = containment_counterexample(Whole(), Union(tuple(zsets)), trunc, XI)
-    if missed is not None:
-        return RefuterReport([], Certificate(
-            "CounterexamplePoint",
-            params=_params(registry, XI, **extra),
-            payload={"point": missed.literal()},
-        ))
-
     chain: list[list[BranchIndex]] = []
+    bases: list[list[BranchIndex]] = []
     accumulated: list[BranchIndex] = []
-    hs: list[list[BranchIndex]] = []
-    for k in range(n):
+    for k in range(len(failures) + 1):
+        violating = containment_counterexample(
+            inter_atoms(accumulated), Union(tuple(zsets[k:])), trunc, XI
+        )
+        if violating is not None:
+            return RefuterReport(
+                chain, _chase(violating, k, failures, bases, registry, trunc, extra)
+            )
+        if k == len(failures):
+            break
         f_k = failures[k]
         base = _merge_branches(accumulated, f_k.constraining)
         if any(beta in base for beta in f_k.absorbing):
             raise EngineError("rank shape violated: an absorbing branch collides with the chain")
         depth = max((find_separator(b, base) for b in f_k.absorbing), default=0)
         h_k = find_cover(depth, gamma, registry, base=base) if depth else []
-        hs.append(h_k)
+        bases.append(base)
         accumulated = _merge_branches(base, h_k)
         chain.append(accumulated)
-        remainder = Union(tuple(zsets[k + 1:]))
-        violating = containment_counterexample(
-            inter_atoms(accumulated), remainder, trunc, XI
-        )
-        if violating is not None:
-            return RefuterReport(
-                chain, _chase(violating, k + 1, failures, hs, registry, trunc, extra)
-            )
     raise AssertionError(
         "unreachable: the all-infinite point always violates the final empty claim"
     )
@@ -518,17 +506,18 @@ def _merge_branches(*parts: Iterable[BranchIndex]) -> list[BranchIndex]:
 
 
 def _chase(
-    point: XiPoint, stage: int, failures: Sequence[AFailure], hs: Sequence[Sequence[BranchIndex]],
-    registry: Registry, trunc: Truncation, extra: dict,
+    point: XiPoint, stage: int, failures: Sequence[AFailure],
+    bases: Sequence[Sequence[BranchIndex]], registry: Registry, trunc: Truncation, extra: dict,
 ) -> Certificate:
     """Descend the chain from a violating point to an eval-verified terminal.
 
     Invariant at stage s: the point lies in every chain zero set below s and
     in none of the cover sets from s on.  Escaping the absorbing branches of
-    stage s-1 preserves both (the support only grows, and difference-free
-    cover sets can only lose members that way), after which the stage s-1 set
-    either holds at the point, contradicting its claimed inclusion, or the
-    descent continues one stage down.
+    stage s-1 through positions outside that step's base preserves both (the
+    support only grows, and difference-free cover sets can only lose members
+    that way), after which the stage s-1 set either holds at the point,
+    contradicting its claimed inclusion, or the descent continues one stage
+    down.  At stage 0 the point lies in no cover set: the cover misses it.
     """
     y = point
     s = stage
@@ -540,10 +529,7 @@ def _chase(
     while s >= 1:
         f_prev = failures[s - 1]
         if any(eval_setexpr(y, Atom(b)) for b in f_prev.absorbing):
-            avoid = _merge_branches(
-                *[(*failures[i].constraining, *hs[i]) for i in range(s - 1)], f_prev.constraining
-            )
-            y = _escape(y, f_prev.absorbing, avoid, trunc, singleton_ceiling)
+            y = _escape(y, f_prev.absorbing, bases[s - 1], trunc, singleton_ceiling)
         if eval_setexpr(y, f_prev.zset):
             return Certificate(
                 "Contradiction",
@@ -566,25 +552,18 @@ def _escape(
 ) -> XiPoint:
     """Extend the support to leave every absorbing zero set, then revalue.
 
-    New positions come from each absorbing branch's element set, skipping the
-    protected branches' elements and the current support; all coordinates are
-    then raised to one shared large value, which keeps the point valid and
-    outside every singleton appearing in the cover sets.
+    An absorbing branch the support misses gains its separator against the
+    protected branches: its least element in none of them, which the support
+    cannot hold.  All coordinates are then raised to one shared large value,
+    which keeps the point valid and outside every singleton appearing in the
+    cover sets.
     """
     support = set(y.positions())
     for beta in absorbing:
         if beta in avoid:
             raise EngineError(f"cannot escape {beta.literal()}: it is protected by the chain")
-        if any(branch_member(beta, p) for p in support):
-            continue
-        for n in itertools.count(1):
-            candidate = beta.element(n)
-            if candidate in support:
-                continue
-            if any(branch_member(b, candidate) for b in avoid):
-                continue
-            support.add(candidate)
-            break
+        if not any(branch_member(beta, p) for p in support):
+            support.add(find_separator(beta, avoid))
     big = 1 + max([trunc.V, singleton_ceiling, max(support, default=0)])
     return XiPoint.of({p: big for p in support}, y.ambient)
 

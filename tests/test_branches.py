@@ -1,14 +1,17 @@
 """Branch-family tests: codec, element sets, separators, covers, density."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfilterlab.branches import (
+    MAX_COVER_BOUND,
     BranchError,
     BranchIndex,
+    CoverBoundError,
     Registry,
     branch_elements,
     branch_member,
@@ -162,12 +165,25 @@ class TestSeparator:
             find_separator(ALL1, [ALL1, ALL2])
 
     def test_minimality_brute_force(self):
-        group = [ALL2, ONE_THEN_2, BranchIndex("11", "2", 3)]
-        l = find_separator(ALL1, group)
-        assert branch_member(ALL1, l)
-        assert all(not branch_member(b, l) for b in group)
-        for smaller in brute_codes_of_branch(ALL1, l - 1):
-            assert any(branch_member(b, smaller) for b in group)
+        # the example, then 200 seeded random (alpha, group) pairs with
+        # preperiods of up to 4 letters and periods of up to 2
+        rng = random.Random(20)
+
+        def word(lo: int, hi: int) -> str:
+            return "".join(rng.choice("12") for _ in range(rng.randint(lo, hi)))
+
+        pairs = [(ALL1, [ALL2, ONE_THEN_2, BranchIndex("11", "2", 3)])]
+        while len(pairs) < 201:
+            alpha = BranchIndex(word(0, 4), word(1, 2), 0)
+            group = [BranchIndex(word(0, 4), word(1, 2), 1) for _ in range(rng.randint(0, 4))]
+            if alpha not in group:
+                pairs.append((alpha, group))
+        for alpha, group in pairs:
+            l = find_separator(alpha, group)
+            assert branch_member(alpha, l)
+            assert all(not branch_member(b, l) for b in group)
+            for smaller in brute_codes_of_branch(alpha, l - 1):
+                assert any(branch_member(b, smaller) for b in group)
 
 
 class TestCover:
@@ -178,6 +194,14 @@ class TestCover:
         assert cover[0].prefix(1) == "1"
         assert cover[1].prefix(1) == "2"
         assert all(branch_member(cover[0], n) or branch_member(cover[1], n) for n in (1, 2))
+
+    def test_a_bound_past_the_cap_mints_nothing(self):
+        reg = make_registry([("", "1"), ("", "2", 3)])
+        with pytest.raises(CoverBoundError, match=f"MAX_COVER_BOUND = {MAX_COVER_BOUND}"):
+            find_cover(MAX_COVER_BOUND + 1, 0, reg)
+        assert len(reg) == 2
+        # a usage error is a BranchError (exit 3); the cap is a resource cap
+        assert not issubclass(CoverBoundError, BranchError)
 
     def test_base_already_covers(self):
         reg = Registry([ALL1])

@@ -117,6 +117,23 @@ class TestFamily:
         assert [e["label"] for e in cert.params["registry"]][:3] == ["b3", "x", "b3_2"]
         assert run(capsys, "verify", "--check", str(out_file))[1].strip() == "verified"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "cover", "--l", "8193"],
+            # a's separator is 16,384, the code of 1^13 2, so the cover up to
+            # it is refused before anything is minted
+            ["verify", "containment-dec", "--F", "a", "--G", "b",
+             "-r", "a=1111111111111:2@0", "-r", "b=:1@1"],
+        ],
+        ids=["family-cover", "containment-dec"],
+    )
+    def test_a_cover_bound_past_the_cap_is_a_resource_cap(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "cert.json"))
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == "error: resource cap: cover bound exceeds MAX_COVER_BOUND = 8192\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_density_and_codec(self, capsys):
         assert run(capsys, "family", "density", "--n", "4", "--depth", "4")[1].strip() == "4"
         assert run(capsys, "family", "encode", "22")[1].strip() == "6"

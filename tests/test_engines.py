@@ -454,6 +454,47 @@ class TestPropertyBRefute:
         assert cert.kind in ("Contradiction", "CounterexamplePoint")
         assert cert.kind == "Contradiction"
 
+    @pytest.mark.parametrize(
+        "cover, kind, payload, chain",
+        [
+            ("atoms", "CounterexamplePoint", {"point": "{1:2,2:2}"}, []),
+            ("whole", "Contradiction", {"afailure_index": 0, "point": "{6:7}"},
+             [["b0", "b1", "b2", "b3", "b50"]]),
+            ("two-set", "Contradiction", {"afailure_index": 1, "point": "{6:7}"},
+             [["b50"], ["b50", "b0", "b1", "b2", "b3", "b51"]]),
+            ("demo-05", "Contradiction", {"afailure_index": 0, "point": "{14:15}"},
+             [["b0", "b1", "b2", "b3", "b4", "b50", "b51", "b52"]]),
+        ],
+        ids=["atoms", "whole", "two-set", "demo-05"],
+    )
+    def test_pinned_certificate_and_chain(self, cover, kind, payload, chain):
+        # the atom cover misses a truncated point at step 0, before any
+        # cover is built; the other three are chased to a contradiction,
+        # the escape adding the absorbing branch's separator against the
+        # step's base (6 = code of 22, 14 = code of 222)
+        trunc = TR
+        if cover == "atoms":
+            reg = reg3()
+            b0, b1, _ = reg.entries
+            failures = [AFailure(Atom(b0), (), (b0,)), AFailure(Atom(b1), (), (b1,))]
+        elif cover == "demo-05":
+            reg = make_registry(
+                [("", "1"), ("112", "1"), ("12", "1"), ("21", "1"), ("22", "1"), ("", "2", 9)]
+            )
+            trunc = Truncation(6, 8)
+            failures = [
+                AFailure(Whole(), tuple(e for e in reg if e.rank <= 4), (reg.by_label("b9"),))
+            ]
+        else:
+            reg = cover_registry()
+            failures = [whole_afailure(reg, TR)]
+            if cover == "two-set":
+                failures.insert(0, AFailure(Atom(reg.entries[0]), (), (reg.entries[0],)))
+        report = property_b_refute(failures, 50, reg, trunc)
+        assert report.certificate.kind == kind and report.certificate.payload == payload
+        assert [[b.label for b in step] for step in report.chain] == chain
+        assert check_certificate(report.certificate).ok
+
     def test_difference_sets_rejected(self):
         reg = reg3()
         z = Diff(Whole(), Atom(reg.entries[0]))
