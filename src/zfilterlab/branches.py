@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Container, Iterable, Iterator, Sequence
+
+from ._record import Frozen, Record
 
 class BranchError(ValueError):
     """Raised for malformed words, duplicate branches, or bad arguments."""
@@ -98,8 +99,7 @@ def _canonicalize(pre: str, period: str) -> tuple[str, str]:
     return pre, period
 
 
-@dataclass(frozen=True, eq=False)
-class BranchIndex:
+class BranchIndex(Frozen):
     """An eventually periodic branch with an ordinal stand-in rank.
 
     Equality and hashing are by the expanded infinite word (canonical form);
@@ -107,25 +107,22 @@ class BranchIndex:
     the transfinite index set.
     """
 
-    pre: str
-    period: str
-    rank: int
-    label: str = ""
-    # codes of the prefixes of length 1, 2, ..., filled on demand
-    _codes: tuple[int, ...] = field(default=(), init=False, repr=False)
+    # ``_codes``: the codes of the prefixes of length 1, 2, ..., filled on demand
+    __slots__ = ("pre", "period", "rank", "label", "_codes")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, pre: str, period: str, rank: int, label: str = "") -> None:
+        if not period:
             raise BranchError("period must be nonempty")
-        _check_word(self.pre, "preperiod")
-        _check_word(self.period, "period")
-        if self.rank < 0:
+        _check_word(pre, "preperiod")
+        _check_word(period, "period")
+        if rank < 0:
             raise BranchError("rank must be a nonnegative integer")
-        pre, period = _canonicalize(self.pre, self.period)
+        pre, period = _canonicalize(pre, period)
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "period", period)
-        if not self.label:
-            object.__setattr__(self, "label", f"b{self.rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "label", label or f"b{rank}")
+        object.__setattr__(self, "_codes", ())
 
     # word access -----------------------------------------------------------
 
@@ -263,8 +260,7 @@ def density_count(n: int, depth: int) -> int:
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Registry:
+class Registry(Record):
     """Finite ordered stand-in for the transfinite branch index set.
 
     Entries keep strictly increasing ranks, pairwise distinct expanded words
@@ -274,14 +270,14 @@ class Registry:
     fact that continuum-many branches pass through every tree node.
     """
 
-    entries: list[BranchIndex] = field(default_factory=list)
+    # each entry under its word and under its label
+    __slots__ = ("entries", "_by_word", "_by_label")
 
-    def __post_init__(self) -> None:
-        entries, self.entries = self.entries, []
-        # each entry under its word and under its label
+    def __init__(self, entries: Iterable[BranchIndex] | None = None) -> None:
+        self.entries: list[BranchIndex] = []
         self._by_word: dict[BranchIndex, BranchIndex] = {}
         self._by_label: dict[str, BranchIndex] = {}
-        for e in entries:
+        for e in entries or ():
             self.add(e)
 
     def __len__(self) -> int:

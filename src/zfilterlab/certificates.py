@@ -18,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import secrets
-from dataclasses import dataclass, field
 from typing import Any
+
+from ._record import Record
 
 SCHEMA_VERSION = 9
 
@@ -59,18 +59,24 @@ def body_digest(kind: str, params: dict, payload: dict) -> str:
     return _text_digest(canonical_json(_body(kind, params, payload)))
 
 
-@dataclass
-class Certificate:
-    kind: str
-    params: dict = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)
-    verified: bool = False
+# the default ``params`` and ``payload``: each certificate gets a new empty dict
+_NEW: dict = {}
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise CertificateError(f"unknown certificate kind {self.kind!r}")
-        if not (isinstance(self.params, dict) and isinstance(self.payload, dict)):
+
+class Certificate(Record):
+    __slots__ = ("kind", "params", "payload", "verified")
+
+    def __init__(
+        self, kind: str, params: dict = _NEW, payload: dict = _NEW, verified: bool = False
+    ) -> None:
+        if kind not in KINDS:
+            raise CertificateError(f"unknown certificate kind {kind!r}")
+        if not (isinstance(params, dict) and isinstance(payload, dict)):
             raise CertificateError("params and payload must be objects")
+        self.kind = kind
+        self.params = {} if params is _NEW else params
+        self.payload = {} if payload is _NEW else payload
+        self.verified = verified
 
     def digest(self) -> str:
         return body_digest(self.kind, self.params, self.payload)
@@ -113,7 +119,7 @@ class Certificate:
         """Atomic write: temp file in the same directory, then rename.  The
         temp file is made with mode 0o666, so the umask applies as to ``open``."""
         directory = os.path.dirname(os.path.abspath(path)) or "."
-        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:

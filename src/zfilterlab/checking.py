@@ -22,8 +22,7 @@ their sets, so a `CounterexamplePoint` must miss each of them and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .branches import BranchIndex, Registry, branch_member
 from .certificates import Certificate, CertificateError
 from .formats import (
@@ -56,11 +55,13 @@ from .space import (
 )
 
 
-@dataclass
-class CheckReport:
-    kind: str
-    ok: bool = True
-    problems: list[str] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("kind", "ok", "problems")
+
+    def __init__(self, kind: str, ok: bool = True, problems: list[str] | None = None) -> None:
+        self.kind = kind
+        self.ok = ok
+        self.problems = [] if problems is None else problems
 
     def fail(self, message: str) -> None:
         self.ok = False
@@ -72,9 +73,7 @@ def check_certificate_text(text: str | bytes) -> CheckReport:
     try:
         cert = Certificate.from_json(text)
     except CertificateError as exc:
-        report = CheckReport(kind="unparseable")
-        report.fail(str(exc))
-        return report
+        return CheckReport("unparseable", ok=False, problems=[str(exc)])
     return check_certificate(cert)
 
 

@@ -360,14 +360,14 @@ def _cmd_verify(args) -> int:
 def _check_file(args) -> CheckReport:
     """Replay a certificate file, refusing an ``--ambient`` other than the
     recorded one, and truncations past the caps: in the worst case the replay
-    enumerates every support class up to the certificate's T."""
+    enumerates every support class up to the certificate's T.  A file that
+    does not parse is reported ``unparseable``, its parse error the problem."""
     certificates, checking = zfilterlab.certificates, zfilterlab.checking
     text = _read_file(args.check, "certificate")
     try:
         cert = certificates.Certificate.from_json(text)
-    except certificates.CertificateError:
-        # the checker reports why the document does not parse
-        return checking.check_certificate_text(text)
+    except certificates.CertificateError as exc:
+        return checking.CheckReport("unparseable", ok=False, problems=[str(exc)])
     recorded = cert.params.get("ambient", XI)
     if args.ambient not in (None, recorded):
         raise UsageError(f"the certificate is made in {recorded}, not in {args.ambient}")

@@ -25,13 +25,13 @@ over the whole space by `space.exact_counterexample`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 # the chain engines reach `filters` as an attribute of the package, which
 # imports it on first use, so the other engines do not load it
 import zfilterlab
 
+from ._record import Frozen, Record, fields_repr
 from .branches import (
     BranchError,
     BranchIndex,
@@ -216,8 +216,7 @@ def check_extendibility_b(
 # Closure containment (coordinate pushing)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContainmentReport:
+class ContainmentReport(Record):
     """A closure containment decided exactly by coordinate pushing.
 
     A point whose support avoids the kept and cover branches is the limit of
@@ -229,13 +228,29 @@ class ContainmentReport:
     its labels.
     """
 
-    subtracted: tuple[BranchIndex, ...]
-    kept: tuple[BranchIndex, ...]
-    separators: dict[str, int]
-    cover: list[BranchIndex]
-    depth: int
-    ambient: Ambient
-    certificate: Certificate = field(repr=False)
+    __slots__ = ("subtracted", "kept", "separators", "cover", "depth", "ambient", "certificate")
+
+    def __init__(
+        self,
+        subtracted: tuple[BranchIndex, ...],
+        kept: tuple[BranchIndex, ...],
+        separators: dict[str, int],
+        cover: list[BranchIndex],
+        depth: int,
+        ambient: Ambient,
+        certificate: Certificate,
+    ) -> None:
+        self.subtracted = subtracted
+        self.kept = kept
+        self.separators = separators
+        self.cover = cover
+        self.depth = depth
+        self.ambient = ambient
+        self.certificate = certificate
+
+    def __repr__(self) -> str:
+        # the certificate's fields would repeat the report's
+        return fields_repr(self, self._fields[:-1])
 
     def target(self) -> SetExpr:
         return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
@@ -317,20 +332,25 @@ def containment_full_product(
 # Property (A)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AFailure:
+class AFailure(Frozen):
     """A claimed failure of the non-absorption property for one zero set.
 
     The shape constraint mirrors the definition: the constraining branches
     all rank strictly below every branch the set is claimed to fall into.
     """
 
-    zset: SetExpr
-    constraining: tuple[BranchIndex, ...]
-    absorbing: tuple[BranchIndex, ...]
+    __slots__ = ("zset", "constraining", "absorbing")
 
-    def __post_init__(self) -> None:
-        if self.absorbing and self.max_constraining_rank() >= min(b.rank for b in self.absorbing):
+    def __init__(
+        self,
+        zset: SetExpr,
+        constraining: tuple[BranchIndex, ...],
+        absorbing: tuple[BranchIndex, ...],
+    ) -> None:
+        object.__setattr__(self, "zset", zset)
+        object.__setattr__(self, "constraining", constraining)
+        object.__setattr__(self, "absorbing", absorbing)
+        if absorbing and self.max_constraining_rank() >= min(b.rank for b in absorbing):
             raise EngineError("constraining ranks must lie strictly below absorbing ranks")
 
     def max_constraining_rank(self) -> int:
@@ -350,12 +370,16 @@ class AFailure:
         }
 
 
-@dataclass
-class PropertyAReport:
-    holds: bool
-    entries: list[dict]
-    failure: AFailure | None
-    certificate: Certificate
+class PropertyAReport(Record):
+    __slots__ = ("holds", "entries", "failure", "certificate")
+
+    def __init__(
+        self, holds: bool, entries: list[dict], failure: AFailure | None, certificate: Certificate
+    ) -> None:
+        self.holds = holds
+        self.entries = entries
+        self.failure = failure
+        self.certificate = certificate
 
 
 def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
@@ -414,15 +438,17 @@ def _property_a_witness(
 # Property (B) refuter
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RefuterReport:
+class RefuterReport(Record):
     """A property-(B) replay: ``chain[k]`` is the accumulated branch list of
     step k, in the order the steps add branches (empty when the cover misses
     a truncated point outright).  The certificate records only the refuting
     point and the inputs its checker replays."""
 
-    chain: list[list[BranchIndex]]
-    certificate: Certificate
+    __slots__ = ("chain", "certificate")
+
+    def __init__(self, chain: list[list[BranchIndex]], certificate: Certificate) -> None:
+        self.chain = chain
+        self.certificate = certificate
 
 
 def property_b_refute(
@@ -488,8 +514,12 @@ def property_b_refute(
             break
         f_k = failures[k]
         base = _merge_branches(accumulated, f_k.constraining)
-        if any(beta in base for beta in f_k.absorbing):
-            raise EngineError("rank shape violated: an absorbing branch collides with the chain")
+        # No absorbing branch of f_k lies in its base, which `_escape` relies
+        # on: every branch here is a registry entry, so equal words have equal
+        # ranks, and the base holds constraining branches of f_0..f_k, ranked
+        # (after the sort) below f_k's absorbing ranks, and covers of rank at
+        # least gamma, which exceeds every absorbing rank.
+        assert not any(beta in base for beta in f_k.absorbing)
         depth = max((find_separator(b, base) for b in f_k.absorbing), default=0)
         h_k = find_cover(depth, gamma, registry, base=base) if depth else []
         bases.append(base)
@@ -553,15 +583,13 @@ def _escape(
     """Extend the support to leave every absorbing zero set, then revalue.
 
     An absorbing branch the support misses gains its separator against the
-    protected branches: its least element in none of them, which the support
-    cannot hold.  All coordinates are then raised to one shared large value,
-    which keeps the point valid and outside every singleton appearing in the
-    cover sets.
+    protected branches, none of which it is (see `property_b_refute`): its
+    least element in none of them, which the support cannot hold.  All
+    coordinates are then raised to one shared large value, which keeps the
+    point valid and outside every singleton appearing in the cover sets.
     """
     support = set(y.positions())
     for beta in absorbing:
-        if beta in avoid:
-            raise EngineError(f"cannot escape {beta.literal()}: it is protected by the chain")
         if not any(branch_member(beta, p) for p in support):
             support.add(find_separator(beta, avoid))
     big = 1 + max([trunc.V, singleton_ceiling, max(support, default=0)])
@@ -572,10 +600,14 @@ def _escape(
 # Chain engines
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChainReport:
-    bases: list[zfilterlab.filters.FilterBase]
-    certificate: Certificate
+class ChainReport(Record):
+    __slots__ = ("bases", "certificate")
+
+    def __init__(
+        self, bases: list[zfilterlab.filters.FilterBase], certificate: Certificate
+    ) -> None:
+        self.bases = bases
+        self.certificate = certificate
 
 
 def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:

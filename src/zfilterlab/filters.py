@@ -13,9 +13,9 @@ subset at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
+from ._record import Frozen
 from .branches import BranchIndex
 from .space import (
     PI,
@@ -36,18 +36,18 @@ class FilterError(ValueError):
     """Raised for malformed bases or unsatisfied membership preconditions."""
 
 
-@dataclass(frozen=True)
-class FilterBase:
+class FilterBase(Frozen):
     """Finite generator list; the filter is all supersets of finite intersections."""
 
-    generators: tuple[SetExpr, ...]
-    ambient: str = "xi"
+    __slots__ = ("generators", "ambient")
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, generators: tuple[SetExpr, ...], ambient: str = "xi") -> None:
+        if not generators:
             raise FilterError("a filter base needs at least one generator (Whole is fine)")
-        if self.ambient not in (XI, PI):
-            raise FilterError(f"unknown ambient {self.ambient!r}")
+        if ambient not in (XI, PI):
+            raise FilterError(f"unknown ambient {ambient!r}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "ambient", ambient)
 
     @classmethod
     def of(cls, generators: Iterable[SetExpr], ambient: str = "xi") -> "FilterBase":
@@ -81,12 +81,19 @@ def pairwise_union_base(branches: Sequence[BranchIndex], ambient: str = "xi") ->
 # Membership verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MemberVerdict:
-    status: Literal["proven", "refuted"]
-    subset: tuple[int, ...] | None = None  # generator indices whose intersection works
-    witness: XiPoint | None = None  # point in every generator but outside the query
+class MemberVerdict(Frozen):
+    __slots__ = ("status", "subset", "witness")
     exact = True  # every verdict is; perfbench/run.py reads the field
+
+    def __init__(
+        self,
+        status: Literal["proven", "refuted"],
+        subset: tuple[int, ...] | None = None,  # generator indices whose intersection works
+        witness: XiPoint | None = None,  # point in every generator but outside the query
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def proven(self) -> bool:
@@ -143,11 +150,15 @@ def pseudo_finite_exceptions(
     return exceptions, verdicts
 
 
-@dataclass(frozen=True)
-class CombineReport:
-    combined: SetExpr
-    per_base: dict[int, MemberVerdict]
-    target_verdict: MemberVerdict
+class CombineReport(Frozen):
+    __slots__ = ("combined", "per_base", "target_verdict")
+
+    def __init__(
+        self, combined: SetExpr, per_base: dict[int, MemberVerdict], target_verdict: MemberVerdict
+    ) -> None:
+        object.__setattr__(self, "combined", combined)
+        object.__setattr__(self, "per_base", per_base)
+        object.__setattr__(self, "target_verdict", target_verdict)
 
 
 def combine_nonredundancy_witnesses(

@@ -48,9 +48,9 @@ against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
+from ._record import Frozen
 from .branches import BranchIndex, branch_member, find_separator
 
 Ambient = Literal["xi", "pi"]
@@ -67,23 +67,22 @@ class SpaceError(ValueError):
 # Points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XiPoint:
+class XiPoint(Frozen):
     """Finite-support point: sorted ``(position, value)`` pairs, rest infinite."""
 
-    support: tuple[tuple[int, int], ...]
-    ambient: Ambient = XI
+    __slots__ = ("support", "ambient")
 
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.support))
+    def __init__(self, support: Iterable[tuple[int, int]], ambient: Ambient = XI) -> None:
+        pairs = tuple(sorted(support))
         positions = [p for p, _ in pairs]
         if len(set(positions)) != len(positions):
             raise SpaceError("duplicate support positions")
         if any(p < 1 or v < 1 for p, v in pairs):
             raise SpaceError("positions and finite values are >= 1")
-        if self.ambient not in (XI, PI):
-            raise SpaceError(f"unknown ambient {self.ambient!r}")
+        if ambient not in (XI, PI):
+            raise SpaceError(f"unknown ambient {ambient!r}")
         object.__setattr__(self, "support", pairs)
+        object.__setattr__(self, "ambient", ambient)
 
     @classmethod
     def of(cls, mapping: dict[int, int] | None = None, ambient: Ambient = XI) -> "XiPoint":
@@ -136,8 +135,10 @@ def in_zero_set(point: XiPoint, alpha: BranchIndex) -> bool:
 # Symbolic set expressions
 # ---------------------------------------------------------------------------
 
-class SetExpr:
+class SetExpr(Frozen):
     """Base class; subclasses form a finite expression tree."""
+
+    __slots__ = ()
 
     def children(self) -> tuple["SetExpr", ...]:
         return ()
@@ -158,15 +159,18 @@ class SetExpr:
         return tuple(self._leaves([], [])[1])
 
 
-@dataclass(frozen=True)
 class Whole(SetExpr):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Whole()"
 
 
-@dataclass(frozen=True)
 class Atom(SetExpr):
-    branch: BranchIndex
+    __slots__ = ("branch",)
+
+    def __init__(self, branch: BranchIndex) -> None:
+        object.__setattr__(self, "branch", branch)
 
     def _leaves(self, atoms: list, points: list) -> tuple[list, list]:
         atoms.append(self.branch)
@@ -176,9 +180,11 @@ class Atom(SetExpr):
         return f"Atom({self.branch.literal()})"
 
 
-@dataclass(frozen=True)
 class Singleton(SetExpr):
-    point: XiPoint
+    __slots__ = ("point",)
+
+    def __init__(self, point: XiPoint) -> None:
+        object.__setattr__(self, "point", point)
 
     def _leaves(self, atoms: list, points: list) -> tuple[list, list]:
         points.append(self.point)
@@ -188,26 +194,32 @@ class Singleton(SetExpr):
         return f"Singleton({self.point.literal()})"
 
 
-@dataclass(frozen=True)
 class Union(SetExpr):
-    parts: tuple[SetExpr, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[SetExpr, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def children(self) -> tuple[SetExpr, ...]:
         return self.parts
 
 
-@dataclass(frozen=True)
 class Inter(SetExpr):
-    parts: tuple[SetExpr, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[SetExpr, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def children(self) -> tuple[SetExpr, ...]:
         return self.parts
 
 
-@dataclass(frozen=True)
 class Diff(SetExpr):
-    left: SetExpr
-    right: SetExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SetExpr, right: SetExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> tuple[SetExpr, ...]:
         return (self.left, self.right)
@@ -291,19 +303,19 @@ def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
 # Truncated enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Frozen):
     """Finite sub-universe: support positions <= T, finite values <= V."""
 
-    T: int
-    V: int
+    __slots__ = ("T", "V")
 
-    def __post_init__(self) -> None:
-        for bound in (self.T, self.V):
+    def __init__(self, T: int, V: int) -> None:
+        for bound in (T, V):
             if not isinstance(bound, int) or isinstance(bound, bool):
                 raise SpaceError(f"truncation bounds must be integers, not {bound!r}")
-        if self.T < 0 or self.V < 0:
+        if T < 0 or V < 0:
             raise SpaceError("truncation bounds must be nonnegative")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "V", V)
 
     def to_payload(self) -> dict:
         return {"T": self.T, "V": self.V}
@@ -588,8 +600,7 @@ def _absorb(terms: list[int]) -> list[int]:
 # Approximating sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxSequence:
+class ApproxSequence(Frozen):
     """Coordinatewise approximation of a base point from inside a set.
 
     Terms agree with the base everywhere except at the varied positions, where
@@ -599,20 +610,21 @@ class ApproxSequence:
     once needs one varied position per set, hence the tuple.
     """
 
-    base: XiPoint
-    varied: tuple[int, ...]
-    start: int
-    count: int
+    __slots__ = ("base", "varied", "start", "count")
 
-    def __post_init__(self) -> None:
-        if not self.varied:
+    def __init__(self, base: XiPoint, varied: tuple[int, ...], start: int, count: int) -> None:
+        if not varied:
             raise SpaceError("at least one varied position is required")
-        if len(set(self.varied)) != len(self.varied):
+        if len(set(varied)) != len(varied):
             raise SpaceError("varied positions must be distinct")
-        if any(self.base.coordinate(p) is not None for p in self.varied):
+        if any(base.coordinate(p) is not None for p in varied):
             raise SpaceError("varied positions must be off the base support")
-        if self.count < 1:
+        if count < 1:
             raise SpaceError("a sequence needs at least one term")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "varied", varied)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "count", count)
         # later terms only raise the varied values, so they are valid too
         if not validate_point(self.term(1)):
             raise SpaceError(
@@ -645,8 +657,7 @@ def multi_escape_sequence(point: XiPoint, positions: Sequence[int], count: int) 
 # Closure membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(Frozen):
     """Outcome of an exact closure-membership check.
 
     ``proven`` carries a witness: the point itself when it satisfies the
@@ -657,9 +668,17 @@ class ClosureVerdict:
     ``m``.
     """
 
-    status: Literal["proven", "refuted"]
-    witness: ApproxSequence | XiPoint | None = None
-    neighborhood: tuple[tuple[tuple[int, int], ...], int, int] | None = None
+    __slots__ = ("status", "witness", "neighborhood")
+
+    def __init__(
+        self,
+        status: Literal["proven", "refuted"],
+        witness: ApproxSequence | XiPoint | None = None,
+        neighborhood: tuple[tuple[tuple[int, int], ...], int, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "neighborhood", neighborhood)
 
 
 def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:

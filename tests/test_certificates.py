@@ -910,6 +910,72 @@ def _with_unregistered_label(value):
                 yield [*value[:i], forged, *value[i + 1:]]
 
 
+def _whole_cover_point(point):
+    """The `whole_cover_refutation` contradiction with another point: its
+    failure is W ∩ Z(b0..b3) ⊆ Z(b9), with b2 = 2:1 and b9 = :2."""
+    return _with("payload", point=point)(whole_cover_refutation().certificate).to_json()
+
+
+class TestSemanticObligations:
+    """One digest-valid forgery for each checker rejection that no other test
+    reaches: each is re-serialized with a correct digest, so only the named
+    obligation rejects it, and it is the one problem reported."""
+
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            # Z(b1) does not lie in Z(b0) joined with Z(b0); every other
+            # obligation holds (separator 1 is in b0 only, b0 covers 1, and
+            # b1 is the one exception)
+            (lambda: _forgery("ExceptionList", [B0, B1], {
+                "zset": "N:b0", "alpha": "b0", "hypothesis_group": ["b1"], "separator": 1,
+                "cover": ["b0"], "exceptions": ["b1"], "members": []}),
+             "hypothesis containment fails at {1:1}"),
+            # Z(a) ∪ Z(c) is not in Z(b) ∪ Z(c): {2:4,4:4} hits b (4 is the
+            # code of 12) and c (2 is the code of 2), and misses a = 11:2
+            (lambda: _with("payload", members=[
+                {"beta": "c", "via_pairs": ["a"]}, *exception_list().payload["members"][1:]])(
+                    exception_list()).to_json(),
+             "pair inclusion for c fails at {2:4,4:4}"),
+            # the whole space is not in Z(b0), decided exactly ...
+            (lambda: _forgery("InclusionChain", [B0, B1], {
+                "claim": "absorption-failure",
+                "afailure": {"zset": "W", "constraining": [], "absorbing": ["b0"]}}),
+             "absorption inclusion breaks at {1:1}"),
+            # ... and Z(b1) is not in Z(b0) on a refuter's truncation
+            (lambda: _with("params", afailures=[{"zset": "N::2", "constraining": [],
+                                                  "absorbing": ["b0"]}])(
+                zero_set_cover_refutation().certificate).to_json(),
+             "absorption inclusion breaks at {1:1}"),
+            # in xi every value is at least the largest position
+            (lambda: _whole_cover_point("{2:1}"), "contradiction point is invalid"),
+            # Z(b0) ⊆ Z(b0) holds, and {1:1} lies outside Z(b0)
+            (lambda: _forgery("Contradiction", [B0, B1], {"afailure_index": 0, "point": "{1:1}"},
+                              truncation=TRUNCATION, gamma=50, afailures=[
+                                  {"zset": "N:b0", "constraining": [], "absorbing": ["b0"]}]),
+             "contradiction point misses the failing set"),
+            # 2 lies in b2 and in b9
+            (lambda: _whole_cover_point("{2:2}"),
+             "contradiction point leaves the constraining intersection"),
+            # the all-infinite point lies in every zero set
+            (lambda: _whole_cover_point("{}"),
+             "contradiction point still sits in an absorbing zero set"),
+            (lambda: _with("payload", point="{2:1}")(
+                zero_set_cover_refutation().certificate).to_json(),
+             "counterexample point is invalid"),
+        ],
+        ids=["hypothesis", "pair-inclusion", "absorption-exact", "absorption-truncated",
+             "contradiction-invalid", "contradiction-misses-set",
+             "contradiction-leaves-constraining", "contradiction-in-absorbing",
+             "counterexample-invalid"],
+    )
+    def test_forgery_rejected(self, make, problem):
+        text = make()
+        Certificate.from_json(text)  # the digest holds
+        report = check_certificate_text(text)
+        assert not report.ok and report.problems == [problem]
+
+
 class TestDeepJson:
     def test_deep_nesting_is_unparseable(self):
         # past the recursion limit the parser fails; just under it, the

@@ -235,7 +235,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_OK and "verified" in out
 
-    def test_tampered_certificate_rejected(self, capsys, tmp_path):
+    def test_tampered_certificate_rejected(self, capsys, tmp_path, monkeypatch):
         out_file = tmp_path / "chain.json"
         run(
             capsys,
@@ -246,8 +246,15 @@ class TestVerify:
         mutated = blob.replace(b'"point":"{', b'"point":"{1:1,', 1)
         assert mutated != blob
         out_file.write_bytes(mutated)
-        code, out, _ = run(capsys, "verify", "--check", str(out_file))
-        assert code == EXIT_FAIL and "rejected" in out
+        # the damaged bytes are parsed once: the parse error is the problem
+        parses = []
+        parse = Certificate.from_json.__func__
+        monkeypatch.setattr(Certificate, "from_json",
+                            classmethod(lambda cls, text: parses.append(text) or parse(cls, text)))
+        code, out, err = run(capsys, "verify", "--check", str(out_file))
+        assert code == EXIT_FAIL and out == "rejected\n"
+        assert err == "problem: digest mismatch: certificate was altered\n"
+        assert parses == [mutated]
 
     @pytest.mark.parametrize("T, V", [(40, 6), (4, 17)], ids=["past-cap-T", "past-cap-V"])
     def test_check_refuses_truncation_past_caps(self, capsys, tmp_path, T, V):
@@ -950,3 +957,33 @@ class TestImportFootprint:
         assert int(code) == want_code
         assert err.startswith({EXIT_OK: "", EXIT_FAIL: "failed: "}.get(want_code, "error: "))
         assert not {f"zfilterlab.{m}" for m in unloaded} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, want_code",
+        [
+            (["verify", "chain-inc", *_reg_flags(), "--out", "new.json"], EXIT_OK),
+            (["verify", "--check", "cert.json"], EXIT_OK),
+            (["verify", "--check", "flipped.json"], EXIT_FAIL),
+        ],
+        ids=["verify-lemma", "verify-check", "verify-check-unparseable"],
+    )
+    def test_certificate_commands_load_no_dataclasses(self, capsys, tmp_path, argv, want_code):
+        # `dataclasses` imports `inspect`, which imports `ast`, `dis` and
+        # `tokenize`: once the largest part of loading the whole package.
+        # A temporary file is named without `secrets`, and so without
+        # `base64` and `hmac`.
+        run(capsys, "verify", "chain-inc", *_reg_flags(), "--out", str(tmp_path / "cert.json"))
+        text = (tmp_path / "cert.json").read_text()
+        (tmp_path / "flipped.json").write_text(text.replace('"point"', '"pOint"', 1))
+        code = """
+import sys
+before = set(sys.modules)
+from zfilterlab import cli
+code = cli.main(sys.argv[1:])
+print(code, "zfilterlab.engines" in sys.modules,
+      *sorted({"dataclasses", "inspect", "secrets", "base64", "hmac"} & set(sys.modules) - before))
+"""
+        (status, engines, *loaded), _ = _fresh(tmp_path, "-c", code, *argv)
+        assert (int(status), loaded) == (want_code, [])
+        # the engines, the largest package module, did load for a lemma
+        assert engines == str(argv[1] == "chain-inc")
