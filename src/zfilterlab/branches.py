@@ -335,10 +335,8 @@ class Registry(Record):
             [(word, "1"), (word, "2")],
             ((word + "2" * j, "1") for j in itertools.count(1)),
         )
-        for pre, period in candidates:
-            if BranchIndex(pre, period, rank) not in self:
-                return self.add_unlabelled(pre, period, rank)
-        raise AssertionError("unreachable: infinitely many candidates")
+        pre, period = next(c for c in candidates if BranchIndex(*c, rank) not in self)
+        return self.add_unlabelled(pre, period, rank)
 
     def to_payload(self) -> list[dict]:
         return [

@@ -10,7 +10,7 @@ Three command groups:
   over the truncated point universe.
 
 Exit codes: 0 verified/holds, 1 refuted/failed, 3 usage error, 4 resource
-cap, term bound or cover bound exceeded.  Certificates are written
+cap, split bound or cover bound exceeded.  Certificates are written
 atomically and carry no timestamps, so identical configurations reproduce
 identical bytes.
 """
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "space.SpaceError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceCap, *_loaded("space.TermBoundError", "branches.CoverBoundError")) as exc:
+    except (ResourceCap, *_loaded("space.SplitBoundError", "branches.CoverBoundError")) as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except _loaded("engines.EngineError", "certificates.CertificateError") as exc:

@@ -502,6 +502,8 @@ def property_b_refute(
     chain: list[list[BranchIndex]] = []
     bases: list[list[BranchIndex]] = []
     accumulated: list[BranchIndex] = []
+    # the empty point lies in every zero-set intersection and outside the
+    # empty union, so the step past the last failure always returns
     for k in range(len(failures) + 1):
         violating = containment_counterexample(
             inter_atoms(accumulated), Union(tuple(zsets[k:])), trunc, XI
@@ -510,8 +512,6 @@ def property_b_refute(
             return RefuterReport(
                 chain, _chase(violating, k, failures, bases, registry, trunc, extra)
             )
-        if k == len(failures):
-            break
         f_k = failures[k]
         base = _merge_branches(accumulated, f_k.constraining)
         # No absorbing branch of f_k lies in its base, which `_escape` relies
@@ -525,9 +525,6 @@ def property_b_refute(
         bases.append(base)
         accumulated = _merge_branches(base, h_k)
         chain.append(accumulated)
-    raise AssertionError(
-        "unreachable: the all-infinite point always violates the final empty claim"
-    )
 
 
 def _merge_branches(*parts: Iterable[BranchIndex]) -> list[BranchIndex]:

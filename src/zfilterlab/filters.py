@@ -4,7 +4,7 @@ A filter base is a finite generator list; a set belongs to the generated
 filter iff it contains the intersection of some finite generator subset.
 Every query, properness included, is decided over the whole ambient by
 `space.exact_counterexample`, so a verdict is proven or refuted; a claim
-whose DNF grows past `space.MAX_DNF_TERMS` raises `space.TermBoundError`.
+that needs more than `space.MAX_SPLITS` splits raises `space.SplitBoundError`.
 Refutations always carry a concrete point in the intersection of all
 generators that misses the queried set, which rules out every generator
 subset at once.
@@ -114,11 +114,12 @@ def filter_member(base: FilterBase, zset: SetExpr, trunc: object = None) -> Memb
     witness = exact_counterexample(base.core(), zset, base.ambient)
     if witness is not None:
         return MemberVerdict("refuted", witness=witness)
-    for size in range(0, len(gens) + 1):
-        for combo in itertools.combinations(range(len(gens)), size):
-            if exact_counterexample(inter_of(gens[i] for i in combo), zset, base.ambient) is None:
-                return MemberVerdict("proven", subset=combo)
-    raise AssertionError("the full generator subset must succeed here")
+    # the last subset tried, all of them, intersects to the core shown contained above
+    subset = next(
+        c for n in range(len(gens) + 1) for c in itertools.combinations(range(len(gens)), n)
+        if exact_counterexample(inter_of(gens[i] for i in c), zset, base.ambient) is None
+    )
+    return MemberVerdict("proven", subset=subset)
 
 
 def shifted_filter(base: FilterBase, alpha: BranchIndex) -> FilterBase:

@@ -19,30 +19,29 @@ algebra over these atoms plus singletons, with exhaustive evaluation on
 truncated sub-universes as the ground-truth oracle.
 
 Whether a point lies in a zero set depends only on which positions carry
-finite values; singletons are the only value-sensitive sets.  Every support
-rule uses `_dnf`'s bit layout, atom ``a`` at bit ``index[a]``: a support
-hits the union of its positions' masks (`_owners`, `_hits`), and `_generic`
-reads an expression at a hit mask, giving the verdict at the support's
-generic points (none of its singletons): an atom holds when its bit is
-clear, and every singleton reads false.  The truncated containment loop and
-`closure_member` evaluate singleton points with `eval_setexpr`.
-`eval_on_support` is the one-shot form; no module calls it, but the
-benchmark's tracer binds it.  The closure containments need no support
-walk: coordinate pushing decides them exactly from separators and a cover
-(see `engines.ContainmentReport`).
+finite values; singletons are the only value-sensitive sets.  One function
+reads the support rule, with atom ``a`` at bit ``index[a]`` (`_index`): a
+support hits the union of its positions' masks (`_owners`, `_hits`), and
+`_generic` reads an expression under a partial assignment ``(hit, miss)``,
+giving the verdict at the generic points (none of the expression's
+singletons) of the supports it describes, or None when the free atoms
+decide.  ``miss = ~hit`` assigns every atom: the truncated containment loop,
+`closure_member` and the one-shot `eval_on_support` read it so, and
+evaluate singleton points with `eval_setexpr`.  The closure containments
+need no support walk: coordinate pushing decides them exactly from
+separators and a cover (see `engines.ContainmentReport`).
 
 `exact_counterexample` decides containment over the whole ambient.  A point
 neither empty nor a singleton's reads every singleton false, so its verdict
 follows from the atoms its support hits.  Distinct branches share only their
 common prefix's elements, so every hit/miss assignment of the atoms is the
 pattern of some point valued past every singleton.  So ``lhs ⊆ rhs`` iff no
-valid one of the empty and singleton points violates it and ``lhs ∧ ¬rhs``
-is unsatisfiable in independent atom variables (singletons false, `Whole`
-true), which a DNF of (miss, hit) masks decides.  `containment_violations`
-lists the violations within a truncation, for the oracle and the
-property-(B) refuter, walking only the support classes the hit patterns and
-singletons leave open.  `eval_setexpr` is the reference both are tested
-against.
+valid one of the empty and singleton points violates it and no assignment
+reads ``lhs ∧ ¬rhs`` True, which a splitting search decides (`_satisfy`).
+`containment_violations` lists the violations within a truncation, for the
+oracle and the property-(B) refuter, walking only the support classes the
+hit patterns and singletons leave open.  `eval_setexpr` is the reference
+both are tested against.
 """
 
 from __future__ import annotations
@@ -296,7 +295,8 @@ def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
     if any(frozenset(q.positions()) == support for q in expr.singleton_points()):
         return None
     index = _index(expr.atoms())
-    return _generic(expr, _hits(_owners(index, 0, support), support), index)
+    hit = _hits(_owners(index, 0, support), support)
+    return _generic(expr, hit, ~hit, index)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +392,34 @@ def _hits(owners: dict[int, int], support: Iterable[int]) -> int:
     return hit
 
 
-def _generic(expr: SetExpr, hit: int, index: dict[BranchIndex, int]) -> bool:
-    """``expr`` at the generic points of a support hitting the atoms in mask
-    ``hit`` (none of the expression's singletons): an atom holds when its
-    bit is clear, and every singleton reads False."""
+def _generic(expr: SetExpr, hit: int, miss: int, index: dict[BranchIndex, int]) -> bool | None:
+    """``expr`` at the generic points (none of its singletons) of the
+    supports that hit the atoms in mask ``hit`` and miss those in ``miss``:
+    an atom fails when hit and holds when missed, every singleton reads
+    False, and None says the free atoms decide.  ``miss = ~hit`` frees none."""
     kind = type(expr)
     if kind is Atom:
-        return not hit >> index[expr.branch] & 1
-    if kind is Inter:
-        return all(_generic(part, hit, index) for part in expr.parts)
-    if kind is Union:
-        return any(_generic(part, hit, index) for part in expr.parts)
+        bit = 1 << index[expr.branch]
+        return False if hit & bit else True if miss & bit else None
+    if kind is Inter or kind is Union:
+        # an intersection's first False part decides it, a union's first True
+        decisive = kind is Union
+        verdict: bool | None = not decisive
+        for part in expr.parts:
+            v = _generic(part, hit, miss, index)
+            if v is decisive:
+                return v
+            if v is None:
+                verdict = None
+        return verdict
     if kind is Diff:
-        return _generic(expr.left, hit, index) and not _generic(expr.right, hit, index)
-    if kind is Whole:
-        return True
-    if kind is Singleton:
-        return False
+        left = _generic(expr.left, hit, miss, index)
+        if left is False:
+            return False
+        right = _generic(expr.right, hit, miss, index)
+        return False if right else left if right is False else None
+    if kind is Whole or kind is Singleton:
+        return kind is Whole
     raise SpaceError(f"unknown expression node {expr!r}")
 
 
@@ -434,7 +445,7 @@ def containment_violations(
 
     def violates(hit: int) -> bool:
         if hit not in verdicts:
-            verdicts[hit] = _generic(lhs, hit, index) and not _generic(rhs, hit, index)
+            verdicts[hit] = _generic(lhs, hit, ~hit, index) and not _generic(rhs, hit, ~hit, index)
         return verdicts[hit]
 
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
@@ -516,12 +527,12 @@ def containment_counterexample(
 # Exact containment
 # ---------------------------------------------------------------------------
 
-# The most terms a claim's DNF may keep; the engines' claims keep one or two.
-MAX_DNF_TERMS = 256
+# The most splits one exact claim may take; the demos' and workloads' claims take none.
+MAX_SPLITS = 256
 
 
-class TermBoundError(Exception):
-    """A claim's DNF grew past `MAX_DNF_TERMS` terms, so it was not decided."""
+class SplitBoundError(Exception):
+    """A claim needed more than `MAX_SPLITS` splits, so it was not decided."""
 
 
 def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoint | None:
@@ -540,11 +551,11 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
         if violates(point):
             return point
     index = _index(atoms)
-    terms = _dnf(Diff(lhs, rhs), True, index)
-    if not terms:
+    mask = _satisfy(Diff(lhs, rhs), index)
+    if mask is None:
         return None
     # one element per hit atom that no other atom holds, or one in no atom
-    hit = [a for a, i in index.items() if terms[0] >> len(index) + i & 1]
+    hit = [a for a, i in index.items() if mask >> i & 1]
     positions = [find_separator(a, [b for b in index if b != a]) for a in hit] or [
         next(p for p in itertools.count(1) if not any(branch_member(a, p) for a in index))]
     value = max([*positions, *(v + 1 for q in singletons for v in q.values())])
@@ -554,46 +565,39 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
     return point
 
 
-def _dnf(expr: SetExpr, positive: bool, index: dict[BranchIndex, int]) -> list[int]:
-    """``expr``, or its negation, on points that are no singleton, as
-    absorbed DNF terms: bit ``i`` of a term says atom ``i`` is missed, bit
-    ``len(index) + i`` that it is hit; a term with both is dropped."""
-    kind = type(expr)
-    if kind is Atom:
-        return [1 << index[expr.branch] + (0 if positive else len(index))]
-    if kind is Whole or kind is Singleton:
-        return [0] if positive == (kind is Whole) else []
-    if kind is Diff:
-        factors = [_dnf(expr.left, positive, index), _dnf(expr.right, not positive, index)]
-        conjunction = positive
-    elif kind is Inter or kind is Union:
-        factors = [_dnf(part, positive, index) for part in expr.parts]
-        conjunction = (kind is Inter) == positive
-    else:
-        raise SpaceError(f"unknown expression node {expr!r}")
-    if not conjunction:
-        return _absorb([t for factor in factors for t in factor])
-    k, low = len(index), (1 << len(index)) - 1
-    terms = factors[0] if factors else [0]
-    for factor in factors[1:]:
-        terms = _absorb([u for s in terms for t in factor if not (u := s | t) & u >> k & low])
-    return terms
+def _satisfy(expr: SetExpr, index: dict[BranchIndex, int]) -> int | None:
+    """The hit mask of an assignment of ``index``'s atoms at which `_generic`
+    reads ``expr`` True, or None when no assignment does.
 
-
-def _absorb(terms: list[int]) -> list[int]:
-    """``terms`` without repeats and without a term whose bits hold another's."""
-    if len(terms) < 2:
-        return terms
-    kept: list[int] = []
-    for t in sorted(sorted(set(terms)), key=int.bit_count):
-        for s in kept:
-            if s & t == s:
-                break
-        else:
-            kept.append(t)
-            if len(kept) > MAX_DNF_TERMS:
-                raise TermBoundError(f"a DNF grows past MAX_DNF_TERMS = {MAX_DNF_TERMS} terms")
-    return kept
+    A depth-first splitting search over partial assignments ``(hit, miss)``.
+    At each node every free atom one of whose values reads False takes the
+    other, until none does; then a decided node ends its branch, and an
+    undecided one splits its lowest free atom, missed first.  A True node's
+    free atoms count as missed.  Past `MAX_SPLITS` splits: `SplitBoundError`.
+    """
+    bits = [1 << i for i in range(len(index))]
+    nodes, splits = [(0, 0)], 0
+    while nodes:
+        hit, miss = nodes.pop()
+        previous = None
+        while previous != (hit, miss):
+            previous = hit, miss
+            for bit in bits:
+                if not (hit | miss) & bit:
+                    if _generic(expr, hit | bit, miss, index) is False:
+                        miss |= bit
+                    elif _generic(expr, hit, miss | bit, index) is False:
+                        hit |= bit
+        verdict = _generic(expr, hit, miss, index)
+        if verdict:
+            return hit
+        if verdict is None:
+            splits += 1
+            if splits > MAX_SPLITS:
+                raise SplitBoundError(f"a claim needs more than MAX_SPLITS = {MAX_SPLITS} splits")
+            bit = next(b for b in bits if not (hit | miss) & b)
+            nodes += [(hit | bit, miss), (hit, miss | bit)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +711,7 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     owners = _owners(index, 0, held.union(positions))
     held_hit = _hits(owners, held)
     for hit, rep in _hit_patterns(owners, positions).items():
-        if _generic(expr, held_hit | hit, index):
+        if _generic(expr, held_hit | hit, ~(held_hit | hit), index):
             varied = tuple(sorted(rep))
             start = max(sequence_start(point, varied), N)
             return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))

@@ -3,8 +3,10 @@ and what a command, or an import of the package, loads."""
 
 import argparse
 import importlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -410,9 +412,10 @@ class TestVerify:
         assert code == EXIT_FAIL and out == ""
         assert "{15:15}" in err
 
-    def test_term_bound_exit_code(self, capsys, tmp_path):
-        # ¬zset is a product of nine two-term factors over distinct atoms, so
-        # its DNF outgrows MAX_DNF_TERMS = 256 before it is absorbed
+    def test_nine_pair_claim_is_refused_with_a_point(self, capsys, tmp_path):
+        # ¬zset is nine two-atom unions over distinct atoms: a point in the
+        # zero set of every entry but a, hitting one atom of each pair, is
+        # outside zset ∪ Z(a)
         words = [f"{format(i, '05b').translate(str.maketrans('01', '12'))}:1" for i in range(18)]
         pairs = " ".join(f"(inter N:{a} N:{b})" for a, b in zip(words[::2], words[1::2]))
         code, out, err = run(
@@ -420,8 +423,29 @@ class TestVerify:
             "verify", "extendibility-b", "--zset", f"(union {pairs})", "--alpha", "a",
             *_reg_flags(), "--out", str(tmp_path / "x.json"),
         )
+        assert code == EXIT_FAIL and out == ""
+        assert re.match(r"failed: no group intersection .*: \{\d+:\d+(,\d+:\d+)*\} lies", err)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_split_bound_exit_code(self, capsys, tmp_path):
+        # ¬zset puts each of six pigeons in one of five holes, no two in one
+        # hole: impossible, but only shown after more than MAX_SPLITS splits
+        words = ["".join(w) for w in itertools.product("12", repeat=5)]
+        x = [[f"N:{words[5 * p + h]}:12" for h in range(5)] for p in range(6)]
+        placed = " ".join(f"(union {' '.join(row)})" for row in x)
+        shared = " ".join(
+            f"(inter {x[p][h]} {x[q][h]})"
+            for h in range(5)
+            for p, q in itertools.combinations(range(6), 2)
+        )
+        code, out, err = run(
+            capsys,
+            "verify", "extendibility-b", "--zset", f"(union (diff W (inter {placed})) {shared})",
+            "--alpha", "a", *_reg_flags(), "--out", str(tmp_path / "x.json"),
+        )
         assert code == EXIT_RESOURCE and out == ""
-        assert err.startswith("error: resource cap:") and "MAX_DNF_TERMS = 256" in err
+        assert err.startswith("error: resource cap:") and "MAX_SPLITS = 256" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_resource_cap(self, capsys, tmp_path):
         cover_file = tmp_path / "cover.json"

@@ -22,7 +22,6 @@ from zfilterlab.space import (
     Diff,
     Inter,
     Singleton,
-    TermBoundError,
     Truncation,
     Union,
     Whole,
@@ -136,13 +135,17 @@ class TestExactOverTheWholeSpace:
         assert FilterBase.of([Diff(Whole(), Atom(self.X)), Atom(self.Y)]).is_proper()
 
     @pytest.mark.parametrize("trunc", [None, Truncation(4, 6)])
-    def test_core_past_the_term_bound_raises(self, trunc):
-        # nine two-atom unions: 2^9 core terms; (4,6) proved a wrong subset
+    def test_nine_pair_core_refuted_at_one_point(self, trunc):
+        # nine two-atom unions: a point that hits the queried atom alone lies
+        # in the core and refutes every subset at once; (4,6) proved a wrong
+        # subset
         words = ["".join(w) for w in itertools.product("12", repeat=5)][:19]
         b = [BranchIndex(w, "1", i) for i, w in enumerate(words)]
         base = FilterBase.of([Union((Atom(b[2 * i]), Atom(b[2 * i + 1]))) for i in range(9)])
-        with pytest.raises(TermBoundError):
-            filter_member(base, Atom(b[18]), trunc)
+        verdict = filter_member(base, Atom(b[18]), trunc)
+        assert verdict.refuted and verdict.witness == XiPoint.of({24: 24})
+        assert eval_setexpr(verdict.witness, base.core())
+        assert not eval_setexpr(verdict.witness, Atom(b[18]))
 
 
 def _benchmark_filter_ops(seed, directory):

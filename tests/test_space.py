@@ -22,8 +22,8 @@ from zfilterlab.space import (
     SpaceError,
     Truncation,
     Union,
+    SplitBoundError,
     Whole,
-    TermBoundError,
     XiPoint,
     class_point_count,
     class_points,
@@ -382,14 +382,58 @@ class TestExactContainment:
         with pytest.raises(SpaceError):
             exact_counterexample(Whole(), Whole(), "zz")
 
-    def test_term_bound(self):
-        # nine two-term factors over distinct atoms: 512 terms before absorption
+    def test_nine_pair_intersection_lies_in_whole(self):
+        # nine two-atom unions over distinct atoms; ¬Whole reads False
+        # before any atom is assigned, so no split is made
         words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(18)]
         atoms = [Atom(BranchIndex(w, "1", i)) for i, w in enumerate(words)]
         lhs = Inter(tuple(Union(pair) for pair in zip(atoms[::2], atoms[1::2])))
-        with pytest.raises(TermBoundError, match="MAX_DNF_TERMS = 256"):
-            exact_counterexample(lhs, Whole(), XI)
-        assert exact_counterexample(Inter(lhs.parts[:8]), Whole(), XI) is None
+        with mock.patch.object(space, "MAX_SPLITS", 0):
+            assert exact_counterexample(lhs, Whole(), XI) is None
+
+    def test_settling_decides_an_atom_indexed_last(self):
+        # ⋂(Z(a_i) ∪ Z(b_i)) ∩ Z(c) ⊆ Z(c) over 13 pairs, c the last atom:
+        # both of c's values read False, so settling misses it and the claim
+        # holds with no split, where splitting in index order alone makes
+        # about 3^13
+        words = ["".join(w) for w in itertools.product("12", repeat=5)][:27]
+        atoms = [Atom(BranchIndex(w, "1", i)) for i, w in enumerate(words)]
+        unions = (Union(pair) for pair in zip(atoms[:-1:2], atoms[1::2]))
+        with mock.patch.object(space, "MAX_SPLITS", 0):
+            assert exact_counterexample(Inter((*unions, atoms[-1])), atoms[-1], XI) is None
+
+    def test_split_bound(self):
+        # pigeonhole: no way to put each of six pigeons in one of five holes
+        # with no hole holding two, which a splitting search settles only
+        # after hundreds of splits; five pigeons in four holes take fewer
+        with pytest.raises(SplitBoundError, match="MAX_SPLITS = 256"):
+            exact_counterexample(*_pigeonhole(6, 5), XI)
+        assert exact_counterexample(*_pigeonhole(5, 4), XI) is None
+
+    def test_a_witness_failing_its_own_check_is_an_error(self):
+        # position 2 lies outside the all-1 branch, so a "separator" there
+        # leaves the witness inside Z(:1)
+        with mock.patch.object(space, "find_separator", lambda alpha, group: 2):
+            with pytest.raises(AssertionError, match=r"witness \{2:2\} failed its own check"):
+                exact_counterexample(Whole(), Atom(ALL1), XI)
+
+
+def _pigeonhole(pigeons, holes):
+    """``(lhs, rhs)``: atom ``x[p, h]`` says pigeon ``p`` sits in hole ``h``;
+    ``lhs`` puts every pigeon in some hole and ``rhs`` two in one hole."""
+    words = ["".join(w) for w in itertools.product("12", repeat=5)]
+    x = {
+        (p, h): Atom(BranchIndex(words[p * holes + h], "1", p * holes + h))
+        for p in range(pigeons)
+        for h in range(holes)
+    }
+    lhs = Inter(tuple(Union(tuple(x[p, h] for h in range(holes))) for p in range(pigeons)))
+    rhs = Union(tuple(
+        Inter((x[p, h], x[q, h]))
+        for h in range(holes)
+        for p, q in itertools.combinations(range(pigeons), 2)
+    ))
+    return lhs, rhs
 
 
 @given(
@@ -532,7 +576,8 @@ def test_eval_on_support_matches_reference_evaluator(case):
         # singleton value (only the empty point can still be a singleton)
         point = XiPoint.of(dict.fromkeys(support, max([above, *support])), ambient)
         if point.support not in singletons:
-            generic = space._generic(expr, space._hits(owners, support), index)
+            hit = space._hits(owners, support)
+            generic = space._generic(expr, hit, ~hit, index)
             assert generic == eval_setexpr(point, expr)
         verdict = eval_on_support(support, expr)
         if verdict is None:
@@ -574,21 +619,35 @@ def test_hit_patterns_match_brute_force(element_sets, positions):
     assert all(hits(rep) == mask == space._hits(owners, rep) for mask, rep in reps.items())
 
 
+@given(st.sampled_from([XI, PI]).flatmap(_setexprs), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_decided_partial_reading_holds_at_every_completion(expr, data):
+    index = space._index(expr.atoms())
+    states = data.draw(st.lists(st.sampled_from("hmf"), min_size=len(index), max_size=len(index)))
+    hit, miss = (sum(1 << i for i, s in enumerate(states) if s == state) for state in "hm")
+    free = [1 << i for i, s in enumerate(states) if s == "f"]
+    readings = {
+        space._generic(expr, h := hit | sum(bits), ~h, index)
+        for n in range(len(free) + 1)
+        for bits in itertools.combinations(free, n)
+    }
+    # a full assignment is always decided, and a partial one only when
+    # every completion agrees
+    assert readings <= {True, False}
+    verdict = space._generic(expr, hit, miss, index)
+    assert verdict is not None or free
+    if verdict is not None:
+        assert readings == {verdict}
+
+
 @given(st.sampled_from([XI, PI]).flatmap(_setexprs))
 @settings(max_examples=200, deadline=None)
-def test_generic_verdict_matches_the_dnf(expr):
-    # both read the same bit layout: at every hit mask h, the mask rule
-    # agrees with the DNF term a point of that mask satisfies, one whose
-    # missed atoms h clears and whose hit atoms h sets
+def test_satisfy_finds_a_true_mask_exactly_when_one_exists(expr):
     index = space._index(expr.atoms())
-    k, low = len(index), (1 << len(index)) - 1
-    try:
-        terms = space._dnf(expr, True, index)
-    except TermBoundError:
-        return
-    for h in range(1 << k):
-        reading = any(t & low & h == 0 and (t >> k) & low & ~h == 0 for t in terms)
-        assert space._generic(expr, h, index) == reading
+    true_masks = [h for h in range(1 << len(index)) if space._generic(expr, h, ~h, index)]
+    mask = space._satisfy(expr, index)
+    assert (mask is None) == (not true_masks)
+    assert mask is None or mask in true_masks
 
 
 def _recursive_eval(point, expr):
