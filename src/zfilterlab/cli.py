@@ -79,23 +79,33 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; never raises SystemExit.
 
     A first word naming a command (``verify``, ``oracle``, or ``family``
-    with its subcommand word) hands the rest of ``argv`` straight to that
-    command's own parser; no arguments, ``-h``/``--help`` or an unknown
-    word go to the top-level parser.  ``main`` may be called any number of
-    times in one process.  The parsers are built on the first call and
-    reused by every later one: each parse makes a fresh namespace, and
-    argparse looks ``sys.stdout`` and ``sys.stderr`` up when it prints, so
-    redirected streams still capture its help and usage errors.
+    with its subcommand word) hands the rest of ``argv`` to that command's
+    own parser; no arguments, ``-h``/``--help`` or an unknown word go to the
+    top-level parser.  A command's ``argv`` of the plain shape - each option
+    spelled out in full and followed by its one value, which does not start
+    with ``-``, and the command's positionals, valid and each given once -
+    is read directly (`_read_plain`), to the namespace argparse would make.
+    Any other ``argv`` (``-h``, ``--opt=value``, ``-rVALUE``, an abbreviated
+    option, ``--``, a value starting with ``-``, a value its type or choices
+    refuse, a missing required argument, an extra positional) goes to
+    argparse, so help, usage errors and exit codes are argparse's own.
+    ``main`` may be called any number of times in one process.  The parsers
+    are built on the first call and reused by every later one: each parse
+    makes a fresh namespace, and argparse looks ``sys.stdout`` and
+    ``sys.stderr`` up when it prints, so redirected streams still capture
+    its help and usage errors.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     words = tuple(argv[:2] if argv[:1] == ["family"] else argv[:1])
     if words in commands:
         parser, argv = commands[words], argv[len(words):]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _read_plain(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # an except clause's classes are looked up only when an exception reaches it
     try:
         return args.func(args)
@@ -238,6 +248,75 @@ def _add_truncation_options(p: argparse.ArgumentParser) -> None:
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="certificate output path")
+
+
+@functools.cache
+def _plain_reading(parser: argparse.ArgumentParser) -> tuple | None:
+    """What `_read_plain` needs of a parser, derived from its actions on first
+    use: each single-value store or append option under each of its option
+    strings, the positionals in order, the namespace's defaults as argparse
+    fills them in, and the required actions.  None for a parser whose
+    positionals are not all of one value each, nor one optional value alone
+    (the top-level parser's command word)."""
+    options, positionals, defaults = {}, [], {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if not action.option_strings:
+            positionals.append(action)
+        elif action.nargs is None and isinstance(
+                action, (argparse._StoreAction, argparse._AppendAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    # argparse hands the positional strings out in order to positionals of one
+    # value each, and the first one to a lone optional positional; a mix of
+    # the two it matches by pattern, differently across Python versions
+    if [a.nargs for a in positionals] not in ([None] * len(positionals), ["?"]):
+        return None
+    return options, positionals, defaults, [a for a in parser._actions if a.required]
+
+
+def _read_plain(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parser.parse_args(argv)`` makes, for an ``argv`` of the
+    plain shape `main` describes; None for any other, which argparse reads.
+    An option not given keeps its default object; a given append option's
+    values go to a new list, never into its default."""
+    reading = _plain_reading(parser)
+    if reading is None:
+        return None
+    options, positionals, defaults, required = reading
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(defaults)
+    seen = set()
+    tokens = iter(argv)
+    filled = 0
+    for token in tokens:
+        if token[:1] == "-":
+            action, value = options.get(token), next(tokens, "-")
+            if action is None or value[:1] == "-":
+                return None
+        elif filled < len(positionals):
+            action, value = positionals[filled], token
+            filled += 1
+        else:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if isinstance(action, argparse._AppendAction):
+            if action not in seen:
+                values[action.dest] = list(values[action.dest] or ())
+            values[action.dest].append(value)
+        else:
+            values[action.dest] = value
+        seen.add(action)
+    return args if seen.issuperset(required) else None
 
 
 def _registry(args) -> Registry:

@@ -2,15 +2,22 @@
 and what a command, or an import of the package, loads."""
 
 import argparse
+import contextlib
+import functools
 import importlib
+import io
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zfilterlab
 from zfilterlab import cli, space
@@ -37,6 +44,69 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_apart(argv, defer=False):
+    """`main(argv)`'s exit code, stdout and stderr, run in an empty directory
+    of its own; with `defer`, the plain reading hands every argv to argparse."""
+    read_plain = (lambda parser, argv: None) if defer else cli._read_plain
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_read_plain", read_plain), \
+            mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: "."}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _argvs(parser):
+    """argvs for a command's `parser`, mostly of the plain shape: its exact
+    option strings, each with a value its type and choices take, and its
+    positionals, all or some, in any order.  Up to two other items go
+    anywhere: an option, exact, abbreviated or unknown, without a value,
+    joined to its value by ``=`` or directly, or with any value, one
+    starting with ``-`` too; or any value as a positional."""
+    words = ["", "a", "a=:1@0", "b=:2@1", "W", "c.json"]
+    choices = [c for a in parser._actions if a.choices for c in a.choices]
+    value = st.integers(0, 12).map(str) | st.sampled_from([*words, *choices])
+
+    def fitting(action):
+        if action.choices:
+            return st.sampled_from(list(action.choices))
+        return st.integers(0, 12).map(str) if action.type is int else st.sampled_from(words)
+
+    options = [a for a in parser._actions if a.option_strings and a.nargs is None]
+    positionals = [a for a in parser._actions if not a.option_strings]
+    given = st.lists(st.one_of([st.tuples(st.sampled_from(a.option_strings), fitting(a)).map(list)
+                                for a in options]), max_size=6 if options else 0)
+    placed = st.tuples(*(fitting(a).map(lambda v: [v]) for a in positionals)).flatmap(
+        lambda items: st.integers(0, len(items)).map(lambda n: list(items[:n]))
+        | st.just(list(items)))
+    strings = [s for a in parser._actions for s in a.option_strings]
+    option = st.sampled_from(strings) | st.sampled_from([*strings, "--x"]).flatmap(
+        lambda s: st.integers(min(3, len(s)), len(s)).map(lambda n: s[:n]))
+    odd_value = st.integers(-3, -1).map(str) | st.sampled_from(["-", "--", "-h"])
+    odd = st.one_of(
+        st.tuples(option, value | odd_value).map(list),
+        st.tuples(option, value).map(lambda t: ["=".join(t)]),
+        st.tuples(option, value).map(lambda t: ["".join(t)]),
+        option.map(lambda o: [o]),
+        (value | odd_value).map(lambda v: [v]),
+    )
+    items = st.tuples(given, placed).flatmap(lambda t: st.permutations(t[0] + t[1]))
+    return st.tuples(items, st.lists(odd, max_size=2), st.integers(0, 8)).map(
+        lambda t: [token for item in t[0][:t[2]] + t[1] + t[0][t[2]:] for token in item])
+
+
+def _append_defaults() -> list:
+    return [a.default for p in cli._build_parser()[1].values() for a in p._actions
+            if isinstance(a, argparse._AppendAction)]
 
 
 def _refuted_cover(capsys, tmp_path) -> Certificate:
@@ -687,26 +757,56 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_handler_gets_the_top_level_namespace(self, monkeypatch, argv):
-        top = vars(cli._build_parser()[0].parse_args(argv))
-        parse_args = argparse.ArgumentParser.parse_args
-        used = []
+        # fresh parsers, read afresh, so that the command's handler can be
+        # one that records the namespace it is given
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
+        monkeypatch.setattr(cli, "_plain_reading", functools.cache(cli._plain_reading.__wrapped__))
+        parser, commands = cli._build_parser()
+        top = vars(parser.parse_args(argv))
+        words = tuple(argv[:2] if argv[0] == "family" else argv[:1])
+        received = []
 
-        def recording(parser, args=None, namespace=None):
-            ns = parse_args(parser, args, namespace)
-            used.append((parser.prog, dict(vars(ns))))
-            ns.func = lambda args: EXIT_OK
-            return ns
+        def handler(args):
+            received.append(vars(args))
+            return EXIT_OK
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        commands[words].set_defaults(func=handler)
         assert main(argv) == EXIT_OK
-        words = argv[:2] if argv[0] == "family" else argv[:1]
-        [(prog, received)] = used
-        assert prog == " ".join(["zfilterlab", *words])
+        # each of these argvs has the plain shape, so argparse did not read it
+        assert cli._read_plain(commands[words], argv[len(words):]) is not None
         # the top-level parser also records the command words it consumed
         for key in ("command", "family_command"):
             top.pop(key, None)
-            received.pop(key, None)
-        assert received == top
+        assert received == [dict(top, func=handler)]
+
+    @given(st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_plain_reading_is_argparses(self, data):
+        commands = cli._build_parser()[1]
+        parser = commands[data.draw(st.sampled_from(sorted(commands)), label="command")]
+        argv = data.draw(_argvs(parser), label="argv")
+        plain = cli._read_plain(parser, argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                want = vars(parser.parse_args(argv))
+        except SystemExit:
+            want = None
+        if plain is not None:
+            got = vars(plain)
+            assert got == want
+            assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+            # an option not given holds its default object itself
+            assert all(got[k] is v for k, v in want.items() if v is parser.get_default(k))
+        assert all(default == [] for default in _append_defaults())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_main_reads_as_argparse_does(self, data):
+        commands = cli._build_parser()[1]
+        words = data.draw(st.sampled_from(sorted(commands)), label="command")
+        argv = [*words, *data.draw(_argvs(commands[words]), label="argv")]
+        assert _run_apart(argv) == _run_apart(argv, defer=True)
+        assert all(default == [] for default in _append_defaults())
 
     @pytest.mark.parametrize(
         "argv, want_code",
