@@ -107,8 +107,9 @@ class BranchIndex(Frozen):
     the transfinite index set.
     """
 
-    # ``_codes``: the codes of the prefixes of length 1, 2, ..., filled on demand
-    __slots__ = ("pre", "period", "rank", "label", "_codes")
+    # ``_codes``: the codes of the prefixes of length 1, 2, ..., filled on
+    # demand; ``_hash``: the hash of the canonical word, taken once
+    __slots__ = ("pre", "period", "rank", "label", "_codes", "_hash")
 
     def __init__(self, pre: str, period: str, rank: int, label: str = "") -> None:
         if not period:
@@ -123,6 +124,7 @@ class BranchIndex(Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "label", label or f"b{rank}")
         object.__setattr__(self, "_codes", ())
+        object.__setattr__(self, "_hash", hash((pre, period)))
 
     # word access -----------------------------------------------------------
 
@@ -151,7 +153,7 @@ class BranchIndex(Frozen):
         return self.pre == other.pre and self.period == other.period
 
     def __hash__(self) -> int:
-        return hash((self.pre, self.period))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"BranchIndex({self.literal()!r}, rank={self.rank}, label={self.label!r})"

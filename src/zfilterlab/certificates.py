@@ -117,14 +117,18 @@ class Certificate(Record):
 
     def write(self, path: str) -> None:
         """Atomic write: temp file in the same directory, then rename.  The
-        temp file is made with mode 0o666, so the umask applies as to ``open``."""
+        temp file is made with mode 0o666, so the umask applies as to ``open``,
+        and the encoded document goes straight to its descriptor."""
         directory = os.path.dirname(os.path.abspath(path)) or "."
         tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_json())
-                fh.write("\n")
+            try:
+                data = memoryview(f"{self.to_json()}\n".encode())
+                while data:  # a write may take only part of what it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -37,7 +37,9 @@ follows from the atoms its support hits.  Distinct branches share only their
 common prefix's elements, so every hit/miss assignment of the atoms is the
 pattern of some point valued past every singleton.  So ``lhs ⊆ rhs`` iff no
 valid one of the empty and singleton points violates it and no assignment
-reads ``lhs ∧ ¬rhs`` True, which a splitting search decides (`_satisfy`).
+reads ``lhs ∧ ¬rhs`` True, which a splitting search decides (`_satisfy`); at
+each partial assignment one `_sweep` of the claim reads every free atom's two
+values, `_generic`'s rule applied bitwise, one bit per atom.
 `containment_violations` lists the violations within a truncation, for the
 oracle and the property-(B) refuter, walking only the support classes the
 hit patterns and singletons leave open.  `eval_setexpr` is the reference
@@ -570,34 +572,84 @@ def _satisfy(expr: SetExpr, index: dict[BranchIndex, int]) -> int | None:
     reads ``expr`` True, or None when no assignment does.
 
     A depth-first splitting search over partial assignments ``(hit, miss)``.
-    At each node every free atom one of whose values reads False takes the
-    other, until none does; then a decided node ends its branch, and an
-    undecided one splits its lowest free atom, missed first.  A True node's
-    free atoms count as missed.  Past `MAX_SPLITS` splits: `SplitBoundError`.
+    At each node one `_sweep` reads every free atom's two values; each free
+    atom one of whose values reads False takes the other, all at once, until
+    none does.  A False node, or an atom forced both ways, ends its branch; a
+    True node's free atoms count as missed; an undecided node splits its
+    lowest free atom, missed first.  Past `MAX_SPLITS` splits:
+    `SplitBoundError`.
     """
-    bits = [1 << i for i in range(len(index))]
+    none = 1 << len(index)  # the lane that adds no atom: the node's own verdict
+    every = 2 * none - 1
     nodes, splits = [(0, 0)], 0
     while nodes:
         hit, miss = nodes.pop()
-        previous = None
-        while previous != (hit, miss):
-            previous = hit, miss
-            for bit in bits:
-                if not (hit | miss) & bit:
-                    if _generic(expr, hit | bit, miss, index) is False:
-                        miss |= bit
-                    elif _generic(expr, hit, miss | bit, index) is False:
-                        hit |= bit
-        verdict = _generic(expr, hit, miss, index)
-        if verdict:
+        while True:
+            true_hit, false_hit, _, false_miss = _sweep(expr, hit, miss, index, every)
+            free = every & ~(hit | miss | none)
+            # an atom that reads False when hit must be missed, and the other way
+            to_miss, to_hit = false_hit & free, false_miss & free
+            if not (to_miss | to_hit) or to_miss & to_hit:
+                break
+            hit, miss = hit | to_hit, miss | to_miss
+        if true_hit & none:
             return hit
-        if verdict is None:
-            splits += 1
-            if splits > MAX_SPLITS:
-                raise SplitBoundError(f"a claim needs more than MAX_SPLITS = {MAX_SPLITS} splits")
-            bit = next(b for b in bits if not (hit | miss) & b)
-            nodes += [(hit | bit, miss), (hit, miss | bit)]
+        if false_hit & none or to_miss & to_hit:  # no completion reads True
+            continue
+        splits += 1
+        if splits > MAX_SPLITS:
+            raise SplitBoundError(f"a claim needs more than MAX_SPLITS = {MAX_SPLITS} splits")
+        bit = free & -free
+        nodes += [(hit | bit, miss), (hit, miss | bit)]
     return None
+
+
+def _sweep(
+    expr: SetExpr, hit: int, miss: int, index: dict[BranchIndex, int], every: int
+) -> tuple[int, int, int, int]:
+    """`_generic` in every lane at once: the masks ``(true_hit, false_hit,
+    true_miss, false_miss)``, whose bit ``index[a]`` for a free atom ``a``
+    says ``expr`` reads True (or False) with ``a`` also hit (or also
+    missed).  The bit past the atoms, which ``every`` includes, adds no atom
+    and carries the verdict at ``(hit, miss)`` itself.  Kleene's rules apply
+    bitwise; only the free atoms' lanes mean anything."""
+    kind = type(expr)
+    if kind is Atom:
+        bit = 1 << index[expr.branch]
+        if hit & bit:
+            return 0, every, 0, every
+        if miss & bit:
+            return every, 0, every, 0
+        return 0, bit, bit, 0
+    if kind is Inter:
+        true_hit = true_miss = every
+        false_hit = false_miss = 0
+        for part in expr.parts:
+            th, fh, tm, fm = _sweep(part, hit, miss, index, every)
+            true_hit &= th
+            false_hit |= fh
+            true_miss &= tm
+            false_miss |= fm
+        return true_hit, false_hit, true_miss, false_miss
+    if kind is Union:
+        true_hit = true_miss = 0
+        false_hit = false_miss = every
+        for part in expr.parts:
+            th, fh, tm, fm = _sweep(part, hit, miss, index, every)
+            true_hit |= th
+            false_hit &= fh
+            true_miss |= tm
+            false_miss &= fm
+        return true_hit, false_hit, true_miss, false_miss
+    if kind is Diff:
+        lth, lfh, ltm, lfm = _sweep(expr.left, hit, miss, index, every)
+        rth, rfh, rtm, rfm = _sweep(expr.right, hit, miss, index, every)
+        return lth & rfh, lfh | rth, ltm & rfm, lfm | rtm
+    if kind is Whole:
+        return every, 0, every, 0
+    if kind is Singleton:
+        return 0, every, 0, every
+    raise SpaceError(f"unknown expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,25 @@ class TestRoundTrip:
         assert os.listdir(tmp_path) == ["cert.json"]
         assert Certificate.read(str(path)).to_json() == cert.to_json()
 
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        # a descriptor may take fewer bytes than it is given; the rest follow
+        cert = sample_certificates()[0]
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        path = tmp_path / "cert.json"
+        cert.write(str(path))
+        assert path.read_text() == cert.to_json() + "\n"
+        assert os.listdir(tmp_path) == ["cert.json"]
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", failing_write)
+        with pytest.raises(OSError, match="No space left"):
+            sample_certificates()[0].write(str(tmp_path / "cert.json"))
+        assert os.listdir(tmp_path) == []
+
 
 class TestTampering:
     def test_payload_mutation_detected(self):

@@ -201,9 +201,22 @@ def test_hash_and_immutability(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_copy_and_pickle(name):
-    x = CASES[name][0]()
+    make, _, _, _, hashed = CASES[name]
+    x = make()
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
+        if hashed not in (None, TypeError):
+            assert hash(twin) == hash(x)
+
+
+def test_branch_hash_is_taken_once_and_is_no_field():
+    # the hash is stored at construction in an underscore slot, so it is
+    # neither compared nor shown, and a copy or pickle rebuilds it
+    x = BranchIndex("12", "2", 0, "a")
+    assert BranchIndex._fields == ("pre", "period", "rank", "label")
+    assert x._hash == hash(x) == hash(("1", "2"))
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin._hash == hash(twin) == hash(x)
 
 
 def test_branch_equality_is_by_word():

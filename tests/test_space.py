@@ -650,6 +650,90 @@ def test_satisfy_finds_a_true_mask_exactly_when_one_exists(expr):
     assert mask is None or mask in true_masks
 
 
+@given(st.sampled_from([XI, PI]).flatmap(_setexprs), st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_sweep_lane_is_the_generic_reading_of_its_extension(expr, data):
+    index = space._index(expr.atoms())
+    states = data.draw(st.lists(st.sampled_from("hmf"), min_size=len(index), max_size=len(index)))
+    hit, miss = (sum(1 << i for i, s in enumerate(states) if s == state) for state in "hm")
+    free = [1 << i for i, s in enumerate(states) if s == "f"]
+    none = 1 << len(index)
+    lanes = sum(free) | none
+
+    def readings(extend):
+        """The True and False masks of `_generic` at each free atom's
+        extension, and at ``(hit, miss)`` itself in the lane past the atoms."""
+        verdicts = {bit: space._generic(expr, *extend(bit), index) for bit in free}
+        verdicts[none] = space._generic(expr, hit, miss, index)
+        return tuple(sum(b for b, v in verdicts.items() if v is value) for value in (True, False))
+
+    true_hit, false_hit, true_miss, false_miss = space._sweep(expr, hit, miss, index, 2 * none - 1)
+    assert (true_hit & lanes, false_hit & lanes) == readings(lambda bit: (hit | bit, miss))
+    assert (true_miss & lanes, false_miss & lanes) == readings(lambda bit: (hit, miss | bit))
+
+
+def _reference_satisfy(expr, index):
+    """`space._satisfy` with sequential settling, the reference the sweep
+    must agree with: each pass reads ``expr`` twice per free atom, one atom
+    at a time."""
+    bits = [1 << i for i in range(len(index))]
+    nodes, splits = [(0, 0)], 0
+    while nodes:
+        hit, miss = nodes.pop()
+        previous = None
+        while previous != (hit, miss):
+            previous = hit, miss
+            for bit in bits:
+                if not (hit | miss) & bit:
+                    if space._generic(expr, hit | bit, miss, index) is False:
+                        miss |= bit
+                    elif space._generic(expr, hit, miss | bit, index) is False:
+                        hit |= bit
+        verdict = space._generic(expr, hit, miss, index)
+        if verdict:
+            return hit
+        if verdict is None:
+            splits += 1
+            if splits > space.MAX_SPLITS:
+                raise SplitBoundError(
+                    f"a claim needs more than MAX_SPLITS = {space.MAX_SPLITS} splits")
+            bit = next(b for b in bits if not (hit | miss) & b)
+            nodes += [(hit | bit, miss), (hit, miss | bit)]
+    return None
+
+
+def _search_outcomes(search, lhs, rhs):
+    """What ``search`` gives for ``lhs ∧ ¬rhs`` under each split bound: a
+    mask, None, or "bound" for `SplitBoundError`."""
+    expr = Diff(lhs, rhs)
+    index = space._index(expr.atoms())
+    outcomes = []
+    for bound in (0, 2, 256):
+        with mock.patch.object(space, "MAX_SPLITS", bound):
+            try:
+                outcomes.append(search(expr, index))
+            except SplitBoundError:
+                outcomes.append("bound")
+    return outcomes
+
+
+@given(_EXACT_CLAIMS)
+@settings(max_examples=100, deadline=None)
+def test_sweep_settles_as_the_sequential_loop_did(claim):
+    _, lhs, rhs = claim
+    swept = _search_outcomes(space._satisfy, lhs, rhs)
+    assert swept == _search_outcomes(_reference_satisfy, lhs, rhs)
+
+
+@pytest.mark.parametrize("pigeons, holes", [(4, 3), (5, 4), (6, 5)])
+def test_sweep_splits_pigeonholes_as_the_sequential_loop_did(pigeons, holes):
+    claim = _pigeonhole(pigeons, holes)
+    swept = _search_outcomes(space._satisfy, *claim)
+    assert swept == _search_outcomes(_reference_satisfy, *claim)
+    # under the bound of 256, 4 and 5 pigeons are decided and 6 are not
+    assert swept[-1] == ("bound" if pigeons == 6 else None)
+
+
 def _recursive_eval(point, expr):
     """The recursive evaluator `eval_setexpr` used before it listed the point's
     positions once and told nodes apart by class; `_require_valid` runs first."""
