@@ -564,8 +564,11 @@ def _chase(
                 payload={"afailure_index": s - 1, "point": y.literal()},
             )
         s -= 1
-    if any(eval_setexpr(y, z) for z in zsets):
-        raise AssertionError("chase invariant broken: point regained a cover set")
+    # The docstring's invariant at stage 0: y starts outside zsets[stage:],
+    # and each stage s leaves it outside zsets[s-1:] or returns.  An escape
+    # only grows the support and raises every value above each singleton's,
+    # so no atom or singleton gains y, and no difference-free set can.
+    assert not any(eval_setexpr(y, z) for z in zsets)
     return Certificate(
         "CounterexamplePoint",
         params=_params(registry, XI, **extra),

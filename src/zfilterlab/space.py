@@ -22,14 +22,16 @@ Whether a point lies in a zero set depends only on which positions carry
 finite values; singletons are the only value-sensitive sets.  One function
 reads the support rule, with atom ``a`` at bit ``index[a]`` (`_index`): a
 support hits the union of its positions' masks (`_owners`, `_hits`), and
-`_generic` reads an expression under a partial assignment ``(hit, miss)``,
-giving the verdict at the generic points (none of the expression's
-singletons) of the supports it describes, or None when the free atoms
-decide.  ``miss = ~hit`` assigns every atom: the truncated containment loop,
-`closure_member` and the one-shot `eval_on_support` read it so, and
-evaluate singleton points with `eval_setexpr`.  The closure containments
-need no support walk: coordinate pushing decides them exactly from
-separators and a cover (see `engines.ContainmentReport`).
+`_read` reads an expression in many lanes at once, each lane a partial
+assignment of the atoms (hit, missed or free), giving the verdict at the
+generic points (none of the expression's singletons) of the supports it
+describes, or neither when the free atoms decide: Kleene's rule on bit
+masks.  `_verdicts` lays out one lane per full hit mask: the truncated
+containment loop reads every reachable mask of a claim in one walk,
+`closure_member` every reachable escape mask, and the one-shot
+`eval_on_support` one; they evaluate singleton points with `eval_setexpr`.
+The closure containments need no support walk: coordinate pushing decides
+them exactly from separators and a cover (see `engines.ContainmentReport`).
 
 `exact_counterexample` decides containment over the whole ambient.  A point
 neither empty nor a singleton's reads every singleton false, so its verdict
@@ -38,8 +40,8 @@ common prefix's elements, so every hit/miss assignment of the atoms is the
 pattern of some point valued past every singleton.  So ``lhs ⊆ rhs`` iff no
 valid one of the empty and singleton points violates it and no assignment
 reads ``lhs ∧ ¬rhs`` True, which a splitting search decides (`_satisfy`); at
-each partial assignment one `_sweep` of the claim reads every free atom's two
-values, `_generic`'s rule applied bitwise, one bit per atom.
+each partial assignment one `_read` of the claim reads every free atom's two
+values, two lanes per atom.
 `containment_violations` lists the violations within a truncation, for the
 oracle and the property-(B) refuter, walking only the support classes the
 hit patterns and singletons leave open.  `eval_setexpr` is the reference
@@ -297,8 +299,7 @@ def eval_on_support(support: frozenset[int], expr: SetExpr) -> bool | None:
     if any(frozenset(q.positions()) == support for q in expr.singleton_points()):
         return None
     index = _index(expr.atoms())
-    hit = _hits(_owners(index, 0, support), support)
-    return _generic(expr, hit, ~hit, index)
+    return _verdicts(expr, [_hits(_owners(index, 0, support), support)], index) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +395,51 @@ def _hits(owners: dict[int, int], support: Iterable[int]) -> int:
     return hit
 
 
-def _generic(expr: SetExpr, hit: int, miss: int, index: dict[BranchIndex, int]) -> bool | None:
-    """``expr`` at the generic points (none of its singletons) of the
-    supports that hit the atoms in mask ``hit`` and miss those in ``miss``:
-    an atom fails when hit and holds when missed, every singleton reads
-    False, and None says the free atoms decide.  ``miss = ~hit`` frees none."""
+def _read(expr: SetExpr, lanes: dict[BranchIndex, tuple[int, int]], every: int) -> tuple[int, int]:
+    """``expr`` in every lane at once, at the generic points (none of its
+    singletons) of the supports each lane describes: the masks ``(true,
+    false)`` of the lanes where it reads True and False.  ``lanes[a]`` holds
+    the lanes where atom ``a`` holds (the support misses it) and fails (hits
+    it); a lane in neither leaves ``a`` free, and a lane in neither result
+    says the free atoms decide.  Kleene's rules apply bitwise, and every
+    singleton reads False."""
     kind = type(expr)
     if kind is Atom:
-        bit = 1 << index[expr.branch]
-        return False if hit & bit else True if miss & bit else None
-    if kind is Inter or kind is Union:
-        # an intersection's first False part decides it, a union's first True
-        decisive = kind is Union
-        verdict: bool | None = not decisive
+        return lanes[expr.branch]
+    if kind is Inter:
+        true, false = every, 0
         for part in expr.parts:
-            v = _generic(part, hit, miss, index)
-            if v is decisive:
-                return v
-            if v is None:
-                verdict = None
-        return verdict
+            t, f = _read(part, lanes, every)
+            true &= t
+            false |= f
+        return true, false
+    if kind is Union:
+        true, false = 0, every
+        for part in expr.parts:
+            t, f = _read(part, lanes, every)
+            true |= t
+            false &= f
+        return true, false
     if kind is Diff:
-        left = _generic(expr.left, hit, miss, index)
-        if left is False:
-            return False
-        right = _generic(expr.right, hit, miss, index)
-        return False if right else left if right is False else None
-    if kind is Whole or kind is Singleton:
-        return kind is Whole
+        lt, lf = _read(expr.left, lanes, every)
+        rt, rf = _read(expr.right, lanes, every)
+        return lt & rf, lf | rt
+    if kind is Whole:
+        return every, 0
+    if kind is Singleton:
+        return 0, every
     raise SpaceError(f"unknown expression node {expr!r}")
+
+
+def _verdicts(expr: SetExpr, masks: Sequence[int], index: dict[BranchIndex, int]) -> int:
+    """The lanes, bit ``j`` for the full hit mask ``masks[j]``, where `_read`
+    reads ``expr`` True; every atom is assigned, so the others read False."""
+    every = (1 << len(masks)) - 1
+    lanes = {}
+    for a, i in index.items():
+        hit = sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+        lanes[a] = every & ~hit, hit
+    return _read(expr, lanes, every)[0]
 
 
 def containment_violations(
@@ -430,8 +447,9 @@ def containment_violations(
 ) -> Iterator[XiPoint]:
     """Every truncated point in ``lhs`` outside ``rhs``, in enumeration order.
 
-    A support's generic verdict follows from its hit mask (`_generic`), read
-    once per mask.  When no reachable mask violates (`_hit_patterns`), only
+    A support's generic verdict follows from its hit mask: one `_verdicts`
+    read of ``Diff(lhs, rhs)`` covers the empty mask and every mask
+    `_hit_patterns` reaches.  When none of the reachable ones violates, only
     the empty support and the singletons' supports within ``T`` are
     visited, in `support_classes` order; otherwise every support class is.
     A class that holds no singleton takes its generic verdict; in the others
@@ -443,17 +461,14 @@ def containment_violations(
     atoms, points = rhs._leaves(*lhs._leaves([], []))
     index = _index(atoms)
     owners = _owners(index, trunc.T)
-    verdicts: dict[int, bool] = {}
-
-    def violates(hit: int) -> bool:
-        if hit not in verdicts:
-            verdicts[hit] = _generic(lhs, hit, ~hit, index) and not _generic(rhs, hit, ~hit, index)
-        return verdicts[hit]
-
+    patterns = _hit_patterns(owners, range(1, trunc.T + 1))
+    masks = [0, *patterns]
+    true = _verdicts(Diff(lhs, rhs), masks, index)
+    violating = {mask for j, mask in enumerate(masks) if true >> j & 1}
     singletons: dict[frozenset[int], set[tuple[int, ...]]] = {}
     for q in points:
         singletons.setdefault(frozenset(q.positions()), set()).add(q.values())
-    if any(map(violates, _hit_patterns(owners, range(1, trunc.T + 1)))):
+    if not violating.isdisjoint(patterns):
         supports: Iterable[frozenset[int]] = support_classes(trunc)
     else:
         supports = sorted(
@@ -461,7 +476,7 @@ def containment_violations(
             key=lambda s: (len(s), sorted(s)),
         )
     for support in supports:
-        generic = violates(_hits(owners, support))
+        generic = _hits(owners, support) in violating
         if support in singletons:
             yield from _value_sensitive_violations(
                 support, singletons[support], lhs, rhs, generic, trunc, ambient
@@ -568,33 +583,40 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
 
 
 def _satisfy(expr: SetExpr, index: dict[BranchIndex, int]) -> int | None:
-    """The hit mask of an assignment of ``index``'s atoms at which `_generic`
+    """The hit mask of an assignment of ``index``'s atoms at which `_read`
     reads ``expr`` True, or None when no assignment does.
 
     A depth-first splitting search over partial assignments ``(hit, miss)``.
-    At each node one `_sweep` reads every free atom's two values; each free
-    atom one of whose values reads False takes the other, all at once, until
-    none does.  A False node, or an atom forced both ways, ends its branch; a
-    True node's free atoms count as missed; an undecided node splits its
-    lowest free atom, missed first.  Past `MAX_SPLITS` splits:
-    `SplitBoundError`.
+    At each node one `_read` over ``2n + 1`` lanes reads every free atom's
+    two values: lane ``i`` adds atom ``i`` hit, lane ``n + i`` adds it
+    missed, and lane ``2n`` adds nothing.  Each free atom one of whose
+    values reads False takes the other, all at once, until none does.  A
+    False node, or an atom forced both ways, ends its branch; a True node's
+    free atoms count as missed; an undecided node splits its lowest free
+    atom, missed first.  Past `MAX_SPLITS` splits: `SplitBoundError`.
     """
-    none = 1 << len(index)  # the lane that adds no atom: the node's own verdict
+    n = len(index)
+    none = 1 << 2 * n  # the lane that adds no atom: the node's own verdict
     every = 2 * none - 1
     nodes, splits = [(0, 0)], 0
     while nodes:
         hit, miss = nodes.pop()
         while True:
-            true_hit, false_hit, _, false_miss = _sweep(expr, hit, miss, index, every)
-            free = every & ~(hit | miss | none)
+            lanes = {}
+            for a, i in index.items():
+                bit = 1 << i
+                lanes[a] = (0, every) if hit & bit else (every, 0) if miss & bit else (
+                    bit << n, bit)
+            true, false = _read(expr, lanes, every)
+            free = (1 << n) - 1 & ~(hit | miss)
             # an atom that reads False when hit must be missed, and the other way
-            to_miss, to_hit = false_hit & free, false_miss & free
+            to_miss, to_hit = false & free, false >> n & free
             if not (to_miss | to_hit) or to_miss & to_hit:
                 break
             hit, miss = hit | to_hit, miss | to_miss
-        if true_hit & none:
+        if true & none:
             return hit
-        if false_hit & none or to_miss & to_hit:  # no completion reads True
+        if false & none or to_miss & to_hit:  # no completion reads True
             continue
         splits += 1
         if splits > MAX_SPLITS:
@@ -602,54 +624,6 @@ def _satisfy(expr: SetExpr, index: dict[BranchIndex, int]) -> int | None:
         bit = free & -free
         nodes += [(hit | bit, miss), (hit, miss | bit)]
     return None
-
-
-def _sweep(
-    expr: SetExpr, hit: int, miss: int, index: dict[BranchIndex, int], every: int
-) -> tuple[int, int, int, int]:
-    """`_generic` in every lane at once: the masks ``(true_hit, false_hit,
-    true_miss, false_miss)``, whose bit ``index[a]`` for a free atom ``a``
-    says ``expr`` reads True (or False) with ``a`` also hit (or also
-    missed).  The bit past the atoms, which ``every`` includes, adds no atom
-    and carries the verdict at ``(hit, miss)`` itself.  Kleene's rules apply
-    bitwise; only the free atoms' lanes mean anything."""
-    kind = type(expr)
-    if kind is Atom:
-        bit = 1 << index[expr.branch]
-        if hit & bit:
-            return 0, every, 0, every
-        if miss & bit:
-            return every, 0, every, 0
-        return 0, bit, bit, 0
-    if kind is Inter:
-        true_hit = true_miss = every
-        false_hit = false_miss = 0
-        for part in expr.parts:
-            th, fh, tm, fm = _sweep(part, hit, miss, index, every)
-            true_hit &= th
-            false_hit |= fh
-            true_miss &= tm
-            false_miss |= fm
-        return true_hit, false_hit, true_miss, false_miss
-    if kind is Union:
-        true_hit = true_miss = 0
-        false_hit = false_miss = every
-        for part in expr.parts:
-            th, fh, tm, fm = _sweep(part, hit, miss, index, every)
-            true_hit |= th
-            false_hit &= fh
-            true_miss |= tm
-            false_miss &= fm
-        return true_hit, false_hit, true_miss, false_miss
-    if kind is Diff:
-        lth, lfh, ltm, lfm = _sweep(expr.left, hit, miss, index, every)
-        rth, rfh, rtm, rfm = _sweep(expr.right, hit, miss, index, every)
-        return lth & rfh, lfh | rth, ltm & rfm, lfm | rtm
-    if kind is Whole:
-        return every, 0, every, 0
-    if kind is Singleton:
-        return 0, every, 0, every
-    raise SpaceError(f"unknown expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +717,11 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     Near ``point``, any other point keeps its coordinates and adds a nonempty
     finite set R of positions (within ``1..min(point.values())`` in ``xi``
     with a nonempty support).  With values past every singleton's, it is a
-    generic point of ``supp(point) | R``, so `_generic` at the mask that
-    support hits settles it, and only R's mask matters; one R per reachable
-    mask is read.  A True one gives the escape sequence.  Otherwise the
-    neighborhood ``(held, m, N)``, with ``m`` and ``N`` the largest
-    singleton position and value (0 without any), holds no point of
+    generic point of ``supp(point) | R``, so the mask that support hits
+    settles it, and only R's mask matters; one `_verdicts` read covers one R
+    per reachable mask.  The first True one gives the escape sequence.
+    Otherwise the neighborhood ``(held, m, N)``, with ``m`` and ``N`` the
+    largest singleton position and value (0 without any), holds no point of
     ``expr``.
     """
     _require_valid(point)
@@ -762,12 +736,14 @@ def closure_member(point: XiPoint, expr: SetExpr) -> ClosureVerdict:
     positions = _escape_positions(index, held, limit)
     owners = _owners(index, 0, held.union(positions))
     held_hit = _hits(owners, held)
-    for hit, rep in _hit_patterns(owners, positions).items():
-        if _generic(expr, held_hit | hit, ~(held_hit | hit), index):
-            varied = tuple(sorted(rep))
-            start = max(sequence_start(point, varied), N)
-            return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))
-    return ClosureVerdict("refuted", neighborhood=(point.support, m, N))
+    patterns = _hit_patterns(owners, positions)
+    true = _verdicts(expr, [held_hit | hit for hit in patterns], index)
+    if not true:
+        return ClosureVerdict("refuted", neighborhood=(point.support, m, N))
+    # the first True lane, in pattern order
+    varied = tuple(sorted([*patterns.values()][(true & -true).bit_length() - 1]))
+    start = max(sequence_start(point, varied), N)
+    return ClosureVerdict("proven", witness=ApproxSequence(point, varied, start, 3))
 
 
 def _escape_positions(

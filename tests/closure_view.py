@@ -41,13 +41,13 @@ def classes(report, trunc) -> list[ClassWitness]:
     owners = space._owners(index, trunc.T)
     out: list[ClassWitness] = []
     for support in support_classes(trunc):
-        hit = space._hits(owners, support)
-        if not space._generic(shrunken, hit, ~hit, index):
+        hit = [space._hits(owners, support)]
+        if not space._verdicts(shrunken, hit, index):
             continue
         count = class_point_count(support, trunc, report.ambient)
         if report.ambient == XI and count == 0:
             continue
-        missing = [a for a in report.subtracted if space._generic(Atom(a), hit, ~hit, index)]
+        missing = [a for a in report.subtracted if space._verdicts(Atom(a), hit, index)]
         escapes = tuple(sorted({report.separators[a.label] for a in missing}))
         out.append(ClassWitness(support, escapes, not missing, count))
     return out

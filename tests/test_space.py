@@ -395,12 +395,13 @@ class TestExactContainment:
         # ⋂(Z(a_i) ∪ Z(b_i)) ∩ Z(c) ⊆ Z(c) over 13 pairs, c the last atom:
         # both of c's values read False, so settling misses it and the claim
         # holds with no split, where splitting in index order alone makes
-        # about 3^13
-        words = ["".join(w) for w in itertools.product("12", repeat=5)][:27]
-        atoms = [Atom(BranchIndex(w, "1", i)) for i, w in enumerate(words)]
-        unions = (Union(pair) for pair in zip(atoms[:-1:2], atoms[1::2]))
-        with mock.patch.object(space, "MAX_SPLITS", 0):
-            assert exact_counterexample(Inter((*unions, atoms[-1])), atoms[-1], XI) is None
+        # about 3^13; 20 pairs (41 atoms) read 83 lanes, past one machine word
+        for length, pairs in ((5, 13), (6, 20)):
+            words = ["".join(w) for w in itertools.product("12", repeat=length)][:2 * pairs + 1]
+            atoms = [Atom(BranchIndex(w, "1", i)) for i, w in enumerate(words)]
+            unions = (Union(pair) for pair in zip(atoms[:-1:2], atoms[1::2]))
+            with mock.patch.object(space, "MAX_SPLITS", 0):
+                assert exact_counterexample(Inter((*unions, atoms[-1])), atoms[-1], XI) is None
 
     def test_split_bound(self):
         # pigeonhole: no way to put each of six pigeons in one of five holes
@@ -576,8 +577,7 @@ def test_eval_on_support_matches_reference_evaluator(case):
         # singleton value (only the empty point can still be a singleton)
         point = XiPoint.of(dict.fromkeys(support, max([above, *support])), ambient)
         if point.support not in singletons:
-            hit = space._hits(owners, support)
-            generic = space._generic(expr, hit, ~hit, index)
+            generic = space._verdicts(expr, [space._hits(owners, support)], index) == 1
             assert generic == eval_setexpr(point, expr)
         verdict = eval_on_support(support, expr)
         if verdict is None:
@@ -619,22 +619,72 @@ def test_hit_patterns_match_brute_force(element_sets, positions):
     assert all(hits(rep) == mask == space._hits(owners, rep) for mask, rep in reps.items())
 
 
+def _reference_reading(expr, hit, miss, index):
+    """``expr`` at the generic points of the supports that hit the atoms in
+    mask ``hit`` and miss those in ``miss``, one assignment at a time: the
+    scalar reference for `space._read`'s lanes, or None when the free atoms
+    decide.  ``miss = ~hit`` frees none."""
+    kind = type(expr)
+    if kind is Atom:
+        bit = 1 << index[expr.branch]
+        return False if hit & bit else True if miss & bit else None
+    if kind is Inter or kind is Union:
+        # an intersection's first False part decides it, a union's first True
+        decisive = kind is Union
+        verdict = not decisive
+        for part in expr.parts:
+            v = _reference_reading(part, hit, miss, index)
+            if v is decisive:
+                return v
+            if v is None:
+                verdict = None
+        return verdict
+    if kind is Diff:
+        left = _reference_reading(expr.left, hit, miss, index)
+        if left is False:
+            return False
+        right = _reference_reading(expr.right, hit, miss, index)
+        return False if right else left if right is False else None
+    if kind is Whole or kind is Singleton:
+        return kind is Whole
+    raise SpaceError(f"unknown expression node {expr!r}")
+
+
+def _lane_readings(expr, assignments, index):
+    """`space._read` with one lane per ``(hit, miss)`` assignment: each
+    lane's True, False or None.  No lane may read both."""
+    every = (1 << len(assignments)) - 1
+    lanes = {
+        a: (sum(1 << j for j, (_, miss) in enumerate(assignments) if miss >> i & 1),
+            sum(1 << j for j, (hit, _) in enumerate(assignments) if hit >> i & 1))
+        for a, i in index.items()
+    }
+    true, false = space._read(expr, lanes, every)
+    assert not true & false and not (true | false) & ~every
+    return [True if true >> j & 1 else False if false >> j & 1 else None
+            for j in range(len(assignments))]
+
+
+def _assignments(index):
+    """One ``(hit, miss)`` per atom state list drawn from "h", "m", "f"."""
+    states = st.lists(st.sampled_from("hmf"), min_size=len(index), max_size=len(index))
+    return states.map(lambda states: tuple(
+        sum(1 << i for i, s in enumerate(states) if s == state) for state in "hm"))
+
+
 @given(st.sampled_from([XI, PI]).flatmap(_setexprs), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_decided_partial_reading_holds_at_every_completion(expr, data):
     index = space._index(expr.atoms())
-    states = data.draw(st.lists(st.sampled_from("hmf"), min_size=len(index), max_size=len(index)))
-    hit, miss = (sum(1 << i for i, s in enumerate(states) if s == state) for state in "hm")
-    free = [1 << i for i, s in enumerate(states) if s == "f"]
-    readings = {
-        space._generic(expr, h := hit | sum(bits), ~h, index)
-        for n in range(len(free) + 1)
-        for bits in itertools.combinations(free, n)
-    }
+    hit, miss = data.draw(_assignments(index))
+    free = [1 << i for i in range(len(index)) if not (hit | miss) >> i & 1]
+    completions = [hit | sum(bits) for n in range(len(free) + 1)
+                   for bits in itertools.combinations(free, n)]
+    readings = set(_lane_readings(expr, [(h, ~h) for h in completions], index))
     # a full assignment is always decided, and a partial one only when
     # every completion agrees
     assert readings <= {True, False}
-    verdict = space._generic(expr, hit, miss, index)
+    verdict, = _lane_readings(expr, [(hit, miss)], index)
     assert verdict is not None or free
     if verdict is not None:
         assert readings == {verdict}
@@ -644,7 +694,9 @@ def test_a_decided_partial_reading_holds_at_every_completion(expr, data):
 @settings(max_examples=200, deadline=None)
 def test_satisfy_finds_a_true_mask_exactly_when_one_exists(expr):
     index = space._index(expr.atoms())
-    true_masks = [h for h in range(1 << len(index)) if space._generic(expr, h, ~h, index)]
+    masks = range(1 << len(index))
+    true = space._verdicts(expr, masks, index)
+    true_masks = [h for h in masks if true >> h & 1]
     mask = space._satisfy(expr, index)
     assert (mask is None) == (not true_masks)
     assert mask is None or mask in true_masks
@@ -652,30 +704,50 @@ def test_satisfy_finds_a_true_mask_exactly_when_one_exists(expr):
 
 @given(st.sampled_from([XI, PI]).flatmap(_setexprs), st.data())
 @settings(max_examples=200, deadline=None)
-def test_each_sweep_lane_is_the_generic_reading_of_its_extension(expr, data):
+def test_each_read_lane_is_the_reference_reading_of_its_assignment(expr, data):
+    # full and partial assignments mixed, up to 80 lanes: past one machine
+    # word when there are many
     index = space._index(expr.atoms())
-    states = data.draw(st.lists(st.sampled_from("hmf"), min_size=len(index), max_size=len(index)))
-    hit, miss = (sum(1 << i for i, s in enumerate(states) if s == state) for state in "hm")
-    free = [1 << i for i, s in enumerate(states) if s == "f"]
-    none = 1 << len(index)
-    lanes = sum(free) | none
+    full = st.integers(min_value=0, max_value=(1 << len(index)) - 1).map(lambda h: (h, ~h))
+    assignments = data.draw(st.lists(st.one_of(full, _assignments(index)), max_size=80))
+    assert _lane_readings(expr, assignments, index) == [
+        _reference_reading(expr, hit, miss, index) for hit, miss in assignments]
 
-    def readings(extend):
-        """The True and False masks of `_generic` at each free atom's
-        extension, and at ``(hit, miss)`` itself in the lane past the atoms."""
-        verdicts = {bit: space._generic(expr, *extend(bit), index) for bit in free}
-        verdicts[none] = space._generic(expr, hit, miss, index)
-        return tuple(sum(b for b, v in verdicts.items() if v is value) for value in (True, False))
 
-    true_hit, false_hit, true_miss, false_miss = space._sweep(expr, hit, miss, index, 2 * none - 1)
-    assert (true_hit & lanes, false_hit & lanes) == readings(lambda bit: (hit | bit, miss))
-    assert (true_miss & lanes, false_miss & lanes) == readings(lambda bit: (hit, miss | bit))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_verdicts_past_one_machine_word_match_reference_evaluator(data):
+    # seven atoms, each the only one holding its element 7..13 (the codes of
+    # 111 ... 221), so all 128 hit masks are reachable within T = 14
+    words = ["".join(w) for w in itertools.product("12", repeat=3)][:7]
+    atoms = [BranchIndex(w, "1", i) for i, w in enumerate(words)]
+    expr = data.draw(st.recursive(
+        st.one_of(st.sampled_from(atoms).map(Atom), st.just(Whole()),
+                  st.just(Singleton(XiPoint.of({7: 14, 8: 14})))),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4).map(lambda parts: Union(tuple(parts))),
+            st.lists(kids, max_size=4).map(lambda parts: Inter(tuple(parts))),
+            st.builds(Diff, kids, kids),
+        ),
+        max_leaves=12,
+    ))
+    index = space._index(atoms)
+    owners = space._owners(index, 14)
+    patterns = space._hit_patterns(owners, range(1, 15))
+    assert len(patterns) == 128
+    true = space._verdicts(expr, list(patterns), index)
+    assert true >> 128 == 0
+    for j, (mask, support) in enumerate(patterns.items()):
+        # a generic point of a support that hits the lane's mask
+        assert space._hits(owners, support) == mask
+        point = XiPoint.of(dict.fromkeys(support, 15))
+        assert bool(true >> j & 1) == eval_setexpr(point, expr)
 
 
 def _reference_satisfy(expr, index):
-    """`space._satisfy` with sequential settling, the reference the sweep
-    must agree with: each pass reads ``expr`` twice per free atom, one atom
-    at a time."""
+    """`space._satisfy` with sequential settling, the reference the one-read
+    settling must agree with: each pass reads ``expr`` twice per free atom,
+    one atom at a time."""
     bits = [1 << i for i in range(len(index))]
     nodes, splits = [(0, 0)], 0
     while nodes:
@@ -685,11 +757,11 @@ def _reference_satisfy(expr, index):
             previous = hit, miss
             for bit in bits:
                 if not (hit | miss) & bit:
-                    if space._generic(expr, hit | bit, miss, index) is False:
+                    if _reference_reading(expr, hit | bit, miss, index) is False:
                         miss |= bit
-                    elif space._generic(expr, hit, miss | bit, index) is False:
+                    elif _reference_reading(expr, hit, miss | bit, index) is False:
                         hit |= bit
-        verdict = space._generic(expr, hit, miss, index)
+        verdict = _reference_reading(expr, hit, miss, index)
         if verdict:
             return hit
         if verdict is None:
@@ -869,6 +941,22 @@ def _closure_member_reference(point, expr, trunc):
             if eval_setexpr(q, expr):
                 return "unknown"
     return "refuted"
+
+
+def _first_escape(point, expr):
+    """The varied positions of the first reachable escape mask, in
+    `_hit_patterns` order, that `_reference_reading` reads True, one mask at
+    a time: the escape `closure_member` gives."""
+    index = space._index(expr.atoms())
+    held = frozenset(point.positions())
+    limit = min(point.values()) if point.ambient == XI and held else None
+    positions = space._escape_positions(index, held, limit)
+    owners = space._owners(index, 0, held.union(positions))
+    held_hit = space._hits(owners, held)
+    return next(
+        tuple(sorted(rep)) for hit, rep in space._hit_patterns(owners, positions).items()
+        if _reference_reading(expr, held_hit | hit, ~(held_hit | hit), index)
+    )
 
 
 @st.composite
@@ -1061,6 +1149,9 @@ class TestClosure:
     # the point's value lies past V, so no class within the truncation holds it
     @example((XiPoint.of({1: 6}), Singleton(XiPoint.of({1: 6, 2: 6})), Truncation(2, 5)))
     @example((P_INF, Singleton(XiPoint.of({1: 2})), Truncation(2, 3)))
+    # three escape masks read True, and the first in pattern order is taken
+    @example((P_INF, Union((Diff(Whole(), Atom(ALL1)), Diff(Whole(), Atom(ALL2)))),
+              Truncation(2, 3)))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference(self, case):
         # every proof the bounded reference finds is found, and every
@@ -1070,3 +1161,5 @@ class TestClosure:
         if _closure_member_reference(point, expr, trunc) == "proven":
             assert verdict.status == "proven"
         _check_closure_verdict(point, expr, verdict)
+        if isinstance(verdict.witness, ApproxSequence):
+            assert verdict.witness.varied == _first_escape(point, expr)
