@@ -58,6 +58,7 @@ from .space import (
     eval_setexpr,
     exact_counterexample,
     inter_atoms,
+    minimal_sublist,
     union_atoms,
 )
 
@@ -153,13 +154,13 @@ def check_extendibility_b(
 ) -> Certificate:
     """Finite exception set outside which gluing any entry keeps membership.
 
-    The hypothesis is the first group of other entries, by size and then
-    rank, whose intersection lies in the set joined with the distinguished
-    entry; when the group of all of them fails, the run is refused with a
-    point of its intersection outside that set.  Separator and cover bound the exceptions to the candidates (the
-    group and the cover): a candidate is one only if its inclusion through
-    the pair generators fails, and every other entry's must hold.  Each
-    containment is decided exactly over the whole space.
+    The hypothesis is a minimal group of other entries (`minimal_sublist`)
+    whose intersection lies in the set joined with the distinguished entry;
+    when the group of all of them fails, the run is refused with a point of
+    its intersection outside that set.  Separator and cover bound the
+    exceptions to the candidates (the group and the cover): a candidate is
+    one only if its inclusion through the pair generators fails, and every
+    other entry's must hold.  Each containment is decided exactly.
     """
     (alpha0,) = _registered(registry, [alpha0])
     others = [b for b in registry if b != alpha0]
@@ -173,8 +174,8 @@ def check_extendibility_b(
             f"{bad.literal()} lies in the zero set of every entry but {alpha0.label}, "
             "and outside that set"
         )
-    groups = (g for size in range(len(others) + 1) for g in itertools.combinations(others, size))
-    hypothesis = next(g for g in groups if exact_counterexample(inter_atoms(g), target, XI) is None)
+    hypothesis = minimal_sublist(
+        others, lambda g: exact_counterexample(inter_atoms(g), target, XI) is None)
 
     l = find_separator(alpha0, hypothesis)
     cover = find_cover(l, 0, registry, base=hypothesis)
@@ -388,17 +389,14 @@ def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
     beta.  Ranks strictly increase, so one point of ``zset ∩ ⋂entries[:j]``
     outside Z(e_j) serves every F below entry j: the certificate lists one
     ``{alpha, point}`` per entry.  The first entry without one, decided
-    exactly, is reported with F shrunk, in rank order, to what it needs."""
+    exactly, is reported with F a minimal sublist of the entries before it."""
     entries = list(registry)
     listed: list[dict] = []
     for j, beta in enumerate(entries):
         point = _property_a_witness(zset, entries[:j], beta)
         if point is None:
-            f_set = entries[:j]
-            for b in entries[:j]:
-                smaller = [c for c in f_set if c != b]
-                if _property_a_witness(zset, smaller, beta) is None:
-                    f_set = smaller
+            f_set = minimal_sublist(
+                entries[:j], lambda f: _property_a_witness(zset, f, beta) is None)
             failure = AFailure(zset, tuple(f_set), (beta,))
             return PropertyAReport(False, listed, failure, Certificate(
                 "InclusionChain",

@@ -7,7 +7,8 @@ Every query, properness included, is decided over the whole ambient by
 that needs more than `space.MAX_SPLITS` splits raises `space.SplitBoundError`.
 Refutations always carry a concrete point in the intersection of all
 generators that misses the queried set, which rules out every generator
-subset at once.
+subset at once.  A proof reports a minimal, not always smallest, working
+generator subset, found by `space.minimal_sublist` in at most 2n - 1 calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .space import (
     empty_expr,
     exact_counterexample,
     inter_of,
+    minimal_sublist,
 )
 
 
@@ -108,18 +110,15 @@ def filter_member(base: FilterBase, zset: SetExpr, trunc: object = None) -> Memb
     """Decide membership of ``zset`` in the filter generated by ``base``
     over the whole ambient; ``trunc`` is accepted and ignored, as
     perfbench/run.py passes one.  A point in the core outside the query
-    refutes every subset at once; otherwise the smallest working generator
-    subset is reported."""
+    refutes every subset at once; otherwise a minimal working generator
+    subset is reported (see `minimal_sublist`)."""
     gens = base.generators
     witness = exact_counterexample(base.core(), zset, base.ambient)
     if witness is not None:
         return MemberVerdict("refuted", witness=witness)
-    # the last subset tried, all of them, intersects to the core shown contained above
-    subset = next(
-        c for n in range(len(gens) + 1) for c in itertools.combinations(range(len(gens)), n)
-        if exact_counterexample(inter_of(gens[i] for i in c), zset, base.ambient) is None
-    )
-    return MemberVerdict("proven", subset=subset)
+    subset = minimal_sublist(range(len(gens)), lambda c: exact_counterexample(
+        inter_of(gens[i] for i in c), zset, base.ambient) is None)
+    return MemberVerdict("proven", subset=tuple(subset))
 
 
 def shifted_filter(base: FilterBase, alpha: BranchIndex) -> FilterBase:

@@ -51,12 +51,13 @@ both are tested against.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from ._record import Frozen
 from .branches import BranchIndex, branch_member, find_separator
 
 Ambient = Literal["xi", "pi"]
+T = TypeVar("T")
 
 XI: Ambient = "xi"
 PI: Ambient = "pi"
@@ -580,6 +581,20 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
     if not violates(point):
         raise AssertionError(f"witness {point.literal()} failed its own check")
     return point
+
+
+def minimal_sublist(items: Iterable[T], works: Callable[[list[T]], bool]) -> list[T]:
+    """A minimal sublist of ``items`` that ``works``, where ``items`` works and
+    so does every list holding a working one: the shortest working prefix,
+    then each member but its last (which that prefix needs) dropped, back
+    to front, whenever the rest works; at most ``2 * len(items) - 1`` calls."""
+    items = list(items)
+    n = next((k for k in range(len(items)) if works(items[:k])), len(items))
+    kept = items[:n]
+    for i in reversed(range(n - 1)):
+        if works(rest := kept[:i] + kept[i + 1:]):
+            kept = rest
+    return kept
 
 
 def _satisfy(expr: SetExpr, index: dict[BranchIndex, int]) -> int | None:

@@ -1,12 +1,16 @@
 """Engine tests: extendibility, closure containments, properties, chains."""
 
+import inspect
 import itertools
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_view import classes, point_verdicts
+from zfilterlab import engines, space
 from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separator, make_registry
 from zfilterlab.engines import (
     AFailure,
@@ -25,7 +29,7 @@ from zfilterlab.engines import (
 )
 from zfilterlab.checking import check_certificate
 from zfilterlab.filters import filter_member
-from zfilterlab.formats import parse_point_literal, parse_setexpr
+from zfilterlab.formats import parse_point_literal, parse_registry, parse_setexpr
 from zfilterlab.space import (
     PI,
     XI,
@@ -76,6 +80,14 @@ class TestExtendibilityA:
         with pytest.raises(EngineError):
             check_extendibility_a(make_registry([("", "1")]))
 
+    def test_a_separator_failing_its_own_check_is_an_error(self):
+        # position 2 is an element of the all-2 branch, so a "separator"
+        # there puts the point for :1 outside the other entry's zero set
+        reg = make_registry([("", "1"), ("", "2")])
+        with mock.patch.object(engines, "find_separator", lambda alpha, group: 2):
+            with pytest.raises(CertificationError, match=r"separator point \{2:2\} failed"):
+                check_extendibility_a(reg)
+
 
 class TestExtendibilityB:
     def test_zero_set_hypothesis(self):
@@ -105,6 +117,38 @@ class TestExtendibilityB:
         assert exact_counterexample(Atom(e1), target, XI) == XiPoint.of({15: 15})
         with pytest.raises(CertificationError, match=r"\{15:15\}"):
             check_extendibility_b(zset, e0, reg)
+
+    def test_a_non_closed_set_breaks_a_pair_inclusion(self):
+        # zset removes Z(b0), so it is no zero set: the hypothesis is [b1]
+        # and the cover [b0], and {3:9} lies in Z(b0) ∩ Z(b1), outside zset,
+        # and hits b2 alone (3 is the code of 11), so b2, no candidate,
+        # fails its pair inclusion
+        reg = parse_registry(["b0=2:2@0", "b1=1:2@1", "b2=111:2@2"])
+        zset = parse_setexpr("(diff (union N:b1 (pt {4:8})) N:b0)", reg)
+        with pytest.raises(
+            CertificationError, match=r"^inclusion for remaining entry b2 fails at \{3:9\}$"
+        ):
+            check_extendibility_b(zset, reg.by_label("b0"), reg)
+
+    def test_fourteen_entries_need_every_other(self):
+        # the set is the intersection of all the others, so the hypothesis
+        # is all of them: a linear number of exact calls, where the upward
+        # search made 8,207
+        words = ["".join(w) for w in itertools.product("12", repeat=4)][:14]
+        reg = make_registry([(w, "2" if w.endswith("1") else "1") for w in words])
+        alpha, *others = reg.entries
+        with mock.patch.object(
+            engines, "exact_counterexample", wraps=space.exact_counterexample
+        ) as spy:
+            cert = check_extendibility_b(inter_atoms(others), alpha, reg)
+        labels = [b.label for b in others]
+        assert cert.payload["hypothesis_group"] == cert.payload["exceptions"] == labels
+        # the cover mints b14, the one member, which runs through every entry
+        assert cert.payload["separator"] == 15 and cert.payload["cover"] == ["b0", "b14"]
+        assert cert.payload["members"] == [{"beta": "b14", "via_pairs": ["b0", *labels]}]
+        # the refusal check, 13 + 12 for the rule and one pair inclusion per entry
+        assert spy.call_count <= 1 + 2 * 13 - 1 + 14
+        assert check_certificate(cert).ok
 
     def test_uncertifiable_hypothesis_errors(self):
         reg = reg3()
@@ -495,6 +539,29 @@ class TestPropertyBRefute:
         assert [[b.label for b in step] for step in report.chain] == chain
         assert check_certificate(report.certificate).ok
 
+    def test_chase_descends_to_a_counterexample(self):
+        # both claims and the first two steps hold on (1,1); the empty point
+        # violates at stage 2, and the chase escapes Z(d), then Z(a), on its
+        # way down to stage 0, where the point lies in neither cover set
+        reg = parse_registry(["a=222:1@0", "c=21:2@1", "d=211:1@2"])
+        a, c, d = reg.entries
+        failures = [
+            AFailure(Singleton(XiPoint.of({1: 1})), (), (a,)),
+            AFailure(Atom(c), (), (d,)),
+        ]
+        report, lines = _lines_run(
+            engines._chase, lambda: property_b_refute(failures, 50, reg, Truncation(1, 1))
+        )
+        cert = report.certificate
+        assert cert.kind == "CounterexamplePoint" and cert.payload == {"point": "{2:6,5:6}"}
+        assert [[b.label for b in step] for step in report.chain] == [
+            ["b50", "b51"], ["b50", "b51", "b52", "b53"]
+        ]
+        assert check_certificate(cert).ok
+        source, first = inspect.getsourcelines(engines._chase)
+        descent = first + next(i for i, line in enumerate(source) if line.strip() == "s -= 1")
+        assert descent in lines
+
     def test_difference_sets_rejected(self):
         reg = reg3()
         z = Diff(Whole(), Atom(reg.entries[0]))
@@ -506,6 +573,25 @@ class TestPropertyBRefute:
         f = AFailure(Atom(reg.entries[0]), (), (reg.entries[0],))
         with pytest.raises(EngineError):
             property_b_refute([f], 0, reg, TR)
+
+
+def _lines_run(function, thunk):
+    """``thunk()``, and the line numbers of ``function`` that ran during it."""
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not function.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return thunk(), ran
+    finally:
+        sys.settrace(previous)
 
 
 class TestChains:

@@ -3,9 +3,13 @@
 import importlib.util
 import itertools
 import pathlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zfilterlab import filters, space
 from zfilterlab.branches import BranchIndex, find_separator
 from zfilterlab.filters import (
     FilterBase,
@@ -28,13 +32,16 @@ from zfilterlab.space import (
     XiPoint,
     enumerate_truncated,
     eval_setexpr,
+    exact_counterexample,
     inter_atoms,
+    inter_of,
     union_atoms,
 )
 
 A = BranchIndex("", "1", 0, "a")
 B = BranchIndex("", "2", 1, "b")
 C = BranchIndex("1", "2", 2, "c")
+D = BranchIndex("12", "1", 3, "d")
 
 TR = Truncation(4, 6)
 
@@ -146,6 +153,64 @@ class TestExactOverTheWholeSpace:
         assert verdict.refuted and verdict.witness == XiPoint.of({24: 24})
         assert eval_setexpr(verdict.witness, base.core())
         assert not eval_setexpr(verdict.witness, Atom(b[18]))
+
+
+def _pairwise_core(n):
+    """The pairwise-union base on ``n`` <= 8 branches and its core, which
+    needs every generator: dropping Z(a) ∪ Z(b) lets in a point that hits
+    a and b alone."""
+    words = ["".join(w) for w in itertools.product("12", repeat=3)]
+    base = pairwise_union_base([BranchIndex(w, "1", i) for i, w in enumerate(words[:n])])
+    return base, base.core()
+
+
+def _generators():
+    leaves = st.one_of(st.sampled_from([A, B, C, D]).map(Atom), st.just(Whole()))
+
+    def nodes(kids):
+        parts = st.lists(kids, min_size=1, max_size=3).map(tuple)
+        return st.one_of(parts.map(Union), parts.map(Inter))
+
+    return st.recursive(leaves, nodes, max_leaves=4)
+
+
+class TestMinimalSubset:
+    """A proof reports a minimal working generator subset, found in at
+    most 2n - 1 exact calls after the core's."""
+
+    @given(st.lists(_generators(), min_size=1, max_size=6), _generators(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_minimal_and_no_smaller_than_the_smallest(self, gens, extra, data):
+        chosen = data.draw(st.sets(st.integers(0, len(gens) - 1)), label="chosen")
+        query = Union((extra, inter_of(gens[i] for i in sorted(chosen))))
+        verdict = filter_member(FilterBase.of(gens), query)
+        works = lambda c: exact_counterexample(inter_of(gens[i] for i in c), query, "xi") is None
+        subset = verdict.subset
+        assert verdict.proven and list(subset) == sorted(subset) and works(subset)
+        assert not any(works(subset[:i] + subset[i + 1:]) for i in range(len(subset)))
+        # the upward search, by size and then rank, that the rule replaced
+        smallest = next(
+            c for k in range(len(gens) + 1)
+            for c in itertools.combinations(range(len(gens)), k) if works(c)
+        )
+        assert len(subset) >= len(smallest)
+
+    def test_five_branch_core_in_linear_calls(self):
+        # ten generators: the upward search made 1,025 exact calls here
+        base, core = _pairwise_core(5)
+        with mock.patch.object(
+            filters, "exact_counterexample", wraps=space.exact_counterexample
+        ) as spy:
+            verdict = filter_member(base, core)
+        assert verdict.proven and verdict.subset == tuple(range(10))
+        assert spy.call_count <= 2 * 10 + 1
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_seven_and_eight_branch_cores(self, n):
+        base, core = _pairwise_core(n)
+        verdict = filter_member(base, core)
+        assert verdict.proven and verdict.subset == tuple(range(n * (n - 1) // 2))
+        assert filter_member(base, Atom(base.generators[0].parts[0].branch)).refuted
 
 
 def _benchmark_filter_ops(seed, directory):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfilterlab import space
-from zfilterlab.branches import BranchIndex, branch_member
+from zfilterlab.branches import BranchIndex, branch_member, make_registry
+from zfilterlab.formats import parse_setexpr, setexpr_text
 from zfilterlab.space import (
     PI,
     XI,
@@ -36,6 +37,7 @@ from zfilterlab.space import (
     exact_counterexample,
     in_zero_set,
     inter_atoms,
+    minimal_sublist,
     multi_escape_sequence,
     support_classes,
     union_atoms,
@@ -419,6 +421,45 @@ class TestExactContainment:
                 exact_counterexample(Whole(), Atom(ALL1), XI)
 
 
+class TestMinimalSublist:
+    """`minimal_sublist` under upward-closed tests: a list works when it
+    holds one of the drawn sets of positions, or all of them."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_in_linear_calls(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=6), label="n")
+        members = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+        family = [*data.draw(st.lists(members, max_size=4), label="family"), set(range(n))]
+        calls = []
+
+        def works(sub):
+            calls.append(sub)
+            return any(m <= set(sub) for m in family)
+
+        kept = minimal_sublist(range(n), works)
+        assert len(calls) <= max(2 * n - 1, 0)
+        assert kept == sorted(kept) and works(kept)
+        assert not any(works(kept[:i] + kept[i + 1:]) for i in range(len(kept)))
+        # the upward search, by size and then order, that the rule replaced
+        smallest = next(
+            c for k in range(n + 1) for c in itertools.combinations(range(n), k) if works(list(c))
+        )
+        assert len(kept) >= len(smallest)
+
+    def test_minimal_need_not_be_smallest(self):
+        # A ∩ B works and so does C: the prefix [A, B] works first and
+        # loses neither member, where the upward search found [C]
+        works = lambda sub: {"A", "B"} <= set(sub) or "C" in sub
+        assert minimal_sublist("ABC", works) == ["A", "B"]
+
+    def test_the_prefix_keeps_its_last_member_untested(self):
+        calls = []
+        works = lambda sub: calls.append(sub) or "B" in sub
+        assert minimal_sublist("ABC", works) == ["B"]
+        assert calls == [[], ["A"], ["A", "B"], ["B"]]
+
+
 def _pigeonhole(pigeons, holes):
     """``(lhs, rhs)``: atom ``x[p, h]`` says pigeon ``p`` sits in hole ``h``;
     ``lhs`` puts every pigeon in some hole and ``rhs`` two in one hole."""
@@ -493,6 +534,19 @@ _CLAIMS = st.sampled_from([XI, PI]).flatmap(
         ),
     )
 )
+
+
+# every word of both strategies, so that each atom parses to its entry
+_TEXT_REGISTRY = make_registry([(b.pre, b.period) for b in _EXACT_BRANCHES])
+
+
+@given(st.sampled_from([XI, PI]).flatmap(lambda ambient: st.tuples(
+    st.just(ambient), st.one_of(_exact_setexprs(ambient), _setexprs(ambient)))))
+@settings(max_examples=60, deadline=None)
+@example((PI, Diff(Union((Atom(ALL1), Singleton(XiPoint.of({2: 1}, PI)))), Inter((Whole(),)))))
+def test_setexpr_text_round_trips(case):
+    ambient, expr = case
+    assert parse_setexpr(setexpr_text(expr), _TEXT_REGISTRY, ambient) == expr
 
 
 _P14 = XiPoint.of({1: 4})
