@@ -8,12 +8,12 @@ its finite prefixes.  Two distinct branches share exactly the codes of their
 common prefixes, so the element sets of distinct branches have finite
 intersection while each is infinite: an almost-disjoint family at desk scale.
 
-The codes of a branch's prefixes follow the recurrence
-``c_k = 2*c_(k-1) + (1 for letter "1", 2 for "2")`` from ``c_0 = 0``.  Each
-branch computes them as they are asked for and keeps them up to length 64,
-i.e. every element below ``2**64``; a longer prefix is encoded from its word
-on each call and is not stored, so no stored list grows with the size of a
-queried position.
+The code of a length-``n`` prefix is ``2**n - 1`` plus the prefix read in
+binary (1 -> 0, 2 -> 1).  Each branch keeps its first 64 letters as one
+integer below ``2**64``, first letter highest, built on first read: a code up
+to length 64 is a shift of it, and two branches that part within 64 letters
+part at the top set bit of their XOR.  A longer prefix is encoded from its
+word on each call, so no stored value grows with a queried position.
 
 Everything here is exact integer combinatorics; no enumeration is truncated.
 """
@@ -50,6 +50,11 @@ def _check_word(word: str, what: str) -> None:
         raise BranchError(f"bad symbol {ch!r} in {what}; alphabet is {{1,2}}")
 
 
+def _bits(word: str) -> int:
+    """A nonempty word read in binary, 1 -> 0 and 2 -> 1."""
+    return int(word.translate(_TO_BITS), 2)
+
+
 def encode_string(word: str) -> int:
     """Code of a nonempty word over {1,2}.
 
@@ -60,7 +65,7 @@ def encode_string(word: str) -> int:
     if not word:
         raise BranchError("cannot encode the empty word")
     _check_word(word, "word")
-    return (1 << len(word)) - 1 + int(word.translate(_TO_BITS), 2)
+    return (1 << len(word)) - 1 + _bits(word)
 
 
 def decode_code(code: int) -> str:
@@ -83,7 +88,7 @@ def _codes_after(code: int, letters: str) -> Iterator[int]:
 # Branches
 # ---------------------------------------------------------------------------
 
-# prefix codes are kept up to this length, i.e. for elements below 2**64
+# each branch keeps this many leading letters as one integer below 2**64
 _STORED_LENGTH = 64
 
 
@@ -107,9 +112,9 @@ class BranchIndex(Frozen):
     the transfinite index set.
     """
 
-    # ``_codes``: the codes of the prefixes of length 1, 2, ..., filled on
-    # demand; ``_hash``: the hash of the canonical word, taken once
-    __slots__ = ("pre", "period", "rank", "label", "_codes", "_hash")
+    # ``_word``: the first 64 letters in binary, or None until `_head` first
+    # reads them; ``_hash``: the hash of the canonical word, taken once
+    __slots__ = ("pre", "period", "rank", "label", "_word", "_hash")
 
     def __init__(self, pre: str, period: str, rank: int, label: str = "") -> None:
         if not period:
@@ -123,7 +128,7 @@ class BranchIndex(Frozen):
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "label", label or f"b{rank}")
-        object.__setattr__(self, "_codes", ())
+        object.__setattr__(self, "_word", None)
         object.__setattr__(self, "_hash", hash((pre, period)))
 
     # word access -----------------------------------------------------------
@@ -138,6 +143,8 @@ class BranchIndex(Frozen):
 
     def prefix(self, n: int) -> str:
         """First ``n`` symbols of the expanded word."""
+        if n < 0:
+            raise BranchError("positions are 1-based")
         if n <= len(self.pre):
             return self.pre[:n]
         reps = (n - len(self.pre)) // len(self.period) + 1
@@ -160,23 +167,20 @@ class BranchIndex(Frozen):
 
     # element set -----------------------------------------------------------
 
-    def _prefix_codes(self, length: int) -> tuple[int, ...]:
-        """Codes of the prefixes of length ``1..length`` or more, for ``length``
-        at most 64.
-
-        The stored codes grow on demand, at least doubling, because most
-        branches are read only near the root: filling all 64 on first use
-        made whole commands measurably slower.
-        """
-        if len(self._codes) < length:
-            target = min(max(length, 2 * len(self._codes)), _STORED_LENGTH)
-            object.__setattr__(self, "_codes", tuple(_codes_after(0, self.prefix(target))))
-        return self._codes
+    def _head(self) -> int:
+        """The first 64 letters in binary, first letter highest; built once."""
+        word = self._word
+        if word is None:
+            word = _bits(self.prefix(_STORED_LENGTH))
+            object.__setattr__(self, "_word", word)
+        return word
 
     def element(self, n: int) -> int:
         """The ``n``-th element of the branch's set: the code of its length-``n`` prefix."""
-        if 0 < n <= _STORED_LENGTH:
-            return self._prefix_codes(n)[n - 1]
+        if n < 1:
+            raise BranchError("positions are 1-based")
+        if n <= _STORED_LENGTH:
+            return (1 << n) - 1 + (self._head() >> (_STORED_LENGTH - n))
         return encode_string(self.prefix(n))
 
     def elements(self, count: int) -> list[int]:
@@ -192,19 +196,24 @@ class BranchIndex(Frozen):
         length ``bound.bit_length()`` can qualify.
         """
         length = max(bound, 1).bit_length()
-        codes = self._prefix_codes(min(length, _STORED_LENGTH))
-        out = list(codes[:bisect_right(codes, bound)])
-        if length > _STORED_LENGTH and len(out) == _STORED_LENGTH:
-            longer = _codes_after(codes[-1], self.prefix(length)[_STORED_LENGTH:])
-            out.extend(itertools.takewhile(lambda c: c <= bound, longer))
+        word = self._head()
+        out = [(1 << n) - 1 + (word >> (_STORED_LENGTH - n))
+               for n in range(1, min(length, _STORED_LENGTH) + 1)]
+        if length > _STORED_LENGTH:
+            out.extend(_codes_after(out[-1], self.prefix(length)[_STORED_LENGTH:]))
+        del out[bisect_right(out, bound):]
         return out
 
     def lcp(self, other: "BranchIndex") -> int:
         """Length of the longest common prefix; raises if the words are equal."""
+        diff = self._head() ^ other._head()
+        if diff:
+            return _STORED_LENGTH - diff.bit_length()
+        # words that agree on this many letters agree everywhere
         bound = max(len(self.pre), len(other.pre)) + _lcm(len(self.period), len(other.period))
-        for i in range(1, bound + 1):
-            if self.symbol(i) != other.symbol(i):
-                return i - 1
+        diff = _bits(self.prefix(bound)) ^ _bits(other.prefix(bound))
+        if diff:
+            return bound - diff.bit_length()
         raise BranchError("branches are equal as infinite words")
 
 
@@ -217,7 +226,10 @@ def branch_member(alpha: BranchIndex, n: int) -> bool:
     the code of the branch's prefix of the same length."""
     if n < 1:
         raise BranchError(f"codes start at 1, got {n}")
-    return alpha.element((n + 1).bit_length() - 1) == n
+    length = (n + 1).bit_length() - 1
+    if length <= _STORED_LENGTH:
+        return n + 1 - (1 << length) == alpha._head() >> (_STORED_LENGTH - length)
+    return alpha.element(length) == n
 
 
 def branch_elements(alpha: BranchIndex, count: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Branch-family tests: codec, element sets, separators, covers, density."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -90,10 +91,27 @@ class TestBranchIndex:
         with pytest.raises(BranchError):
             BranchIndex("1", "", 0)
 
+    def test_a_negative_rank_or_count_is_refused(self):
+        with pytest.raises(BranchError, match="rank must be a nonnegative integer"):
+            BranchIndex("1", "2", -1)
+        with pytest.raises(BranchError, match="count must be nonnegative"):
+            ALL1.elements(-1)
+
     @given(st.text(alphabet="12", max_size=5), st.text(alphabet="12", min_size=1, max_size=4))
     def test_canonicalization_preserves_word(self, pre, period):
         raw_prefix = (pre + period * 40)[:30]
         assert BranchIndex(pre, period, 0).prefix(30) == raw_prefix
+
+    def test_positions_below_one_are_refused(self):
+        b = BranchIndex("12", "1", 0)
+        for n in (0, -1, -65):
+            for query in (b.element, b.symbol):
+                with pytest.raises(BranchError, match="positions are 1-based"):
+                    query(n)
+        for n in (-1, -65):
+            with pytest.raises(BranchError, match="positions are 1-based"):
+                b.prefix(n)
+        assert b.prefix(0) == "" and b.element(1) == 1
 
     def test_member_examples(self):
         assert branch_member(ALL1, 7)
@@ -290,6 +308,12 @@ class TestRegistry:
         assert (second in reg) == (second == ALL1)
         assert reg.by_label("a1") is ALL1
 
+    def test_minting_through_the_empty_word_is_refused(self):
+        reg = Registry([ALL1])
+        with pytest.raises(BranchError, match="cannot mint a branch through the empty word"):
+            reg.mint_through("", 0)
+        assert list(reg) == [ALL1]
+
     def test_a_label_of_any_type_is_looked_up(self):
         # a certificate may name a branch by any JSON value
         with pytest.raises(BranchError, match="no branch labelled"):
@@ -331,9 +355,9 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: stored prefix codes and the registry's indexes against
-# the codec and linear scans, which stay the reference; and the registry's
-# two builders against each other
+# Differential tests: the stored 64-letter word and the registry's indexes
+# against the codec and linear scans, which stay the reference; and the
+# registry's two builders against each other
 # ---------------------------------------------------------------------------
 
 pres = st.text(alphabet="12", max_size=6)
@@ -351,6 +375,31 @@ def scanned_elements_upto(alpha: BranchIndex, bound: int) -> list[int]:
         for c in (encode_string(alpha.prefix(k)) for k in range(1, max(bound, 1).bit_length() + 1))
         if c <= bound
     ]
+
+
+def scanned_lcp(a: BranchIndex, b: BranchIndex) -> int | None:
+    """Reference: the common prefix found one symbol at a time, or None when
+    the words agree on ``max(pre) + lcm(periods)`` letters, i.e. are equal."""
+    bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.period), len(b.period))
+    return next((i - 1 for i in range(1, bound + 1) if a.symbol(i) != b.symbol(i)), None)
+
+
+# shared stems either side of the 64 stored letters, and far past them
+stems = st.one_of(
+    st.sampled_from([63, 64, 65]), st.integers(70, 140), st.integers(0, 70)
+).flatmap(lambda k: st.text(alphabet="12", min_size=k, max_size=k))
+# periods up to 12 letters long: two of them can have an lcm past 64
+long_periods = st.text(alphabet="12", min_size=1, max_size=12)
+
+
+@st.composite
+def stem_branches(draw, count):
+    """``count`` branches whose words all begin with one drawn stem."""
+    stem = draw(stems)
+    return [BranchIndex(stem + draw(pres), draw(long_periods), r) for r in range(count)]
+
+
+any_branches = st.one_of(branches, stem_branches(1).map(lambda drawn: drawn[0]))
 
 
 def reference_cover(l, gamma, registry, base=()):
@@ -381,27 +430,34 @@ def reference_cover(l, gamma, registry, base=()):
 
 
 class TestStoredCodes:
-    @given(branches, st.lists(codes, max_size=8), st.lists(st.integers(1, 72), max_size=4))
+    @given(any_branches, st.lists(codes, max_size=8), st.lists(st.integers(2, 150), max_size=4))
     @settings(max_examples=200)
     def test_member_matches_the_codec(self, alpha, ns, lengths):
-        # the codes of the branch's own prefixes are the members
-        ns += [encode_string(alpha.prefix(k)) for k in lengths]
+        # the codes of the branch's own prefixes are the members; the codes
+        # next to them are the nearest misses
+        ns += [encode_string(alpha.prefix(k)) + d for k in [63, 64, 65, *lengths] for d in (-1, 0, 1)]
         for n in ns:
             assert branch_member(alpha, n) == codec_member(alpha, n), n
         for n in (0, -1, -(2**70)):
             with pytest.raises(BranchError):
                 branch_member(alpha, n)
 
-    @given(branches, st.permutations(range(1, 71)))
+    @given(any_branches, st.permutations(range(1, 71)))
     @settings(max_examples=100)
     def test_element_matches_the_codec_in_any_order(self, alpha, order):
         for n in order:
             assert alpha.element(n) == encode_string(alpha.prefix(n)), n
         assert alpha.elements(70) == [encode_string(alpha.prefix(n)) for n in range(1, 71)]
 
-    @given(branches, st.lists(st.one_of(st.integers(-3, 2**12), codes), min_size=1, max_size=6))
+    @given(
+        any_branches,
+        st.lists(st.one_of(st.integers(-3, 2**12), codes), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(1, 150), st.integers(-2, 2)), max_size=3),
+    )
     @settings(max_examples=150)
-    def test_elements_upto_matches_a_scan(self, alpha, bounds):
+    def test_elements_upto_matches_a_scan(self, alpha, bounds, near):
+        # and bounds within two of an element, where the last one may drop
+        bounds += [encode_string(alpha.prefix(k)) + d for k, d in near]
         for bound in bounds:
             got = alpha.elements_upto(bound)
             assert got == scanned_elements_upto(alpha, bound), bound
@@ -413,7 +469,10 @@ class TestStoredCodes:
         far = encode_string(alpha.prefix(16_000))
         assert branch_member(alpha, far) and not branch_member(alpha, far + 1)
         assert alpha.elements_upto(far)[-1] == far
-        assert len(alpha._codes) == 64
+        assert alpha.element(16_000) == far
+        # the one stored word holds the first 64 letters, whatever was asked
+        assert type(alpha._word) is int and 0 <= alpha._word < 2**64
+        assert alpha._word == int(alpha.prefix(64).translate(str.maketrans("12", "01")), 2)
 
     @given(st.data())
     @settings(max_examples=120)
@@ -437,6 +496,64 @@ class TestStoredCodes:
         ]
         assert ours.to_payload() == theirs.to_payload()
 
+
+class TestCommonPrefix:
+    """`lcp` and `find_separator` against a symbol scan, within and past the
+    64 letters each branch keeps as one word."""
+
+    @given(stem_branches(2))
+    @settings(max_examples=300)
+    def test_lcp_matches_a_symbol_scan(self, pair):
+        a, b = pair
+        want = scanned_lcp(a, b)
+        if want is None:
+            assert a == b
+            with pytest.raises(BranchError, match="equal as infinite words"):
+                a.lcp(b)
+        else:
+            assert a.lcp(b) == b.lcp(a) == want
+            assert intersection_exact(a, b) == {encode_string(a.prefix(n)) for n in range(1, want + 1)}
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 70, 200])
+    def test_a_stem_of_k_letters_is_the_common_prefix(self, k):
+        stem = ("1211" * 60)[:k]
+        a, b = BranchIndex(stem, "1", 0), BranchIndex(stem, "2", 1)
+        assert a.lcp(b) == scanned_lcp(a, b) == k
+        assert find_separator(a, [b]) == encode_string(stem + "1")
+        assert find_separator(b, [a]) == encode_string(stem + "2")
+
+    def test_periods_alone_push_the_bound_past_64(self):
+        # periods of 71 and 81 letters, lcm 5,751, agreeing on 70 letters
+        a, b = BranchIndex("", "1" * 70 + "2", 0), BranchIndex("", "1" * 80 + "2", 1)
+        assert a.lcp(b) == scanned_lcp(a, b) == 70
+        assert find_separator(a, [b]) == encode_string("1" * 70 + "2")
+        # periods of 65 and 130 letters that expand to the same word
+        c, d = BranchIndex("", "12" * 32 + "2", 0), BranchIndex("", ("12" * 32 + "2") * 2, 1)
+        assert c == d and scanned_lcp(c, d) is None
+        with pytest.raises(BranchError, match="equal as infinite words"):
+            c.lcp(d)
+
+    def test_the_16000_letter_branch(self):
+        long = "1" * 16_000
+        a, b = BranchIndex(long, "2", 0), BranchIndex(long, "12", 1)
+        assert a.lcp(b) == b.lcp(a) == 16_000
+        assert find_separator(a, [b, ALL2]) == a.element(16_001) == encode_string(long + "2")
+        assert find_separator(b, [a]) == encode_string(long + "1")
+        far = a.element(16_000)
+        assert far == encode_string(long) == 2**16_000 - 1
+        assert branch_member(a, far) and branch_member(b, far)
+        assert not branch_member(a, far + 1) and not branch_member(b, far - 1)
+        assert a.elements_upto(far) == b.elements_upto(far) == [2**n - 1 for n in range(1, 16_001)]
+
+    @given(stem_branches(4), st.integers(0, 3))
+    @settings(max_examples=200)
+    def test_find_separator_matches_the_scanned_depth(self, drawn, target):
+        alpha = drawn[target]
+        group = [b for b in drawn if b != alpha]
+        depth = max((scanned_lcp(alpha, b) for b in group), default=0)
+        l = find_separator(alpha, group)
+        assert l == encode_string(alpha.prefix(depth + 1))
+        assert branch_member(alpha, l) and not any(branch_member(b, l) for b in group)
 
 
 def _built(build, specs):
