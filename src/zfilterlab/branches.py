@@ -209,16 +209,15 @@ class BranchIndex(Frozen):
         diff = self._head() ^ other._head()
         if diff:
             return _STORED_LENGTH - diff.bit_length()
-        # words that agree on this many letters agree everywhere
-        bound = max(len(self.pre), len(other.pre)) + _lcm(len(self.period), len(other.period))
+        # tails of periods p and q that agree on p + q - gcd(p, q) letters
+        # agree everywhere (Fine and Wilf), so that many letters past both
+        # preperiods settle it
+        p, q = len(self.period), len(other.period)
+        bound = max(len(self.pre), len(other.pre)) + p + q - gcd(p, q)
         diff = _bits(self.prefix(bound)) ^ _bits(other.prefix(bound))
         if diff:
             return bound - diff.bit_length()
         raise BranchError("branches are equal as infinite words")
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def branch_member(alpha: BranchIndex, n: int) -> bool:
@@ -226,10 +225,7 @@ def branch_member(alpha: BranchIndex, n: int) -> bool:
     the code of the branch's prefix of the same length."""
     if n < 1:
         raise BranchError(f"codes start at 1, got {n}")
-    length = (n + 1).bit_length() - 1
-    if length <= _STORED_LENGTH:
-        return n + 1 - (1 << length) == alpha._head() >> (_STORED_LENGTH - length)
-    return alpha.element(length) == n
+    return alpha.element((n + 1).bit_length() - 1) == n
 
 
 def branch_elements(alpha: BranchIndex, count: int) -> list[int]:

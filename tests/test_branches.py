@@ -523,7 +523,7 @@ class TestCommonPrefix:
         assert find_separator(b, [a]) == encode_string(stem + "2")
 
     def test_periods_alone_push_the_bound_past_64(self):
-        # periods of 71 and 81 letters, lcm 5,751, agreeing on 70 letters
+        # periods of 71 and 81 letters, bound 71 + 81 - 1, agreeing on 70 letters
         a, b = BranchIndex("", "1" * 70 + "2", 0), BranchIndex("", "1" * 80 + "2", 1)
         assert a.lcp(b) == scanned_lcp(a, b) == 70
         assert find_separator(a, [b]) == encode_string("1" * 70 + "2")
@@ -532,6 +532,28 @@ class TestCommonPrefix:
         assert c == d and scanned_lcp(c, d) is None
         with pytest.raises(BranchError, match="equal as infinite words"):
             c.lcp(d)
+
+    def test_the_bound_is_tight(self):
+        # "121" and "12112" repeated agree on 3 + 5 - 1 - 1 = 6 letters, the
+        # most that periods 3 and 5 allow without agreeing everywhere
+        stem = "2" * 70
+        a, b = BranchIndex(stem, "121", 0), BranchIndex(stem, "12112", 1)
+        assert a.lcp(b) == b.lcp(a) == scanned_lcp(a, b) == 76
+
+    def test_long_coprime_periods_read_a_linear_prefix(self, monkeypatch):
+        # periods of 30,000 and 30,001 letters: their lcm is about 9e8
+        a = BranchIndex("", "1" * 29_999 + "2", 0)
+        b = BranchIndex("", "1" * 30_000 + "2", 1)
+        prefix = BranchIndex.prefix
+
+        def short_prefix(self, n):
+            # refused before it is built: an lcm-long prefix takes gigabytes
+            assert n <= 30_000 + 30_001, n
+            return prefix(self, n)
+
+        monkeypatch.setattr(BranchIndex, "prefix", short_prefix)
+        assert a.lcp(b) == b.lcp(a) == 29_999
+        assert find_separator(a, [b]) == encode_string("1" * 29_999 + "2")
 
     def test_the_16000_letter_branch(self):
         long = "1" * 16_000
