@@ -141,23 +141,27 @@ def _integer(value, what: str) -> int:
 
 def _check_separator_witness(ctx: _Context) -> None:
     """Separator claims: the params fix one (entry, maximal group) obligation
-    per listed entry, and each point must lie in the group's intersection,
-    and in the recorded ``zset`` for property (A), but outside the entry's
-    zero set.  A point in the maximal group's intersection lies in every
-    subgroup's, which covers the smaller groups, chain bases and constraint
-    sets the claim quantifies over."""
+    for each of the first ``count`` entries, and each point must lie in the
+    group's intersection, and in the recorded ``zset`` for property (A), but
+    outside the entry's zero set.  A point in the maximal group's
+    intersection lies in every subgroup's, which covers the smaller groups,
+    chain bases and constraint sets the claim quantifies over.  Entry j's
+    group is ``group(xs, j)``, taken by position from the entries or from
+    their atoms, which are built once for every obligation."""
     claim = ctx.cert.payload.get("claim")
     entries = list(ctx.registry)
     zset: SetExpr = Whole()
+    count = len(entries)
     if claim == "non-absorption-holds":
         zset = ctx.expr(ctx.cert.payload["zset"])
         # the constraint sets below entry j are the subsets of entries[:j]
-        obligations = [(a, entries[:j]) for j, a in enumerate(entries)]
+        group = lambda xs, j: xs[:j]
     elif claim == "no-single-zero-set-in-filter":
         if len(entries) < 2:
             ctx.report.fail("extendibility needs at least two registry entries")
             return
-        obligations = [(a, [b for b in entries if b != a]) for a in entries]
+        # registry words are pairwise distinct: every other position
+        group = lambda xs, j: xs[:j] + xs[j + 1:]
     elif claim in ("strictly-increasing-chain", "strictly-decreasing-chain"):
         steps = _integer(ctx.cert.params["steps"], "chain steps")
         if not 1 <= steps <= len(entries):
@@ -165,26 +169,27 @@ def _check_separator_witness(ctx: _Context) -> None:
             return
         if claim == "strictly-increasing-chain":
             # entry j is outside every prefix base of at most j entries
-            obligations = [(a, entries[:j]) for j, a in enumerate(entries[:steps])]
+            count, group = steps, lambda xs, j: xs[:j]
         else:
             # entry j is outside every tail base starting after it
-            obligations = [(a, entries[j + 1:]) for j, a in enumerate(entries[:steps - 1])]
+            count, group = steps - 1, lambda xs, j: xs[j + 1:]
     else:
         ctx.report.fail(f"unknown separator-witness claim {claim!r}")
         return
     listed = ctx.cert.payload["entries"]
-    expected = [alpha.label for alpha, _ in obligations]
+    expected = [alpha.label for alpha in entries[:count]]
     if [e["alpha"] for e in listed] != expected:
         ctx.report.fail(f"entries must list exactly {expected}, in order")
         return
-    for e, (alpha, group) in zip(listed, obligations):
+    atoms = tuple(Atom(a) for a in entries)
+    for j, e in enumerate(listed):
         point = ctx.point(e["point"])
         if not validate_point(point):
             ctx.report.fail(f"witness point {e['point']} is not a valid point")
-        elif not eval_setexpr(point, Diff(Inter((zset, inter_atoms(group))), Atom(alpha))):
+        elif not eval_setexpr(point, Diff(Inter((zset, *group(atoms, j))), atoms[j])):
             ctx.report.fail(
-                f"point {e['point']} fails to separate {alpha.label} "
-                f"from {[b.label for b in group]}"
+                f"point {e['point']} fails to separate {entries[j].label} "
+                f"from {[b.label for b in group(entries, j)]}"
             )
 
 

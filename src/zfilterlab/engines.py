@@ -25,7 +25,7 @@ over the whole space by `space.exact_counterexample`.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # the chain engines reach `filters` as an attribute of the package, which
 # imports it on first use, so the other engines do not load it
@@ -119,28 +119,36 @@ def check_extendibility_a(registry: Registry) -> Certificate:
         params=_params(registry, XI),
         payload={
             "claim": "no-single-zero-set-in-filter",
+            # registry words are pairwise distinct: entry j's group is the
+            # entries at every other position
             "entries": _separator_entries(
-                (alpha, [b for b in entries if b != alpha]) for alpha in entries
+                entries, len(entries), lambda xs, j: xs[:j] + xs[j + 1:]
             ),
         },
     )
 
 
 def _separator_entries(
-    obligations: Iterable[tuple[BranchIndex, Sequence[BranchIndex]]]
+    entries: Sequence[BranchIndex],
+    count: int,
+    group: Callable[[Sequence, int], Sequence],
 ) -> list[dict]:
-    """One eval-checked point per (entry, group): inside the group's
-    intersection, outside the entry's zero set."""
-    entries = []
-    for alpha, group in obligations:
-        l = find_separator(alpha, group)
+    """One eval-checked point for each of the first ``count`` entries: inside
+    the intersection of its group, outside its zero set.  ``group(xs, j)``
+    picks entry j's group by position from ``entries`` or from their atoms,
+    which are built once for every obligation."""
+    atoms = tuple(Atom(e) for e in entries)
+    listed = []
+    for j in range(count):
+        alpha = entries[j]
+        l = find_separator(alpha, group(entries, j))
         point = XiPoint.of({l: l})
-        if not eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha))):
+        if not eval_setexpr(point, Diff(Inter(group(atoms, j)), atoms[j])):
             raise CertificationError(
                 f"separator point {point.literal()} failed its own check"
             )
-        entries.append({"alpha": alpha.label, "point": point.literal()})
-    return entries
+        listed.append({"alpha": alpha.label, "point": point.literal()})
+    return listed
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +635,7 @@ def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
         params=_params(registry, XI, steps=steps),
         payload={
             "claim": "strictly-increasing-chain",
-            "entries": _separator_entries(
-                (alpha, entries[:j]) for j, alpha in enumerate(entries)
-            ),
+            "entries": _separator_entries(entries, steps, lambda xs, j: xs[:j]),
         },
     )
     return ChainReport(bases, cert)
@@ -654,9 +660,7 @@ def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
         params=_params(registry, XI, steps=steps),
         payload={
             "claim": "strictly-decreasing-chain",
-            "entries": _separator_entries(
-                (alpha, all_entries[j + 1:]) for j, alpha in enumerate(entries[:-1])
-            ),
+            "entries": _separator_entries(all_entries, steps - 1, lambda xs, j: xs[j + 1:]),
         },
     )
     return ChainReport(bases, cert)

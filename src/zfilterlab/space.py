@@ -572,9 +572,11 @@ def exact_counterexample(lhs: SetExpr, rhs: SetExpr, ambient: Ambient) -> XiPoin
     mask = _satisfy(Diff(lhs, rhs), index)
     if mask is None:
         return None
-    # one element per hit atom that no other atom holds, or one in no atom
-    hit = [a for a, i in index.items() if mask >> i & 1]
-    positions = [find_separator(a, [b for b in index if b != a]) for a in hit] or [
+    # one element per hit atom that no other atom holds, or one in no atom;
+    # the atoms are distinct, so the others are those at the other bits
+    atoms = list(index)
+    positions = [find_separator(atoms[i], atoms[:i] + atoms[i + 1:])
+                 for i in range(len(atoms)) if mask >> i & 1] or [
         next(p for p in itertools.count(1) if not any(branch_member(a, p) for a in index))]
     value = max([*positions, *(v + 1 for q in singletons for v in q.values())])
     point = XiPoint.of(dict.fromkeys(positions, value), ambient)

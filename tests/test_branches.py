@@ -24,6 +24,7 @@ from zfilterlab.branches import (
     intersection_exact,
     make_registry,
 )
+from zfilterlab.branches import _canonicalize
 from zfilterlab.formats import FormatError, parse_registry
 
 ALL1 = BranchIndex("", "1", 0, "a1")
@@ -40,6 +41,24 @@ def codec_member(branch: BranchIndex, n: int) -> bool:
 def brute_codes_of_branch(branch: BranchIndex, bound: int) -> set[int]:
     """Oracle: scan every code up to the bound."""
     return {n for n in range(1, bound + 1) if codec_member(branch, n)}
+
+
+def reference_canonicalize(pre: str, period: str) -> tuple[str, str]:
+    """Oracle: the least divisor of the period's length whose prefix repeats
+    to the period, then the preperiod's trailing letters rolled into it."""
+    for d in range(1, len(period) + 1):
+        if len(period) % d == 0 and period == period[:d] * (len(period) // d):
+            period = period[:d]
+            break
+    while pre and pre[-1] == period[-1]:
+        pre = pre[:-1]
+        period = period[-1] + period[:-1]
+    return pre, period
+
+
+def all_words(lo: int, hi: int) -> list[str]:
+    """Every word over {1,2} of length ``lo`` to ``hi``."""
+    return ["".join(w) for k in range(lo, hi + 1) for w in itertools.product("12", repeat=k)]
 
 
 words = st.text(alphabet="12", min_size=1, max_size=16)
@@ -96,6 +115,32 @@ class TestBranchIndex:
             BranchIndex("1", "2", -1)
         with pytest.raises(BranchError, match="count must be nonnegative"):
             ALL1.elements(-1)
+
+    def test_canonical_form_matches_the_divisor_loop(self):
+        # every preperiod of up to 4 letters with every period of up to 6;
+        # words are equal and hash alike exactly when their reference forms match
+        classes: dict[BranchIndex, tuple[str, str]] = {}
+        forms = set()
+        for pre, period in itertools.product(all_words(0, 4), all_words(1, 6)):
+            want = reference_canonicalize(pre, period)
+            assert _canonicalize(pre, period) == want
+            b = BranchIndex(pre, period, 0)
+            assert (b.pre, b.period) == want and hash(b) == hash(want)
+            assert classes.setdefault(b, want) == want
+            forms.add(want)
+        assert len(classes) == len(forms)
+
+    @given(
+        st.text(alphabet="12", max_size=30),
+        st.text(alphabet="12", min_size=1, max_size=12),
+        st.integers(1, 6),
+        st.text(alphabet="12", max_size=12),
+    )
+    @settings(max_examples=300)
+    def test_canonical_form_of_longer_words(self, pre, root, power, extra):
+        # a period is often a power of a shorter root, so not primitive
+        for period in (root * power, root * power + extra):
+            assert _canonicalize(pre, period) == reference_canonicalize(pre, period)
 
     @given(st.text(alphabet="12", max_size=5), st.text(alphabet="12", min_size=1, max_size=4))
     def test_canonicalization_preserves_word(self, pre, period):
@@ -182,6 +227,35 @@ class TestSeparator:
         with pytest.raises(BranchError):
             find_separator(ALL1, [ALL1, ALL2])
 
+    @pytest.mark.parametrize(
+        "group",
+        [
+            lambda a, others: [a, *others],
+            lambda a, others: [*others, a],
+            lambda a, others: [a],
+            lambda a, others: (b for b in [*others, a]),
+        ],
+        ids=["first", "last", "alone", "generator"],
+    )
+    @pytest.mark.parametrize(
+        "alpha, twin, others",
+        [
+            (ALL1, BranchIndex("11", "1", 5, "twin"), [ALL2, ONE_THEN_2]),
+            # equal words whose 64-letter heads agree, so `lcp` reads past them
+            (BranchIndex("12" * 35 + "1", "2", 0), BranchIndex("12" * 35 + "12", "2", 3),
+             [BranchIndex("12" * 35 + "2", "1", 1), BranchIndex("12" * 35, "21", 2)]),
+        ],
+        ids=["short", "70-letter-preperiod"],
+    )
+    def test_the_target_is_refused_wherever_it_stands(self, alpha, twin, others, group):
+        # refused by `lcp` on the equal word, under the guard's former message
+        assert twin == alpha and twin is not alpha
+        for a in (alpha, twin):
+            with pytest.raises(BranchError) as refused:
+                find_separator(alpha, group(a, others))
+            assert str(refused.value) == "separator target must not belong to the excluded group"
+            assert refused.value.__cause__ is None and refused.value.__suppress_context__
+
     def test_minimality_brute_force(self):
         # the example, then 200 seeded random (alpha, group) pairs with
         # preperiods of up to 4 letters and periods of up to 2
@@ -220,6 +294,19 @@ class TestCover:
         assert len(reg) == 2
         # a usage error is a BranchError (exit 3); the cap is a resource cap
         assert not issubclass(CoverBoundError, BranchError)
+
+    def test_only_entries_admissible_at_the_call_are_scanned(self, monkeypatch):
+        # a chosen branch holds only covered codes, so no later position reads
+        # it: of about 500 cover branches, only the one admissible entry is
+        # ever scanned, and the entry below the rank floor never is
+        read = []
+        element = BranchIndex.element
+        monkeypatch.setattr(
+            BranchIndex, "element", lambda self, n: read.append(self) or element(self, n))
+        reg = make_registry([("", "1", 0), ("2", "1", 5)])
+        cover = find_cover(1000, 3, reg)
+        assert len(cover) > 400 and reg.entries[1] in cover
+        assert read and all(b is reg.entries[1] for b in read)
 
     def test_base_already_covers(self):
         reg = Registry([ALL1])

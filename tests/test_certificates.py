@@ -432,6 +432,39 @@ class TestSeparatorWitnessClaims:
         report = check_certificate(fresh)
         assert not report.ok and "fails to separate b3" in report.problems[0]
 
+    @pytest.mark.parametrize("member", [0, 1, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "make, j, group",
+        [
+            (lambda: check_extendibility_a(reg()), 2, lambda xs, j: xs[:j] + xs[j + 1:]),
+            (lambda: increasing_chain_engine(reg(), 5).certificate, 4, lambda xs, j: xs[:j]),
+            (lambda: decreasing_chain_engine(reg(), 5).certificate, 0, lambda xs, j: xs[j + 1:]),
+            (lambda: property_a_check(Whole(), reg()).certificate, 4, lambda xs, j: xs[:j]),
+        ],
+        ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
+    )
+    def test_a_point_in_one_group_member_is_rejected(self, make, j, group, member):
+        # entry j's point is replaced by one in alpha's set and in the set of
+        # exactly one member of its four-entry group, so the checker must read
+        # the atom at that member's position, not only the group's ends
+        r = reg()
+        cert = make()
+        assert check_certificate(cert).ok
+        alpha, others = r.entries[j], group(r.entries, j)
+        assert len(others) == 4
+        hit = others[member]
+        misses = [b for b in others if b is not hit]
+        p = find_separator(alpha, others)
+        q = find_separator(hit, [alpha, *misses])
+        cert.payload["entries"][j]["point"] = f"{{{min(p, q)}:{max(p, q)},{max(p, q)}:{max(p, q)}}}"
+        fresh = Certificate(cert.kind, cert.params, cert.payload)
+        report = check_certificate(fresh)
+        assert not report.ok
+        assert report.problems == [
+            f"point {cert.payload['entries'][j]['point']} fails to separate {alpha.label} "
+            f"from {[b.label for b in others]}"
+        ]
+
     def test_single_entry_registry_rejected(self):
         cert = check_extendibility_a(reg())
         cert.params["registry"] = cert.params["registry"][:1]

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import random
 import sys
 from unittest import mock
 
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 
 from closure_view import classes, point_verdicts
 from zfilterlab import engines, space
-from zfilterlab.branches import BranchIndex, Registry, branch_member, find_separator, make_registry
+from zfilterlab.branches import (
+    BranchIndex,
+    Registry,
+    branch_member,
+    decode_code,
+    find_separator,
+    make_registry,
+)
+from zfilterlab.certificates import Certificate
 from zfilterlab.engines import (
     AFailure,
     AFailureVerificationError,
@@ -652,3 +661,95 @@ class TestCoverCertificate:
         assert cert.kind == "CoverSet"
         ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
         assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
+
+
+def reference_separator_entries(obligations):
+    """`engines._separator_entries` as it was: each group formed by the
+    caller, a fresh atom for every member of every group."""
+    listed = []
+    for alpha, group in obligations:
+        l = find_separator(alpha, group)
+        point = XiPoint.of({l: l})
+        assert eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha)))
+        listed.append({"alpha": alpha.label, "point": point.literal()})
+    return listed
+
+
+def reference_cover(l, gamma, registry, base):
+    """`find_cover` as it was: the whole registry scanned at each uncovered
+    position, and a minted branch built once to test and again to add."""
+    cover = []
+    covered = set().union(*(b.elements_upto(l) for b in base))
+    for n in range(1, l + 1):
+        if n in covered:
+            continue
+        length = (n + 1).bit_length() - 1
+        chosen = next((e for e in registry if e.rank >= gamma and e.element(length) == n), None)
+        if chosen is None:
+            word, rank = decode_code(n), max(gamma, registry.max_rank() + 1)
+            candidates = itertools.chain(
+                [(word, "1"), (word, "2")], ((word + "2" * j, "1") for j in itertools.count(1)))
+            pre, period = next(c for c in candidates if BranchIndex(*c, rank) not in registry)
+            chosen = registry.add_unlabelled(pre, period, rank)
+        cover.append(chosen)
+        covered.update(chosen.elements_upto(l))
+    return cover
+
+
+def rank_labels(branches):
+    return [b.label for b in sorted(branches, key=lambda b: b.rank)]
+
+
+class TestFormerConstruction:
+    def test_certificates_match_the_former_construction(self):
+        # seeded registries of 2 to 12 words, some sharing a 70-letter stem
+        # that `lcp` reads past its 64-letter heads, and some labels taken
+        # that a minted branch's default label may meet
+        rng = random.Random(33)
+
+        def word(lo, hi):
+            return "".join(rng.choice("12") for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(150):
+            stem = "12" * 35 if rng.random() < 0.2 else ""
+            specs, seen, labels, rank = [], set(), set(), -1
+            for _ in range(rng.randint(2, 12)):
+                pre, period = stem + word(0, 6), word(1, 4)
+                label = f"b{rng.randint(0, 40)}" if rng.random() < 0.3 else ""
+                if BranchIndex(pre, period, 0) not in seen and label not in labels:
+                    seen.add(BranchIndex(pre, period, 0))
+                    labels.add(label or None)
+                    rank += rng.randint(1, 3)
+                    specs.append((pre, period, rank, label))
+            if len(specs) < 2:
+                continue
+            r = make_registry(specs)
+            entries = r.entries
+            steps = rng.randint(1, len(entries))
+            params = {"registry": r.to_payload(), "ambient": XI}
+            obligations = {
+                "no-single-zero-set-in-filter": (
+                    check_extendibility_a(r), params,
+                    [(a, [b for b in entries if b != a]) for a in entries]),
+                "strictly-increasing-chain": (
+                    increasing_chain_engine(r, steps).certificate, {**params, "steps": steps},
+                    [(a, entries[:j]) for j, a in enumerate(entries[:steps])]),
+                "strictly-decreasing-chain": (
+                    decreasing_chain_engine(r, steps).certificate, {**params, "steps": steps},
+                    [(a, entries[j + 1:]) for j, a in enumerate(entries[:steps - 1])]),
+            }
+            for claim, (cert, want_params, pairs) in obligations.items():
+                want = Certificate("SeparatorWitness", params=want_params, payload={
+                    "claim": claim, "entries": reference_separator_entries(pairs)})
+                assert cert.to_json() == want.to_json(), claim
+
+            l, gamma = rng.randint(1, 60), rng.randint(0, r.max_rank() + 2)
+            at = sorted(rng.sample(range(len(specs)), rng.randint(0, len(specs))))
+            ours, theirs = make_registry(specs), make_registry(specs)
+            _, cert = cover_certificate(l, gamma, ours, [ours.entries[i] for i in at])
+            base = [theirs.entries[i] for i in at]
+            cover = reference_cover(l, gamma, theirs, base)
+            want = Certificate("CoverSet", params={
+                "registry": theirs.to_payload(), "ambient": XI, "gamma": gamma, "depth": l,
+            }, payload={"base": rank_labels(base), "cover": rank_labels(cover)})
+            assert cert.to_json() == want.to_json()
