@@ -88,13 +88,13 @@ reg = make_registry(
 inc = increasing_chain_engine(reg, 5)
 print("\nincreasing chain: entry j outside the first j entries' intersection")
 print("  strictness witnesses:",
-      [(e["alpha"], e["point"]) for e in inc.certificate.payload["entries"]])
+      [(e["alpha"], e["point"]) for e in inc.payload["entries"]])
 reg = make_registry(
     [("", "1"), ("", "2"), ("1", "2"), ("12", "1"), ("2", "1")]
 )
 dec = decreasing_chain_engine(reg, 5)
 print("decreasing chain: entry j outside the later entries' intersection")
 print("  strictness witnesses:",
-      [(e["alpha"], e["point"]) for e in dec.certificate.payload["entries"]])
-print("checker verdicts:", check_certificate(inc.certificate).ok,
-      check_certificate(dec.certificate).ok)
+      [(e["alpha"], e["point"]) for e in dec.payload["entries"]])
+print("checker verdicts:", check_certificate(inc).ok,
+      check_certificate(dec).ok)

@@ -13,7 +13,8 @@ binary (1 -> 0, 2 -> 1).  Each branch keeps its first 64 letters as one
 integer below ``2**64``, first letter highest, built on first read: a code up
 to length 64 is a shift of it, and two branches that part within 64 letters
 part at the top set bit of their XOR.  A longer prefix is encoded from its
-word on each call, so no stored value grows with a queried position.
+word on each call, so no stored value grows with a queried position, and a
+list of elements builds each code past 64 letters from the one before it.
 
 Everything here is exact integer combinatorics; no enumeration is truncated.
 """
@@ -112,8 +113,8 @@ class BranchIndex(Frozen):
     """
 
     # ``_word``: the first 64 letters in binary, or None until `_head` first
-    # reads them; ``_hash``: the hash of the canonical word, taken once
-    __slots__ = ("pre", "period", "rank", "label", "_word", "_hash")
+    # reads them
+    __slots__ = ("pre", "period", "rank", "label", "_word")
 
     def __init__(self, pre: str, period: str, rank: int, label: str = "") -> None:
         if not period:
@@ -128,17 +129,8 @@ class BranchIndex(Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "label", label or f"b{rank}")
         object.__setattr__(self, "_word", None)
-        object.__setattr__(self, "_hash", hash((pre, period)))
 
     # word access -----------------------------------------------------------
-
-    def symbol(self, i: int) -> str:
-        """Symbol at 1-based position ``i`` of the expanded word."""
-        if i < 1:
-            raise BranchError("positions are 1-based")
-        if i <= len(self.pre):
-            return self.pre[i - 1]
-        return self.period[(i - len(self.pre) - 1) % len(self.period)]
 
     def prefix(self, n: int) -> str:
         """First ``n`` symbols of the expanded word."""
@@ -159,7 +151,7 @@ class BranchIndex(Frozen):
         return self.pre == other.pre and self.period == other.period
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.pre, self.period))
 
     def __repr__(self) -> str:
         return f"BranchIndex({self.literal()!r}, rank={self.rank}, label={self.label!r})"
@@ -183,10 +175,16 @@ class BranchIndex(Frozen):
         return encode_string(self.prefix(n))
 
     def elements(self, count: int) -> list[int]:
-        """First ``count`` elements, strictly increasing."""
+        """First ``count`` elements, strictly increasing: shifts of the
+        stored word, then each code from the one before it."""
         if count < 0:
             raise BranchError("count must be nonnegative")
-        return [self.element(n) for n in range(1, count + 1)]
+        word = self._head()
+        out = [(1 << n) - 1 + (word >> (_STORED_LENGTH - n))
+               for n in range(1, min(count, _STORED_LENGTH) + 1)]
+        if count > _STORED_LENGTH:
+            out.extend(_codes_after(out[-1], self.prefix(count)[_STORED_LENGTH:]))
+        return out
 
     def elements_upto(self, bound: int) -> list[int]:
         """All elements that are <= ``bound``.
@@ -194,12 +192,7 @@ class BranchIndex(Frozen):
         The length-``n`` prefix has code >= 2**n - 1, so only prefixes up to
         length ``bound.bit_length()`` can qualify.
         """
-        length = max(bound, 1).bit_length()
-        word = self._head()
-        out = [(1 << n) - 1 + (word >> (_STORED_LENGTH - n))
-               for n in range(1, min(length, _STORED_LENGTH) + 1)]
-        if length > _STORED_LENGTH:
-            out.extend(_codes_after(out[-1], self.prefix(length)[_STORED_LENGTH:]))
+        out = self.elements(max(bound, 1).bit_length())
         del out[bisect_right(out, bound):]
         return out
 
@@ -239,8 +232,7 @@ def intersection_exact(alpha: BranchIndex, beta: BranchIndex) -> set[int]:
     """
     if alpha == beta:
         raise BranchError("branches coincide; the intersection is infinite")
-    d = alpha.lcp(beta)
-    return {alpha.element(n) for n in range(1, d + 1)}
+    return set(alpha.elements(alpha.lcp(beta)))
 
 
 def find_separator(alpha: BranchIndex, group: Iterable[BranchIndex]) -> int:

@@ -9,8 +9,7 @@ list of ``{label, branch, rank}`` entries, is the only place a branch's word
 and rank are written; the payload and the other params name a branch by its
 label.  Serialization is canonical (sorted keys, fixed separators, no floats),
 and a digest over the canonical body makes any byte-level tamper detectable
-before semantic re-verification even starts.  The ``verified`` flag is only
-ever set by the independent checker, never by a producer.
+before semantic re-verification even starts.
 """
 
 from __future__ import annotations
@@ -64,11 +63,9 @@ _NEW: dict = {}
 
 
 class Certificate(Record):
-    __slots__ = ("kind", "params", "payload", "verified")
+    __slots__ = ("kind", "params", "payload")
 
-    def __init__(
-        self, kind: str, params: dict = _NEW, payload: dict = _NEW, verified: bool = False
-    ) -> None:
+    def __init__(self, kind: str, params: dict = _NEW, payload: dict = _NEW) -> None:
         if kind not in KINDS:
             raise CertificateError(f"unknown certificate kind {kind!r}")
         if not (isinstance(params, dict) and isinstance(payload, dict)):
@@ -76,7 +73,6 @@ class Certificate(Record):
         self.kind = kind
         self.params = {} if params is _NEW else params
         self.payload = {} if payload is _NEW else payload
-        self.verified = verified
 
     def digest(self) -> str:
         return body_digest(self.kind, self.params, self.payload)

@@ -92,8 +92,6 @@ def check_certificate(cert: Certificate) -> CheckReport:
         handler(ctx)
     except (FormatError, CertificateError, KeyError, TypeError, ValueError) as exc:
         report.fail(f"malformed payload: {exc!r}")
-    if report.ok:
-        cert.verified = True
     return report
 
 

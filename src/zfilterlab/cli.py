@@ -126,10 +126,24 @@ def main(argv: list[str] | None = None) -> int:
         # resource cap.  Any other ValueError is a fault, and stays one.
         if "integer string conversion" not in str(exc):
             raise
-        limit = sys.get_int_max_str_digits()
-        print(f"error: resource cap: an output integer has more than {limit} decimal digits,"
-              " the interpreter's limit for writing one", file=sys.stderr)
+        print(f"error: resource cap: {_digit_limit_message()}", file=sys.stderr)
         return EXIT_RESOURCE
+
+
+def _digit_limit_message() -> str:
+    return (f"an output integer has more than {sys.get_int_max_str_digits()} decimal digits,"
+            " the interpreter's limit for writing one")
+
+
+def _refuse_past_digit_limit(n: int) -> None:
+    """Refuse, before it is built, a list that runs to a branch's ``n``-th
+    element: that element is at least ``2**n - 1``, and past the digit limit
+    Python would not write it (0 sets no limit).  ``10**limit < 2**(4 *
+    limit)``, so a huge ``n`` is refused without building ``2**n``; a
+    negative ``n`` is left to the codec to refuse."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n > 0 and (n > 4 * limit or 1 << n > 10 ** limit):
+        raise ResourceCap(_digit_limit_message())
 
 
 def _loaded(*names: str) -> tuple[type, ...]:
@@ -364,6 +378,7 @@ def _resolve_branch(reg: Registry, text: str) -> BranchIndex:
 
 def _cmd_family_elements(args) -> int:
     branch = zfilterlab.formats.parse_branch_literal(args.branch)
+    _refuse_past_digit_limit(args.count)
     print(",".join(map(str, zfilterlab.branches.branch_elements(branch, args.count))))
     return EXIT_OK
 
@@ -371,6 +386,8 @@ def _cmd_family_elements(args) -> int:
 def _cmd_family_intersect(args) -> int:
     a = zfilterlab.formats.parse_branch_literal(args.first)
     b = zfilterlab.formats.parse_branch_literal(args.second, rank=1)
+    if a != b:  # the intersection's last element is the lcp-th
+        _refuse_past_digit_limit(a.lcp(b))
     inter = sorted(zfilterlab.branches.intersection_exact(a, b))
     print("{" + ",".join(map(str, inter)) + "}")
     return EXIT_OK
@@ -492,9 +509,9 @@ def _run_engine(args, reg: Registry) -> Certificate:
         failures = _load_afailures(args.cover, reg, ambient)
         return engines.property_b_refute(failures, args.gamma, reg, _truncation(args)).certificate
     if lemma == "chain-inc":
-        return engines.increasing_chain_engine(reg, args.steps).certificate
+        return engines.increasing_chain_engine(reg, args.steps)
     if lemma == "chain-dec":
-        return engines.decreasing_chain_engine(reg, args.steps).certificate
+        return engines.decreasing_chain_engine(reg, args.steps)
     raise UsageError(f"unknown lemma {lemma!r}")
 
 

@@ -27,10 +27,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence
 
-# the chain engines reach `filters` as an attribute of the package, which
-# imports it on first use, so the other engines do not load it
-import zfilterlab
-
 from ._record import Frozen, Record, fields_repr
 from .branches import (
     BranchError,
@@ -51,7 +47,6 @@ from .space import (
     SetExpr,
     Truncation,
     Union,
-    Whole,
     XI,
     XiPoint,
     containment_counterexample,
@@ -606,17 +601,7 @@ def _escape(
 # Chain engines
 # ---------------------------------------------------------------------------
 
-class ChainReport(Record):
-    __slots__ = ("bases", "certificate")
-
-    def __init__(
-        self, bases: list[zfilterlab.filters.FilterBase], certificate: Certificate
-    ) -> None:
-        self.bases = bases
-        self.certificate = certificate
-
-
-def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
+def increasing_chain_engine(registry: Registry, steps: int) -> Certificate:
     """Strictly increasing filter-base chain: step k is generated by the
     zero sets of the first k entries (plus the whole space).
 
@@ -625,12 +610,8 @@ def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     point against that prefix lies in every smaller one, so one point per
     entry certifies strictness.
     """
-    entries = _chain_entries(registry, steps)
-    bases = [
-        zfilterlab.filters.FilterBase.of([Whole()] + [Atom(e) for e in entries[:k]])
-        for k in range(steps)
-    ]
-    cert = Certificate(
+    entries = _chain_entries(registry, steps)[:steps]
+    return Certificate(
         "SeparatorWitness",
         params=_params(registry, XI, steps=steps),
         payload={
@@ -638,10 +619,9 @@ def increasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
             "entries": _separator_entries(entries, steps, lambda xs, j: xs[:j]),
         },
     )
-    return ChainReport(bases, cert)
 
 
-def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
+def decreasing_chain_engine(registry: Registry, steps: int) -> Certificate:
     """Strictly decreasing filter-base chain: step k is generated by the
     zero sets of the entries from position k on (the rank tail).
 
@@ -650,30 +630,25 @@ def decreasing_chain_engine(registry: Registry, steps: int) -> ChainReport:
     point and every earlier one needs one.
     """
     entries = _chain_entries(registry, steps)
-    all_entries = list(registry)
-    bases = [
-        zfilterlab.filters.FilterBase.of([Atom(e) for e in all_entries[k:]])
-        for k in range(steps)
-    ]
-    cert = Certificate(
+    return Certificate(
         "SeparatorWitness",
         params=_params(registry, XI, steps=steps),
         payload={
             "claim": "strictly-decreasing-chain",
-            "entries": _separator_entries(all_entries, steps - 1, lambda xs, j: xs[j + 1:]),
+            "entries": _separator_entries(entries, steps - 1, lambda xs, j: xs[j + 1:]),
         },
     )
-    return ChainReport(bases, cert)
 
 
 def _chain_entries(registry: Registry, steps: int) -> list[BranchIndex]:
+    """The registry's entries, refused unless they give a chain of ``steps`` steps."""
     if steps < 1:
         raise EngineError("a chain needs at least one step")
     if len(registry) < steps:
         raise EngineError(
             f"registry provides {len(registry)} entries, chain needs {steps}"
         )
-    return list(registry)[:steps]
+    return list(registry)
 
 
 # ---------------------------------------------------------------------------

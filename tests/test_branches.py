@@ -150,9 +150,8 @@ class TestBranchIndex:
     def test_positions_below_one_are_refused(self):
         b = BranchIndex("12", "1", 0)
         for n in (0, -1, -65):
-            for query in (b.element, b.symbol):
-                with pytest.raises(BranchError, match="positions are 1-based"):
-                    query(n)
+            with pytest.raises(BranchError, match="positions are 1-based"):
+                b.element(n)
         for n in (-1, -65):
             with pytest.raises(BranchError, match="positions are 1-based"):
                 b.prefix(n)
@@ -465,10 +464,11 @@ def scanned_elements_upto(alpha: BranchIndex, bound: int) -> list[int]:
 
 
 def scanned_lcp(a: BranchIndex, b: BranchIndex) -> int | None:
-    """Reference: the common prefix found one symbol at a time, or None when
+    """Reference: the common prefix found one letter at a time, or None when
     the words agree on ``max(pre) + lcm(periods)`` letters, i.e. are equal."""
     bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.period), len(b.period))
-    return next((i - 1 for i in range(1, bound + 1) if a.symbol(i) != b.symbol(i)), None)
+    x, y = a.prefix(bound), b.prefix(bound)
+    return next((i for i in range(bound) if x[i] != y[i]), None)
 
 
 # shared stems either side of the 64 stored letters, and far past them
@@ -535,6 +535,13 @@ class TestStoredCodes:
         for n in order:
             assert alpha.element(n) == encode_string(alpha.prefix(n)), n
         assert alpha.elements(70) == [encode_string(alpha.prefix(n)) for n in range(1, 71)]
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200])
+    def test_elements_behind_a_long_stem_match_each_element(self, count):
+        # past the stored word each code is built from the one before it
+        for stem, period in itertools.product((65, 70, 130), ("1", "21", "1121")):
+            alpha = BranchIndex(("1211" * 40)[:stem] + "2", period, 0)
+            assert alpha.elements(count) == [alpha.element(k) for k in range(1, count + 1)]
 
     @given(
         any_branches,

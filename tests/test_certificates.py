@@ -62,9 +62,9 @@ def sample_certificates():
     r = reg()
     certs.append(property_a_check(Whole(), r).certificate)
     r = reg()
-    certs.append(increasing_chain_engine(r, 3).certificate)
+    certs.append(increasing_chain_engine(r, 3))
     r = reg()
-    certs.append(decreasing_chain_engine(r, 3).certificate)
+    certs.append(decreasing_chain_engine(r, 3))
     certs.append(whole_cover_refutation().certificate)
     certs.append(zero_set_cover_refutation().certificate)
     r = reg()
@@ -364,7 +364,7 @@ class TestSeparatorWitnessClaims:
         assert not check_certificate(Certificate("SeparatorWitness", {}, {})).ok
 
     def test_unknown_claim_rejected(self):
-        cert = increasing_chain_engine(reg(), 3).certificate
+        cert = increasing_chain_engine(reg(), 3)
         cert.payload["claim"] = "strictly-sideways-chain"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
@@ -386,8 +386,8 @@ class TestSeparatorWitnessClaims:
         "make, field",
         [
             (lambda: check_extendibility_a(reg()), "entries"),
-            (lambda: increasing_chain_engine(reg(), 3).certificate, "entries"),
-            (lambda: decreasing_chain_engine(reg(), 3).certificate, "entries"),
+            (lambda: increasing_chain_engine(reg(), 3), "entries"),
+            (lambda: decreasing_chain_engine(reg(), 3), "entries"),
             (lambda: property_a_check(Whole(), reg()).certificate, "entries"),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
@@ -404,8 +404,8 @@ class TestSeparatorWitnessClaims:
         r = reg()
         assert len(check_extendibility_a(r).payload["entries"]) == len(r)
         for steps in (1, 3, 5):
-            inc = increasing_chain_engine(reg(), steps).certificate
-            dec = decreasing_chain_engine(reg(), steps).certificate
+            inc = increasing_chain_engine(reg(), steps)
+            dec = decreasing_chain_engine(reg(), steps)
             assert len(inc.payload["entries"]) == steps
             assert len(dec.payload["entries"]) == steps - 1
 
@@ -437,8 +437,8 @@ class TestSeparatorWitnessClaims:
         "make, j, group",
         [
             (lambda: check_extendibility_a(reg()), 2, lambda xs, j: xs[:j] + xs[j + 1:]),
-            (lambda: increasing_chain_engine(reg(), 5).certificate, 4, lambda xs, j: xs[:j]),
-            (lambda: decreasing_chain_engine(reg(), 5).certificate, 0, lambda xs, j: xs[j + 1:]),
+            (lambda: increasing_chain_engine(reg(), 5), 4, lambda xs, j: xs[:j]),
+            (lambda: decreasing_chain_engine(reg(), 5), 0, lambda xs, j: xs[j + 1:]),
             (lambda: property_a_check(Whole(), reg()).certificate, 4, lambda xs, j: xs[:j]),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
@@ -536,7 +536,7 @@ class TestWrongTypedFields:
         # True equals 1, so a one-step chain used to pass with it
         for make in (increasing_chain_engine, decreasing_chain_engine):
             for steps in (1, 3):
-                cert = make(reg(), steps).certificate
+                cert = make(reg(), steps)
                 assert check_certificate(cert).ok
                 for value in (True, float(steps), steps + 0.5, str(steps), None):
                     report = check_certificate(_with("params", steps=value)(cert))
@@ -1056,8 +1056,10 @@ class TestCheckerIndependence:
             report = check_certificate(fresh)
             assert not report.ok
 
-    def test_verified_flag_set_only_on_success(self):
-        cert = sample_certificates()[0]
-        assert not cert.verified
-        report = check_certificate(cert)
-        assert report.ok and cert.verified
+    def test_checking_leaves_the_certificate_unchanged(self):
+        # the verdict is the report's alone: a checked certificate still
+        # equals its parsed copy, and writes the same bytes
+        for cert in sample_certificates():
+            text = cert.to_json()
+            assert check_certificate(cert).ok
+            assert cert == Certificate.from_json(text) and cert.to_json() == text

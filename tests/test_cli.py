@@ -153,6 +153,8 @@ class TestFamily:
     def test_elements(self, capsys):
         code, out, _ = run(capsys, "family", "elements", ":1", "--count", "4")
         assert code == EXIT_OK and out.strip() == "1,3,7,15"
+        code, out, err = run(capsys, "family", "elements", ":1", "--count", "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: count must be nonnegative\n")
 
     def test_intersect(self, capsys):
         code, out, _ = run(capsys, "family", "intersect", ":1", "1:2")
@@ -224,6 +226,29 @@ class TestFamily:
     )
     @pytest.mark.usefixtures("lowest_digit_limit")
     def test_an_output_past_the_digit_limit_is_a_resource_cap(self, capsys, argv):
+        code, out, err = run(capsys, "family", *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["elements", ":1", "--count", "60000"],
+            ["intersect", f"{'12' * 2000}1:2", f"{'12' * 2000}2:1"],
+        ],
+        ids=["elements", "intersect"],
+    )
+    @pytest.mark.usefixtures("lowest_digit_limit")
+    def test_a_list_past_the_digit_limit_is_refused_unbuilt(self, capsys, monkeypatch, argv):
+        # the n-th element is at least 2**n - 1, so a list running to an n
+        # past the limit is refused before any of it is built
+        elements = zfilterlab.branches.BranchIndex.elements
+
+        def bounded(branch, count):
+            assert 1 << count < 10 ** DIGITS, f"{count} elements built past the limit"
+            return elements(branch, count)
+
+        monkeypatch.setattr(zfilterlab.branches.BranchIndex, "elements", bounded)
         code, out, err = run(capsys, "family", *argv)
         assert code == EXIT_RESOURCE and out == ""
         assert err == f"error: resource cap: {DIGIT_LIMIT_MESSAGE}\n"
@@ -1066,11 +1091,12 @@ class TestImportFootprint:
              {"engines", "checking", "certificates", "filters"}),
             (["oracle", "claim.json", "--T", "13"], EXIT_RESOURCE,
              {"engines", "checking", "certificates", "filters"}),
-            # only the chain engines build a filter base
+            # no engine builds a filter base, the chain engines included
             (["verify", "extendibility-a", "-r", "a=1:2@0"], EXIT_FAIL, {"filters"}),
+            (["verify", "chain-inc", *_reg_flags(), "--out", "new.json"], EXIT_OK, {"filters"}),
         ],
         ids=["oracle", "verify-check", "family-branch-error", "oracle-format-error",
-             "oracle-resource-cap", "verify-engine-error"],
+             "oracle-resource-cap", "verify-engine-error", "verify-chain-inc"],
     )
     def test_command_loads(self, capsys, tmp_path, argv, want_code, unloaded):
         claim = {"claim": "equality", "lhs": "(inter N:a N:b)", "rhs": "(inter N:b N:a)"}

@@ -37,7 +37,7 @@ from zfilterlab.engines import (
     property_b_refute,
 )
 from zfilterlab.checking import check_certificate
-from zfilterlab.filters import filter_member
+from zfilterlab.filters import FilterBase, filter_member
 from zfilterlab.formats import parse_point_literal, parse_registry, parse_setexpr
 from zfilterlab.space import (
     PI,
@@ -603,39 +603,52 @@ def _lines_run(function, thunk):
         sys.settrace(previous)
 
 
+def increasing_bases(reg: Registry, steps: int) -> list[FilterBase]:
+    """Step k of the increasing chain: the whole space and the zero sets of
+    the first k entries."""
+    return [FilterBase.of([Whole()] + [Atom(e) for e in reg.entries[:k]]) for k in range(steps)]
+
+
+def decreasing_bases(reg: Registry, steps: int) -> list[FilterBase]:
+    """Step k of the decreasing chain: the zero sets of the entries from
+    position k on."""
+    return [FilterBase.of([Atom(e) for e in reg.entries[k:]]) for k in range(steps)]
+
+
 class TestChains:
     def test_increasing_one_step(self):
         reg = reg3()
-        report = increasing_chain_engine(reg, 1)
-        assert len(report.bases) == 1
-        assert report.certificate.payload["entries"] == [
+        cert = increasing_chain_engine(reg, 1)
+        assert cert.payload["entries"] == [
             {"alpha": "b0", "point": "{1:1}"}
         ]
 
     def test_increasing_membership_biconditional(self):
         reg = reg5()
         steps = 4
-        report = increasing_chain_engine(reg, steps)
+        assert check_certificate(increasing_chain_engine(reg, steps)).ok
+        bases = increasing_bases(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries[:steps]):
-                verdict = filter_member(report.bases[k], Atom(entry))
+                verdict = filter_member(bases[k], Atom(entry))
                 assert verdict.proven == (j < k)
 
     def test_decreasing_membership_biconditional(self):
         reg = reg5()
         steps = 3
-        report = decreasing_chain_engine(reg, steps)
+        assert check_certificate(decreasing_chain_engine(reg, steps)).ok
+        bases = decreasing_bases(reg, steps)
         for k in range(steps):
             for j, entry in enumerate(reg.entries):
-                verdict = filter_member(report.bases[k], Atom(entry))
+                verdict = filter_member(bases[k], Atom(entry))
                 assert verdict.proven == (j >= k)
 
     def test_pair_witness_points_verify(self):
         reg = reg5()
-        report = decreasing_chain_engine(reg, 3)
+        cert = decreasing_chain_engine(reg, 3)
         points = {
             e["alpha"]: parse_point_literal(e["point"])
-            for e in report.certificate.payload["entries"]
+            for e in cert.payload["entries"]
         }
         for k in range(3):
             for alpha in reg.entries[:k]:
@@ -645,9 +658,7 @@ class TestChains:
 
     def test_decreasing_single_step_makes_no_strictness_claim(self):
         reg = reg3()
-        report = decreasing_chain_engine(reg, 1)
-        assert len(report.bases) == 1
-        assert report.certificate.payload["entries"] == []
+        assert decreasing_chain_engine(reg, 1).payload["entries"] == []
 
     def test_insufficient_registry(self):
         with pytest.raises(EngineError):
@@ -732,10 +743,10 @@ class TestFormerConstruction:
                     check_extendibility_a(r), params,
                     [(a, [b for b in entries if b != a]) for a in entries]),
                 "strictly-increasing-chain": (
-                    increasing_chain_engine(r, steps).certificate, {**params, "steps": steps},
+                    increasing_chain_engine(r, steps), {**params, "steps": steps},
                     [(a, entries[:j]) for j, a in enumerate(entries[:steps])]),
                 "strictly-decreasing-chain": (
-                    decreasing_chain_engine(r, steps).certificate, {**params, "steps": steps},
+                    decreasing_chain_engine(r, steps), {**params, "steps": steps},
                     [(a, entries[j + 1:]) for j, a in enumerate(entries[:steps - 1])]),
             }
             for claim, (cert, want_params, pairs) in obligations.items():
