@@ -7,6 +7,7 @@ extendibility (b) decides each of its containments over the whole space.
 
 from zfilterlab import (
     Atom,
+    Diff,
     Truncation,
     Whole,
     check_certificate,
@@ -21,6 +22,7 @@ from zfilterlab import (
     inter_atoms,
     make_registry,
     multi_escape_sequence,
+    union_atoms,
 )
 
 trunc = Truncation(4, 6)
@@ -52,33 +54,40 @@ print("whole-space exceptions:", cert.payload["exceptions"])
 # --- closure containment with a rank floor -----------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-rep = containment_decreasing([reg.entries[0]], [reg.entries[1]], 10, reg)
+cert = containment_decreasing([reg.entries[0]], [reg.entries[1]], 10, reg)
+separators = cert.payload["separators"]
+# the certificate names its branches by registry label
+kept, subtracted, cover = (
+    [reg.by_label(label) for label in cert.payload[key]]
+    for key in ("kept", "subtracted", "cover")
+)
 print("\nclosure containment: subtract N_a from N_b, cover past rank 10")
-print("  separators:", rep.separators, "depth:", rep.depth, "cover:",
-      [(c.literal(), c.rank) for c in rep.cover])
+print("  separators:", separators, "depth:", cert.payload["depth"], "cover:",
+      [(c.literal(), c.rank) for c in cover])
 print("  decided exactly: kept and cover branches own every position up to the")
 print("  depth, so a support avoiding them lies past every separator")
 # on the truncation: each point of the shrunken intersection escapes through
 # the separators of the subtracted branches it misses, into the target
-target, shrunken = rep.target(), inter_atoms([*rep.kept, *rep.cover])
+target = Diff(inter_atoms(kept), union_atoms(subtracted))
+shrunken = inter_atoms([*kept, *cover])
 count = 0
 for p in enumerate_truncated(trunc):
     if eval_setexpr(p, shrunken):
-        missed = [a for a in rep.subtracted if eval_setexpr(p, Atom(a))]
-        escapes = sorted({rep.separators[a.label] for a in missed})
+        missed = [a for a in subtracted if eval_setexpr(p, Atom(a))]
+        escapes = sorted({separators[a.label] for a in missed})
         terms = multi_escape_sequence(p, escapes, 3).terms() if escapes else [p]
         assert all(eval_setexpr(t, target) for t in terms)
         count += 1
 print(f"  on the truncation: {count} points of the shrunken intersection, all witnessed")
-print("checker verdict:", check_certificate(rep.certificate).ok)
+print("checker verdict:", check_certificate(cert).ok)
 
 # --- the full product needs no cover ------------------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-rep = containment_full_product([reg.entries[0]], [reg.entries[1]])
+cert = containment_full_product([reg.entries[0]], [reg.entries[1]])
 print("\nfull product: puncturing N_b out of N_a leaves a dense set")
-print("  separators (escape positions):", rep.separators)
-print("checker verdict:", check_certificate(rep.certificate).ok)
+print("  separators (escape positions):", cert.payload["separators"])
+print("checker verdict:", check_certificate(cert).ok)
 
 # --- strictly monotone chains ---------------------------------------------------
 

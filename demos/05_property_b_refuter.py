@@ -29,15 +29,16 @@ trunc = Truncation(6, 8)
 # --- property (A) first: which sets absorb? -----------------------------------
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
-report = property_a_check(Whole(), reg)
-print("whole space has the non-absorption property:", report.holds,
-      f"({len(report.entries)} witness points, one per entry)")
+cert = property_a_check(Whole(), reg)
+print("whole space has the non-absorption property:", cert.kind == "SeparatorWitness",
+      f"({len(cert.payload['entries'])} witness points, one per entry)")
 
-report = property_a_check(Atom(reg.entries[-1]), reg)
-print("the top-ranked zero set fails it:", not report.holds,
-      "- violating pair: constraining =",
-      [b.label for b in report.failure.constraining],
-      "absorbing =", [b.label for b in report.failure.absorbing])
+# a failure is certified as an absorption failure, its branches by label
+cert = property_a_check(Atom(reg.entries[-1]), reg)
+failure = cert.payload["afailure"]
+print("the top-ranked zero set fails it:", cert.kind != "SeparatorWitness",
+      "- violating pair: constraining =", failure["constraining"],
+      "absorbing =", failure["absorbing"])
 
 # --- a cover that misses a point ------------------------------------------------
 

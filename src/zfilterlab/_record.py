@@ -37,7 +37,8 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        return fields_repr(self, self._fields)
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
 
 
 class Frozen(Record):
@@ -57,8 +58,3 @@ class Frozen(Record):
         # fields in order, since they cannot assign them one by one
         return type(self), self._values()
 
-
-def fields_repr(obj: object, names: tuple[str, ...]) -> str:
-    """``Name(field=value, ...)`` over ``names``."""
-    inner = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
-    return f"{type(obj).__qualname__}({inner})"

@@ -17,7 +17,8 @@ their sets, so a `CounterexamplePoint` must miss each of them and a
 `Contradiction` must break the one its ``afailure_index`` names.
 
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
-`report.problems` lists every failed obligation.
+`report.problems` lists every failed obligation, a replay that needs more
+than `space.MAX_SPLITS` splits among them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .space import (
     Inter,
     PI,
     SetExpr,
+    SplitBoundError,
     Truncation,
     Union,
     Whole,
@@ -92,6 +94,9 @@ def check_certificate(cert: Certificate) -> CheckReport:
         handler(ctx)
     except (FormatError, CertificateError, KeyError, TypeError, ValueError) as exc:
         report.fail(f"malformed payload: {exc!r}")
+    except SplitBoundError as exc:
+        # a replay too large to decide establishes nothing
+        report.fail(f"not decided: {exc}")
     return report
 
 
@@ -100,7 +105,8 @@ class _Context:
         self.cert = cert
         self.report = report
         self.registry = Registry([
-            parse_branch_literal(e["branch"], _integer(e["rank"], "registry rank"), e["label"])
+            parse_branch_literal(
+                e["branch"], _integer(e["rank"], "registry rank"), _label(e["label"]))
             for e in cert.params.get("registry", [])
         ])
         self.ambient: Ambient = cert.params.get("ambient", XI)
@@ -124,6 +130,14 @@ class _Context:
         if not trunc:
             raise CertificateError("certificate omits the truncation it relies on")
         return Truncation(trunc["T"], trunc["V"])
+
+
+def _label(value) -> str:
+    """``value`` itself, if it is a nonempty string: a registry entry's
+    label, which every other field names it by."""
+    if not isinstance(value, str) or not value:
+        raise CertificateError(f"registry label {value!r} is not a nonempty string")
+    return value
 
 
 def _integer(value, what: str) -> int:

@@ -386,10 +386,12 @@ def _cmd_family_elements(args) -> int:
 def _cmd_family_intersect(args) -> int:
     a = zfilterlab.formats.parse_branch_literal(args.first)
     b = zfilterlab.formats.parse_branch_literal(args.second, rank=1)
-    if a != b:  # the intersection's last element is the lcp-th
-        _refuse_past_digit_limit(a.lcp(b))
-    inter = sorted(zfilterlab.branches.intersection_exact(a, b))
-    print("{" + ",".join(map(str, inter)) + "}")
+    if a == b:
+        raise zfilterlab.branches.BranchError("branches coincide; the intersection is infinite")
+    # the shared elements are the first lcp ones, which `elements` lists increasing
+    n = a.lcp(b)
+    _refuse_past_digit_limit(n)
+    print("{" + ",".join(map(str, a.elements(n))) + "}")
     return EXIT_OK
 
 
@@ -493,16 +495,16 @@ def _run_engine(args, reg: Registry) -> Certificate:
     if lemma == "containment-dec":
         subtracted = [_resolve_branch(reg, b) for b in args.F]
         kept = [_resolve_branch(reg, b) for b in args.G]
-        return engines.containment_decreasing(subtracted, kept, args.gamma, reg).certificate
+        return engines.containment_decreasing(subtracted, kept, args.gamma, reg)
     if lemma == "containment-full":
         kept = [_resolve_branch(reg, b) for b in args.F]
         subtracted = [_resolve_branch(reg, b) for b in args.G]
-        return engines.containment_full_product(kept, subtracted).certificate
+        return engines.containment_full_product(kept, subtracted)
     if lemma == "property-a":
         if not args.zset:
             raise UsageError("property-a needs --zset")
         zset = parse_setexpr(args.zset, reg, ambient)
-        return engines.property_a_check(zset, reg).certificate
+        return engines.property_a_check(zset, reg)
     if lemma == "property-b":
         if not args.cover:
             raise UsageError("property-b needs --cover FILE")

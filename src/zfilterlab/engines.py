@@ -3,10 +3,12 @@
 Each engine realizes one construction at desk scale, relative to an explicit
 finite registry, and emits a `Certificate` that an independent checker can
 replay from the payload alone.  A certificate records only what that checker
-reads; how the engine got there (the property-(B) chain, say) is returned
-beside it in a report.  ``params.registry`` is the one place where a
-certificate spells out a branch's word and rank; every other field names a
-branch by the label of its registry entry, with lists in rank order.
+reads, and an engine returns its certificate alone, with two exceptions:
+`property_b_refute` returns how it got there (the chain) beside it in a
+report, and `cover_certificate` the cover in scan order.  ``params.registry``
+is the one place where a certificate spells out a branch's word and rank;
+every other field names a branch by the label of its registry entry, with
+lists in rank order.
 
 The engines never trust themselves: exact branch-word reasoning or an
 exhaustive search of a truncation ``(T, V)`` backs every claim, and any
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence
 
-from ._record import Frozen, Record, fields_repr
+from ._record import Frozen, Record
 from .branches import (
     BranchError,
     BranchIndex,
@@ -220,52 +222,12 @@ def check_extendibility_b(
 # Closure containment (coordinate pushing)
 # ---------------------------------------------------------------------------
 
-class ContainmentReport(Record):
-    """A closure containment decided exactly by coordinate pushing.
-
-    A point whose support avoids the kept and cover branches is the limit of
-    the terms that vary the separators of the subtracted branches its support
-    misses: a separator lies in its own subtracted branch and in no kept one,
-    and (in ``xi``) the kept and cover branches own every position up to
-    ``depth``, at least every separator, so the terms stay valid.  The
-    certificate carries only these facts, and the report the branches behind
-    its labels.
-    """
-
-    __slots__ = ("subtracted", "kept", "separators", "cover", "depth", "ambient", "certificate")
-
-    def __init__(
-        self,
-        subtracted: tuple[BranchIndex, ...],
-        kept: tuple[BranchIndex, ...],
-        separators: dict[str, int],
-        cover: list[BranchIndex],
-        depth: int,
-        ambient: Ambient,
-        certificate: Certificate,
-    ) -> None:
-        self.subtracted = subtracted
-        self.kept = kept
-        self.separators = separators
-        self.cover = cover
-        self.depth = depth
-        self.ambient = ambient
-        self.certificate = certificate
-
-    def __repr__(self) -> str:
-        # the certificate's fields would repeat the report's
-        return fields_repr(self, self._fields[:-1])
-
-    def target(self) -> SetExpr:
-        return Diff(inter_atoms(self.kept), union_atoms(self.subtracted))
-
-
 def containment_decreasing(
     subtracted: Sequence[BranchIndex],
     kept: Sequence[BranchIndex],
     gamma: int,
     registry: Registry,
-) -> ContainmentReport:
+) -> Certificate:
     """Shrink the kept intersection, at ranks past the floor, into the closure.
 
     One separator element per subtracted branch escapes its zero set while
@@ -283,7 +245,7 @@ def containment_decreasing(
     depth = max(separators.values(), default=0)
     cover = find_cover(depth, gamma, registry, base=kept) if depth else []
 
-    cert = Certificate(
+    return Certificate(
         "InclusionChain",
         params=_params(registry, XI, gamma=gamma),
         payload={
@@ -295,7 +257,6 @@ def containment_decreasing(
             "cover": _labels(cover),
         },
     )
-    return ContainmentReport(subtracted, kept, separators, cover, depth, XI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +266,7 @@ def containment_decreasing(
 def containment_full_product(
     kept: Sequence[BranchIndex],
     subtracted: Sequence[BranchIndex],
-) -> ContainmentReport:
+) -> Certificate:
     """Density of the punctured intersection inside the full-product intersection.
 
     In the full product no level constraint binds, so every point of the kept
@@ -319,7 +280,7 @@ def containment_full_product(
 
     separators = {b.label: find_separator(b, kept) for b in subtracted}
     registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
-    cert = Certificate(
+    return Certificate(
         "InclusionChain",
         params=_params(registry_view, PI),
         payload={
@@ -329,7 +290,6 @@ def containment_full_product(
             "separators": separators,
         },
     )
-    return ContainmentReport(subtracted, kept, separators, [], 0, PI, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +334,14 @@ class AFailure(Frozen):
         }
 
 
-class PropertyAReport(Record):
-    __slots__ = ("holds", "entries", "failure", "certificate")
-
-    def __init__(
-        self, holds: bool, entries: list[dict], failure: AFailure | None, certificate: Certificate
-    ) -> None:
-        self.holds = holds
-        self.entries = entries
-        self.failure = failure
-        self.certificate = certificate
-
-
-def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
+def property_a_check(zset: SetExpr, registry: Registry) -> Certificate:
     """Non-absorption relative to the registry: every constraint set F and
     every entry beta ranked above F need a point of ``zset ∩ ⋂F`` escaping
     beta.  Ranks strictly increase, so one point of ``zset ∩ ⋂entries[:j]``
     outside Z(e_j) serves every F below entry j: the certificate lists one
     ``{alpha, point}`` per entry.  The first entry without one, decided
-    exactly, is reported with F a minimal sublist of the entries before it."""
+    exactly, is certified as an absorption failure instead, with F a minimal
+    sublist of the entries before it."""
     entries = list(registry)
     listed: list[dict] = []
     for j, beta in enumerate(entries):
@@ -401,13 +350,13 @@ def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
             f_set = minimal_sublist(
                 entries[:j], lambda f: _property_a_witness(zset, f, beta) is None)
             failure = AFailure(zset, tuple(f_set), (beta,))
-            return PropertyAReport(False, listed, failure, Certificate(
+            return Certificate(
                 "InclusionChain",
                 params=_params(registry, XI),
                 payload={"claim": "absorption-failure", "afailure": failure.to_payload()},
-            ))
+            )
         listed.append({"alpha": beta.label, "point": point.literal()})
-    cert = Certificate(
+    return Certificate(
         "SeparatorWitness",
         params=_params(registry, XI),
         payload={
@@ -416,7 +365,6 @@ def property_a_check(zset: SetExpr, registry: Registry) -> PropertyAReport:
             "entries": listed,
         },
     )
-    return PropertyAReport(True, listed, None, cert)
 
 
 def _property_a_witness(

@@ -31,7 +31,8 @@ containment loop reads every reachable mask of a claim in one walk,
 `closure_member` every reachable escape mask, and the one-shot
 `eval_on_support` one; they evaluate singleton points with `eval_setexpr`.
 The closure containments need no support walk: coordinate pushing decides
-them exactly from separators and a cover (see `engines.ContainmentReport`).
+them exactly from separators and a cover, which the two closure engines
+(`engines.containment_decreasing`, `containment_full_product`) certify.
 
 `exact_counterexample` decides containment over the whole ambient.  A point
 neither empty nor a singleton's reads every singleton false, so its verdict

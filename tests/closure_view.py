@@ -1,10 +1,12 @@
 """The truncated class view of a closure containment.
 
 Coordinate pushing decides the two closure containments exactly from a
-report's separators and cover (see `engines.ContainmentReport`).  This view
-spells the rule out on a truncation, from the report's fields alone, so the
-tests can replay it point by point: one escape schema per support class of
-the shrunken intersection, and one verdict per truncated point in it.
+certificate's separators and, with a rank floor, its cover and depth (see
+`engines.containment_decreasing`).  This view spells the rule out on a
+truncation from what the checker reads: the certificate's fields, with the
+branches it names by label resolved through the caller's registry.  The
+tests replay it point by point: one escape schema per support class of the
+shrunken intersection, and one verdict per truncated point in it.
 """
 
 from dataclasses import dataclass
@@ -13,11 +15,13 @@ from zfilterlab import space
 from zfilterlab.space import (
     XI,
     Atom,
+    Diff,
     class_point_count,
     class_points,
     inter_atoms,
     multi_escape_sequence,
     support_classes,
+    union_atoms,
 )
 
 
@@ -31,38 +35,52 @@ class ClassWitness:
     count: int
 
 
-def classes(report, trunc) -> list[ClassWitness]:
+def branches(cert, registry, key) -> list:
+    """The branches a payload field names by label; a certificate without a
+    rank floor has no ``cover``, which reads as empty."""
+    return [registry.by_label(label) for label in cert.payload.get(key, [])]
+
+
+def target(cert, registry):
+    """The kept intersection with the subtracted zero sets removed."""
+    return Diff(inter_atoms(branches(cert, registry, "kept")),
+                union_atoms(branches(cert, registry, "subtracted")))
+
+
+def classes(cert, registry, trunc) -> list[ClassWitness]:
     """One escape schema per support class of ``trunc`` avoiding the kept
     and cover branches: the separators of the subtracted branches it misses.
     Classes without truncated points are dropped in ``xi`` and kept in
     ``pi``."""
-    shrunken = inter_atoms([*report.kept, *report.cover])
-    index = space._index([*shrunken.atoms(), *report.subtracted])
+    ambient = cert.params["ambient"]
+    subtracted = branches(cert, registry, "subtracted")
+    shrunken = inter_atoms(branches(cert, registry, "kept") + branches(cert, registry, "cover"))
+    index = space._index([*shrunken.atoms(), *subtracted])
     owners = space._owners(index, trunc.T)
     out: list[ClassWitness] = []
     for support in support_classes(trunc):
         hit = [space._hits(owners, support)]
         if not space._verdicts(shrunken, hit, index):
             continue
-        count = class_point_count(support, trunc, report.ambient)
-        if report.ambient == XI and count == 0:
+        count = class_point_count(support, trunc, ambient)
+        if ambient == XI and count == 0:
             continue
-        missing = [a for a in report.subtracted if space._verdicts(Atom(a), hit, index)]
-        escapes = tuple(sorted({report.separators[a.label] for a in missing}))
+        missing = [a for a in subtracted if space._verdicts(Atom(a), hit, index)]
+        escapes = tuple(sorted({cert.payload["separators"][a.label] for a in missing}))
         out.append(ClassWitness(support, escapes, not missing, count))
     return out
 
 
-def class_verdicts(report, cw: ClassWitness, trunc):
+def class_verdicts(cert, cw: ClassWitness, trunc):
     """Yield (point, witness) for every truncated point of the class: the
     point itself when it already sits in the target, else the escape
     sequence through the class's separators."""
-    for p in class_points(cw.support, trunc, report.ambient):
+    for p in class_points(cw.support, trunc, cert.params["ambient"]):
         yield p, p if cw.self_member else multi_escape_sequence(p, cw.escapes, 3)
 
 
-def point_verdicts(report, trunc):
+def point_verdicts(cert, registry, trunc):
     """Yield (point, witness) for every point of ``trunc`` in the shrunken
     intersection."""
-    for cw in classes(report, trunc):
-        yield from class_verdicts(report, cw, trunc)
+    for cw in classes(cert, registry, trunc):
+        yield from class_verdicts(cert, cw, trunc)

@@ -17,7 +17,7 @@ import itertools
 import random
 import time
 
-from closure_view import class_verdicts, classes, point_verdicts
+from closure_view import branches, class_verdicts, classes, point_verdicts, target
 from zfilterlab.branches import (
     BranchIndex,
     Registry,
@@ -202,20 +202,23 @@ def test_criterion_closure_engine_prototype():
         reg = pool_registry()
         subtracted, kept = _sample_disjoint(rng, list(reg))
         gamma = rng.randrange(0, 30)
-        rep = containment_decreasing(subtracted, kept, gamma, reg)
-        if rep.cover and min(c.rank for c in rep.cover) < gamma:
+        # the criteria read what is certified: the certificate's cover and
+        # depth, its branches resolved by label
+        cert = containment_decreasing(subtracted, kept, gamma, reg)
+        cover = branches(cert, reg, "cover")
+        if cover and min(c.rank for c in cover) < gamma:
             bad += 1
         covered = all(
-            any(branch_member(b, n) for b in itertools.chain(kept, rep.cover))
-            for n in range(1, rep.depth + 1)
+            any(branch_member(b, n) for b in itertools.chain(branches(cert, reg, "kept"), cover))
+            for n in range(1, cert.payload["depth"] + 1)
         )
         if not covered:
             bad += 1
-        target = rep.target()
-        for p, witness in point_verdicts(rep, TRUNC):
+        goal = target(cert, reg)
+        for p, witness in point_verdicts(cert, reg, TRUNC):
             points_total += 1
             terms = [p] if witness is p else witness.terms()
-            if not all(eval_setexpr(t, target) for t in terms):
+            if not all(eval_setexpr(t, goal) for t in terms):
                 bad += 1
                 break
     elapsed = time.perf_counter() - start
@@ -234,15 +237,15 @@ def test_criterion_closure_engine_full_product():
     for _ in range(100):
         reg = pool_registry()
         kept, subtracted = _sample_disjoint(rng, list(reg))
-        rep = containment_full_product(kept, subtracted)
-        target = rep.target()
+        cert = containment_full_product(kept, subtracted)
+        goal = target(cert, reg)
         lhs = inter_atoms(kept)
         expected_total = 0
         free = [
             n for n in range(1, TRUNC.T + 1)
             if not any(branch_member(b, n) for b in kept)
         ]
-        for cw in classes(rep, TRUNC):
+        for cw in classes(cert, reg, TRUNC):
             classes_total += 1
             if cw.count != class_point_count(cw.support, TRUNC, PI):
                 bad += 1
@@ -255,13 +258,13 @@ def test_criterion_closure_engine_full_product():
                 if cw.self_member
                 else multi_escape_sequence(sample, cw.escapes, 3).terms()
             )
-            if not all(eval_setexpr(t, target) for t in seq_points):
+            if not all(eval_setexpr(t, goal) for t in seq_points):
                 bad += 1
             if cw.count <= 256 and full_checked < 20000:
-                for p, witness in class_verdicts(rep, cw, TRUNC):
+                for p, witness in class_verdicts(cert, cw, TRUNC):
                     full_checked += 1
                     terms = [p] if witness is p else witness.terms()
-                    if not all(eval_setexpr(t, target) for t in terms):
+                    if not all(eval_setexpr(t, goal) for t in terms):
                         bad += 1
                         break
         covered_points += expected_total

@@ -13,8 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_space import _pigeonhole
 from zfilterlab import formats
-from zfilterlab.branches import BranchIndex, branch_member, find_separator, make_registry
+from zfilterlab.branches import (
+    BranchIndex,
+    Registry,
+    branch_member,
+    find_separator,
+    make_registry,
+)
 from zfilterlab.certificates import (
     SCHEMA_VERSION,
     Certificate,
@@ -36,8 +43,8 @@ from zfilterlab.engines import (
     property_a_check,
     property_b_refute,
 )
-from zfilterlab.formats import MAX_SETEXPR_DEPTH, FormatError, parse_setexpr
-from zfilterlab.space import Atom, Truncation, Union, Whole
+from zfilterlab.formats import MAX_SETEXPR_DEPTH, FormatError, parse_setexpr, setexpr_text
+from zfilterlab.space import MAX_SPLITS, Atom, Diff, Truncation, Union, Whole
 
 TR = Truncation(4, 6)
 
@@ -52,15 +59,11 @@ def sample_certificates():
     r = reg()
     certs.append(check_extendibility_b(Whole(), r.entries[0], r))
     r = reg()
-    certs.append(
-        containment_decreasing([r.entries[0]], [r.entries[1]], 7, r).certificate
-    )
+    certs.append(containment_decreasing([r.entries[0]], [r.entries[1]], 7, r))
     r = reg()
-    certs.append(
-        containment_full_product([r.entries[0]], [r.entries[1]]).certificate
-    )
+    certs.append(containment_full_product([r.entries[0]], [r.entries[1]]))
     r = reg()
-    certs.append(property_a_check(Whole(), r).certificate)
+    certs.append(property_a_check(Whole(), r))
     r = reg()
     certs.append(increasing_chain_engine(r, 3))
     r = reg()
@@ -68,7 +71,7 @@ def sample_certificates():
     certs.append(whole_cover_refutation().certificate)
     certs.append(zero_set_cover_refutation().certificate)
     r = reg()
-    certs.append(property_a_check(Atom(r.entries[0]), r).certificate)
+    certs.append(property_a_check(Atom(r.entries[0]), r))
     return certs
 
 
@@ -90,6 +93,28 @@ def zero_set_cover_refutation():
         AFailure(Atom(r.entries[1]), (), (r.entries[1],)),
     ]
     return property_b_refute(failures, 50, r, TR)
+
+
+# sha256 of ``to_json()`` for the certificates demos 04 and 05 build
+DEMO_DIGESTS = {
+    "containment-dec": "148b615c330f40843106a9ac6887353e8797899a1acb90beb4b1159e7e6b6914",
+    "containment-full": "e69d2362e06e246ae3ce20c44d62a3136210a00e6aa94e005d968d290b31beb3",
+    "property-a-holds": "0712af5c7a59d248c0b722650980904c0980fc0a43dbd19ff779c15af0c8d681",
+    "property-a-fails": "90c34d2655999a21dd8c7d5fd2628a4bf0090835c1b8cc5cf29d139ff583e449",
+}
+
+
+def demo_certificate(name: str) -> Certificate:
+    """The certificate the demos build under ``name``, on a fresh registry
+    of their three words."""
+    r = make_registry([("", "1"), ("", "2"), ("1", "2")])
+    a, b, c = r.entries
+    return {
+        "containment-dec": lambda: containment_decreasing([a], [b], 10, r),
+        "containment-full": lambda: containment_full_product([a], [b]),
+        "property-a-holds": lambda: property_a_check(Whole(), r),
+        "property-a-fails": lambda: property_a_check(Atom(c), r),
+    }[name]()
 
 
 class TestRoundTrip:
@@ -115,6 +140,12 @@ class TestRoundTrip:
         a = check_extendibility_a(r1).to_json()
         b = check_extendibility_a(r2).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("name", DEMO_DIGESTS)
+    def test_demo_certificate_bytes_are_pinned(self, name):
+        # a changed digest is a declared output change
+        text = demo_certificate(name).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == DEMO_DIGESTS[name]
 
     def test_file_round_trip(self, tmp_path):
         cert = sample_certificates()[0]
@@ -388,7 +419,7 @@ class TestSeparatorWitnessClaims:
             (lambda: check_extendibility_a(reg()), "entries"),
             (lambda: increasing_chain_engine(reg(), 3), "entries"),
             (lambda: decreasing_chain_engine(reg(), 3), "entries"),
-            (lambda: property_a_check(Whole(), reg()).certificate, "entries"),
+            (lambda: property_a_check(Whole(), reg()), "entries"),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
     )
@@ -422,7 +453,7 @@ class TestSeparatorWitnessClaims:
         # b3's point must lie in the zero sets of b0, b1 and b2, not only in
         # those of b0 and b1
         r = reg()
-        cert = property_a_check(Whole(), r).certificate
+        cert = property_a_check(Whole(), r)
         assert len(cert.payload["entries"]) == len(r)
         b0, b1, b2, b3 = r.entries[:4]
         l = find_separator(b3, [b0, b1])
@@ -439,7 +470,7 @@ class TestSeparatorWitnessClaims:
             (lambda: check_extendibility_a(reg()), 2, lambda xs, j: xs[:j] + xs[j + 1:]),
             (lambda: increasing_chain_engine(reg(), 5), 4, lambda xs, j: xs[:j]),
             (lambda: decreasing_chain_engine(reg(), 5), 0, lambda xs, j: xs[j + 1:]),
-            (lambda: property_a_check(Whole(), reg()).certificate, 4, lambda xs, j: xs[:j]),
+            (lambda: property_a_check(Whole(), reg()), 4, lambda xs, j: xs[:j]),
         ],
         ids=["ext-a", "chain-inc", "chain-dec", "prop-a"],
     )
@@ -473,7 +504,7 @@ class TestSeparatorWitnessClaims:
         assert not check_certificate(fresh).ok
 
     def test_property_a_witnesses_must_lie_in_the_recorded_set(self):
-        cert = property_a_check(Whole(), reg()).certificate
+        cert = property_a_check(Whole(), reg())
         assert cert.payload["zset"] == "W"
         cert.payload["zset"] = "(union)"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
@@ -506,9 +537,9 @@ class TestWrongTypedFields:
         """
         specs = [("1", "2"), ("2", "1")]
         r = make_registry(specs)
-        certs = [containment_decreasing([r.entries[0]], [r.entries[1]], 2, r).certificate]
+        certs = [containment_decreasing([r.entries[0]], [r.entries[1]], 2, r)]
         r = make_registry(specs)
-        certs.append(containment_full_product([r.entries[1]], [r.entries[0]]).certificate)
+        certs.append(containment_full_product([r.entries[1]], [r.entries[0]]))
         certs.append(cover_certificate(1, 0, make_registry(specs), [])[1])
         for cert in certs:
             assert check_certificate(cert).ok
@@ -633,7 +664,7 @@ class TestBoundedReplay:
         # 24 entries, none of them listed
         words = [format(i, "05b").translate(str.maketrans("01", "12")) for i in range(24)]
         r = make_registry([(w, "2") for w in words])
-        cert = property_a_check(Whole(), reg()).certificate
+        cert = property_a_check(Whole(), reg())
         params = dict(cert.params, registry=r.to_payload())
         payload = dict(cert.payload, entries=[])
         start = time.perf_counter()
@@ -653,6 +684,29 @@ class TestBoundedReplay:
             assert isinstance(report, CheckReport) and not report.ok
 
 
+def pigeonhole_certificate() -> Certificate:
+    """A digest-valid absorption failure whose set, six pigeons in five
+    holes with no two in one, is empty: the claim is true, but deciding it
+    takes more than `MAX_SPLITS` splits."""
+    lhs, rhs = _pigeonhole(6, 5)
+    registry = Registry(sorted(lhs.atoms(), key=lambda b: b.rank))
+    afailure = {"zset": setexpr_text(Diff(lhs, rhs)), "constraining": [], "absorbing": []}
+    return Certificate(
+        "InclusionChain",
+        {"registry": registry.to_payload(), "ambient": "xi"},
+        {"claim": "absorption-failure", "afailure": afailure},
+    )
+
+
+class TestUndecidedReplay:
+    def test_a_replay_past_the_split_bound_is_a_failed_obligation(self):
+        report = check_certificate_text(pigeonhole_certificate().to_json())
+        assert isinstance(report, CheckReport) and not report.ok
+        assert report.problems == [
+            f"not decided: a claim needs more than MAX_SPLITS = {MAX_SPLITS} splits"
+        ]
+
+
 def closure_certificates():
     """A rank-floor and a full-product closure certificate.
 
@@ -664,7 +718,7 @@ def closure_certificates():
     r = make_registry([("", "1"), ("1", "2"), ("", "2"), ("2", "1")])
     dec = containment_decreasing([r.entries[0], r.entries[3]], [r.entries[1]], 5, r)
     full = containment_full_product([r.entries[1]], [r.entries[0], r.entries[2]])
-    return [dec.certificate, full.certificate]
+    return [dec, full]
 
 
 def _with(section, **changes):
@@ -860,7 +914,7 @@ class TestRegistryLabels:
         # whatever order the branches are given in
         r = reg()
         b0, b1, b2, b3, b4 = r.entries
-        dec = containment_decreasing([b3, b0], [b2, b1], 9, r).certificate
+        dec = containment_decreasing([b3, b0], [b2, b1], 9, r)
         assert (dec.payload["subtracted"], dec.payload["kept"]) == (["b0", "b3"], ["b1", "b2"])
         assert cover_certificate(3, 9, r, [b4, b1])[1].payload["base"] == ["b1", "b4"]
         failure = AFailure(Whole(), (b2, b0), (b4, b3)).to_payload()
@@ -925,6 +979,21 @@ class TestRegistryLabels:
             registry = [dict(cert.params["registry"][0], rank=value), *cert.params["registry"][1:]]
             report = check_certificate(_with("params", registry=registry)(cert))
             assert not report.ok and "registry rank" in report.problems[0], (value, report.problems)
+
+    @pytest.mark.parametrize(
+        "label, named", [(100000, 100000), (None, "b0"), ("", "b0")], ids=["int", "null", "empty"],
+    )
+    def test_registry_labels_must_be_nonempty_strings(self, label, named):
+        # the first entry's label replaced, and its witness named as a
+        # missing or empty label would read: as the default b0
+        cert = check_extendibility_a(reg())
+        assert check_certificate(cert).ok
+        registry = [dict(cert.params["registry"][0], label=label), *cert.params["registry"][1:]]
+        entries = [dict(cert.payload["entries"][0], alpha=named), *cert.payload["entries"][1:]]
+        forged = _with("payload", entries=entries)(_with("params", registry=registry)(cert))
+        report = check_certificate_text(forged.to_json())
+        assert not report.ok and len(report.problems) == 1
+        assert f"registry label {label!r} is not a nonempty string" in report.problems[0]
 
     def test_an_unregistered_label_is_rejected(self):
         # each label list of each certificate, with a label the registry lacks

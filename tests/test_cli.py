@@ -160,6 +160,21 @@ class TestFamily:
         code, out, _ = run(capsys, "family", "intersect", ":1", "1:2")
         assert code == EXIT_OK and out.strip() == "{1}"
 
+    def test_intersect_of_one_word_is_refused(self, capsys):
+        # 12:2 is 1:2 written with a longer preperiod
+        code, out, err = run(capsys, "family", "intersect", "1:2", "12:2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: branches coincide; the intersection is infinite\n"
+
+    def test_intersect_past_64_letters(self, capsys):
+        # the two words share a 70-letter stem, past the 64 letters a branch
+        # keeps as one word: the intersection is the codes of its prefixes
+        stem = "12" * 35
+        code, out, err = run(capsys, "family", "intersect", f"{stem}1:2", f"{stem}2:1")
+        codes = [zfilterlab.branches.encode_string(stem[:n]) for n in range(1, 71)]
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "{" + ",".join(map(str, codes)) + "}\n"
+
     def test_separator(self, capsys):
         code, out, _ = run(capsys, "family", "separator", ":1", "--group", "1:2")
         assert code == EXIT_OK and out.strip() == "3"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closure_view import classes, point_verdicts
+from closure_view import branches, classes, point_verdicts, target
 from zfilterlab import engines, space
 from zfilterlab.branches import (
     BranchIndex,
@@ -38,7 +38,12 @@ from zfilterlab.engines import (
 )
 from zfilterlab.checking import check_certificate
 from zfilterlab.filters import FilterBase, filter_member
-from zfilterlab.formats import parse_point_literal, parse_registry, parse_setexpr
+from zfilterlab.formats import (
+    parse_afailures,
+    parse_point_literal,
+    parse_registry,
+    parse_setexpr,
+)
 from zfilterlab.space import (
     PI,
     XI,
@@ -169,46 +174,47 @@ class TestExtendibilityB:
 class TestContainmentDecreasing:
     def test_empty_subtracted_is_trivial(self):
         reg = reg3()
-        report = containment_decreasing([], [reg.entries[1]], 5, reg)
-        assert report.cover == []
-        target = report.target()
-        for p, witness in point_verdicts(report, TR):
+        cert = containment_decreasing([], [reg.entries[1]], 5, reg)
+        assert cert.payload["cover"] == []
+        goal = target(cert, reg)
+        for p, witness in point_verdicts(cert, reg, TR):
             assert witness == p
-            assert eval_setexpr(p, target)
+            assert eval_setexpr(p, goal)
 
     def test_single_subtracted_cover_shape(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
-        report = containment_decreasing([a1], [a2], 5, reg)
-        assert report.depth == report.separators[a1.label] == 1
-        assert all(c.rank >= 5 for c in report.cover)
-        assert len(report.cover) == 1 and report.cover[0].prefix(1) == "1"
+        cert = containment_decreasing([a1], [a2], 5, reg)
+        assert cert.payload["depth"] == cert.payload["separators"][a1.label] == 1
+        cover = branches(cert, reg, "cover")
+        assert all(c.rank >= 5 for c in cover)
+        assert len(cover) == 1 and cover[0].prefix(1) == "1"
 
     def test_subtracted_only(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1 = reg.entries[0]
-        report = containment_decreasing([a1], [], 0, reg)
-        l = report.separators[a1.label]
+        cert = containment_decreasing([a1], [], 0, reg)
+        l = cert.payload["separators"][a1.label]
         assert l == 1
         for n in range(1, l + 1):
-            assert any(branch_member(c, n) for c in report.cover)
+            assert any(branch_member(c, n) for c in branches(cert, reg, "cover"))
 
     def test_every_point_witnessed_inside_target(self):
         reg = reg5()
         f = [reg.entries[0]]
         g = [reg.entries[1], reg.entries[2]]
-        report = containment_decreasing(f, g, 7, reg)
-        target = report.target()
-        shrunken = inter_atoms(list(g) + report.cover)
+        cert = containment_decreasing(f, g, 7, reg)
+        goal = target(cert, reg)
+        shrunken = inter_atoms(list(g) + branches(cert, reg, "cover"))
         seen = 0
-        for p, witness in point_verdicts(report, TR):
+        for p, witness in point_verdicts(cert, reg, TR):
             seen += 1
             assert eval_setexpr(p, shrunken)
             if witness is p:
-                assert eval_setexpr(p, target)
+                assert eval_setexpr(p, goal)
             else:
                 for t in witness.terms():
-                    assert eval_setexpr(t, target)
+                    assert eval_setexpr(t, goal)
         total = sum(
             1 for p in enumerate_truncated(TR, XI) if eval_setexpr(p, shrunken)
         )
@@ -222,33 +228,33 @@ class TestContainmentDecreasing:
 
 class TestContainmentFullProduct:
     def test_trivial_whole_space(self):
-        report = containment_full_product([], [])
-        for p, witness in point_verdicts(report, TR):
+        cert = containment_full_product([], [])
+        for p, witness in point_verdicts(cert, Registry(), TR):
             assert witness == p
 
     def test_escape_position_is_least_separator(self):
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
-        report = containment_full_product([a1], [a2])
-        assert report.separators[a2.label] == 2
-        p_inf_class = next(cw for cw in classes(report, TR) if not cw.support)
+        cert = containment_full_product([a1], [a2])
+        assert cert.payload["separators"][a2.label] == 2
+        p_inf_class = next(cw for cw in classes(cert, reg, TR) if not cw.support)
         assert p_inf_class.escapes == (2,)
 
     def test_every_point_gets_verified_sequence(self):
         reg = reg5()
         kept = [reg.entries[0]]
         subtracted = [reg.entries[1], reg.entries[3]]
-        report = containment_full_product(kept, subtracted)
-        target = report.target()
+        cert = containment_full_product(kept, subtracted)
+        goal = target(cert, reg)
         lhs = inter_atoms(kept)
         checked = 0
-        for p, witness in point_verdicts(report, TR):
+        for p, witness in point_verdicts(cert, reg, TR):
             checked += 1
             assert p.ambient == PI
             assert eval_setexpr(p, lhs)
             terms = [p] if witness is p else witness.terms()
             for t in terms:
-                assert eval_setexpr(t, target)
+                assert eval_setexpr(t, goal)
         total = sum(
             1 for p in enumerate_truncated(TR, PI) if eval_setexpr(p, lhs)
         )
@@ -285,40 +291,40 @@ class TestExactClosureRule:
     support avoiding the kept (and cover) branches, not only within T."""
 
     @staticmethod
-    def assert_rule(report, point):
-        assert check_certificate(report.certificate).ok
+    def assert_rule(cert, reg, point):
+        assert check_certificate(cert).ok
         missed = [
-            a for a in report.subtracted
+            a for a in branches(cert, reg, "subtracted")
             if not any(branch_member(a, n) for n in point.positions())
         ]
-        escapes = sorted({report.separators[a.label] for a in missed})
+        escapes = sorted({cert.payload["separators"][a.label] for a in missed})
         terms = multi_escape_sequence(point, escapes, 3).terms() if escapes else [point]
-        assert all(eval_setexpr(t, report.target()) for t in terms)
+        assert all(eval_setexpr(t, target(cert, reg)) for t in terms)
         support = frozenset(point.positions())
         if support and max(support) <= TR.T:
             # the truncated view names the same escapes for this support
-            cw = next(cw for cw in classes(report, TR) if cw.support == support)
+            cw = next(cw for cw in classes(cert, reg, TR) if cw.support == support)
             assert cw.escapes == tuple(escapes) and cw.self_member == (not missed)
 
     @given(closure_setups())
     @settings(max_examples=150, deadline=None)
     def test_rank_floor(self, setup):
         reg, kept, subtracted, gamma, positions, values = setup
-        report = containment_decreasing(subtracted, kept, gamma, reg)
-        owned = [*kept, *report.cover]
+        cert = containment_decreasing(subtracted, kept, gamma, reg)
+        owned = [*kept, *branches(cert, reg, "cover")]
         support = sorted(p for p in positions if not any(branch_member(b, p) for b in owned))
         if support:
-            assert support[0] > report.depth
+            assert support[0] > cert.payload["depth"]
         top = max(support, default=0)
-        self.assert_rule(report, XiPoint.of({p: top + v for p, v in zip(support, values)}))
+        self.assert_rule(cert, reg, XiPoint.of({p: top + v for p, v in zip(support, values)}))
 
     @given(closure_setups())
     @settings(max_examples=150, deadline=None)
     def test_full_product(self, setup):
-        _, kept, subtracted, _, positions, values = setup
-        report = containment_full_product(kept, subtracted)
+        reg, kept, subtracted, _, positions, values = setup
+        cert = containment_full_product(kept, subtracted)
         support = sorted(p for p in positions if not any(branch_member(b, p) for b in kept))
-        self.assert_rule(report, XiPoint.of({p: 1 + v for p, v in zip(support, values)}, PI))
+        self.assert_rule(cert, reg, XiPoint.of({p: 1 + v for p, v in zip(support, values)}, PI))
 
 
 @st.composite
@@ -348,13 +354,22 @@ def has_point(zset, f_set, beta) -> bool:
     return exact_counterexample(lhs, Atom(beta), XI) is not None
 
 
+def certified_failure(cert: Certificate, reg: Registry) -> AFailure:
+    """The absorption failure a failing property-(A) certificate records,
+    its branches read by label from ``reg``."""
+    assert (cert.kind, cert.payload["claim"]) == ("InclusionChain", "absorption-failure")
+    (parts,) = parse_afailures([cert.payload["afailure"]], reg)
+    zset, constraining, absorbing = parts
+    return AFailure(zset, tuple(constraining), tuple(absorbing))
+
+
 class TestPropertyA:
     def test_whole_has_property(self):
         reg = make_registry([("", "1"), ("", "2")])
-        report = property_a_check(Whole(), reg)
-        assert report.holds
-        assert [e["alpha"] for e in report.entries] == ["b0", "b1"]
-        for j, e in enumerate(report.entries):
+        cert = property_a_check(Whole(), reg)
+        assert cert.kind == "SeparatorWitness"
+        assert [e["alpha"] for e in cert.payload["entries"]] == ["b0", "b1"]
+        for j, e in enumerate(cert.payload["entries"]):
             point = parse_point_literal(e["point"])
             assert eval_setexpr(point, inter_atoms(reg.entries[:j]))
             assert not eval_setexpr(point, Atom(reg.entries[j]))
@@ -362,50 +377,48 @@ class TestPropertyA:
     def test_top_zero_set_fails_reflexively(self):
         reg = reg3()
         top = reg.entries[-1]
-        report = property_a_check(Atom(top), reg)
-        assert not report.holds
-        assert report.failure.absorbing == (top,)
+        cert = property_a_check(Atom(top), reg)
+        assert certified_failure(cert, reg).absorbing == (top,)
 
     def test_empty_set_fails_immediately(self):
         reg = reg3()
-        report = property_a_check(Union(()), reg)
-        assert not report.holds
-        assert report.failure.constraining == ()
-        assert report.failure.absorbing == (reg.entries[0],)
+        failure = certified_failure(property_a_check(Union(()), reg), reg)
+        assert failure.constraining == ()
+        assert failure.absorbing == (reg.entries[0],)
 
     @given(property_a_setups())
     @settings(max_examples=300, deadline=None)
     def test_one_point_per_entry_serves_every_constraint_set(self, setup):
         reg, zset = setup
-        report = property_a_check(zset, reg)
-        assert check_certificate(report.certificate).ok
+        cert = property_a_check(zset, reg)
+        assert check_certificate(cert).ok
         entries = list(reg)
-        if report.holds:
-            assert len(report.entries) == len(entries)
-            cut = len(entries)
-        else:
-            beta = report.failure.absorbing[0]
-            cut = entries.index(beta)
-        # the entries before the first failing one are listed, in rank order
-        assert [e["alpha"] for e in report.entries] == [b.label for b in entries[:cut]]
-        for j, e in enumerate(report.entries):
-            point = parse_point_literal(e["point"])
-            # the whole quantifier range: every F below the entry, one by one
-            for size in range(j + 1):
-                for f_set in itertools.combinations(entries[:j], size):
-                    target = Diff(Inter((zset, inter_atoms(f_set))), Atom(entries[j]))
-                    assert eval_setexpr(point, target), (e, f_set)
-        if not report.holds:
-            failure = report.failure
-            # the failure holds over the whole space, and its points at
-            # three truncations agree
-            assert exact_counterexample(failure.lhs(), failure.rhs(), XI) is None
-            for trunc in (Truncation(3, 4), Truncation(5, 6)):
-                assert containment_counterexample(failure.lhs(), failure.rhs(), trunc, XI) is None
-            # the reported constraint set keeps only members it cannot do without
-            for b in failure.constraining:
-                smaller = [c for c in failure.constraining if c != b]
-                assert has_point(zset, smaller, beta), (b, failure)
+        if cert.kind == "SeparatorWitness":
+            listed = cert.payload["entries"]
+            # one point per entry, in rank order
+            assert [e["alpha"] for e in listed] == [b.label for b in entries]
+            for j, e in enumerate(listed):
+                point = parse_point_literal(e["point"])
+                # the whole quantifier range: every F below the entry, one by one
+                for size in range(j + 1):
+                    for f_set in itertools.combinations(entries[:j], size):
+                        target = Diff(Inter((zset, inter_atoms(f_set))), Atom(entries[j]))
+                        assert eval_setexpr(point, target), (e, f_set)
+            return
+        failure = certified_failure(cert, reg)
+        (beta,) = failure.absorbing
+        # the failing entry is the first without a point
+        cut = entries.index(beta)
+        assert all(has_point(zset, entries[:j], entries[j]) for j in range(cut))
+        # the failure holds over the whole space, and its points at
+        # three truncations agree
+        assert exact_counterexample(failure.lhs(), failure.rhs(), XI) is None
+        for trunc in (Truncation(3, 4), Truncation(5, 6)):
+            assert containment_counterexample(failure.lhs(), failure.rhs(), trunc, XI) is None
+        # the reported constraint set keeps only members it cannot do without
+        for b in failure.constraining:
+            smaller = [c for c in failure.constraining if c != b]
+            assert has_point(zset, smaller, beta), (b, failure)
 
     def test_separator_past_the_truncation_serves_the_smaller_sets(self):
         # (F = {b1}, b2) has no point on the truncation (4, 2): its separator
@@ -420,11 +433,11 @@ class TestPropertyA:
         assert find_separator(b2, [b1]) == 4
         assert containment_counterexample(
             Inter((zset, Atom(b1))), Atom(b2), trunc, XI) is None
-        report = property_a_check(zset, reg)
-        assert report.holds
-        assert report.entries[2] == {"alpha": "b2", "point": "{10:10}"}
+        cert = property_a_check(zset, reg)
+        assert cert.kind == "SeparatorWitness"
+        assert cert.payload["entries"][2] == {"alpha": "b2", "point": "{10:10}"}
         assert eval_setexpr(XiPoint.of({10: 10}), Diff(Inter((zset, Atom(b1))), Atom(b2)))
-        assert check_certificate(report.certificate).ok
+        assert check_certificate(cert).ok
 
 
 def whole_afailure(reg: Registry, trunc: Truncation) -> AFailure:

@@ -11,13 +11,7 @@ from zfilterlab._record import Record
 from zfilterlab.branches import BranchIndex, Registry
 from zfilterlab.certificates import Certificate
 from zfilterlab.checking import CheckReport
-from zfilterlab.engines import (
-    AFailure,
-    ContainmentReport,
-    EngineError,
-    PropertyAReport,
-    RefuterReport,
-)
+from zfilterlab.engines import AFailure, EngineError, RefuterReport
 from zfilterlab.filters import CombineReport, FilterBase, MemberVerdict
 from zfilterlab.space import (
     ApproxSequence,
@@ -97,24 +91,10 @@ CASES = {
         "ClosureVerdict(status='refuted', witness=None, neighborhood=((), 0, 0))", "status",
         ("refuted", None, ((), 0, 0)),
     ),
-    "ContainmentReport": (
-        lambda: ContainmentReport((B,), (A,), {"b": 5}, [], 0, "pi", _cert()),
-        lambda: ContainmentReport((B,), (A,), {"b": 5}, [], 0, "pi", Certificate("CoverSet")),
-        # the certificate is left out of the repr, not out of equality
-        f"ContainmentReport(subtracted=({B_REPR},), kept=({A_REPR},), separators={{'b': 5}}, "
-        "cover=[], depth=0, ambient='pi')",
-        "depth", None,
-    ),
     "AFailure": (
         lambda: AFailure(Whole(), (A,), (B,)), lambda: AFailure(Whole(), (), (B,)),
         f"AFailure(zset=Whole(), constraining=({A_REPR},), absorbing=({B_REPR},))",
         "absorbing", (Whole(), (A,), (B,)),
-    ),
-    "PropertyAReport": (
-        lambda: PropertyAReport(True, [], None, _cert()),
-        lambda: PropertyAReport(False, [], None, _cert()),
-        f"PropertyAReport(holds=True, entries=[], failure=None, certificate={CERT_REPR})",
-        "holds", None,
     ),
     "RefuterReport": (
         lambda: RefuterReport([[A]], _cert()), lambda: RefuterReport([], _cert()),
@@ -152,7 +132,7 @@ def test_every_value_class_is_pinned():
         name for m in modules for name, c in vars(m).items()
         if isinstance(c, type) and issubclass(c, Record) and c.__module__ == m.__name__
     }
-    assert found - {"SetExpr"} == set(CASES) and len(CASES) == 21
+    assert found - {"SetExpr"} == set(CASES) and len(CASES) == 19
 
 
 @pytest.mark.parametrize("name", CASES)
