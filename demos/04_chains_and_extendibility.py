@@ -32,8 +32,9 @@ trunc = Truncation(4, 6)
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 cert = check_extendibility_a(reg)
 print("extendibility (a): one witness point per entry, against all the others")
-for entry in cert.payload["entries"]:
-    print(f"  alpha={entry['alpha']} point={entry['point']}")
+# point j answers registry entry j
+for alpha, point in zip(reg, cert.payload["entries"]):
+    print(f"  alpha={alpha.label} point={point}")
 print("checker verdict:", check_certificate(cert).ok)
 
 # --- extendibility, condition (b) -------------------------------------------
@@ -43,7 +44,11 @@ print("\nextendibility (b) for N_b against entry a:")
 print("  hypothesis group:", cert.payload["hypothesis_group"])
 print("  separator:", cert.payload["separator"])
 print("  exceptions:", cert.payload["exceptions"])
-print("  members certified:", [m["beta"] for m in cert.payload["members"]])
+# the checker decides the pair inclusion of every other entry
+print("  members certified:", [
+    b.label for b in reg
+    if b.label != cert.payload["alpha"] and b.label not in cert.payload["exceptions"]
+])
 print("checker verdict:", check_certificate(cert).ok)
 
 # the whole space needs no exceptions at all
@@ -55,14 +60,15 @@ print("whole-space exceptions:", cert.payload["exceptions"])
 
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 cert = containment_decreasing([reg.entries[0]], [reg.entries[1]], 10, reg)
-separators = cert.payload["separators"]
-# the certificate names its branches by registry label
+# the certificate names its branches by registry label, and lists separator j
+# for subtracted branch j
+separators = dict(zip(cert.payload["subtracted"], cert.payload["separators"]))
 kept, subtracted, cover = (
     [reg.by_label(label) for label in cert.payload[key]]
     for key in ("kept", "subtracted", "cover")
 )
 print("\nclosure containment: subtract N_a from N_b, cover past rank 10")
-print("  separators:", separators, "depth:", cert.payload["depth"], "cover:",
+print("  separators:", separators, "depth:", max(separators.values()), "cover:",
       [(c.literal(), c.rank) for c in cover])
 print("  decided exactly: kept and cover branches own every position up to the")
 print("  depth, so a support avoiding them lies past every separator")
@@ -86,7 +92,8 @@ print("checker verdict:", check_certificate(cert).ok)
 reg = make_registry([("", "1"), ("", "2"), ("1", "2")])
 cert = containment_full_product([reg.entries[0]], [reg.entries[1]])
 print("\nfull product: puncturing N_b out of N_a leaves a dense set")
-print("  separators (escape positions):", cert.payload["separators"])
+print("  separators (escape positions):",
+      dict(zip(cert.payload["subtracted"], cert.payload["separators"])))
 print("checker verdict:", check_certificate(cert).ok)
 
 # --- strictly monotone chains ---------------------------------------------------
@@ -96,14 +103,13 @@ reg = make_registry(
 )
 inc = increasing_chain_engine(reg, 5)
 print("\nincreasing chain: entry j outside the first j entries' intersection")
-print("  strictness witnesses:",
-      [(e["alpha"], e["point"]) for e in inc.payload["entries"]])
+labels = [b.label for b in reg]
+print("  strictness witnesses:", list(zip(labels, inc.payload["entries"])))
 reg = make_registry(
     [("", "1"), ("", "2"), ("1", "2"), ("12", "1"), ("2", "1")]
 )
 dec = decreasing_chain_engine(reg, 5)
 print("decreasing chain: entry j outside the later entries' intersection")
-print("  strictness witnesses:",
-      [(e["alpha"], e["point"]) for e in dec.payload["entries"]])
+print("  strictness witnesses:", list(zip(labels, dec.payload["entries"])))
 print("checker verdicts:", check_certificate(inc).ok,
       check_certificate(dec).ok)

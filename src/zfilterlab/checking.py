@@ -10,11 +10,13 @@ from its ``params.registry`` by label, ranks included, and an unknown label
 fails the check.  Nothing here calls back into the producing engines, so a
 certificate stands or falls on its own evidence.
 
-A certificate records only what this checker reads.  A property-(B)
-refutation stands on its point alone: the checker replays every recorded
-absorption failure on the truncation, and the refuted cover is the union of
-their sets, so a `CounterexamplePoint` must miss each of them and a
-`Contradiction` must break the one its ``afailure_index`` names.
+A certificate records only what this checker reads, and nothing it derives:
+point j of a separator claim answers registry entry j, separator j of a
+closure claim subtracted branch j.  A property-(B) refutation stands on its
+point alone: the checker replays every recorded absorption failure on the
+truncation, and the refuted cover is the union of their sets, so a
+`CounterexamplePoint` must miss each of them and a `Contradiction` must
+break the one its ``afailure_index`` names.
 
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
 `report.problems` lists every failed obligation, a replay that needs more
@@ -153,9 +155,9 @@ def _integer(value, what: str) -> int:
 
 def _check_separator_witness(ctx: _Context) -> None:
     """Separator claims: the params fix one (entry, maximal group) obligation
-    for each of the first ``count`` entries, and each point must lie in the
-    group's intersection, and in the recorded ``zset`` for property (A), but
-    outside the entry's zero set.  A point in the maximal group's
+    for each of the first ``count`` entries, and point j must lie in entry
+    j's group intersection, and in the recorded ``zset`` for property (A),
+    but outside entry j's zero set.  A point in the maximal group's
     intersection lies in every subgroup's, which covers the smaller groups,
     chain bases and constraint sets the claim quantifies over.  Entry j's
     group is ``group(xs, j)``, taken by position from the entries or from
@@ -189,18 +191,17 @@ def _check_separator_witness(ctx: _Context) -> None:
         ctx.report.fail(f"unknown separator-witness claim {claim!r}")
         return
     listed = ctx.cert.payload["entries"]
-    expected = [alpha.label for alpha in entries[:count]]
-    if [e["alpha"] for e in listed] != expected:
-        ctx.report.fail(f"entries must list exactly {expected}, in order")
+    if len(listed) != count:
+        ctx.report.fail(f"entries must list {count} points, one per registry entry in order")
         return
     atoms = tuple(Atom(a) for a in entries)
-    for j, e in enumerate(listed):
-        point = ctx.point(e["point"])
+    for j, literal in enumerate(listed):
+        point = ctx.point(literal)
         if not validate_point(point):
-            ctx.report.fail(f"witness point {e['point']} is not a valid point")
+            ctx.report.fail(f"witness point {literal} is not a valid point")
         elif not eval_setexpr(point, Diff(Inter((zset, *group(atoms, j))), atoms[j])):
             ctx.report.fail(
-                f"point {e['point']} fails to separate {entries[j].label} "
+                f"point {literal} fails to separate {entries[j].label} "
                 f"from {[b.label for b in group(entries, j)]}"
             )
 
@@ -238,8 +239,9 @@ def _verify_cover(
 
 
 def _check_exception_list(ctx: _Context) -> None:
-    """The hypothesis and pair inclusions hold exactly, the separator lies in
-    ``alpha`` and no hypothesis branch, and exceptions in the group or cover."""
+    """The hypothesis inclusion holds exactly, the separator lies in ``alpha``
+    and no hypothesis branch, the exceptions are candidates (group or cover),
+    and every other entry but ``alpha`` passes its pair inclusion exactly."""
     payload = ctx.cert.payload
     zset = ctx.expr(payload["zset"])
     alpha = ctx.branch(payload["alpha"])
@@ -256,25 +258,18 @@ def _check_exception_list(ctx: _Context) -> None:
     cover = ctx.branches(payload["cover"])
     _verify_cover(ctx, cover, hypothesis, l, 0)
 
-    candidates = {b.label for b in (*hypothesis, *cover)}
-    exceptions = {b.label for b in ctx.branches(payload["exceptions"])}
-    if not exceptions <= candidates:
+    candidates = [b for b in ctx.registry if b in hypothesis or b in cover]
+    exceptions = ctx.branches(payload["exceptions"])
+    if not all(b in candidates for b in exceptions):
         ctx.report.fail("exceptions stray outside the hypothesis group and cover")
-    member_labels = {m["beta"] for m in payload["members"]}
-    expected_members = (
-        {e.label for e in ctx.registry} - exceptions - {payload["alpha"]}
-    )
-    if member_labels != expected_members:
-        ctx.report.fail("membership entries do not cover exactly the non-exceptions")
-    for m in payload["members"]:
-        beta = ctx.branch(m["beta"])
-        through = ctx.branches(m["via_pairs"])
-        if beta in through:
-            ctx.report.fail(f"pair inclusion for {m['beta']} runs through {m['beta']} itself")
+    for beta in ctx.registry:
+        if beta == alpha or beta in exceptions:
+            continue
+        through = [c for c in candidates if c != beta]
         lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
         bad = exact_counterexample(lhs, Union((zset, Atom(beta))), ctx.ambient)
         if bad is not None:
-            ctx.report.fail(f"pair inclusion for {m['beta']} fails at {bad.literal()}")
+            ctx.report.fail(f"pair inclusion for {beta.label} fails at {bad.literal()}")
 
 
 def _check_inclusion_chain(ctx: _Context) -> None:
@@ -294,10 +289,10 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
     """Exact, by coordinate pushing: a point whose support S avoids the kept
     (and cover) branches is the limit of the terms varying the separators of
     the subtracted branches S misses.  The terms lie in ⋂kept \\ ∪subtracted
-    because each separator is an element of its own subtracted branch and of
-    no kept branch.  In ``xi`` they stay valid because the kept and cover
-    branches own every position up to ``depth``, at least every separator,
-    so S lies past all of them.  No truncation enters."""
+    because separator j is an element of subtracted branch j and of no kept
+    branch.  In ``xi`` they stay valid because the kept and cover branches
+    own every position up to the largest separator, so S lies past all of
+    them.  No truncation enters."""
     payload = ctx.cert.payload
     ambient = XI if rank_floor else PI
     if ctx.ambient != ambient:
@@ -305,21 +300,19 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
     kept = ctx.branches(payload["kept"])
     subtracted = ctx.branches(payload["subtracted"])
     separators = payload["separators"]
-    if not isinstance(separators, dict) or set(separators) != {b.label for b in subtracted}:
-        ctx.report.fail("separators must map exactly the subtracted labels to positions")
+    if len(separators) != len(subtracted):
+        ctx.report.fail("separators must list one position per subtracted branch")
         return
-    for beta in subtracted:
-        l = _integer(separators[beta.label], f"separator for {beta.label}")
+    for beta, l in zip(subtracted, separators):
+        l = _integer(l, f"separator for {beta.label}")
         if not branch_member(beta, l):
             ctx.report.fail(f"separator for {beta.label} is not an element of it")
         if any(branch_member(b, l) for b in kept):
             ctx.report.fail(f"separator for {beta.label} collides with the kept set")
 
     if rank_floor:
-        depth = payload["depth"]
+        depth = max(separators, default=0)
         _verify_cover(ctx, ctx.branches(payload["cover"]), kept, depth, ctx.cert.params["gamma"])
-        if depth < max(separators.values(), default=0):
-            ctx.report.fail(f"depth {depth} lies below a separator")
 
 
 def _check_absorption_failure(ctx: _Context) -> None:

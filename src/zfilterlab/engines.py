@@ -17,8 +17,8 @@ point.  Only `property_b_refute` searches a truncation, takes one and
 records it: its inputs are claims that hold on a truncation and break past
 it.  The separator claims (`extendibility-a`, the two chains, property (A)
 when it holds) are shown by one eval-checked point per entry, and the two
-closure containments by the separators (and, with a rank floor, the cover
-and its depth) from which the paper's coordinate-pushing step gives every
+closure containments by the separators (and, with a rank floor, a cover up
+to the largest) from which the paper's coordinate-pushing step gives every
 point of the shrunken intersection an escape sequence.  The containments
 of `check_extendibility_b` and a failing `property_a_check` are decided
 over the whole space by `space.exact_counterexample`.
@@ -129,22 +129,21 @@ def _separator_entries(
     entries: Sequence[BranchIndex],
     count: int,
     group: Callable[[Sequence, int], Sequence],
-) -> list[dict]:
-    """One eval-checked point for each of the first ``count`` entries: inside
-    the intersection of its group, outside its zero set.  ``group(xs, j)``
-    picks entry j's group by position from ``entries`` or from their atoms,
-    which are built once for every obligation."""
+) -> list[str]:
+    """One eval-checked point literal for each of the first ``count`` entries,
+    inside the intersection of its group and outside its zero set.
+    ``group(xs, j)`` picks entry j's group by position from ``entries`` or
+    from their atoms, which are built once for every obligation."""
     atoms = tuple(Atom(e) for e in entries)
     listed = []
     for j in range(count):
-        alpha = entries[j]
-        l = find_separator(alpha, group(entries, j))
+        l = find_separator(entries[j], group(entries, j))
         point = XiPoint.of({l: l})
         if not eval_setexpr(point, Diff(Inter(group(atoms, j)), atoms[j])):
             raise CertificationError(
                 f"separator point {point.literal()} failed its own check"
             )
-        listed.append({"alpha": alpha.label, "point": point.literal()})
+        listed.append(point.literal())
     return listed
 
 
@@ -165,7 +164,8 @@ def check_extendibility_b(
     its intersection outside that set.  Separator and cover bound the
     exceptions to the candidates (the group and the cover): a candidate is
     one only if its inclusion through the pair generators fails, and every
-    other entry's must hold.  Each containment is decided exactly.
+    other entry's must hold; the checker decides those again, so the
+    certificate lists none.  Each containment is decided exactly.
     """
     (alpha0,) = _registered(registry, [alpha0])
     others = [b for b in registry if b != alpha0]
@@ -187,18 +187,15 @@ def check_extendibility_b(
     candidates = sorted(set(hypothesis) | set(cover), key=lambda b: b.rank)
 
     exceptions: list[BranchIndex] = []
-    members: list[dict] = []
     for beta in registry:
         if beta == alpha0:
             continue  # its membership is the hypothesis itself
         through = [c for c in candidates if c != beta]
         lhs = Inter(tuple(Union((Atom(c), Atom(beta))) for c in through))
         bad = exact_counterexample(lhs, Union((zset, Atom(beta))), XI)
-        if bad is None:
-            members.append({"beta": beta.label, "via_pairs": [c.label for c in through]})
-        elif beta in candidates:
+        if bad is not None and beta in candidates:
             exceptions.append(beta)
-        else:
+        elif bad is not None:
             raise CertificationError(
                 f"inclusion for remaining entry {beta.label} fails at {bad.literal()}"
             )
@@ -213,7 +210,6 @@ def check_extendibility_b(
             "separator": l,
             "cover": _labels(cover),
             "exceptions": [b.label for b in exceptions],
-            "members": members,
         },
     )
 
@@ -236,14 +232,13 @@ def containment_decreasing(
     escape terms valid and convergent for every point of the shrunken
     intersection.
     """
-    subtracted = _registered(registry, subtracted)
+    subtracted = sorted(_registered(registry, subtracted), key=lambda b: b.rank)
     kept = _registered(registry, kept)
     if any(a == b for a in subtracted for b in kept):
         raise EngineError("the subtracted and kept branch sets must be disjoint")
 
-    separators = {alpha.label: find_separator(alpha, kept) for alpha in subtracted}
-    depth = max(separators.values(), default=0)
-    cover = find_cover(depth, gamma, registry, base=kept) if depth else []
+    separators = [find_separator(alpha, kept) for alpha in subtracted]
+    cover = find_cover(max(separators), gamma, registry, base=kept) if separators else []
 
     return Certificate(
         "InclusionChain",
@@ -253,7 +248,6 @@ def containment_decreasing(
             "subtracted": _labels(subtracted),
             "kept": _labels(kept),
             "separators": separators,
-            "depth": depth,
             "cover": _labels(cover),
         },
     )
@@ -271,15 +265,20 @@ def containment_full_product(
 
     In the full product no level constraint binds, so every point of the kept
     intersection admits escape coordinates, one separator element per
-    subtracted branch, without any covering step.
+    subtracted branch, without any covering step.  The certificate's registry
+    holds the given branches, so two of equal rank or with a shared label are
+    refused.
     """
     kept = tuple(kept)
-    subtracted = tuple(subtracted)
+    subtracted = sorted(subtracted, key=lambda b: b.rank)
     if any(a == b for a in subtracted for b in kept):
         raise EngineError("the kept and subtracted branch sets must be disjoint")
 
-    separators = {b.label: find_separator(b, kept) for b in subtracted}
-    registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
+    try:
+        registry_view = Registry(sorted(set(kept) | set(subtracted), key=lambda b: b.rank))
+    except BranchError as exc:
+        raise EngineError(str(exc)) from exc
+    separators = [find_separator(b, kept) for b in subtracted]
     return Certificate(
         "InclusionChain",
         params=_params(registry_view, PI),
@@ -339,7 +338,7 @@ def property_a_check(zset: SetExpr, registry: Registry) -> Certificate:
     every entry beta ranked above F need a point of ``zset ∩ ⋂F`` escaping
     beta.  Ranks strictly increase, so one point of ``zset ∩ ⋂entries[:j]``
     outside Z(e_j) serves every F below entry j: the certificate lists one
-    ``{alpha, point}`` per entry.  The first entry without one, decided
+    point per entry, in rank order.  The first entry without one, decided
     exactly, is certified as an absorption failure instead, with F a minimal
     sublist of the entries before it."""
     entries = list(registry)
@@ -355,7 +354,7 @@ def property_a_check(zset: SetExpr, registry: Registry) -> Certificate:
                 params=_params(registry, XI),
                 payload={"claim": "absorption-failure", "afailure": failure.to_payload()},
             )
-        listed.append({"alpha": beta.label, "point": point.literal()})
+        listed.append(point.literal())
     return Certificate(
         "SeparatorWitness",
         params=_params(registry, XI),

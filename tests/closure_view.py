@@ -1,12 +1,13 @@
 """The truncated class view of a closure containment.
 
 Coordinate pushing decides the two closure containments exactly from a
-certificate's separators and, with a rank floor, its cover and depth (see
-`engines.containment_decreasing`).  This view spells the rule out on a
-truncation from what the checker reads: the certificate's fields, with the
-branches it names by label resolved through the caller's registry.  The
-tests replay it point by point: one escape schema per support class of the
-shrunken intersection, and one verdict per truncated point in it.
+certificate's separators and, with a rank floor, its cover of every position
+up to the largest separator (see `engines.containment_decreasing`).  This
+view spells the rule out on a truncation from what the checker reads: the
+certificate's fields, with the branches it names by label resolved through
+the caller's registry.  The tests replay it point by point: one escape
+schema per support class of the shrunken intersection, and one verdict per
+truncated point in it.
 """
 
 from dataclasses import dataclass
@@ -41,6 +42,12 @@ def branches(cert, registry, key) -> list:
     return [registry.by_label(label) for label in cert.payload.get(key, [])]
 
 
+def separators(cert) -> dict:
+    """Each subtracted label's separator: separator j answers subtracted
+    branch j."""
+    return dict(zip(cert.payload["subtracted"], cert.payload["separators"]))
+
+
 def target(cert, registry):
     """The kept intersection with the subtracted zero sets removed."""
     return Diff(inter_atoms(branches(cert, registry, "kept")),
@@ -55,6 +62,7 @@ def classes(cert, registry, trunc) -> list[ClassWitness]:
     ambient = cert.params["ambient"]
     subtracted = branches(cert, registry, "subtracted")
     shrunken = inter_atoms(branches(cert, registry, "kept") + branches(cert, registry, "cover"))
+    escape = separators(cert)
     index = space._index([*shrunken.atoms(), *subtracted])
     owners = space._owners(index, trunc.T)
     out: list[ClassWitness] = []
@@ -66,7 +74,7 @@ def classes(cert, registry, trunc) -> list[ClassWitness]:
         if ambient == XI and count == 0:
             continue
         missing = [a for a in subtracted if space._verdicts(Atom(a), hit, index)]
-        escapes = tuple(sorted({cert.payload["separators"][a.label] for a in missing}))
+        escapes = tuple(sorted({escape[a.label] for a in missing}))
         out.append(ClassWitness(support, escapes, not missing, count))
     return out
 

@@ -162,7 +162,8 @@ def test_criterion_prototype_witnesses():
     pairs = 0
     for reg in registries:
         cert = check_extendibility_a(reg)
-        points = {e["alpha"]: parse_point_literal(e["point"]) for e in cert.payload["entries"]}
+        # point j answers entry j
+        points = {a.label: parse_point_literal(p) for a, p in zip(reg, cert.payload["entries"])}
         if len(cert.payload["entries"]) != len(reg):
             failures += 1
         # alpha's single point must separate it from every group of at most
@@ -203,14 +204,14 @@ def test_criterion_closure_engine_prototype():
         subtracted, kept = _sample_disjoint(rng, list(reg))
         gamma = rng.randrange(0, 30)
         # the criteria read what is certified: the certificate's cover and
-        # depth, its branches resolved by label
+        # separators, its branches resolved by label
         cert = containment_decreasing(subtracted, kept, gamma, reg)
         cover = branches(cert, reg, "cover")
         if cover and min(c.rank for c in cover) < gamma:
             bad += 1
         covered = all(
             any(branch_member(b, n) for b in itertools.chain(branches(cert, reg, "kept"), cover))
-            for n in range(1, cert.payload["depth"] + 1)
+            for n in range(1, max(cert.payload["separators"], default=0) + 1)
         )
         if not covered:
             bad += 1
@@ -414,8 +415,8 @@ def test_criterion_chain_strictness():
         (inc, lambda k: entries[:k], lambda j, k: j < k),
         (dec, lambda k: entries[k:], lambda j, k: j >= k),
     ):
-        points = {e["alpha"]: parse_point_literal(e["point"])
-                  for e in rep.payload["entries"]}
+        points = {e.label: parse_point_literal(p)
+                  for e, p in zip(entries, rep.payload["entries"])}
         for k in range(8):
             for j, entry in enumerate(entries[:8]):
                 if member(j, k):

@@ -44,7 +44,7 @@ from zfilterlab.engines import (
     property_b_refute,
 )
 from zfilterlab.formats import MAX_SETEXPR_DEPTH, FormatError, parse_setexpr, setexpr_text
-from zfilterlab.space import MAX_SPLITS, Atom, Diff, Truncation, Union, Whole
+from zfilterlab.space import MAX_SPLITS, Atom, Diff, SetExpr, Truncation, Union, Whole
 
 TR = Truncation(4, 6)
 
@@ -95,12 +95,23 @@ def zero_set_cover_refutation():
     return property_b_refute(failures, 50, r, TR)
 
 
+# the extendibility-(a) certificate of :1 and :2 as schema 9 wrote it, each
+# entry restating the label of the registry entry at its position
+SCHEMA_9_CERTIFICATE = (
+    '{"digest":"b1d29cb886bf57d1ac6a3f82707d255424e72c25608d63865743584dc6286fc6",'
+    '"kind":"SeparatorWitness","params":{"ambient":"xi","registry":['
+    '{"branch":":1","label":"b0","rank":0},{"branch":":2","label":"b1","rank":1}]},'
+    '"payload":{"claim":"no-single-zero-set-in-filter","entries":['
+    '{"alpha":"b0","point":"{1:1}"},{"alpha":"b1","point":"{2:2}"}]},"schema":9}'
+)
+
+
 # sha256 of ``to_json()`` for the certificates demos 04 and 05 build
 DEMO_DIGESTS = {
-    "containment-dec": "148b615c330f40843106a9ac6887353e8797899a1acb90beb4b1159e7e6b6914",
-    "containment-full": "e69d2362e06e246ae3ce20c44d62a3136210a00e6aa94e005d968d290b31beb3",
-    "property-a-holds": "0712af5c7a59d248c0b722650980904c0980fc0a43dbd19ff779c15af0c8d681",
-    "property-a-fails": "90c34d2655999a21dd8c7d5fd2628a4bf0090835c1b8cc5cf29d139ff583e449",
+    "containment-dec": "9a59ead806cc841c29d5a80e2fae85d2b2ca2f526b0fa89d6879087de22a813c",
+    "containment-full": "05724607ca5a5ae9a2eefce07b728aea63e542f6095b50d4886b3a642732cfa9",
+    "property-a-holds": "fa7c20142ff467892489f3c428ebc5ffc48083de75c4087c78bd3ded58ea069d",
+    "property-a-fails": "fc55795cda3c355b9d1c5d932d46a38a83dc4ca1ba5c62cc884560914db5f418",
 }
 
 
@@ -195,7 +206,7 @@ class TestTampering:
     def test_payload_mutation_detected(self):
         cert = sample_certificates()[0]
         doc = json.loads(cert.to_json())
-        doc["payload"]["entries"][0]["point"] = "{1:2}"
+        doc["payload"]["entries"][0] = "{1:2}"
         with pytest.raises(CertificateError):
             Certificate.from_json(json.dumps(doc))
 
@@ -230,7 +241,7 @@ class TestTampering:
         # a well-digested certificate whose witness point is wrong
         r = reg()
         cert = check_extendibility_a(r)
-        cert.payload["entries"][0]["point"] = "{1:1,2:2}"
+        cert.payload["entries"][0] = "{1:1,2:2}"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
         report = check_certificate(fresh)
         assert not report.ok
@@ -350,16 +361,28 @@ class TestStructure:
         # separator certificates a truncation, schema 5 certificates spell
         # branches out as {label, branch, rank} outside the registry, schema
         # 6 certificates carry steps and fields no check reads, schema 7
-        # contradictions repeat their afailure beside its index, and schema 8
-        # exception lists and absorption failures record a truncation
+        # contradictions repeat their afailure beside its index, schema 8
+        # exception lists and absorption failures record a truncation, and
+        # schema 9 separator entries restate their alpha, exception lists
+        # their members and rank-floor closures their depth
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5, 6, 7, 8):
+        for schema in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
             report = check_certificate_text(json.dumps(doc))
             assert not report.ok
             assert "unsupported schema version" in report.problems[0]
+
+    def test_schema_9_certificate_refused(self):
+        # its digest holds, and the schema is read first
+        doc = json.loads(SCHEMA_9_CERTIFICATE)
+        body = {k: v for k, v in doc.items() if k != "digest"}
+        assert doc["digest"] == hashlib.sha256(canonical_json(body).encode()).hexdigest()
+        with pytest.raises(CertificateError, match="^unsupported schema version 9$"):
+            Certificate.from_json(SCHEMA_9_CERTIFICATE)
+        report = check_certificate_text(SCHEMA_9_CERTIFICATE)
+        assert (report.ok, report.problems) == (False, ["unsupported schema version 9"])
 
     @pytest.mark.parametrize("schema", [f"{SCHEMA_VERSION}.0", "true"])
     def test_schema_must_be_the_integer_version(self, schema):
@@ -445,7 +468,7 @@ class TestSeparatorWitnessClaims:
         # the intersection of every other entry
         r = reg()
         cert = check_extendibility_a(r)
-        cert.payload["entries"][0]["point"] = "{1:1}"
+        cert.payload["entries"][0] = "{1:1}"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
         assert not check_certificate(fresh).ok
 
@@ -458,7 +481,7 @@ class TestSeparatorWitnessClaims:
         b0, b1, b2, b3 = r.entries[:4]
         l = find_separator(b3, [b0, b1])
         assert branch_member(b2, l)
-        cert.payload["entries"][3]["point"] = f"{{{l}:{l}}}"
+        cert.payload["entries"][3] = f"{{{l}:{l}}}"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
         report = check_certificate(fresh)
         assert not report.ok and "fails to separate b3" in report.problems[0]
@@ -487,12 +510,12 @@ class TestSeparatorWitnessClaims:
         misses = [b for b in others if b is not hit]
         p = find_separator(alpha, others)
         q = find_separator(hit, [alpha, *misses])
-        cert.payload["entries"][j]["point"] = f"{{{min(p, q)}:{max(p, q)},{max(p, q)}:{max(p, q)}}}"
+        cert.payload["entries"][j] = f"{{{min(p, q)}:{max(p, q)},{max(p, q)}:{max(p, q)}}}"
         fresh = Certificate(cert.kind, cert.params, cert.payload)
         report = check_certificate(fresh)
         assert not report.ok
         assert report.problems == [
-            f"point {cert.payload['entries'][j]['point']} fails to separate {alpha.label} "
+            f"point {cert.payload['entries'][j]} fails to separate {alpha.label} "
             f"from {[b.label for b in others]}"
         ]
 
@@ -532,8 +555,8 @@ class TestWrongTypedFields:
         depth 1, on b0 = 1:2 and b1 = 2:1 with b0 subtracted and b1 kept.
 
         Position 1, the code of the word 1, is b0's separator in both claims
-        and the depth of the rank floor and the cover, so ``True``, equal to
-        1, fails only for its type.
+        and the depth of the cover, so ``True``, equal to 1, fails only for
+        its type.
         """
         specs = [("1", "2"), ("2", "1")]
         r = make_registry(specs)
@@ -543,25 +566,25 @@ class TestWrongTypedFields:
         certs.append(cover_certificate(1, 0, make_registry(specs), [])[1])
         for cert in certs:
             assert check_certificate(cert).ok
-        assert [c.payload["separators"] for c in certs[:2]] == [{"b0": 1}] * 2
-        assert certs[0].payload["depth"] == certs[2].params["depth"] == 1
+        assert [c.payload["separators"] for c in certs[:2]] == [[1]] * 2
+        assert certs[2].params["depth"] == 1
         return certs
 
     def test_every_separator_replacement_is_rejected(self):
         # no wrong-typed, nonpositive or fractional position is a separator here
         for cert in closure_certificates() + self.position_one_certificates()[:2]:
             separators = cert.payload["separators"]
-            for label, value in itertools.product(separators, self.VALUES + [0, -1, 2.5]):
-                payload = dict(cert.payload, separators=dict(separators, **{label: value}))
+            for i, value in itertools.product(range(len(separators)), self.VALUES + [0, -1, 2.5]):
+                payload = dict(cert.payload, separators=[*separators[:i], value, *separators[i + 1:]])
                 report = check_certificate(Certificate(cert.kind, cert.params, payload))
-                assert report.ok is False, (cert.payload["claim"], label, value)
+                assert report.ok is False, (cert.payload["claim"], i, value)
 
     def test_every_depth_replacement_is_rejected(self):
-        dec, _, cover = self.position_one_certificates()
-        for cert, section in ((dec, "payload"), (cover, "params")):
-            for value in self.VALUES:
-                report = check_certificate(_with(section, depth=value)(cert))
-                assert report.ok is False, (cert.kind, value)
+        # a cover's depth; a closure claim records none
+        cover = self.position_one_certificates()[2]
+        for value in self.VALUES:
+            report = check_certificate(_with("params", depth=value)(cover))
+            assert report.ok is False, (cover.kind, value)
 
     def test_every_non_integer_steps_is_rejected(self):
         # True equals 1, so a one-step chain used to pass with it
@@ -631,6 +654,41 @@ class TestSetExprTokens:
         assert parse_setexpr(text) == parse_setexpr("(union N:1:2 N:2:1)")
 
 
+class _UnknownNode(SetExpr):
+    """A set-expression node `setexpr_text` has no spelling for."""
+
+    __slots__ = ()
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of expression"),
+            ("(", "dangling '('"),
+            ("(pt)", "(pt ...) needs a point literal"),
+            ("(diff W)", "(diff ...) takes exactly two arguments"),
+            ("(xor W)", "unknown operator 'xor'"),
+            (")", "unexpected ')'"),
+            ("(union W", "missing ')'"),
+            ("W W", "trailing tokens in 'W W'"),
+            ("N:zz", "unknown branch reference 'zz'"),
+            ("(pt {1:x})", "bad coordinate '1:x' in '{1:x}'"),
+            ("(pt {1:2,1:3})", "repeated position 1 in '{1:2,1:3}'"),
+            ("(pt {0:1})", "positions and finite values are >= 1"),
+        ],
+    )
+    def test_malformed_setexpr_names_its_fault(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            parse_setexpr(text, reg())
+        assert str(raised.value) == message
+
+    def test_setexpr_text_refuses_an_unknown_node(self):
+        with pytest.raises(FormatError) as raised:
+            setexpr_text(_UnknownNode())
+        assert str(raised.value) == "unknown expression node _UnknownNode()"
+
+
 @given(st.text())
 @settings(max_examples=300)
 def test_tokens_hold_every_non_whitespace_character_in_order(text):
@@ -675,8 +733,7 @@ class TestBoundedReplay:
     def test_separator_far_past_every_branch_prefix(self):
         # a separator of 10**5000 is decoded once per branch, never enumerated
         for cert in closure_certificates():
-            label = next(iter(cert.payload["separators"]))
-            separators = dict(cert.payload["separators"], **{label: 10**5000})
+            separators = [10**5000, *cert.payload["separators"][1:]]
             payload = dict(cert.payload, separators=separators)
             start = time.perf_counter()
             report = check_certificate(Certificate(cert.kind, cert.params, payload))
@@ -711,7 +768,7 @@ def closure_certificates():
     """A rank-floor and a full-product closure certificate.
 
     Rank floor: subtracted b0 = :1 and b3 = 2:1 with separators 3 and 2,
-    kept b1 = 1:2, depth 3 and cover b5 = 22:1, b6 = 11:2 (positions 1, 2, 3
+    kept b1 = 1:2 and cover b5 = 22:1, b6 = 11:2 of 1..3 (positions 1, 2, 3
     are the codes of 1, 2, 11).  Full product: kept b1, subtracted b0 and
     b2 = :2 with separators 3 and 2.
     """
@@ -729,10 +786,9 @@ def _with(section, **changes):
     )
 
 
-def _separators(**changes):
-    return lambda cert: _with("payload", separators={
-        k: v for k, v in {**cert.payload["separators"], **changes}.items() if v is not None
-    })(cert)
+def _separators(*values):
+    """Replace a closure certificate's separator list."""
+    return _with("payload", separators=list(values))
 
 
 class TestClosureObligations:
@@ -740,9 +796,8 @@ class TestClosureObligations:
 
     def test_engine_certificates_hold_and_carry_no_truncation(self):
         dec, full = closure_certificates()
-        assert dec.payload["separators"] == {"b0": 3, "b3": 2} and dec.payload["depth"] == 3
-        assert dec.payload["cover"] == ["b5", "b6"]
-        assert full.payload["separators"] == {"b0": 3, "b2": 2}
+        assert dec.payload["separators"] == [3, 2] and dec.payload["cover"] == ["b5", "b6"]
+        assert full.payload["separators"] == [3, 2]
         for cert in (dec, full):
             assert "classes" not in cert.payload and "truncation" not in cert.params
             assert check_certificate_text(cert.to_json()).ok
@@ -752,27 +807,28 @@ class TestClosureObligations:
         [
             (0, _with("params", ambient="pi"), "is made in xi"),
             (1, _with("params", ambient="xi"), "is made in pi"),
-            (0, _separators(b3=None), "exactly the subtracted labels"),
-            (1, _separators(b9=2), "exactly the subtracted labels"),
+            (0, _separators(3), "one position per subtracted branch"),
+            (1, _separators(3, 2, 2), "one position per subtracted branch"),
             # 2 is the code of the word 2: not in :1, nor in the kept 1:2
-            (0, _separators(b0=2), "is not an element"),
-            (1, _separators(b0=2), "is not an element"),
+            (0, _separators(2, 2), "is not an element"),
+            (1, _separators(2, 2), "is not an element"),
             # the registry's entry decides: b0 = 212:1 does not hold 3, the
             # code of the word 11
             (0, lambda c: _with("params", registry=[
                 dict(e, branch="212:1") if e["label"] == "b0" else e for e in c.params["registry"]
             ])(c), "is not an element"),
             # 1 is the code of the word 1, a prefix of :1 and of the kept 1:2
-            (0, _separators(b0=1), "collides with the kept set"),
-            (1, _separators(b0=1), "collides with the kept set"),
-            # the kept and cover branches still cover 1..2
-            (0, _with("payload", depth=2), "lies below a separator"),
+            (0, _separators(1, 2), "collides with the kept set"),
+            (1, _separators(1, 2), "collides with the kept set"),
+            # 5, the code of 21, lies in b3 and no kept branch, and the kept
+            # and cover branches cover 1..4 but not 5
+            (0, _separators(3, 5), "position 5 is not covered"),
             (0, lambda c: _with("payload", cover=c.payload["cover"][1:])(c), "not covered"),
             (0, lambda c: _with("payload", cover=c.payload["cover"][:1])(c), "not covered"),
         ],
         ids=["dec-in-pi", "full-in-xi", "separator-missing", "separator-extra",
              "dec-outside-branch", "full-outside-branch", "entry-branch-decides",
-             "dec-hits-kept", "full-hits-kept", "depth-below-separator",
+             "dec-hits-kept", "full-hits-kept", "separator-past-cover",
              "cover-first-dropped", "cover-last-dropped"],
     )
     def test_tamper_rejected(self, which, tamper, problem):
@@ -785,8 +841,8 @@ class TestClosureObligations:
 def exception_list():
     """An `ExceptionList` for Z(b) joined with Z(a): hypothesis [b],
     separator 3 (the code of 11, in a = 11:2 and not in b = 12:1), cover
-    [a, c] of 1..3, exception b, and members c and d (d = 1:1 is no
-    candidate)."""
+    [a, c] of 1..3 and exception b; c and d (d = 1:1 is no candidate) pass
+    their pair inclusions through the candidates a, b, c."""
     r = formats.parse_registry(["a=11:2@0", "b=12:1@1", "c=2:1@2", "d=1:1@3"])
     return check_extendibility_b(parse_setexpr("N:b", r), r.by_label("a"), r)
 
@@ -812,16 +868,10 @@ class TestExceptionListObligations:
              ["is not an element of a", "collides with the hypothesis group"]),
             # the candidates are the hypothesis group and the cover, whatever
             # a candidates field says: d is none of them
-            (_with("payload", candidates=["a", "b", "c", "d"], exceptions=["b", "d"],
-                   members=[{"beta": "c", "via_pairs": ["a", "b"]}]),
+            (_with("payload", candidates=["a", "b", "c", "d"], exceptions=["b", "d"]),
              ["exceptions stray outside"]),
-            # Z(d) ∪ Z(d) is no pair generator, and Z(d) lies in the glued set
-            (lambda c: _with("payload", members=[
-                *c.payload["members"][:1], {"beta": "d", "via_pairs": ["d"]}])(c),
-             ["runs through d itself"]),
         ],
-        ids=["separator-in-hypothesis", "separator-outside-alpha", "exception-past-candidates",
-             "pair-through-itself"],
+        ids=["separator-in-hypothesis", "separator-outside-alpha", "exception-past-candidates"],
     )
     def test_forgery_rejected(self, tamper, problems):
         report = check_certificate_text(tamper(exception_list()).to_json())
@@ -833,8 +883,8 @@ class TestExceptionListObligations:
 
 # payload and params fields that name branches by registry label
 LABEL_FIELDS = {
-    "alpha", "beta", "kept", "subtracted", "cover", "base", "constraining", "absorbing",
-    "hypothesis_group", "exceptions", "via_pairs",
+    "alpha", "kept", "subtracted", "cover", "base", "constraining", "absorbing",
+    "hypothesis_group", "exceptions",
 }
 
 
@@ -844,9 +894,7 @@ def _named_labels(value, found):
     if isinstance(value, dict):
         assert not {"branch", "rank"} & set(value), value
         for key, item in value.items():
-            if key == "separators":
-                found.append((key, list(item)))
-            elif key in LABEL_FIELDS:
+            if key in LABEL_FIELDS:
                 found.append((key, [item] if isinstance(item, str) else item))
             else:
                 _named_labels(item, found)
@@ -904,11 +952,11 @@ class TestRegistryLabels:
             ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
             params = {k: v for k, v in cert.params.items() if k != "registry"}
             named = _named_labels([params, cert.payload], [])
-            assert named, cert.kind
+            # a separator claim names its entries by position alone
+            assert named or cert.kind == "SeparatorWitness", cert.kind
             for key, labels in named:
                 assert all(isinstance(x, str) and x in ranks for x in labels), (key, labels)
-                if key != "separators":
-                    assert [ranks[x] for x in labels] == sorted(ranks[x] for x in labels), key
+                assert [ranks[x] for x in labels] == sorted(ranks[x] for x in labels), key
 
     def test_label_lists_follow_rank_order(self):
         # whatever order the branches are given in
@@ -980,17 +1028,13 @@ class TestRegistryLabels:
             report = check_certificate(_with("params", registry=registry)(cert))
             assert not report.ok and "registry rank" in report.problems[0], (value, report.problems)
 
-    @pytest.mark.parametrize(
-        "label, named", [(100000, 100000), (None, "b0"), ("", "b0")], ids=["int", "null", "empty"],
-    )
-    def test_registry_labels_must_be_nonempty_strings(self, label, named):
-        # the first entry's label replaced, and its witness named as a
-        # missing or empty label would read: as the default b0
+    @pytest.mark.parametrize("label", [100000, None, ""], ids=["int", "null", "empty"])
+    def test_registry_labels_must_be_nonempty_strings(self, label):
+        # the first entry's label replaced; its witness names it by position
         cert = check_extendibility_a(reg())
         assert check_certificate(cert).ok
         registry = [dict(cert.params["registry"][0], label=label), *cert.params["registry"][1:]]
-        entries = [dict(cert.payload["entries"][0], alpha=named), *cert.payload["entries"][1:]]
-        forged = _with("payload", entries=entries)(_with("params", registry=registry)(cert))
+        forged = _with("params", registry=registry)(cert)
         report = check_certificate_text(forged.to_json())
         assert not report.ok and len(report.problems) == 1
         assert f"registry label {label!r} is not a nonempty string" in report.problems[0]
@@ -1050,14 +1094,13 @@ class TestSemanticObligations:
             # b1 is the one exception)
             (lambda: _forgery("ExceptionList", [B0, B1], {
                 "zset": "N:b0", "alpha": "b0", "hypothesis_group": ["b1"], "separator": 1,
-                "cover": ["b0"], "exceptions": ["b1"], "members": []}),
+                "cover": ["b0"], "exceptions": ["b1"]}),
              "hypothesis containment fails at {1:1}"),
-            # Z(a) ∪ Z(c) is not in Z(b) ∪ Z(c): {2:4,4:4} hits b (4 is the
-            # code of 12) and c (2 is the code of 2), and misses a = 11:2
-            (lambda: _with("payload", members=[
-                {"beta": "c", "via_pairs": ["a"]}, *exception_list().payload["members"][1:]])(
-                    exception_list()).to_json(),
-             "pair inclusion for c fails at {2:4,4:4}"),
+            # with no exception listed, b's pair inclusion is decided:
+            # (Z(a) ∪ Z(b)) ∩ (Z(c) ∪ Z(b)) is not in Z(b), as {4:4} hits b
+            # alone (4 is the code of 12)
+            (lambda: _with("payload", exceptions=[])(exception_list()).to_json(),
+             "pair inclusion for b fails at {4:4}"),
             # the whole space is not in Z(b0), decided exactly ...
             (lambda: _forgery("InclusionChain", [B0, B1], {
                 "claim": "absorption-failure",
@@ -1115,15 +1158,13 @@ class TestDeepJson:
 
 class TestCheckerIndependence:
     def test_checker_only_trusts_evidence(self):
-        # drop a member entry from an exception-list certificate: the checker
-        # must notice the registry is no longer exactly covered
-        r = reg()
-        cert = check_extendibility_b(Whole(), r.entries[0], r)
-        if cert.payload["members"]:
-            cert.payload["members"] = cert.payload["members"][:-1]
-            fresh = Certificate(cert.kind, cert.params, cert.payload)
-            report = check_certificate(fresh)
-            assert not report.ok
+        # the checker decides the pair inclusion of every entry the exception
+        # list does not name: naming c, a candidate whose inclusion holds, in
+        # place of b leaves b decided, and it fails
+        cert = exception_list()
+        assert cert.payload["exceptions"] == ["b"] and check_certificate(cert).ok
+        report = check_certificate(_with("payload", exceptions=["c"])(cert))
+        assert report.problems == ["pair inclusion for b fails at {4:4}"]
 
     def test_checking_leaves_the_certificate_unchanged(self):
         # the verdict is the report's alone: a checked certificate still

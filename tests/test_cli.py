@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zfilterlab
+from test_certificates import SCHEMA_9_CERTIFICATE
 from zfilterlab import cli, space
 from zfilterlab.certificates import Certificate
 from zfilterlab.cli import (
@@ -355,7 +356,7 @@ class TestVerify:
             *_reg_flags(), "--T", "4", "--V", "6", "--out", str(out_file),
         )
         blob = out_file.read_bytes()
-        mutated = blob.replace(b'"point":"{', b'"point":"{1:1,', 1)
+        mutated = blob.replace(b'"entries":["{', b'"entries":["{1:1,', 1)
         assert mutated != blob
         out_file.write_bytes(mutated)
         # the damaged bytes are parsed once: the parse error is the problem
@@ -397,6 +398,12 @@ class TestVerify:
         assert code == EXIT_FAIL and out.strip() == "rejected"
         assert "must be integers" in err and "Traceback" not in err
 
+    def test_check_refuses_a_schema_9_certificate(self, capsys, tmp_path):
+        cert_file = tmp_path / "old.json"
+        cert_file.write_text(SCHEMA_9_CERTIFICATE)
+        code, out, err = run(capsys, "verify", "--check", str(cert_file))
+        assert (code, out, err) == (EXIT_FAIL, "rejected\n", "problem: unsupported schema version 9\n")
+
     def test_separator_far_past_the_truncation(self, capsys, tmp_path):
         # a and b share a 20-letter prefix, so b's separator avoiding a is the
         # code of 1**21, far past T = 8; the checker decodes that position
@@ -409,7 +416,7 @@ class TestVerify:
             *registry, "--T", "8", "--out", str(out_file),
         )
         assert code == EXIT_OK and "verified" in out
-        assert Certificate.read(str(out_file)).payload["separators"] == {"b": 2**21 - 1}
+        assert Certificate.read(str(out_file)).payload["separators"] == [2**21 - 1]
         code, out, _ = run(capsys, "verify", "--check", str(out_file))
         assert code == EXIT_OK and "verified" in out
 
@@ -976,6 +983,61 @@ class TestInputErrors:
         assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
+class TestErrorPaths:
+    """Oracle claims and verify runs on paths no other test takes: each
+    one's exit code, stdout and stderr, pinned whole."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"claim": "containment", "lhs": "W"}, "containment claims need lhs and rhs"),
+            ({"claim": "equality", "lhs": "W"}, "equality claims need lhs and rhs"),
+            ({"claim": "subset", "lhs": "W", "rhs": "W"}, "unknown claim kind 'subset'"),
+            ([{"claim": "emptiness", "lhs": "W"}], "claim file {path} must hold a JSON object"),
+        ],
+        ids=["containment-without-rhs", "equality-without-rhs", "unknown-kind", "array"],
+    )
+    def test_oracle_refuses_a_claim(self, capsys, tmp_path, doc, message):
+        claim = tmp_path / "claim.json"
+        claim.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "oracle", str(claim), *_reg_flags())
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(path=claim)}\n")
+
+    @pytest.mark.parametrize(
+        "lhs, want_code, want_out",
+        [
+            ("(union)", EXIT_OK, "holds on truncation (8,10)\n"),
+            # 2 is the code of the word 2: in b = :2, not in a = :1
+            ("(diff N:a N:b)", EXIT_FAIL,
+             "counterexample: {2:2}\ncounterexample: {2:3}\ncounterexample: {2:4}\n"),
+        ],
+        ids=["empty", "nonempty"],
+    )
+    def test_oracle_emptiness(self, capsys, tmp_path, lhs, want_code, want_out):
+        claim = tmp_path / "claim.json"
+        claim.write_text(json.dumps({"claim": "emptiness", "lhs": lhs}))
+        assert run(capsys, "oracle", str(claim), *_reg_flags()) == (want_code, want_out, "")
+
+    @pytest.mark.parametrize(
+        "argv, want_code, want_err",
+        [
+            (["extendibility-b", "--zset", "W"], EXIT_USAGE,
+             "error: extendibility-b needs --zset and --alpha"),
+            (["property-b", "--cover", "cover.json", "--gamma", "50"], EXIT_FAIL,
+             "failed: a putative cover needs at least one set"),
+            (["chain-inc", "--steps", "0"], EXIT_FAIL, "failed: a chain needs at least one step"),
+        ],
+        ids=["extendibility-b-without-alpha", "property-b-empty-cover", "chain-inc-no-steps"],
+    )
+    def test_verify_refuses_a_run(self, capsys, tmp_path, monkeypatch, argv, want_code, want_err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cover.json").write_text(json.dumps({"afailures": []}))
+        code, out, err = run(capsys, "verify", *argv, *_reg_flags(), "--out", "c.json")
+        assert (code, out, err) == (want_code, "", want_err + "\n")
+        # no certificate is written
+        assert [p.name for p in tmp_path.iterdir()] == ["cover.json"]
+
+
 # every name the package re-exports, by the module that defines it
 EXPORTS = {
     "branches": [
@@ -1139,7 +1201,7 @@ class TestImportFootprint:
         # `base64` and `hmac`.
         run(capsys, "verify", "chain-inc", *_reg_flags(), "--out", str(tmp_path / "cert.json"))
         text = (tmp_path / "cert.json").read_text()
-        (tmp_path / "flipped.json").write_text(text.replace('"point"', '"pOint"', 1))
+        (tmp_path / "flipped.json").write_text(text.replace('"entries"', '"eNtries"', 1))
         code = """
 import sys
 before = set(sys.modules)

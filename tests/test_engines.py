@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closure_view import branches, classes, point_verdicts, target
+from closure_view import branches, classes, point_verdicts, separators, target
 from zfilterlab import engines, space
 from zfilterlab.branches import (
     BranchIndex,
@@ -78,15 +78,15 @@ class TestExtendibilityA:
     def test_two_branches_yields_diagonal_point(self):
         reg = make_registry([("", "1"), ("", "2")])
         cert = check_extendibility_a(reg)
-        assert cert.payload["entries"][0] == {"alpha": "b0", "point": "{1:1}"}
+        assert cert.payload["entries"][0] == "{1:1}"
 
     def test_three_branches_all_points_check_out(self):
         reg = reg3()
         cert = check_extendibility_a(reg)
-        assert [e["alpha"] for e in cert.payload["entries"]] == ["b0", "b1", "b2"]
-        for e in cert.payload["entries"]:
-            point = parse_point_literal(e["point"])
-            alpha = reg.by_label(e["alpha"])
+        assert len(cert.payload["entries"]) == 3
+        # point j answers entry j
+        for alpha, literal in zip(reg, cert.payload["entries"]):
+            point = parse_point_literal(literal)
             group = [b for b in reg if b != alpha]
             assert eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha)))
 
@@ -110,8 +110,8 @@ class TestExtendibilityB:
         cert = check_extendibility_b(Atom(gamma_b), alpha0, reg)
         candidates = {*cert.payload["hypothesis_group"], *cert.payload["cover"]}
         assert set(cert.payload["exceptions"]) <= candidates
-        member_labels = {m["beta"] for m in cert.payload["members"]}
-        assert delta.label in member_labels
+        # delta is no exception: the checker decides its pair inclusion
+        assert delta.label not in cert.payload["exceptions"]
 
     def test_whole_has_empty_exception_set(self):
         reg = reg3()
@@ -157,9 +157,10 @@ class TestExtendibilityB:
             cert = check_extendibility_b(inter_atoms(others), alpha, reg)
         labels = [b.label for b in others]
         assert cert.payload["hypothesis_group"] == cert.payload["exceptions"] == labels
-        # the cover mints b14, the one member, which runs through every entry
+        # the cover mints b14, the one entry past alpha and the exceptions,
+        # whose pair inclusion runs through every other entry
         assert cert.payload["separator"] == 15 and cert.payload["cover"] == ["b0", "b14"]
-        assert cert.payload["members"] == [{"beta": "b14", "via_pairs": ["b0", *labels]}]
+        assert [b.label for b in reg if b not in (alpha, *others)] == ["b14"]
         # the refusal check, 13 + 12 for the rule and one pair inclusion per entry
         assert spy.call_count <= 1 + 2 * 13 - 1 + 14
         assert check_certificate(cert).ok
@@ -185,7 +186,7 @@ class TestContainmentDecreasing:
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
         cert = containment_decreasing([a1], [a2], 5, reg)
-        assert cert.payload["depth"] == cert.payload["separators"][a1.label] == 1
+        assert cert.payload["separators"] == [1]
         cover = branches(cert, reg, "cover")
         assert all(c.rank >= 5 for c in cover)
         assert len(cover) == 1 and cover[0].prefix(1) == "1"
@@ -194,7 +195,7 @@ class TestContainmentDecreasing:
         reg = make_registry([("", "1"), ("", "2")])
         a1 = reg.entries[0]
         cert = containment_decreasing([a1], [], 0, reg)
-        l = cert.payload["separators"][a1.label]
+        (l,) = cert.payload["separators"]
         assert l == 1
         for n in range(1, l + 1):
             assert any(branch_member(c, n) for c in branches(cert, reg, "cover"))
@@ -236,7 +237,7 @@ class TestContainmentFullProduct:
         reg = make_registry([("", "1"), ("", "2")])
         a1, a2 = reg.entries
         cert = containment_full_product([a1], [a2])
-        assert cert.payload["separators"][a2.label] == 2
+        assert cert.payload["separators"] == [2]
         p_inf_class = next(cw for cw in classes(cert, reg, TR) if not cw.support)
         assert p_inf_class.escapes == (2,)
 
@@ -264,6 +265,23 @@ class TestContainmentFullProduct:
         reg = reg3()
         with pytest.raises(EngineError):
             containment_full_product([reg.entries[0]], [reg.entries[0]])
+
+    @pytest.mark.parametrize(
+        "kept, subtracted, message",
+        [
+            ([BranchIndex("", "1", 0)], [BranchIndex("", "2", 0)],
+             "registry ranks must be strictly increasing"),
+            ([BranchIndex("", "1", 0, "x")], [BranchIndex("", "2", 1, "x")],
+             "duplicate label 'x'"),
+        ],
+        ids=["equal-ranks", "shared-label"],
+    )
+    def test_branches_no_registry_holds_are_an_engine_error(self, kept, subtracted, message):
+        # the certificate's registry is built from the given branches; the
+        # BranchError of building it used to escape
+        with pytest.raises(EngineError) as raised:
+            containment_full_product(kept, subtracted)
+        assert str(raised.value) == message and type(raised.value) is EngineError
 
 
 @st.composite
@@ -297,7 +315,7 @@ class TestExactClosureRule:
             a for a in branches(cert, reg, "subtracted")
             if not any(branch_member(a, n) for n in point.positions())
         ]
-        escapes = sorted({cert.payload["separators"][a.label] for a in missed})
+        escapes = sorted({separators(cert)[a.label] for a in missed})
         terms = multi_escape_sequence(point, escapes, 3).terms() if escapes else [point]
         assert all(eval_setexpr(t, target(cert, reg)) for t in terms)
         support = frozenset(point.positions())
@@ -314,7 +332,7 @@ class TestExactClosureRule:
         owned = [*kept, *branches(cert, reg, "cover")]
         support = sorted(p for p in positions if not any(branch_member(b, p) for b in owned))
         if support:
-            assert support[0] > cert.payload["depth"]
+            assert support[0] > max(cert.payload["separators"], default=0)
         top = max(support, default=0)
         self.assert_rule(cert, reg, XiPoint.of({p: top + v for p, v in zip(support, values)}))
 
@@ -368,9 +386,9 @@ class TestPropertyA:
         reg = make_registry([("", "1"), ("", "2")])
         cert = property_a_check(Whole(), reg)
         assert cert.kind == "SeparatorWitness"
-        assert [e["alpha"] for e in cert.payload["entries"]] == ["b0", "b1"]
-        for j, e in enumerate(cert.payload["entries"]):
-            point = parse_point_literal(e["point"])
+        assert len(cert.payload["entries"]) == 2
+        for j, literal in enumerate(cert.payload["entries"]):
+            point = parse_point_literal(literal)
             assert eval_setexpr(point, inter_atoms(reg.entries[:j]))
             assert not eval_setexpr(point, Atom(reg.entries[j]))
 
@@ -396,14 +414,14 @@ class TestPropertyA:
         if cert.kind == "SeparatorWitness":
             listed = cert.payload["entries"]
             # one point per entry, in rank order
-            assert [e["alpha"] for e in listed] == [b.label for b in entries]
-            for j, e in enumerate(listed):
-                point = parse_point_literal(e["point"])
+            assert len(listed) == len(entries)
+            for j, literal in enumerate(listed):
+                point = parse_point_literal(literal)
                 # the whole quantifier range: every F below the entry, one by one
                 for size in range(j + 1):
                     for f_set in itertools.combinations(entries[:j], size):
                         target = Diff(Inter((zset, inter_atoms(f_set))), Atom(entries[j]))
-                        assert eval_setexpr(point, target), (e, f_set)
+                        assert eval_setexpr(point, target), (literal, f_set)
             return
         failure = certified_failure(cert, reg)
         (beta,) = failure.absorbing
@@ -435,7 +453,7 @@ class TestPropertyA:
             Inter((zset, Atom(b1))), Atom(b2), trunc, XI) is None
         cert = property_a_check(zset, reg)
         assert cert.kind == "SeparatorWitness"
-        assert cert.payload["entries"][2] == {"alpha": "b2", "point": "{10:10}"}
+        assert cert.payload["entries"][2] == "{10:10}"
         assert eval_setexpr(XiPoint.of({10: 10}), Diff(Inter((zset, Atom(b1))), Atom(b2)))
         assert check_certificate(cert).ok
 
@@ -632,9 +650,7 @@ class TestChains:
     def test_increasing_one_step(self):
         reg = reg3()
         cert = increasing_chain_engine(reg, 1)
-        assert cert.payload["entries"] == [
-            {"alpha": "b0", "point": "{1:1}"}
-        ]
+        assert cert.payload["entries"] == ["{1:1}"]
 
     def test_increasing_membership_biconditional(self):
         reg = reg5()
@@ -659,9 +675,10 @@ class TestChains:
     def test_pair_witness_points_verify(self):
         reg = reg5()
         cert = decreasing_chain_engine(reg, 3)
+        # point j answers entry j
         points = {
-            e["alpha"]: parse_point_literal(e["point"])
-            for e in cert.payload["entries"]
+            alpha.label: parse_point_literal(literal)
+            for alpha, literal in zip(reg, cert.payload["entries"])
         }
         for k in range(3):
             for alpha in reg.entries[:k]:
@@ -695,7 +712,7 @@ def reference_separator_entries(obligations):
         l = find_separator(alpha, group)
         point = XiPoint.of({l: l})
         assert eval_setexpr(point, Diff(inter_atoms(group), Atom(alpha)))
-        listed.append({"alpha": alpha.label, "point": point.literal()})
+        listed.append(point.literal())
     return listed
 
 
