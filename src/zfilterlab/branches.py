@@ -267,10 +267,12 @@ class Registry(Record):
     """Finite ordered stand-in for the transfinite branch index set.
 
     Entries keep strictly increasing ranks, pairwise distinct expanded words
-    and pairwise distinct labels; `add` holds these rules, and the
-    constructor adds its entries through it.  Fresh branches can always be
-    minted through any requested word, which is the finite shadow of the
-    fact that continuum-many branches pass through every tree node.
+    and pairwise distinct labels, each a name ``[A-Za-z_][A-Za-z0-9_]*`` that
+    a ``-r`` entry and an ``N:<label>`` reference can spell; `add` holds
+    these rules, and the constructor adds its entries through it.  Fresh
+    branches can always be minted through any requested word, which is the
+    finite shadow of the fact that continuum-many branches pass through
+    every tree node.
     """
 
     # each entry under its word and under its label
@@ -309,14 +311,19 @@ class Registry(Record):
             raise BranchError(f"branch {branch.literal()} is not a registry entry") from None
 
     def add(self, branch: BranchIndex) -> BranchIndex:
+        label = branch.label
+        if not (isinstance(label, str) and label.isidentifier() and label.isascii()):
+            raise BranchError(f"label {label!r} is not a name [A-Za-z_][A-Za-z0-9_]*")
         if self.entries and branch.rank <= self.entries[-1].rank:
-            raise BranchError("registry ranks must be strictly increasing")
+            raise BranchError(
+                f"registry ranks must be strictly increasing: {label} has rank "
+                f"{branch.rank} after rank {self.entries[-1].rank}")
         if branch in self._by_word:
             raise BranchError(f"duplicate branch word {branch.literal()}")
-        if branch.label in self._by_label:
-            raise BranchError(f"duplicate label {branch.label!r}")
+        if label in self._by_label:
+            raise BranchError(f"duplicate label {label!r}")
         self.entries.append(branch)
-        self._by_word[branch] = self._by_label[branch.label] = branch
+        self._by_word[branch] = self._by_label[label] = branch
         return branch
 
     def add_unlabelled(self, pre: str, period: str, rank: int) -> BranchIndex:
@@ -344,11 +351,9 @@ class Registry(Record):
         built = (BranchIndex(pre, period, rank, label) for pre, period in candidates)
         return self.add(next(b for b in built if b not in self))
 
-    def to_payload(self) -> list[dict]:
-        return [
-            {"label": e.label, "branch": e.literal(), "rank": e.rank}
-            for e in self.entries
-        ]
+    def to_payload(self) -> list[str]:
+        """Each entry as ``label=pre:period@rank``, the text `formats.parse_registry` reads."""
+        return [f"{e.label}={e.literal()}@{e.rank}" for e in self.entries]
 
 
 def default_label(rank: int, taken: Container[str]) -> str:

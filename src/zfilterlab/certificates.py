@@ -6,11 +6,12 @@ claim was searched on one: `Contradiction` and `CounterexamplePoint`) and a
 kind-specific payload, and it records only what the checker reads, and
 nothing the checker derives from the other fields (schema 10): how a run
 reached its result is no part of the document.  The registry, a list of
-``{label, branch, rank}`` entries, is the only place a branch's word and
-rank are written; the payload and the other params name a branch by its
-label or by its position.  Serialization is canonical (sorted keys, fixed separators, no floats),
-and a digest over the canonical body makes any byte-level tamper detectable
-before semantic re-verification even starts.
+``label=pre:period@rank`` strings in the CLI's ``-r`` grammar (schema 11),
+is the only place a branch's word and rank are written; the payload and the
+other params name a branch by its label or by its position.  Serialization
+is canonical (sorted keys, fixed separators, no floats), and a digest over
+the canonical body makes any byte-level tamper detectable before semantic
+re-verification even starts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any
 
 from ._record import Record
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 KINDS = (
     "SeparatorWitness",

@@ -7,7 +7,9 @@ inclusions and an absorption-failure `InclusionChain`) and, for the two
 kinds that record a truncation (`Contradiction`, `CounterexamplePoint`),
 exhaustive truncated enumeration.  Every branch a certificate names is read
 from its ``params.registry`` by label, ranks included, and an unknown label
-fails the check.  Nothing here calls back into the producing engines, so a
+fails the check.  The registry is read by `formats.parse_registry`, the
+CLI's parser, and each entry must be its canonical ``label=pre:period@rank``
+text.  Nothing here calls back into the producing engines, so a
 certificate stands or falls on its own evidence.
 
 A certificate records only what this checker reads, and nothing it derives:
@@ -26,15 +28,15 @@ than `space.MAX_SPLITS` splits among them.
 from __future__ import annotations
 
 from ._record import Record
-from .branches import BranchIndex, Registry, branch_member
+from .branches import BranchIndex, branch_member
 from .certificates import Certificate, CertificateError
 from .formats import (
     AFailureParts,
     FormatError,
     parse_afailures,
-    parse_branch_literal,
     parse_labels,
     parse_point_literal,
+    parse_registry,
     parse_setexpr,
 )
 from .space import (
@@ -106,11 +108,14 @@ class _Context:
     def __init__(self, cert: Certificate, report: CheckReport) -> None:
         self.cert = cert
         self.report = report
-        self.registry = Registry([
-            parse_branch_literal(
-                e["branch"], _integer(e["rank"], "registry rank"), _label(e["label"]))
-            for e in cert.params.get("registry", [])
-        ])
+        entries = cert.params.get("registry", [])
+        self.registry = parse_registry(entries)
+        # each entry written in full, as the engines write it: no defaulted
+        # label or rank, no uncanonical word, leading zero or whitespace
+        for text, canonical in zip(entries, self.registry.to_payload()):
+            if text != canonical:
+                raise CertificateError(
+                    f"registry entry {text!r} is not in canonical form {canonical!r}")
         self.ambient: Ambient = cert.params.get("ambient", XI)
         if self.ambient not in (XI, PI):
             raise CertificateError(f"unknown ambient {self.ambient!r}")
@@ -132,14 +137,6 @@ class _Context:
         if not trunc:
             raise CertificateError("certificate omits the truncation it relies on")
         return Truncation(trunc["T"], trunc["V"])
-
-
-def _label(value) -> str:
-    """``value`` itself, if it is a nonempty string: a registry entry's
-    label, which every other field names it by."""
-    if not isinstance(value, str) or not value:
-        raise CertificateError(f"registry label {value!r} is not a nonempty string")
-    return value
 
 
 def _integer(value, what: str) -> int:

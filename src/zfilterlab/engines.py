@@ -5,10 +5,10 @@ finite registry, and emits a `Certificate` that an independent checker can
 replay from the payload alone.  A certificate records only what that checker
 reads, and an engine returns its certificate alone, with two exceptions:
 `property_b_refute` returns how it got there (the chain) beside it in a
-report, and `cover_certificate` the cover in scan order.  ``params.registry``
-is the one place where a certificate spells out a branch's word and rank;
-every other field names a branch by the label of its registry entry, with
-lists in rank order.
+report, and `cover_certificate` the cover in scan order.  ``params.registry``,
+one ``label=pre:period@rank`` string per entry, is the one place where a
+certificate spells out a branch's word and rank; every other field names a
+branch by the label of its registry entry, with lists in rank order.
 
 The engines never trust themselves: exact branch-word reasoning or an
 exhaustive search of a truncation ``(T, V)`` backs every claim, and any

@@ -65,7 +65,9 @@ def parse_registry(entries: list[str]) -> Registry:
     """Build a registry from ``label=pre:period@rank`` strings, label and rank
     optional; `make_registry` defaults them (an unranked entry is ranked one
     above the entry before it, 0 for the first)."""
-    matches = [_ENTRY_RE.match(text.strip()) for text in entries]
+    if not isinstance(entries, list):
+        raise FormatError(f"a registry must be a list of entries, got {entries!r}")
+    matches = [isinstance(text, str) and _ENTRY_RE.match(text.strip()) for text in entries]
     for text, m in zip(entries, matches):
         if not m:
             raise FormatError(f"bad registry entry {text!r}; expected label=pre:period@rank")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,8 @@ class TestCover:
         assert len(reg) == 2
         # a usage error is a BranchError (exit 3); the cap is a resource cap
         assert not issubclass(CoverBoundError, BranchError)
+        with pytest.raises(BranchError, match="^cover bound must be >= 1$"):
+            find_cover(0, 0, reg)
 
     def test_only_entries_admissible_at_the_call_are_scanned(self, monkeypatch):
         # a chosen branch holds only covered codes, so no later position reads
@@ -376,7 +379,8 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "second, message",
         [
-            (BranchIndex("2", "1", 0), "registry ranks must be strictly increasing"),
+            (BranchIndex("2", "1", 0),
+             "registry ranks must be strictly increasing: b0 has rank 0 after rank 0"),
             (BranchIndex("1", "1", 9), "duplicate branch word :1"),
             (BranchIndex("", "2", 1, "a1"), "duplicate label 'a1'"),
         ],
@@ -418,16 +422,50 @@ class TestRegistry:
         [
             # a rank after an explicit one, and a default label taken by an
             # explicit one
-            ([("1", "2", 5), ("2", "1")], ["1:2@5", "2:1"],
-             [{"label": "b5", "branch": "1:2", "rank": 5},
-              {"label": "b6", "branch": "2:1", "rank": 6}]),
-            ([("1", "2", 0, "b1"), ("2", "1")], ["b1=1:2@0", "2:1"],
-             [{"label": "b1", "branch": "1:2", "rank": 0},
-              {"label": "b1_2", "branch": "2:1", "rank": 1}]),
+            ([("1", "2", 5), ("2", "1")], ["1:2@5", "2:1"], ["b5=1:2@5", "b6=2:1@6"]),
+            ([("1", "2", 0, "b1"), ("2", "1")], ["b1=1:2@0", "2:1"], ["b1=1:2@0", "b1_2=2:1@1"]),
         ],
     )
     def test_make_registry_defaults_as_parse_registry(self, specs, texts, payload):
         assert make_registry(specs).to_payload() == parse_registry(texts).to_payload() == payload
+
+    @given(st.lists(
+        st.tuples(
+            st.text(alphabet="12", max_size=4),
+            st.sampled_from(["2", "22"]),
+            st.one_of(st.none(), st.integers(1, 3)),
+            st.one_of(st.none(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)),
+        ),
+        max_size=6,
+    ))
+    @settings(max_examples=100)
+    def test_registry_round_trips_through_its_entries(self, drawn):
+        # distinct words (a stem, then 1, then 2s), ranks defaulted or rising
+        # by a gap, labels defaulted or explicit; b20 is taken, so the branch
+        # minted at rank 20 is labelled b20_2
+        specs, last, stems, labels = [("", "1", 0, "b20")], 0, set(), {"b20"}
+        for stem, period, gap, label in drawn:
+            if stem in stems or label and label in labels:
+                continue
+            stems.add(stem)
+            labels.add(label)
+            last += gap or 1
+            specs.append((stem + "1", period, gap and last, label or ""))
+        r = make_registry(specs)
+        assert r.mint_through("2", 20).label == "b20_2"
+        entries = r.to_payload()
+        assert parse_registry(entries).to_payload() == entries
+        assert entries == [f"{e.label}={e.literal()}@{e.rank}" for e in r]
+
+    @pytest.mark.parametrize("label", ["a b", "a-b", "1a", "é", "a=b"])
+    def test_a_label_outside_the_entry_grammar_is_refused(self, label):
+        # no -r entry and no N:<label> reference could name it
+        reg = Registry([ALL1])
+        with pytest.raises(BranchError, match=f"^label {re.escape(repr(label))} is not"):
+            reg.add(BranchIndex("", "2", 1, label))
+        with pytest.raises(BranchError, match=re.escape("is not a name [A-Za-z_][A-Za-z0-9_]*")):
+            make_registry([("", "2", 1, label)])
+        assert reg.to_payload() == ["a1=:1@0"]
 
     def test_covering_property_of_depth_d_branches(self):
         # branches through all depth-d words jointly cover 1..2^(d+1)-2

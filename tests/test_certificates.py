@@ -105,13 +105,21 @@ SCHEMA_9_CERTIFICATE = (
     '{"alpha":"b0","point":"{1:1}"},{"alpha":"b1","point":"{2:2}"}]},"schema":9}'
 )
 
+# the same certificate as schema 10 wrote it, each registry entry an object
+SCHEMA_10_CERTIFICATE = (
+    '{"digest":"77c1b9761a38ea9aa0ef66f0d2e4795ad60f75d68f2c08d273b591a3e1ce4e92",'
+    '"kind":"SeparatorWitness","params":{"ambient":"xi","registry":['
+    '{"branch":":1","label":"b0","rank":0},{"branch":":2","label":"b1","rank":1}]},'
+    '"payload":{"claim":"no-single-zero-set-in-filter","entries":["{1:1}","{2:2}"]},"schema":10}'
+)
+
 
 # sha256 of ``to_json()`` for the certificates demos 04 and 05 build
 DEMO_DIGESTS = {
-    "containment-dec": "9a59ead806cc841c29d5a80e2fae85d2b2ca2f526b0fa89d6879087de22a813c",
-    "containment-full": "05724607ca5a5ae9a2eefce07b728aea63e542f6095b50d4886b3a642732cfa9",
-    "property-a-holds": "fa7c20142ff467892489f3c428ebc5ffc48083de75c4087c78bd3ded58ea069d",
-    "property-a-fails": "fc55795cda3c355b9d1c5d932d46a38a83dc4ca1ba5c62cc884560914db5f418",
+    "containment-dec": "dede5a44bca33b5c94cd15a81081d8d49953d8bf1f1d5f49f887817b9746d7f6",
+    "containment-full": "583bb51d4c1180e799d8e31bb3b51b9418b817ba665f9fd220f2ee4f51e6ca53",
+    "property-a-holds": "6c17b34fb0bd8990acb9bb6ceda3ac93136367198b1a99fe7dfeb7660e6ef7e5",
+    "property-a-fails": "c87a8a9575e8da1128b11266059fb10a4a08e64b69431ae2babd51fa9ffeb4d1",
 }
 
 
@@ -216,6 +224,11 @@ class TestTampering:
         doc["digest"] = "0" * 64
         with pytest.raises(CertificateError):
             Certificate.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", '["digest", "kind"]', "5", '"schema"', "null"])
+    def test_a_document_that_is_not_an_object_is_refused(self, text):
+        with pytest.raises(CertificateError, match="^certificate document must be a JSON object$"):
+            Certificate.from_json(text)
 
     def test_kind_swap_detected(self):
         cert = sample_certificates()[0]
@@ -362,11 +375,12 @@ class TestStructure:
         # branches out as {label, branch, rank} outside the registry, schema
         # 6 certificates carry steps and fields no check reads, schema 7
         # contradictions repeat their afailure beside its index, schema 8
-        # exception lists and absorption failures record a truncation, and
+        # exception lists and absorption failures record a truncation,
         # schema 9 separator entries restate their alpha, exception lists
-        # their members and rank-floor closures their depth
+        # their members and rank-floor closures their depth, and schema 10
+        # registries write each entry as a {label, branch, rank} object
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        for schema in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -383,6 +397,17 @@ class TestStructure:
             Certificate.from_json(SCHEMA_9_CERTIFICATE)
         report = check_certificate_text(SCHEMA_9_CERTIFICATE)
         assert (report.ok, report.problems) == (False, ["unsupported schema version 9"])
+
+    def test_schema_10_certificate_refused(self):
+        doc = json.loads(SCHEMA_10_CERTIFICATE)
+        body = {k: v for k, v in doc.items() if k != "digest"}
+        assert doc["digest"] == hashlib.sha256(canonical_json(body).encode()).hexdigest()
+        report = check_certificate_text(SCHEMA_10_CERTIFICATE)
+        assert (report.ok, report.problems) == (False, ["unsupported schema version 10"])
+        # at schema 11 the same run writes each entry as one string
+        cert = check_extendibility_a(make_registry([("", "1"), ("", "2")]))
+        assert cert.params["registry"] == ["b0=:1@0", "b1=:2@1"]
+        assert cert.payload == doc["payload"] and check_certificate(cert).ok
 
     @pytest.mark.parametrize("schema", [f"{SCHEMA_VERSION}.0", "true"])
     def test_schema_must_be_the_integer_version(self, schema):
@@ -815,7 +840,7 @@ class TestClosureObligations:
             # the registry's entry decides: b0 = 212:1 does not hold 3, the
             # code of the word 11
             (0, lambda c: _with("params", registry=[
-                dict(e, branch="212:1") if e["label"] == "b0" else e for e in c.params["registry"]
+                "b0=212:1@0" if e.startswith("b0=") else e for e in c.params["registry"]
             ])(c), "is not an element"),
             # 1 is the code of the word 1, a prefix of :1 and of the kept 1:2
             (0, _separators(1, 2), "collides with the kept set"),
@@ -914,7 +939,10 @@ def _forgery(kind, registry, payload, **params):
     return Certificate(kind, params, payload).to_json()
 
 
-B0, B1 = {"label": "b0", "branch": ":1", "rank": 0}, {"label": "b1", "branch": ":2", "rank": 1}
+B0, B1 = "b0=:1@0", "b1=:2@1"
+# the same entries as schema 10 wrote them, here inlined where a label belongs
+B0_OBJECT = {"label": "b0", "branch": ":1", "rank": 0}
+B1_OBJECT = {"label": "b1", "branch": ":2", "rank": 1}
 TRUNCATION = {"T": 4, "V": 6}
 
 
@@ -949,7 +977,7 @@ class TestRegistryLabels:
 
     def test_certificates_name_branches_by_registry_label(self):
         for cert in _label_certificates():
-            ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+            ranks = {e.label: e.rank for e in formats.parse_registry(cert.params["registry"])}
             params = {k: v for k, v in cert.params.items() if k != "registry"}
             named = _named_labels([params, cert.payload], [])
             # a separator claim names its entries by position alone
@@ -973,7 +1001,8 @@ class TestRegistryLabels:
         assert report.certificate.kind == "Contradiction"
         chain = {b.label for step in report.chain for b in step}
         minted = chain - {b.label for b in reg()}
-        assert minted and chain <= {e["label"] for e in report.certificate.params["registry"]}
+        registry = formats.parse_registry(report.certificate.params["registry"])
+        assert minted and chain <= {e.label for e in registry}
 
     def test_cover_refuses_an_unregistered_base(self):
         r = reg()
@@ -983,7 +1012,7 @@ class TestRegistryLabels:
     def test_cover_ranks_are_read_from_the_registry(self):
         # :1 and :2 cover 1..3; listed with rank 10 they used to clear the floor
         inline = _forgery("CoverSet", [B0, B1], {"base": [], "cover": [
-            dict(B0, rank=10), dict(B1, rank=10)]}, gamma=10, depth=3)
+            dict(B0_OBJECT, rank=10), dict(B1_OBJECT, rank=10)]}, gamma=10, depth=3)
         assert not check_certificate_text(inline).ok
         labelled = _forgery("CoverSet", [B0, B1], {"base": [], "cover": ["b0", "b1"]},
                             gamma=10, depth=3)
@@ -998,7 +1027,7 @@ class TestRegistryLabels:
         # Z(b0) ∩ Z(b1) ⊆ Z(b0) holds, but b0 ranks below b1, not at 7
         constraining, absorbing = ["b1"], ["b0"]
         if form == "inline":
-            constraining, absorbing = [B1], [dict(B0, rank=7)]
+            constraining, absorbing = [B1_OBJECT], [dict(B0_OBJECT, rank=7)]
         text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
             "zset": "N:b0", "constraining": constraining, "absorbing": absorbing}},
             truncation=TRUNCATION)
@@ -1012,7 +1041,7 @@ class TestRegistryLabels:
         # Z(b0) ∩ Z(21:1) ⊆ Z(21:1) holds, but 21:1 is no registry entry
         absorbing = ["zz"] if form == "labelled" else [{"label": "zz", "branch": "21:1", "rank": 5}]
         text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
-            "zset": "N:21:1", "constraining": ["b0"] if form == "labelled" else [B0],
+            "zset": "N:21:1", "constraining": ["b0"] if form == "labelled" else [B0_OBJECT],
             "absorbing": absorbing}}, truncation=TRUNCATION)
         report = check_certificate_text(text)
         assert not report.ok
@@ -1020,24 +1049,65 @@ class TestRegistryLabels:
             assert "no branch labelled 'zz'" in report.problems[0]
 
     def test_registry_ranks_must_be_integers(self):
-        # ranks are read from the registry alone, so each must be an integer
+        # ranks are read from the registry alone, so each must be written in
+        # decimal digits
         cert = cover_certificate(12, 5, reg(), [])[1]
         assert check_certificate(cert).ok
-        for value in (0.5, True, "0", None):
-            registry = [dict(cert.params["registry"][0], rank=value), *cert.params["registry"][1:]]
+        assert cert.params["registry"][0] == "b0=:1@0"
+        for rank in ("x", "0.5", "True", "-1", ""):
+            entry = f"b0=:1@{rank}"
+            registry = [entry, *cert.params["registry"][1:]]
             report = check_certificate(_with("params", registry=registry)(cert))
-            assert not report.ok and "registry rank" in report.problems[0], (value, report.problems)
+            problem = FormatError(f"bad registry entry {entry!r}; expected label=pre:period@rank")
+            assert report.problems == [f"malformed payload: {problem!r}"], rank
 
-    @pytest.mark.parametrize("label", [100000, None, ""], ids=["int", "null", "empty"])
-    def test_registry_labels_must_be_nonempty_strings(self, label):
-        # the first entry's label replaced; its witness names it by position
+    @pytest.mark.parametrize("entry", [100000, None, "=:1@0"], ids=["int", "null", "empty"])
+    def test_registry_labels_must_be_nonempty_strings(self, entry):
+        # the first entry replaced by one that is not a string, or has an
+        # empty label; its witness names it by position
         cert = check_extendibility_a(reg())
         assert check_certificate(cert).ok
-        registry = [dict(cert.params["registry"][0], label=label), *cert.params["registry"][1:]]
+        registry = [entry, *cert.params["registry"][1:]]
         forged = _with("params", registry=registry)(cert)
         report = check_certificate_text(forged.to_json())
         assert not report.ok and len(report.problems) == 1
-        assert f"registry label {label!r} is not a nonempty string" in report.problems[0]
+        assert f"bad registry entry {entry!r}" in report.problems[0]
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            # schema 10's object
+            ({"label": "e0", "branch": "1:2", "rank": 0},
+             "bad registry entry {'branch': '1:2', 'label': 'e0', 'rank': 0}"),
+            ("e0=1:2@0 ", "registry entry 'e0=1:2@0 ' is not in canonical form 'e0=1:2@0'"),
+            ("e0=1:2", "registry entry 'e0=1:2' is not in canonical form 'e0=1:2@0'"),
+            ("1:2@0", "registry entry '1:2@0' is not in canonical form 'b0=1:2@0'"),
+            ("e0=1:22@0", "registry entry 'e0=1:22@0' is not in canonical form 'e0=1:2@0'"),
+            ("e0=1:2@00", "registry entry 'e0=1:2@00' is not in canonical form 'e0=1:2@0'"),
+            ("e-0=1:2@0", "bad registry entry 'e-0=1:2@0'"),
+            ("e1=1:2@0", "duplicate label 'e1'"),
+            ("e0=1:2@5", "e1 has rank 1 after rank 5"),
+        ],
+        ids=["object", "whitespace", "no-rank", "no-label", "long-period", "leading-zero",
+             "bad-label", "duplicate-label", "falling-ranks"],
+    )
+    def test_each_entry_is_written_in_full_canonical_form(self, entry, problem):
+        # the first entry of a digest-valid certificate replaced; a problem
+        # names the entry, or its label
+        cert = check_extendibility_a(formats.parse_registry(["e0=1:2@0", "e1=2:1@1"]))
+        assert cert.params["registry"] == ["e0=1:2@0", "e1=2:1@1"]
+        assert check_certificate_text(cert.to_json()).ok
+        forged = _with("params", registry=[entry, "e1=2:1@1"])(cert)
+        report = check_certificate_text(forged.to_json())
+        assert not report.ok and len(report.problems) == 1, report.problems
+        assert problem in report.problems[0] and "TypeError" not in report.problems[0]
+
+    @pytest.mark.parametrize("registry", ["e0=1:2@0", {"e0=1:2@0": 0}, 5])
+    def test_a_registry_must_be_a_list(self, registry):
+        cert = check_extendibility_a(formats.parse_registry(["e0=1:2@0", "e1=2:1@1"]))
+        report = check_certificate_text(_with("params", registry=registry)(cert).to_json())
+        problem = FormatError(f"a registry must be a list of entries, got {registry!r}")
+        assert report.problems == [f"malformed payload: {problem!r}"]
 
     def test_an_unregistered_label_is_rejected(self):
         # each label list of each certificate, with a label the registry lacks

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zfilterlab
-from test_certificates import SCHEMA_9_CERTIFICATE
+from test_certificates import SCHEMA_9_CERTIFICATE, SCHEMA_10_CERTIFICATE
 from zfilterlab import cli, space
 from zfilterlab.certificates import Certificate
 from zfilterlab.cli import (
@@ -30,6 +30,7 @@ from zfilterlab.cli import (
     EXIT_USAGE,
     main,
 )
+from zfilterlab.formats import parse_registry
 
 REG = ["a=:1@0", "b=:2@1", "c=1:2@2"]
 
@@ -190,7 +191,7 @@ class TestFamily:
         assert code == EXIT_OK
         cert = Certificate.read(str(out_file))
         assert cert.kind == "CoverSet"
-        ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+        ranks = {e.label: e.rank for e in parse_registry(cert.params["registry"])}
         assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
 
     def test_cover_mints_past_a_taken_default_label(self, capsys, tmp_path):
@@ -204,7 +205,7 @@ class TestFamily:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "b3_2 :1 rank=3"
         cert = Certificate.read(str(out_file))
-        assert [e["label"] for e in cert.params["registry"]][:3] == ["b3", "x", "b3_2"]
+        assert [e.partition("=")[0] for e in cert.params["registry"]][:3] == ["b3", "x", "b3_2"]
         assert run(capsys, "verify", "--check", str(out_file))[1].strip() == "verified"
 
     @pytest.mark.parametrize(
@@ -403,6 +404,31 @@ class TestVerify:
         cert_file.write_text(SCHEMA_9_CERTIFICATE)
         code, out, err = run(capsys, "verify", "--check", str(cert_file))
         assert (code, out, err) == (EXIT_FAIL, "rejected\n", "problem: unsupported schema version 9\n")
+
+    def test_check_refuses_a_schema_10_certificate(self, capsys, tmp_path):
+        # its registry entries are objects, where schema 11 writes strings
+        cert_file = tmp_path / "old.json"
+        cert_file.write_text(SCHEMA_10_CERTIFICATE)
+        code, out, err = run(capsys, "verify", "--check", str(cert_file))
+        assert (code, out, err) == (EXIT_FAIL, "rejected\n", "problem: unsupported schema version 10\n")
+
+    def test_a_certificate_its_checker_rejects_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        # an engine that swaps its two witness points: each point lies in
+        # the zero set it should avoid, and the run says so and exits 1
+        engine = zfilterlab.engines.check_extendibility_a
+
+        def swapped(reg):
+            cert = engine(reg)
+            return Certificate(cert.kind, cert.params,
+                               dict(cert.payload, entries=cert.payload["entries"][::-1]))
+
+        monkeypatch.setattr(zfilterlab.engines, "check_extendibility_a", swapped)
+        out_file = tmp_path / "a.json"
+        code, out, err = run(capsys, "verify", "extendibility-a", "-r", "a=:1@0", "-r", "b=:2@1",
+                             "--out", str(out_file))
+        assert code == EXIT_FAIL and out == f"SeparatorWitness: rejected -> {out_file}\n"
+        assert err == ("problem: point {2:2} fails to separate a from ['b']\n"
+                       "problem: point {1:1} fails to separate b from ['a']\n")
 
     def test_separator_far_past_the_truncation(self, capsys, tmp_path):
         # a and b share a 20-letter prefix, so b's separator avoiding a is the
@@ -647,7 +673,7 @@ class TestVerify:
         )
         assert code == EXIT_OK and "verified" in out
         cert = Certificate.read(str(out_file))
-        assert [e["label"] for e in cert.params["registry"]] == ["b1", "b1_2", "b2"]
+        assert [e.partition("=")[0] for e in cert.params["registry"]] == ["b1", "b1_2", "b2"]
         assert cert.payload["subtracted"] == ["b1_2"] and cert.payload["kept"] == ["b2"]
 
     @pytest.mark.parametrize("flags, labels", [
@@ -663,7 +689,7 @@ class TestVerify:
                              "--out", str(out_file))
         assert code == EXIT_OK and "verified" in out, err
         cert = Certificate.read(str(out_file))
-        assert [e["label"] for e in cert.params["registry"]] == labels
+        assert [e.partition("=")[0] for e in cert.params["registry"]] == labels
 
     def test_output_dir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ZFILTERLAB_OUT", str(tmp_path))
@@ -1026,8 +1052,11 @@ class TestErrorPaths:
             (["property-b", "--cover", "cover.json", "--gamma", "50"], EXIT_FAIL,
              "failed: a putative cover needs at least one set"),
             (["chain-inc", "--steps", "0"], EXIT_FAIL, "failed: a chain needs at least one step"),
+            (["property-a"], EXIT_USAGE, "error: property-a needs --zset"),
+            (["property-b", "--gamma", "50"], EXIT_USAGE, "error: property-b needs --cover FILE"),
         ],
-        ids=["extendibility-b-without-alpha", "property-b-empty-cover", "chain-inc-no-steps"],
+        ids=["extendibility-b-without-alpha", "property-b-empty-cover", "chain-inc-no-steps",
+             "property-a-without-zset", "property-b-without-cover"],
     )
     def test_verify_refuses_a_run(self, capsys, tmp_path, monkeypatch, argv, want_code, want_err):
         monkeypatch.chdir(tmp_path)

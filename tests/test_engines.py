@@ -270,7 +270,7 @@ class TestContainmentFullProduct:
         "kept, subtracted, message",
         [
             ([BranchIndex("", "1", 0)], [BranchIndex("", "2", 0)],
-             "registry ranks must be strictly increasing"),
+             "registry ranks must be strictly increasing: b0 has rank 0 after rank 0"),
             ([BranchIndex("", "1", 0, "x")], [BranchIndex("", "2", 1, "x")],
              "duplicate label 'x'"),
         ],
@@ -700,7 +700,7 @@ class TestCoverCertificate:
         reg = Registry()
         cover, cert = cover_certificate(3, 5, reg, [])
         assert cert.kind == "CoverSet"
-        ranks = {e["label"]: e["rank"] for e in cert.params["registry"]}
+        ranks = {e.label: e.rank for e in parse_registry(cert.params["registry"])}
         assert cert.payload["cover"] and all(ranks[c] >= 5 for c in cert.payload["cover"])
 
 

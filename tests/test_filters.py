@@ -352,6 +352,15 @@ class TestCombineWitnesses:
         with pytest.raises(FilterError):
             combine_nonredundancy_witnesses({1: Atom(C)}, 0, family)
 
+    def test_target_cannot_carry_a_witness(self):
+        with pytest.raises(FilterError, match="^the target index cannot carry a witness$"):
+            combine_nonredundancy_witnesses({0: Atom(A), 1: Atom(B)}, 0, self._family())
+
+    def test_witness_in_the_target_filter_rejected(self):
+        # the whole space lies in every filter, the target's too
+        with pytest.raises(FilterError, match="^witness for index 1 is not refuted at the target$"):
+            combine_nonredundancy_witnesses({1: Whole()}, 0, self._family())
+
 
 class TestProperness:
     def test_atom_bases_proper(self):
@@ -363,5 +372,7 @@ class TestProperness:
     def test_needs_a_generator(self):
         with pytest.raises(FilterError):
             FilterBase.of([])
+        with pytest.raises(FilterError, match="need at least two branches"):
+            pairwise_union_base([A])
         with pytest.raises(FilterError, match="unknown ambient"):
             FilterBase.of([Whole()], "zz")

@@ -74,6 +74,10 @@ class TestValidity:
             XiPoint(((1, 2), (1, 3)))
         with pytest.raises(SpaceError):
             XiPoint.of({0: 1})
+        with pytest.raises(SpaceError, match="^unknown ambient 'zz'$"):
+            XiPoint.of({1: 1}, "zz")
+        with pytest.raises(SpaceError, match="^truncation bounds must be nonnegative$"):
+            Truncation(2, -1)
         # refused before any point is built, whether or not a point violates
         for lhs in (Atom(ALL1), Whole()):
             with pytest.raises(SpaceError, match="unknown ambient"):
@@ -176,6 +180,11 @@ class TestEnumeration:
     def test_all_points_valid(self):
         assert all(validate_point(p) for p in enumerate_truncated(Truncation(4, 5), XI))
 
+    def test_a_support_past_the_truncation_has_no_points(self):
+        for ambient in (XI, PI):
+            assert class_point_count(frozenset({2, 5}), Truncation(4, 6), ambient) == 0
+            assert list(class_points(frozenset({2, 5}), Truncation(4, 6), ambient)) == []
+
 
 class TestApproxSequence:
     def test_minimal_start_from_infinity(self):
@@ -207,6 +216,12 @@ class TestApproxSequence:
                 if t.coordinate(pos) != base.coordinate(pos)
             ]
             assert changed == [2]
+
+    def test_term_index_out_of_range(self):
+        seq = multi_escape_sequence(P_INF, (1,), 3)
+        for r in (0, 4):
+            with pytest.raises(SpaceError, match=f"^term index {r} out of range 1..3$"):
+                seq.term(r)
 
     def test_eventual_prefix_agreement(self):
         # on any fixed prefix, far-out terms agree with the base off the
@@ -361,6 +376,8 @@ class TestExactContainment:
     @example((PI, Diff(Whole(), Singleton(XiPoint.of({1: 3}, PI))), Atom(ALL1)))
     # a singleton that is no point of xi
     @example((XI, Union((Singleton(XiPoint.of({2: 1})), Atom(ALL2))), empty_expr()))
+    # a violation off the one singleton that hits no atom
+    @example((XI, Diff(Atom(ALL1), Singleton(P_INF)), empty_expr()))
     def test_matches_truth_tables_and_truncations(self, claim):
         ambient, lhs, rhs = claim
         witness = exact_counterexample(lhs, rhs, ambient)
@@ -923,6 +940,9 @@ def test_eval_setexpr_refuses_an_unknown_node():
             eval_setexpr(P_INF, expr)
         with pytest.raises(SpaceError, match="unknown expression node"):
             _recursive_eval(P_INF, expr)
+        # the truncated search reads every support class at once
+        with pytest.raises(SpaceError, match="unknown expression node"):
+            list(containment_violations(expr, Whole(), Truncation(2, 3), XI))
 
 
 def test_value_sensitive_class_evaluates_only_its_singletons(monkeypatch):
