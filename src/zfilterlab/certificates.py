@@ -1,11 +1,13 @@
 """Machine-checkable certificates with canonical serialization.
 
-A certificate is a kind tag, the run parameters (registry, ambient,
-command-specific knobs, and the truncation ``(T, V)`` for the two kinds whose
-claim was searched on one: `Contradiction` and `CounterexamplePoint`) and a
-kind-specific payload, and it records only what the checker reads, and
-nothing the checker derives from the other fields (schema 10): how a run
-reached its result is no part of the document.  The registry, a list of
+A certificate is a kind tag, the run parameters (registry, ambient and
+command-specific knobs) and a kind-specific payload, and it records only
+what the checker reads, and nothing the checker derives from the other
+fields (schema 10): how a run reached its result is no part of the
+document.  No certificate records a truncation: a property-(B) refutation
+records its point with the cover's sets (`CounterexamplePoint`) or with the
+one absorption failure the point breaks (`Contradiction`), and nothing else
+(schema 12).  The registry, a list of
 ``label=pre:period@rank`` strings in the CLI's ``-r`` grammar (schema 11),
 is the only place a branch's word and rank are written; the payload and the
 other params name a branch by its label or by its position.  Serialization
@@ -23,7 +25,7 @@ from typing import Any
 
 from ._record import Record
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 KINDS = (
     "SeparatorWitness",

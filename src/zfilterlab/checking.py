@@ -1,24 +1,23 @@
 """Independent certificate checker.
 
 Re-validates a certificate from its payload alone: digest first, then a
-semantic replay that only uses point evaluation, the branch codec, the exact
-containment rule (`space.exact_counterexample`: the `ExceptionList`
-inclusions and an absorption-failure `InclusionChain`) and, for the two
-kinds that record a truncation (`Contradiction`, `CounterexamplePoint`),
-exhaustive truncated enumeration.  Every branch a certificate names is read
-from its ``params.registry`` by label, ranks included, and an unknown label
-fails the check.  The registry is read by `formats.parse_registry`, the
-CLI's parser, and each entry must be its canonical ``label=pre:period@rank``
+semantic replay that only uses point evaluation, the branch codec and the
+exact containment rule (`space.exact_counterexample`: the `ExceptionList`
+inclusions and an absorption-failure `InclusionChain`).  No obligation walks
+a truncation.  Every branch a certificate names is read from its
+``params.registry`` by label, ranks included, and an unknown label fails
+the check.  The registry is read by `formats.parse_registry`, the CLI's
+parser, and each entry must be its canonical ``label=pre:period@rank``
 text.  Nothing here calls back into the producing engines, so a
 certificate stands or falls on its own evidence.
 
 A certificate records only what this checker reads, and nothing it derives:
 point j of a separator claim answers registry entry j, separator j of a
 closure claim subtracted branch j.  A property-(B) refutation stands on its
-point alone: the checker replays every recorded absorption failure on the
-truncation, and the refuted cover is the union of their sets, so a
-`CounterexamplePoint` must miss each of them and a `Contradiction` must
-break the one its ``afailure_index`` names.
+point alone: a `CounterexamplePoint` must lie in none of the recorded cover
+sets (``zsets``), and a `Contradiction` must break the one recorded
+absorption failure (``afailure``), read with the rank-shape rule of an
+absorption-failure `InclusionChain`.
 
 `check_certificate` returns a `CheckReport`; `report.ok` is the verdict and
 `report.problems` lists every failed obligation, a replay that needs more
@@ -27,11 +26,12 @@ than `space.MAX_SPLITS` splits among them.
 
 from __future__ import annotations
 
+import sys
+
 from ._record import Record
 from .branches import BranchIndex, branch_member
 from .certificates import Certificate, CertificateError
 from .formats import (
-    AFailureParts,
     FormatError,
     parse_afailures,
     parse_labels,
@@ -47,12 +47,10 @@ from .space import (
     PI,
     SetExpr,
     SplitBoundError,
-    Truncation,
     Union,
     Whole,
     XI,
     XiPoint,
-    containment_counterexample,
     eval_setexpr,
     exact_counterexample,
     inter_atoms,
@@ -132,17 +130,16 @@ class _Context:
     def expr(self, text: str) -> SetExpr:
         return parse_setexpr(text, self.registry, self.ambient)
 
-    def need_trunc(self) -> Truncation:
-        trunc = self.cert.params.get("truncation")
-        if not trunc:
-            raise CertificateError("certificate omits the truncation it relies on")
-        return Truncation(trunc["T"], trunc["V"])
-
 
 def _integer(value, what: str) -> int:
-    """``value`` itself, if it is an integer and not a ``bool``."""
+    """``value`` itself, if it is an integer, not a ``bool``, and within the
+    interpreter's limit on decimal digits, so that a message can write it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise CertificateError(f"{what} {value!r} is not an integer")
+    limit = sys.get_int_max_str_digits()
+    # below 2**(3 * limit) < 10**limit, no power of ten is built
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+        raise CertificateError(f"{what} has more than {limit} decimal digits")
     return value
 
 
@@ -313,70 +310,49 @@ def _check_closure_containment(ctx: _Context, *, rank_floor: bool) -> None:
 
 
 def _check_absorption_failure(ctx: _Context) -> None:
-    (af,) = parse_afailures([ctx.cert.payload["afailure"]], ctx.registry, ctx.ambient)
-    _replay_afailure(ctx, af, None)
+    zset, constraint, absorbed = _afailure(ctx, ctx.cert.payload["afailure"])
+    bad = exact_counterexample(Inter((zset, constraint)), absorbed, ctx.ambient)
+    if bad is not None:
+        ctx.report.fail(f"absorption inclusion breaks at {bad.literal()}")
 
 
-def _replay_afailure(ctx: _Context, af: AFailureParts, trunc: Truncation | None) -> AFailureParts:
-    """Check a parsed absorption failure ``zset ∩ ⋂constraining ⊆ ∪absorbing``
-    for its rank shape and inclusion (exact without ``trunc``); return it."""
-    zset, constraining, absorbing = af
+def _afailure(ctx: _Context, item) -> tuple[SetExpr, SetExpr, SetExpr]:
+    """A recorded absorption failure ``zset ∩ ⋂constraining ⊆ ∪absorbing``,
+    its rank shape checked, as its three sets: ``zset``, ``⋂constraining``
+    and ``∪absorbing``."""
+    ((zset, constraining, absorbing),) = parse_afailures([item], ctx.registry, ctx.ambient)
     max_f = max((b.rank for b in constraining), default=-1)
     if absorbing and max_f >= min(b.rank for b in absorbing):
         ctx.report.fail("constraining ranks must stay below absorbing ranks")
-    lhs, rhs = Inter((zset, inter_atoms(constraining))), union_atoms(absorbing)
-    bad = (exact_counterexample(lhs, rhs, ctx.ambient) if trunc is None
-           else containment_counterexample(lhs, rhs, trunc, ctx.ambient))
-    if bad is not None:
-        ctx.report.fail(f"absorption inclusion breaks at {bad.literal()}")
-    return af
+    return zset, inter_atoms(constraining), union_atoms(absorbing)
 
 
 def _check_contradiction(ctx: _Context) -> None:
-    payload = ctx.cert.payload
-    # the index names the refuted failure in the recorded cover, whose every
-    # inclusion the replay checks on the truncation, this one included
-    replayed = _check_refuter_inputs(ctx, ctx.need_trunc())
-    index = _integer(payload["afailure_index"], "afailure_index")
-    if not 0 <= index < len(replayed):
-        ctx.report.fail(f"afailure_index {index} names no recorded absorption failure")
-        return
-    zset, constraining, absorbing = replayed[index]
-    point = ctx.point(payload["point"])
+    """The point breaks the recorded failure's inclusion: it lies in the
+    failing set and the constraining intersection, and in no absorbing set."""
+    zset, constraint, absorbed = _afailure(ctx, ctx.cert.payload["afailure"])
+    point = ctx.point(ctx.cert.payload["point"])
     if not validate_point(point):
         ctx.report.fail("contradiction point is invalid")
         return
     if not eval_setexpr(point, zset):
         ctx.report.fail("contradiction point misses the failing set")
-    if not eval_setexpr(point, inter_atoms(constraining)):
+    if not eval_setexpr(point, constraint):
         ctx.report.fail("contradiction point leaves the constraining intersection")
-    if any(eval_setexpr(point, Atom(b)) for b in absorbing):
+    if eval_setexpr(point, absorbed):
         ctx.report.fail("contradiction point still sits in an absorbing zero set")
 
 
-def _check_refuter_inputs(ctx: _Context, trunc: Truncation) -> list[AFailureParts]:
-    """Shared obligations for refuter outputs: every claimed absorption failure
-    verifies on the truncation and the rank floor clears every absorbing rank.
-    Returns the replayed failures, in order."""
-    gamma = _integer(ctx.cert.params["gamma"], "rank floor")
-    afailures = parse_afailures(ctx.cert.params["afailures"], ctx.registry, ctx.ambient)
-    replayed = [_replay_afailure(ctx, af, trunc) for af in afailures]
-    for _, _, absorbing in replayed:
-        if absorbing and gamma <= max(b.rank for b in absorbing):
-            ctx.report.fail("rank floor does not clear the absorbing ranks")
-    return replayed
-
-
 def _check_counterexample(ctx: _Context) -> None:
-    """The refuted cover is the union of the replayed failures' sets, so the
-    point must lie in none of them."""
+    """The point is valid and lies in none of the recorded cover's sets."""
     point = ctx.point(ctx.cert.payload["point"])
     if not validate_point(point):
         ctx.report.fail("counterexample point is invalid")
         return
-    replayed = _check_refuter_inputs(ctx, ctx.need_trunc())
-    if not replayed:
+    zsets = ctx.cert.payload["zsets"]
+    if not isinstance(zsets, list) or not zsets:
         ctx.report.fail("no cover recorded to refute")
-    for recorded, (zset, _, _) in zip(ctx.cert.params["afailures"], replayed):
-        if eval_setexpr(point, zset):
-            ctx.report.fail(f"the point lies in cover set {recorded['zset']}")
+        return
+    for text in zsets:
+        if eval_setexpr(point, ctx.expr(text)):
+            ctx.report.fail(f"the point lies in cover set {text}")

@@ -13,15 +13,16 @@ branch by the label of its registry entry, with lists in rank order.
 The engines never trust themselves: exact branch-word reasoning or an
 exhaustive search of a truncation ``(T, V)`` backs every claim, and any
 residual transfinite step is replaced by a concrete eval-verified witness
-point.  Only `property_b_refute` searches a truncation, takes one and
-records it: its inputs are claims that hold on a truncation and break past
-it.  The separator claims (`extendibility-a`, the two chains, property (A)
-when it holds) are shown by one eval-checked point per entry, and the two
-closure containments by the separators (and, with a rank floor, a cover up
-to the largest) from which the paper's coordinate-pushing step gives every
-point of the shrunken intersection an escape sequence.  The containments
-of `check_extendibility_b` and a failing `property_a_check` are decided
-over the whole space by `space.exact_counterexample`.
+point.  Only `property_b_refute` searches a truncation: its inputs are
+claims that hold on one and may break past it.  Its certificate records
+none, since its point alone is the evidence.  The separator claims
+(`extendibility-a`, the two chains, property (A) when it holds) are shown
+by one eval-checked point per entry, and the two closure containments by
+the separators (and, with a rank floor, a cover up to the largest) from
+which the paper's coordinate-pushing step gives every point of the shrunken
+intersection an escape sequence.  The containments of
+`check_extendibility_b` and a failing `property_a_check` are decided over
+the whole space by `space.exact_counterexample`.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ class RefuterReport(Record):
     """A property-(B) replay: ``chain[k]`` is the accumulated branch list of
     step k, in the order the steps add branches (empty when the cover misses
     a truncated point outright).  The certificate records only the refuting
-    point and the inputs its checker replays."""
+    point and what it refutes."""
 
     __slots__ = ("chain", "certificate")
 
@@ -417,6 +418,10 @@ def property_b_refute(
     claimed inclusion breaks beyond the truncation (the contradiction).  The
     step after the last always breaks: its union is empty, and the
     all-infinite point lies in every zero-set intersection.
+
+    Either point is the whole evidence: a `CounterexamplePoint` records it
+    with the cover's sets (``zsets``), a `Contradiction` with the failure it
+    breaks (``afailure``), and neither records the truncation.
     """
     failures = list(failures)
     if not failures:
@@ -442,10 +447,8 @@ def property_b_refute(
 
     failures.sort(key=AFailure.max_constraining_rank)
     zsets = [f.zset for f in failures]
-    # the params are built with each certificate, after the covers are minted,
-    # so that the registry they record holds every branch the chain names
-    extra = dict(truncation=trunc.to_payload(), gamma=gamma,
-                 afailures=[f.to_payload() for f in failures])
+    # taken before the chain mints its covers, which no field names
+    params = _params(registry, XI)
 
     chain: list[list[BranchIndex]] = []
     bases: list[list[BranchIndex]] = []
@@ -458,7 +461,7 @@ def property_b_refute(
         )
         if violating is not None:
             return RefuterReport(
-                chain, _chase(violating, k, failures, bases, registry, trunc, extra)
+                chain, _chase(violating, k, failures, bases, params, trunc)
             )
         f_k = failures[k]
         base = _merge_branches(accumulated, f_k.constraining)
@@ -482,7 +485,7 @@ def _merge_branches(*parts: Iterable[BranchIndex]) -> list[BranchIndex]:
 
 def _chase(
     point: XiPoint, stage: int, failures: Sequence[AFailure],
-    bases: Sequence[Sequence[BranchIndex]], registry: Registry, trunc: Truncation, extra: dict,
+    bases: Sequence[Sequence[BranchIndex]], params: dict, trunc: Truncation,
 ) -> Certificate:
     """Descend the chain from a violating point to an eval-verified terminal.
 
@@ -508,8 +511,8 @@ def _chase(
         if eval_setexpr(y, f_prev.zset):
             return Certificate(
                 "Contradiction",
-                params=_params(registry, XI, **extra),
-                payload={"afailure_index": s - 1, "point": y.literal()},
+                params=params,
+                payload={"afailure": f_prev.to_payload(), "point": y.literal()},
             )
         s -= 1
     # The docstring's invariant at stage 0: y starts outside zsets[stage:],
@@ -519,8 +522,8 @@ def _chase(
     assert not any(eval_setexpr(y, z) for z in zsets)
     return Certificate(
         "CounterexamplePoint",
-        params=_params(registry, XI, **extra),
-        payload={"point": y.literal()},
+        params=params,
+        payload={"zsets": [setexpr_text(z) for z in zsets], "point": y.literal()},
     )
 
 

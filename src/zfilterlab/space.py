@@ -322,9 +322,6 @@ class Truncation(Frozen):
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "V", V)
 
-    def to_payload(self) -> dict:
-        return {"T": self.T, "V": self.V}
-
 
 def _value_range(ambient: Ambient, max_pos: int, v: int) -> range:
     lo = max_pos if ambient == XI else 1

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import stat
+import sys
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_space import _pigeonhole
-from zfilterlab import formats
+from zfilterlab import formats, space
 from zfilterlab.branches import (
     BranchIndex,
     Registry,
@@ -113,13 +114,23 @@ SCHEMA_10_CERTIFICATE = (
     '"payload":{"claim":"no-single-zero-set-in-filter","entries":["{1:1}","{2:2}"]},"schema":10}'
 )
 
+# `whole_cover_refutation` as schema 11 wrote it: the refuted cover's every
+# absorption failure, the truncation and rank floor they were searched on,
+# and the index of the one the point breaks
+SCHEMA_11_CONTRADICTION = (
+    '{"digest":"295e082a78828d93f730026b6c9f3537e89b9fa998ff1fa6d9851b9a53299fb2",'
+    '"kind":"Contradiction","params":{"afailures":[{"absorbing":["b9"],'
+    '"constraining":["b0","b1","b2","b3"],"zset":"W"}],"ambient":"xi","gamma":50,'
+    '"registry":["b0=:1@0","b1=12:1@1","b2=2:1@2","b3=21:2@3","b9=:2@9","b50=22:1@50"],'
+    '"truncation":{"T":4,"V":6}},"payload":{"afailure_index":0,"point":"{6:7}"},"schema":11}'
+)
 
 # sha256 of ``to_json()`` for the certificates demos 04 and 05 build
 DEMO_DIGESTS = {
-    "containment-dec": "dede5a44bca33b5c94cd15a81081d8d49953d8bf1f1d5f49f887817b9746d7f6",
-    "containment-full": "583bb51d4c1180e799d8e31bb3b51b9418b817ba665f9fd220f2ee4f51e6ca53",
-    "property-a-holds": "6c17b34fb0bd8990acb9bb6ceda3ac93136367198b1a99fe7dfeb7660e6ef7e5",
-    "property-a-fails": "c87a8a9575e8da1128b11266059fb10a4a08e64b69431ae2babd51fa9ffeb4d1",
+    "containment-dec": "ab61e99610e9dd3c0760be886eea0b629366f2c93ac98e437f531ab41ee9bb80",
+    "containment-full": "72cde1c61455fd8e20e99a99eb90cb04e301a9c07d0a0c3f5e334b5661b3747c",
+    "property-a-holds": "c87b272580ff8caa0cd12b355bb06cb5f0f2c2e64701b27cae91f1be02072f9f",
+    "property-a-fails": "bb70354d7db84af3a409e013e6e003096838b8ead2db236f59ed8d63cf020e4d",
 }
 
 
@@ -259,28 +270,21 @@ class TestTampering:
         report = check_certificate(fresh)
         assert not report.ok
 
-    @pytest.mark.parametrize("tamper", ["index-out-of-range", "index-not-int", "afailure-dropped"])
+    @pytest.mark.parametrize("tamper", ["afailure-dropped"])
     def test_contradiction_is_tied_to_its_cover(self, tamper):
-        # afailure_index must name a recorded absorption failure; dropping
-        # the named one from the cover leaves the index out of range
+        # the recorded afailure is the one claim the point refutes: without
+        # it nothing is refuted (a changed one: `_whole_cover_afailure`)
         cert = next(c for c in sample_certificates() if c.kind == "Contradiction")
-        params, payload = dict(cert.params), dict(cert.payload)
-        index = payload["afailure_index"]
-        if tamper == "index-out-of-range":
-            payload["afailure_index"] = 99
-        elif tamper == "index-not-int":
-            payload["afailure_index"] = str(index)
-        else:
-            # drop the payload's afailure from the recorded cover
-            params["afailures"] = [a for i, a in enumerate(params["afailures"]) if i != index]
+        payload = {k: v for k, v in cert.payload.items() if k != "afailure"}
         assert check_certificate(cert).ok
-        tampered = Certificate(cert.kind, params, payload)
-        assert not check_certificate(Certificate.from_json(tampered.to_json())).ok
+        tampered = Certificate(cert.kind, cert.params, payload)
+        report = check_certificate(Certificate.from_json(tampered.to_json()))
+        assert report.problems == ["malformed payload: KeyError('afailure')"]
 
 
 class TestRefutedCover:
-    """A refutation is checked against the absorption failures it replays,
-    the only record of the cover it refutes."""
+    """A counterexample is checked against the cover sets it records
+    (``zsets``), the only record of the cover it refutes."""
 
     @staticmethod
     def point_inside_the_cover():
@@ -289,27 +293,33 @@ class TestRefutedCover:
         b0, b1 = r.entries[:2]
         # a point of Z(b0) outside Z(b1): the cover Z(b0) ∪ Z(b1) holds it
         l = find_separator(b1, [b0])
-        assert [a["zset"] for a in cert.params["afailures"]] == [f"N:{b0.literal()}",
-                                                                  f"N:{b1.literal()}"]
+        assert cert.payload["zsets"] == [f"N:{b0.literal()}", f"N:{b1.literal()}"]
         return cert, f"{{{l}:{l}}}"
 
     @pytest.mark.parametrize("cover", [["N::2"], None], ids=["forged-cover", "no-cover"])
     def test_point_inside_a_failure_set_rejected(self, cover):
-        # with a cover field that keeps only Z(b1), which misses the point,
-        # the checker used to test the point against that field, and this
-        # certificate verified
+        # a params field that keeps only Z(b1), which misses the point, is
+        # read by no check: the point is tested against the recorded zsets
         cert, point = self.point_inside_the_cover()
         params = dict(cert.params)
         if cover is not None:
             params["cover"] = cover
         forged = Certificate(cert.kind, params, dict(cert.payload, point=point))
         report = check_certificate_text(forged.to_json())
-        zset = cert.params["afailures"][0]["zset"]
+        zset = cert.payload["zsets"][0]
         assert not report.ok and report.problems == [f"the point lies in cover set {zset}"]
 
     def test_no_recorded_failure_is_no_cover(self):
         cert = zero_set_cover_refutation().certificate
-        report = check_certificate(_with("params", afailures=[])(cert))
+        report = check_certificate(_with("payload", zsets=[])(cert))
+        assert report.problems == ["no cover recorded to refute"]
+
+    @pytest.mark.parametrize("zsets", ["N::1", None, {"N::1": 0}],
+                             ids=["string", "null", "object"])
+    def test_zsets_must_be_a_list(self, zsets):
+        forged = _with("payload", zsets=zsets)(zero_set_cover_refutation().certificate).to_json()
+        Certificate.from_json(forged)  # the digest holds
+        report = check_certificate_text(forged)
         assert report.problems == ["no cover recorded to refute"]
 
 
@@ -377,10 +387,11 @@ class TestStructure:
         # contradictions repeat their afailure beside its index, schema 8
         # exception lists and absorption failures record a truncation,
         # schema 9 separator entries restate their alpha, exception lists
-        # their members and rank-floor closures their depth, and schema 10
-        # registries write each entry as a {label, branch, rank} object
+        # their members and rank-floor closures their depth, schema 10
+        # registries write each entry as a {label, branch, rank} object, and
+        # schema 11 refutations record a truncation and every claimed failure
         cert = sample_certificates()[0]
-        for schema in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        for schema in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             doc = {"schema": schema, "kind": cert.kind, "params": cert.params,
                    "payload": cert.payload, "steps": []}
             doc["digest"] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
@@ -409,6 +420,18 @@ class TestStructure:
         assert cert.params["registry"] == ["b0=:1@0", "b1=:2@1"]
         assert cert.payload == doc["payload"] and check_certificate(cert).ok
 
+    def test_schema_11_contradiction_refused(self):
+        doc = json.loads(SCHEMA_11_CONTRADICTION)
+        body = {k: v for k, v in doc.items() if k != "digest"}
+        assert doc["digest"] == hashlib.sha256(canonical_json(body).encode()).hexdigest()
+        report = check_certificate_text(SCHEMA_11_CONTRADICTION)
+        assert (report.ok, report.problems) == (False, ["unsupported schema version 11"])
+        # at schema 12 the same run records the failure it breaks, and the
+        # registry without the cover the chain minted (b50)
+        cert = whole_cover_refutation().certificate
+        assert cert.payload == {"afailure": doc["params"]["afailures"][0], "point": "{6:7}"}
+        assert cert.params == {"ambient": "xi", "registry": doc["params"]["registry"][:-1]}
+
     @pytest.mark.parametrize("schema", [f"{SCHEMA_VERSION}.0", "true"])
     def test_schema_must_be_the_integer_version(self, schema):
         # the digest is recomputed from the integer version, so a float or a
@@ -422,11 +445,13 @@ class TestStructure:
 
 
     def test_only_truncated_searches_record_a_truncation(self):
+        # property (B) alone searches a truncation, and its point is the whole
+        # evidence, so no certificate records one
         certs = sample_certificates()
-        recorded = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" in c.params}
-        assert recorded == {("Contradiction", None), ("CounterexamplePoint", None)}
-        exact = {(c.kind, c.payload.get("claim")) for c in certs if "truncation" not in c.params}
-        assert exact == {
+        assert not any("truncation" in c.params or "truncation" in c.payload for c in certs)
+        assert {(c.kind, c.payload.get("claim")) for c in certs} == {
+            ("Contradiction", None),
+            ("CounterexamplePoint", None),
             ("ExceptionList", None),
             ("InclusionChain", "absorption-failure"),
             ("SeparatorWitness", "no-single-zero-set-in-filter"),
@@ -627,27 +652,13 @@ class TestWrongTypedFields:
         r = reg()
         certs = [cover_certificate(12, 5, r, [r.entries[0]])[1]]
         certs += [c for c in sample_certificates() if "gamma" in c.params]
-        assert {c.kind for c in certs} == {
-            "CoverSet", "InclusionChain", "Contradiction", "CounterexamplePoint"
-        }
+        assert {c.kind for c in certs} == {"CoverSet", "InclusionChain"}
         for cert in certs:
             assert check_certificate(cert).ok
             gamma = cert.params["gamma"]
             for value in (True, False, 0.5, -1.5, gamma - 0.5, float(gamma), str(gamma), None):
                 report = check_certificate(_with("params", gamma=value)(cert))
                 assert report.ok is False, (cert.kind, value)
-
-    def test_every_non_integer_truncation_is_rejected(self):
-        # a fractional or boolean bound is no truncation; it used to reach
-        # BranchIndex.elements_upto and raise AttributeError, or pass
-        certs = [c for c in sample_certificates() if "truncation" in c.params]
-        assert {c.kind for c in certs} == {"Contradiction", "CounterexamplePoint"}
-        for cert in certs:
-            for key, value in itertools.product(("T", "V"), (2.5, 1.0, True)):
-                truncation = dict(cert.params["truncation"], **{key: value})
-                params = dict(cert.params, truncation=truncation)
-                report = check_certificate(Certificate(cert.kind, params, cert.payload))
-                assert report.ok is False, (cert.kind, key, value)
 
 
 class TestNestingLimit:
@@ -756,14 +767,22 @@ class TestBoundedReplay:
         assert not report.ok
 
     def test_separator_far_past_every_branch_prefix(self):
-        # a separator of 10**5000 is decoded once per branch, never enumerated
-        for cert in closure_certificates():
-            separators = [10**5000, *cert.payload["separators"][1:]]
-            payload = dict(cert.payload, separators=separators)
+        # a separator of 10**5000 is refused before any message writes it,
+        # past the interpreter's limit on decimal digits; JSON cannot carry
+        # one, an in-memory certificate can
+        limit = sys.get_int_max_str_digits()
+        certs = [(c, "separators") for c in closure_certificates()]
+        certs.append((exception_list(), "separator"))
+        for cert, key in certs:
+            value = cert.payload[key]
+            far = [10**5000, *value[1:]] if key == "separators" else 10**5000
+            payload = dict(cert.payload, **{key: far})
             start = time.perf_counter()
             report = check_certificate(Certificate(cert.kind, cert.params, payload))
             assert time.perf_counter() - start < 1.0
             assert isinstance(report, CheckReport) and not report.ok
+            assert not any("ValueError(" in p for p in report.problems), report.problems
+            assert any(f"more than {limit} decimal digits" in p for p in report.problems)
 
 
 def pigeonhole_certificate() -> Certificate:
@@ -943,7 +962,6 @@ B0, B1 = "b0=:1@0", "b1=:2@1"
 # the same entries as schema 10 wrote them, here inlined where a label belongs
 B0_OBJECT = {"label": "b0", "branch": ":1", "rank": 0}
 B1_OBJECT = {"label": "b1", "branch": ":2", "rank": 1}
-TRUNCATION = {"T": 4, "V": 6}
 
 
 class TestAmbient:
@@ -980,8 +998,9 @@ class TestRegistryLabels:
             ranks = {e.label: e.rank for e in formats.parse_registry(cert.params["registry"])}
             params = {k: v for k, v in cert.params.items() if k != "registry"}
             named = _named_labels([params, cert.payload], [])
-            # a separator claim names its entries by position alone
-            assert named or cert.kind == "SeparatorWitness", cert.kind
+            # a separator claim names its entries by position alone, and a
+            # counterexample its cover's sets by expression text
+            assert named or cert.kind in ("SeparatorWitness", "CounterexamplePoint"), cert.kind
             for key, labels in named:
                 assert all(isinstance(x, str) and x in ranks for x in labels), (key, labels)
                 assert [ranks[x] for x in labels] == sorted(ranks[x] for x in labels), key
@@ -997,12 +1016,13 @@ class TestRegistryLabels:
         assert (failure["constraining"], failure["absorbing"]) == (["b0", "b2"], ["b3", "b4"])
 
     def test_property_b_registry_holds_the_minted_covers(self):
+        # the chain mints its cover b50 into the registry it is given; the
+        # certificate names no cover, and records that registry as given
         report = whole_cover_refutation()
         assert report.certificate.kind == "Contradiction"
         chain = {b.label for step in report.chain for b in step}
-        minted = chain - {b.label for b in reg()}
-        registry = formats.parse_registry(report.certificate.params["registry"])
-        assert minted and chain <= {e.label for e in registry}
+        recorded = {e.label for e in formats.parse_registry(report.certificate.params["registry"])}
+        assert recorded == {"b0", "b1", "b2", "b3", "b9"} and chain - recorded == {"b50"}
 
     def test_cover_refuses_an_unregistered_base(self):
         r = reg()
@@ -1029,8 +1049,7 @@ class TestRegistryLabels:
         if form == "inline":
             constraining, absorbing = [B1_OBJECT], [dict(B0_OBJECT, rank=7)]
         text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
-            "zset": "N:b0", "constraining": constraining, "absorbing": absorbing}},
-            truncation=TRUNCATION)
+            "zset": "N:b0", "constraining": constraining, "absorbing": absorbing}})
         report = check_certificate_text(text)
         assert not report.ok
         if form == "labelled":
@@ -1042,7 +1061,7 @@ class TestRegistryLabels:
         absorbing = ["zz"] if form == "labelled" else [{"label": "zz", "branch": "21:1", "rank": 5}]
         text = _forgery("InclusionChain", [B0, B1], {"claim": "absorption-failure", "afailure": {
             "zset": "N:21:1", "constraining": ["b0"] if form == "labelled" else [B0_OBJECT],
-            "absorbing": absorbing}}, truncation=TRUNCATION)
+            "absorbing": absorbing}})
         report = check_certificate_text(text)
         assert not report.ok
         if form == "labelled":
@@ -1117,7 +1136,7 @@ class TestRegistryLabels:
             for section in ("params", "payload"):
                 fields = getattr(cert, section)
                 for key in ("base", "cover", "kept", "subtracted", "exceptions",
-                            "hypothesis_group", "afailure", "afailures"):
+                            "hypothesis_group", "afailure"):
                     if key not in fields:
                         continue
                     for forged in _with_unregistered_label(fields[key]):
@@ -1127,28 +1146,32 @@ class TestRegistryLabels:
                         assert "no branch labelled 'nope'" in report.problems[0], report.problems
                         tampered.add((cert.kind, key))
         assert {kind for kind, _ in tampered} == {
-            "CoverSet", "ExceptionList", "InclusionChain", "Contradiction", "CounterexamplePoint"
+            "CoverSet", "ExceptionList", "InclusionChain", "Contradiction"
         }
 
 
 def _with_unregistered_label(value):
-    """Copies of a label list, an afailure or an afailure list, each with
-    one label list opened by ``nope``."""
-    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+    """Copies of a label list or an afailure, each with one label list
+    opened by ``nope``."""
+    if isinstance(value, list):
         yield ["nope", *value[1:]]
-    elif isinstance(value, dict):
+    else:
         for key in ("constraining", "absorbing"):
             yield dict(value, **{key: ["nope", *value[key][1:]]})
-    else:
-        for i, item in enumerate(value):
-            for forged in _with_unregistered_label(item):
-                yield [*value[:i], forged, *value[i + 1:]]
 
 
 def _whole_cover_point(point):
     """The `whole_cover_refutation` contradiction with another point: its
     failure is W ∩ Z(b0..b3) ⊆ Z(b9), with b2 = 2:1 and b9 = :2."""
     return _with("payload", point=point)(whole_cover_refutation().certificate).to_json()
+
+
+def _whole_cover_afailure(zset, constraining, absorbing):
+    """The `whole_cover_refutation` contradiction, its point {6:7} of
+    support {6}, the code of 22, which lies in b9 = :2 alone, against
+    another failure."""
+    afailure = {"zset": zset, "constraining": constraining, "absorbing": absorbing}
+    return _with("payload", afailure=afailure)(whole_cover_refutation().certificate).to_json()
 
 
 class TestSemanticObligations:
@@ -1176,17 +1199,11 @@ class TestSemanticObligations:
                 "claim": "absorption-failure",
                 "afailure": {"zset": "W", "constraining": [], "absorbing": ["b0"]}}),
              "absorption inclusion breaks at {1:1}"),
-            # ... and Z(b1) is not in Z(b0) on a refuter's truncation
-            (lambda: _with("params", afailures=[{"zset": "N::2", "constraining": [],
-                                                  "absorbing": ["b0"]}])(
-                zero_set_cover_refutation().certificate).to_json(),
-             "absorption inclusion breaks at {1:1}"),
             # in xi every value is at least the largest position
             (lambda: _whole_cover_point("{2:1}"), "contradiction point is invalid"),
             # Z(b0) ⊆ Z(b0) holds, and {1:1} lies outside Z(b0)
-            (lambda: _forgery("Contradiction", [B0, B1], {"afailure_index": 0, "point": "{1:1}"},
-                              truncation=TRUNCATION, gamma=50, afailures=[
-                                  {"zset": "N:b0", "constraining": [], "absorbing": ["b0"]}]),
+            (lambda: _forgery("Contradiction", [B0, B1], {"point": "{1:1}", "afailure": {
+                "zset": "N:b0", "constraining": [], "absorbing": ["b0"]}}),
              "contradiction point misses the failing set"),
             # 2 lies in b2 and in b9
             (lambda: _whole_cover_point("{2:2}"),
@@ -1197,11 +1214,29 @@ class TestSemanticObligations:
             (lambda: _with("payload", point="{2:1}")(
                 zero_set_cover_refutation().certificate).to_json(),
              "counterexample point is invalid"),
+            # the recorded failure, not the point, is forged for each of the
+            # three obligations ...
+            (lambda: _whole_cover_afailure("N:b9", ["b0", "b1", "b2", "b3"], ["b9"]),
+             "contradiction point misses the failing set"),
+            (lambda: _whole_cover_afailure("W", ["b9"], []),
+             "contradiction point leaves the constraining intersection"),
+            (lambda: _whole_cover_afailure("W", [], ["b0"]),
+             "contradiction point still sits in an absorbing zero set"),
+            # ... and W ∩ Z(b1) ⊆ Z(b0) breaks at {1:1}, 1 lying in b0 alone,
+            # but b1 ranks above b0
+            (lambda: _forgery("Contradiction", [B0, B1], {"point": "{1:1}", "afailure": {
+                "zset": "W", "constraining": ["b1"], "absorbing": ["b0"]}}),
+             "constraining ranks must stay below absorbing ranks"),
+            # 1 lies in :1 alone, so {1:1} lies in the cover set Z(:2)
+            (lambda: _with("payload", point="{1:1}")(
+                zero_set_cover_refutation().certificate).to_json(),
+             "the point lies in cover set N::2"),
         ],
-        ids=["hypothesis", "pair-inclusion", "absorption-exact", "absorption-truncated",
-             "contradiction-invalid", "contradiction-misses-set",
-             "contradiction-leaves-constraining", "contradiction-in-absorbing",
-             "counterexample-invalid"],
+        ids=["hypothesis", "pair-inclusion", "absorption-exact", "contradiction-invalid",
+             "contradiction-misses-set", "contradiction-leaves-constraining",
+             "contradiction-in-absorbing", "counterexample-invalid", "afailure-misses-set",
+             "afailure-leaves-constraining", "afailure-in-absorbing", "afailure-inverted-ranks",
+             "counterexample-in-cover-set"],
     )
     def test_forgery_rejected(self, make, problem):
         text = make()
@@ -1235,6 +1270,21 @@ class TestCheckerIndependence:
         assert cert.payload["exceptions"] == ["b"] and check_certificate(cert).ok
         report = check_certificate(_with("payload", exceptions=["c"])(cert))
         assert report.problems == ["pair inclusion for b fails at {4:4}"]
+
+    def test_checker_walks_no_truncation(self, monkeypatch):
+        # a refutation stands on its point: its replay enumerates no
+        # truncated support class and runs no truncated containment loop
+        certs = [whole_cover_refutation().certificate, zero_set_cover_refutation().certificate]
+        assert {c.kind for c in certs} == {"Contradiction", "CounterexamplePoint"}
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the checker walked a truncation")
+
+        monkeypatch.setattr(space, "containment_violations", walked)
+        monkeypatch.setattr(space, "support_classes", walked)
+        for cert in certs:
+            report = check_certificate_text(cert.to_json())
+            assert report.ok, report.problems
 
     def test_checking_leaves_the_certificate_unchanged(self):
         # the verdict is the report's alone: a checked certificate still

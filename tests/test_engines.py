@@ -495,6 +495,11 @@ def test_demo_05_whole_space_failure_breaks_at_14():
     assert cert.kind == "Contradiction" and check_certificate(cert).ok
 
 
+# the whole-space failure of `whole_afailure` on `cover_registry`, as a
+# certificate records it
+WHOLE_FAILURE = {"zset": "W", "constraining": ["b0", "b1", "b2", "b3"], "absorbing": ["b9"]}
+
+
 class TestPropertyBRefute:
     def test_fabricated_afailure_rejected(self):
         reg = reg3()
@@ -519,9 +524,11 @@ class TestPropertyBRefute:
         failure = whole_afailure(reg, TR)
         cert = property_b_refute([failure], 50, reg, TR).certificate
         assert cert.kind == "Contradiction"
-        assert set(cert.payload) == {"afailure_index", "point"}
+        assert set(cert.payload) == {"afailure", "point"}
+        assert set(cert.params) == {"registry", "ambient"}
         point = parse_point_literal(cert.payload["point"])
-        refuted = cert.params["afailures"][cert.payload["afailure_index"]]
+        refuted = cert.payload["afailure"]
+        assert refuted == failure.to_payload()
         # the point witnesses the break: inside the set and its constraint,
         # outside every absorbing zero set
         assert eval_setexpr(point, parse_setexpr(refuted["zset"], reg))
@@ -541,12 +548,14 @@ class TestPropertyBRefute:
     @pytest.mark.parametrize(
         "cover, kind, payload, chain",
         [
-            ("atoms", "CounterexamplePoint", {"point": "{1:2,2:2}"}, []),
-            ("whole", "Contradiction", {"afailure_index": 0, "point": "{6:7}"},
+            ("atoms", "CounterexamplePoint", {"zsets": ["N::1", "N::2"], "point": "{1:2,2:2}"},
+             []),
+            ("whole", "Contradiction", {"afailure": WHOLE_FAILURE, "point": "{6:7}"},
              [["b0", "b1", "b2", "b3", "b50"]]),
-            ("two-set", "Contradiction", {"afailure_index": 1, "point": "{6:7}"},
+            ("two-set", "Contradiction", {"afailure": WHOLE_FAILURE, "point": "{6:7}"},
              [["b50"], ["b50", "b0", "b1", "b2", "b3", "b51"]]),
-            ("demo-05", "Contradiction", {"afailure_index": 0, "point": "{14:15}"},
+            ("demo-05", "Contradiction", {"afailure": dict(
+                WHOLE_FAILURE, constraining=["b0", "b1", "b2", "b3", "b4"]), "point": "{14:15}"},
              [["b0", "b1", "b2", "b3", "b4", "b50", "b51", "b52"]]),
         ],
         ids=["atoms", "whole", "two-set", "demo-05"],
@@ -574,8 +583,11 @@ class TestPropertyBRefute:
             failures = [whole_afailure(reg, TR)]
             if cover == "two-set":
                 failures.insert(0, AFailure(Atom(reg.entries[0]), (), (reg.entries[0],)))
+        given = reg.to_payload()
         report = property_b_refute(failures, 50, reg, trunc)
         assert report.certificate.kind == kind and report.certificate.payload == payload
+        # the registry as given, before the chain minted its covers
+        assert report.certificate.params == {"registry": given, "ambient": XI}
         assert [[b.label for b in step] for step in report.chain] == chain
         assert check_certificate(report.certificate).ok
 
@@ -593,7 +605,8 @@ class TestPropertyBRefute:
             engines._chase, lambda: property_b_refute(failures, 50, reg, Truncation(1, 1))
         )
         cert = report.certificate
-        assert cert.kind == "CounterexamplePoint" and cert.payload == {"point": "{2:6,5:6}"}
+        assert cert.kind == "CounterexamplePoint"
+        assert cert.payload == {"zsets": ["(pt {1:1})", "N:21:2"], "point": "{2:6,5:6}"}
         assert [[b.label for b in step] for step in report.chain] == [
             ["b50", "b51"], ["b50", "b51", "b52", "b53"]
         ]
